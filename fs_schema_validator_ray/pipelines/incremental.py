@@ -65,9 +65,12 @@ def dedup_ingest(
     import ray
     import ray.data
 
-    from fs_schema_validator_ray.stages.dedup import (
-        _fingerprint128,
+    from fs_schema_validator_ray.stages.dedup import _fingerprint128
+    from fs_schema_validator_ray.stages.exchange import (
+        BUCKET,
         default_n_buckets,
+        map_buckets,
+        segments,
     )
     from fs_schema_validator_ray.state.sketches import mix_to_buckets
 
@@ -80,11 +83,13 @@ def dedup_ingest(
         )
     B = int(n_buckets)
 
+    # the store is laid out on disk by mix_to_buckets(h1) — routing is
+    # part of its persisted format, so it stays this exact function
     def tag(t: pa.Table) -> pa.Table:
         h1, h2 = _fingerprint128(t.column(text_column).combine_chunks())
         return pa.table(
             {
-                "bucket": pa.array(mix_to_buckets(h1, B)),
+                BUCKET: pa.array(mix_to_buckets(h1, B)),
                 "h1": pa.array(h1.view(np.int64)),
                 "h2": pa.array(h2.view(np.int64)),
                 id_column: t.column(id_column),
@@ -96,20 +101,11 @@ def dedup_ingest(
         tag, batch_format="pyarrow"
     )
 
-    accepted_schema = pa.schema(
-        [
-            ("bucket", pa.int32()),
-            ("h1", pa.int64()),
-            ("h2", pa.int64()),
-            (id_column, pa.int64()),
-            (text_column, pa.string()),
-        ]
-    )
-
     def probe(group: pa.Table) -> pa.Table:
-        if not group.num_rows:
-            return accepted_schema.empty_table()
-        b = int(group.column("bucket")[0].as_py())
+        h1 = np.asarray(group.column("h1"), np.int64)
+        h2 = np.asarray(group.column("h2"), np.int64)
+        ids = np.asarray(group.column(id_column), np.int64)
+        b = int(mix_to_buckets(h1[:1].view(np.uint64), B)[0])  # one per group
         files = glob.glob(
             os.path.join(store_dir, f"bucket={b}", "*.parquet")
         )
@@ -122,16 +118,9 @@ def dedup_ingest(
                 else None
             )
         )
-        h1 = np.asarray(group.column("h1"), np.int64)
-        h2 = np.asarray(group.column("h2"), np.int64)
-        ids = np.asarray(group.column(id_column), np.int64)
         # in-batch dedup: min id per (h1, h2)
-        order = np.lexsort((ids, h2, h1))
-        h1s, h2s, _ = h1[order], h2[order], ids[order]
-        first = np.concatenate(
-            [[True], (h1s[1:] != h1s[:-1]) | (h2s[1:] != h2s[:-1])]
-        )
-        keep_idx = order[np.flatnonzero(first)]
+        order, starts, _, _, _ = segments((h1, h2), ids)
+        keep_idx = order[starts]
         sub = group.take(pa.array(np.sort(keep_idx), pa.int64()))
         if seen is not None and seen.num_rows:
             sh1 = np.asarray(seen.column("h1"), np.int64)
@@ -151,13 +140,9 @@ def dedup_ingest(
                         break
                     p += 1
             sub = sub.filter(pa.array(~hit))
-        return sub
+        return sub.add_column(0, "bucket", pa.array(np.full(sub.num_rows, b, np.int32)))
 
-    accepted = (
-        tagged.groupby("bucket")
-        .map_groups(probe, batch_format="pyarrow")
-        .materialize()
-    )
+    accepted = map_buckets(tagged, probe).materialize()
     n_accepted = accepted.count()
 
     # append accepted fingerprints to the store (workers write blocks)

@@ -1203,24 +1203,16 @@ def _coorder_edges(sf_dir: str):
     pruned lineitem columns with a fully vectorized ragged all-pairs
     expansion per order segment (no per-order Python). Shared by
     ``pagerank_parts`` and ``triangles_parts``."""
-    from fs_schema_validator_ray.stages.dedup import default_n_buckets
-    from fs_schema_validator_ray.state.sketches import hash64, mix_to_buckets
+    from fs_schema_validator_ray.stages.exchange import bucketed, default_n_buckets, segments
 
     ds = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
     n_buckets = default_n_buckets(ds)
 
-    def tag(t: pa.Table) -> pa.Table:
-        ok = np.asarray(t.column("l_orderkey"), np.int64)
-        return t.append_column(
-            "__bucket", pa.array(mix_to_buckets(hash64(ok), n_buckets))
-        )
-
     def expand_pairs(t: pa.Table) -> pa.Table:
         ok = np.asarray(t.column("l_orderkey"), np.int64)
         pk = np.asarray(t.column("l_partkey"), np.int64)
-        order = np.argsort(ok, kind="stable")
+        order, starts, _, _, _ = segments(ok)
         ok, pk = ok[order], pk[order]
-        starts = np.flatnonzero(np.concatenate([[True], ok[1:] != ok[:-1]]))
         lens = np.diff(np.append(starts, len(ok)))
         # ragged all-pairs per segment, vectorized: pair p of segment g
         # maps to (local_i, local_j) = (p // L_g, p % L_g)
@@ -1239,11 +1231,7 @@ def _coorder_edges(sf_dir: str):
             {"src": pa.array(src[keep]), "dst": pa.array(dst[keep])}
         )
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(expand_pairs, batch_format="pyarrow")
-    )
+    return bucketed(ds, ["l_orderkey"], n_buckets, expand_pairs)
 
 
 def pagerank_parts(sf_dir: str):
@@ -6953,6 +6941,8 @@ def unnest_embeddings(sf_dir: str):
     Python, the flat_map shape a feature-store export needs."""
     import pyarrow.compute as pc
 
+    from fs_schema_validator_ray.stages.exchange import segments
+
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
 
     def unnest(t: pa.Table) -> pa.Table:
@@ -6960,13 +6950,7 @@ def unnest_embeddings(sf_dir: str):
         flat = pc.list_flatten(col)
         parent = pc.list_parent_indices(col)
         par = np.asarray(parent, dtype=np.int64)
-        if len(par):
-            first = np.concatenate([[True], par[1:] != par[:-1]])
-            starts = np.flatnonzero(first)
-            lens = np.diff(np.concatenate([starts, [len(par)]]))
-            pos = np.arange(len(par), dtype=np.int64) - np.repeat(starts, lens)
-        else:
-            pos = np.zeros(0, np.int64)
+        pos = np.arange(len(par), dtype=np.int64) - segments(par).row_start
         return pa.table(
             {
                 "vec_id": t.column("vec_id").take(parent),

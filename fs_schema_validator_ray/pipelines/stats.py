@@ -426,11 +426,6 @@ def psi_by_group(
     q = np.maximum(g / max(int(g.sum()), 1), eps)
 
     def per_group(grp: pa.Table) -> pa.Table:
-        if grp.num_rows == 0:
-            return pa.table(
-                {group_column: grp.column(group_column).slice(0, 0),
-                 "psi6": pa.array([], pa.float64())}
-            )
         cnt = np.zeros(n_bins, np.int64)
         cnt[np.asarray(grp.column("bin"), dtype=np.int64)] = np.asarray(
             grp.column("n"), dtype=np.int64

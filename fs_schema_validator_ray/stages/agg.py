@@ -18,6 +18,13 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from fs_schema_validator_ray.stages.exchange import (
+    bucketed,
+    default_n_buckets,
+    segments,
+)
+from fs_schema_validator_ray.state.sketches import key_codes, stable_key_array
+
 
 def _partial(keys: list[str], sum_cols: list[str]):
     def fn(batch: pa.Table) -> pa.Table:
@@ -61,38 +68,19 @@ def group_sum_bucketed(
 
     Single key column (the high-cardinality shape); composite
     low-cardinality groupings should use ``group_sum``."""
-    from fs_schema_validator_ray.stages.dedup import default_n_buckets
-    from fs_schema_validator_ray.state.sketches import (
-        hash64,
-        mix_to_buckets,
-        stable_key_array,
-    )
-
     if n_buckets is None:
         n_buckets = default_n_buckets(ds)
-    combine = _partial([key_column], sum_cols)
-
-    def partial(batch: pa.Table) -> pa.Table:
-        g = combine(batch)
-        bucket = mix_to_buckets(
-            hash64(stable_key_array(g.column(key_column))), n_buckets
-        )
-        return g.append_column("__bucket", pa.array(bucket))
+    partial = _partial([key_column], sum_cols)
 
     def merge_bucket(group: pa.Table) -> pa.Table:
-        tbl = group.drop_columns(["__bucket"])
         aggs = [(c, "sum") for c in [*sum_cols, "n"]]
-        g = pa.TableGroupBy(tbl, [key_column]).aggregate(aggs)
+        g = pa.TableGroupBy(group, [key_column]).aggregate(aggs)
         out = {key_column: g.column(key_column)}
         for c in [*sum_cols, "n"]:
             out[c] = pc.cast(g.column(f"{c}_sum"), pa.int64())
         return pa.table(out)
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(merge_bucket, batch_format="pyarrow")
-    )
+    return bucketed(ds, [key_column], n_buckets, merge_bucket, partial)
 
 
 def heavy_hitters(
@@ -306,12 +294,6 @@ def pivot_wide(
     rows, never sorts raw keys — same discipline as
     ``group_sum_bucketed``, with the wide schema fixed at plan time.
     """
-    from fs_schema_validator_ray.stages.dedup import default_n_buckets
-    from fs_schema_validator_ray.state.sketches import (
-        hash64,
-        mix_to_buckets,
-        stable_key_array,
-    )
 
     if names is None:
         names = [str(v) for v in pivot_values]
@@ -346,15 +328,12 @@ def pivot_wide(
         n_col = np.zeros(n_keys, np.int64)
         np.add.at(n_col, inv, cnts)
         out["n"] = pa.array(n_col)
-        bucket = mix_to_buckets(hash64(stable_key_array(out[key_column])), n_buckets)
-        out["__bucket"] = pa.array(bucket)
         return pa.table(out)
 
     sum_cols = [*names, "n"]
 
     def merge_bucket(group: pa.Table) -> pa.Table:
-        tbl = group.drop_columns(["__bucket"])
-        g = pa.TableGroupBy(tbl, [key_column]).aggregate(
+        g = pa.TableGroupBy(group, [key_column]).aggregate(
             [(c, "sum") for c in sum_cols]
         )
         out = {key_column: g.column(key_column)}
@@ -362,11 +341,7 @@ def pivot_wide(
             out[c] = pc.cast(g.column(f"{c}_sum"), pa.int64())
         return pa.table(out)
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(merge_bucket, batch_format="pyarrow")
-    )
+    return bucketed(ds, [key_column], n_buckets, merge_bucket, partial)
 
 
 def salted_topk_per_key(
@@ -389,67 +364,27 @@ def salted_topk_per_key(
     (deterministic). Scale-safe at high key cardinality: work per
     Python call is bucket-sized, never group-count-sized.
     """
-    from fs_schema_validator_ray.stages.dedup import default_n_buckets
-    from fs_schema_validator_ray.state.sketches import (
-        hash64,
-        key_codes,
-        mix_to_buckets,
-        stable_key_array,
-    )
-
     n_buckets = default_n_buckets(ds)
 
-    def add_salted_bucket(batch: pa.Table) -> pa.Table:
-        kh = hash64(stable_key_array(batch.column(key_column)))
-        sv = (np.asarray(batch.column(tiebreak_column)) % salt).astype(np.uint64)
-        with np.errstate(over="ignore"):
-            combined = kh + sv * np.uint64(0x9E3779B97F4A7C15)
-        batch = batch.append_column(
-            "__salt", pa.array(sv.astype(np.int32))
-        )
-        return batch.append_column(
-            "__bucket", pa.array(mix_to_buckets(combined, n_buckets))
-        )
+    def add_salt(batch: pa.Table) -> pa.Table:
+        sv = np.asarray(batch.column(tiebreak_column)) % salt
+        return batch.append_column("__salt", pa.array(sv.astype(np.int32)))
 
-    def add_key_bucket(batch: pa.Table) -> pa.Table:
-        kh = hash64(stable_key_array(batch.column(key_column)))
-        return batch.append_column(
-            "__bucket", pa.array(mix_to_buckets(kh, n_buckets))
-        )
+    def bucket_topk(group: pa.Table) -> pa.Table:
+        """One vectorized pass: top-k rows per (key, salt) — or per key
+        once the salt is gone — segment inside the bucket group."""
+        vals = np.asarray(group.column(value_column))
+        tb = np.asarray(group.column(tiebreak_column))
+        seg = key_codes(group.column(key_column)).astype(np.int64)
+        if "__salt" in group.column_names:
+            seg = seg * salt + np.asarray(group.column("__salt"), dtype=np.int64)
+            group = group.drop_columns(["__salt"])
+        order, _, _, row_start, _ = segments(seg, -vals, tb)
+        keep = order[np.arange(len(order)) - row_start < k]
+        return group.take(pa.array(np.sort(keep), pa.int64()))
 
-    def bucket_topk(seg_cols: list[str]):
-        """One vectorized pass: top-k rows per (seg_cols) segment inside
-        the bucket group."""
-
-        def fn(group: pa.Table) -> pa.Table:
-            drop = [c for c in ("__bucket", "__salt") if c in group.column_names]
-            if group.num_rows == 0:
-                return group.drop_columns(drop)
-            vals = np.asarray(group.column(value_column))
-            tb = np.asarray(group.column(tiebreak_column))
-            seg = key_codes(group.column(key_column)).astype(np.int64)
-            if "__salt" in seg_cols:
-                seg = seg * salt + np.asarray(group.column("__salt"), dtype=np.int64)
-            order = np.lexsort((tb, -vals, seg))
-            seg_s = seg[order]
-            first = np.flatnonzero(np.concatenate([[True], seg_s[1:] != seg_s[:-1]]))
-            lengths = np.diff(np.concatenate([first, [len(seg_s)]]))
-            pos = np.arange(len(seg_s)) - np.repeat(first, lengths)
-            keep = order[pos < k]
-            return group.take(pa.array(np.sort(keep), pa.int64())).drop_columns(drop)
-
-        return fn
-
-    phase1 = (
-        ds.map_batches(add_salted_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(bucket_topk([key_column, "__salt"]), batch_format="pyarrow")
-    )
-    return (
-        phase1.map_batches(add_key_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(bucket_topk([key_column]), batch_format="pyarrow")
-    )
+    phase1 = bucketed(ds, [key_column, "__salt"], n_buckets, bucket_topk, add_salt)
+    return bucketed(phase1, [key_column], n_buckets, bucket_topk)
 
 
 def sessionize(
@@ -460,36 +395,25 @@ def sessionize(
 ):
     """Gap-based sessionization: events of one key whose timestamps are
     within ``gap`` of the previous event share a session. The stateful
-    streaming-window op expressed batch-first: ONE ``groupby(key)``
-    shuffle of the pruned columns, then per-group sort + vectorized gap
+    streaming-window op expressed batch-first: ONE keyed bucket exchange
+    of the pruned columns, then per-bucket sort + vectorized gap
     diff. Emits one row per session:
     ``(key, session_start, session_end, n_events)``.
 
     ``gap`` and the emitted bounds are in the timestamp's native int64
-    unit (cast upstream). The shuffle key is ``hash(key) % n_buckets``
+    unit (cast upstream). The shuffle key is a coarse bucket of the key
     (one FULLY-vectorized ``map_groups`` call per bucket — session
     boundaries for every key in the bucket come from one lexsort + one
     diff; grouping by the raw key would cost one Python call per key).
     Partitioning assumption: one key's events fit one bucket group —
     salt pathologically hot keys upstream.
     """
-    from fs_schema_validator_ray.stages.dedup import default_n_buckets
-    from fs_schema_validator_ray.state.sketches import (
-        hash64,
-        mix_to_buckets,
-        stable_key_array,
-    )
-
     n_buckets = default_n_buckets(ds)
     cols = [key_column, ts_column]
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        bucket = mix_to_buckets(
-            hash64(stable_key_array(t.column(key_column))), n_buckets
-        )
+    def cast_ts(t: pa.Table) -> pa.Table:
         return pa.table(
             {
-                "__bucket": pa.array(bucket),
                 key_column: t.column(key_column),
                 ts_column: pc.cast(t.column(ts_column), pa.int64()),
             }
@@ -497,26 +421,13 @@ def sessionize(
 
     def per_bucket(group: pa.Table) -> pa.Table:
         key_col = group.column(key_column).combine_chunks()
-        key_type = key_col.type
-        if group.num_rows == 0:
-            return pa.table(
-                {
-                    key_column: pa.array([], key_type),
-                    "session_start": pa.array([], pa.int64()),
-                    "session_end": pa.array([], pa.int64()),
-                    "n_events": pa.array([], pa.int64()),
-                }
-            )
-        from fs_schema_validator_ray.state.sketches import key_codes
-
         ts = np.asarray(group.column(ts_column), dtype=np.int64)
         # sortable key proxy: encoded indices keep arbitrary key types
         # (strings, nulls) groupable without dtype games
-        kcode = key_codes(key_col)
-        order = np.lexsort((ts, kcode))
-        kc, ts_s = kcode[order], ts[order]
-        seg_first = np.concatenate([[True], kc[1:] != kc[:-1]])
-        starts = seg_first | np.concatenate([[True], np.diff(ts_s) > int(gap)])
+        order, _, _, row_start, _ = segments(key_codes(key_col), ts)
+        ts_s = ts[order]
+        starts = row_start == np.arange(len(ts_s))
+        starts[1:] |= np.diff(ts_s) > int(gap)
         first = np.flatnonzero(starts)
         last = np.concatenate([first[1:] - 1, [len(ts_s) - 1]])
         take = pa.array(order[first], pa.int64())
@@ -531,12 +442,7 @@ def sessionize(
             }
         )
 
-    return (
-        ds.select_columns(cols)
-        .map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    return bucketed(ds.select_columns(cols), [key_column], n_buckets, per_bucket, cast_ts)
 
 
 def stratified_sample(ds, group_column: str, order_column: str, k: int):
@@ -603,13 +509,6 @@ def grouped_quantile_disc(
     ROUNDed to 6 decimals (dyadic ``q`` keeps ``frac`` exact on both
     engines, the same oracle protocol as ``corr6``).
     """
-    from fs_schema_validator_ray.stages.dedup import default_n_buckets
-    from fs_schema_validator_ray.state.sketches import (
-        hash64,
-        mix_to_buckets,
-        stable_key_array,
-    )
-
     n_buckets = default_n_buckets(ds)
     prefix = "p" if interpolate else "q"
     qcols = [f"{prefix}_{int(round(q * 100))}" for q in qs]
@@ -621,12 +520,8 @@ def grouped_quantile_disc(
         # presence — per_bucket excludes them from n and the quantiles
         t = t.select([key_column, value_column])
         g = pa.TableGroupBy(t, [key_column, value_column]).aggregate([([], "count_all")])
-        bucket = mix_to_buckets(
-            hash64(stable_key_array(g.column(key_column))), n_buckets
-        )
         return pa.table(
             {
-                "__bucket": pa.array(bucket),
                 key_column: g.column(key_column),
                 value_column: g.column(value_column),
                 "c": pc.cast(g.column("count_all"), pa.int64()),
@@ -634,17 +529,8 @@ def grouped_quantile_disc(
         )
 
     def per_bucket(group: pa.Table) -> pa.Table:
-        from fs_schema_validator_ray.state.sketches import key_codes
-
         key_col = group.column(key_column).combine_chunks()
         val_col = group.column(value_column).combine_chunks()
-        if group.num_rows == 0:
-            out = {key_column: key_col.slice(0, 0), "n": pa.array([], pa.int64())}
-            for qc in qcols:
-                out[qc] = (
-                    pa.array([], pa.float64()) if interpolate else val_col.slice(0, 0)
-                )
-            return pa.table(out)
         kcode = key_codes(key_col)
         vmask = np.asarray(pc.is_valid(val_col))
         # keys seen ONLY with null values → (key, n=0, NULL quantiles)
@@ -653,15 +539,10 @@ def grouped_quantile_disc(
         kcode_v = kcode[valid_idx]
         vals = np.asarray(val_col.take(pa.array(valid_idx, pa.int64())))
         c = np.asarray(group.column("c"), dtype=np.int64)[valid_idx]
-        order = np.lexsort((vals, kcode_v))
-        kc, c_s = kcode_v[order], c[order]
-        seg_first = (
-            np.concatenate([[True], kc[1:] != kc[:-1]]) if len(kc) else kc.astype(bool)
-        )
-        starts = np.flatnonzero(seg_first)
-        gc = np.cumsum(c_s)  # global inclusive cumulative count
+        order, starts, _, _, _ = segments(kcode_v, vals)
+        gc = np.cumsum(c[order])  # global inclusive cumulative count
         excl = np.concatenate([[0], gc])[starts]  # count before each key
-        ends = np.concatenate([starts[1:], [len(kc)]])
+        ends = np.append(starts[1:], len(order))
         n_k = gc[ends - 1] - excl if len(starts) else np.zeros(0, np.int64)
         rep = pa.array(valid_idx[order[starts]], pa.int64())
         out = {key_column: key_col.take(rep), "n": pa.array(n_k, pa.int64())}
@@ -715,11 +596,9 @@ def grouped_quantile_disc(
             return pa.concat_tables(tables)
         return pa.table(out)
 
-    return (
-        ds.select_columns([key_column, value_column])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
+    return bucketed(
+        ds.select_columns([key_column, value_column]), [key_column], n_buckets,
+        per_bucket, partial,
     )
 
 
@@ -1215,14 +1094,7 @@ def group_argmax(ds, key_column: str, order_columns: list[str], n_buckets=None):
     null row — SQL MAX-ignores-nulls analogue); make ``order_columns``
     total per key (append a unique id) for a deterministic winner.
     """
-    from fs_schema_validator_ray.stages.dedup import default_n_buckets
     from fs_schema_validator_ray.stages.window import _order_arrays
-    from fs_schema_validator_ray.state.sketches import (
-        hash64,
-        key_codes,
-        mix_to_buckets,
-        stable_key_array,
-    )
 
     if n_buckets is None:
         n_buckets = default_n_buckets(ds)
@@ -1234,38 +1106,27 @@ def group_argmax(ds, key_column: str, order_columns: list[str], n_buckets=None):
             out = {c: t.column(c).slice(0, 0) for c in cols}
             out["n"] = pa.array([], pa.int64())
             return pa.table(out)
-        kcode = key_codes(t.column(key_column).combine_chunks())
-        sig: list[np.ndarray] = [kcode]
+        sig: list[np.ndarray] = []
         for c in order_columns:
             isnull, vals = _order_arrays(t.column(c))
             sig.append(~isnull)  # valid sorts AFTER null → null loses
             sig.append(vals)
-        order = np.lexsort(tuple(sig[::-1]))
-        kc = kcode[order]
-        seg_first = np.concatenate([[True], kc[1:] != kc[:-1]])
-        starts = np.flatnonzero(seg_first)
-        last = np.concatenate([starts[1:], [n]]) - 1
+        order, starts, _, _, _ = segments(
+            key_codes(t.column(key_column).combine_chunks()), *sig
+        )
+        last = np.append(starts[1:], n) - 1
         take = pa.array(order[last], pa.int64())
         out = {c: t.column(c).take(take) for c in cols}
         out["n"] = pa.array(np.add.reduceat(counts[order], starts), pa.int64())
         return pa.table(out)
 
     def partial(t: pa.Table) -> pa.Table:
-        g = argmax_scan(t.select(cols), np.ones(t.num_rows, np.int64))
-        bucket = mix_to_buckets(
-            hash64(stable_key_array(g.column(key_column))), n_buckets
-        )
-        return g.append_column("__bucket", pa.array(bucket, pa.int32()))
+        return argmax_scan(t.select(cols), np.ones(t.num_rows, np.int64))
 
     def merge_bucket(group: pa.Table) -> pa.Table:
-        tbl = group.drop_columns(["__bucket"])
-        return argmax_scan(tbl, np.asarray(tbl.column("n"), dtype=np.int64))
+        return argmax_scan(group, np.asarray(group.column("n"), dtype=np.int64))
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(merge_bucket, batch_format="pyarrow")
-    )
+    return bucketed(ds, [key_column], n_buckets, merge_bucket, partial)
 
 
 def histogram_fixed_width(ds, value_column: str, width: int):
@@ -1332,8 +1193,6 @@ def group_entropy(ds, group_column: str, category_column: str):
     combiner. Rounded to 6 decimals (``entropy6``) so the result is
     insensitive to float summation order and can gate against a SQL
     oracle, same protocol as ``group_moments``'s ``corr6``."""
-    from fs_schema_validator_ray.state.sketches import key_codes
-
     counts = group_sum(
         ds.select_columns([group_column, category_column]),
         [group_column, category_column],
@@ -1349,12 +1208,8 @@ def group_entropy(ds, group_column: str, category_column: str):
                     "entropy6": pa.array([], pa.float64()),
                 }
             )
-        kcode = key_codes(t.column(group_column).combine_chunks())
-        order = np.argsort(kcode, kind="stable")
-        kc = kcode[order]
+        order, starts, _, _, _ = segments(key_codes(t.column(group_column).combine_chunks()))
         c = np.asarray(t.column("n"), dtype=np.int64)[order].astype(np.float64)
-        seg_first = np.concatenate([[True], kc[1:] != kc[:-1]])
-        starts = np.flatnonzero(seg_first)
         n_per = np.add.reduceat(c, starts)
         clnc = np.add.reduceat(c * np.log(c), starts)
         ent = np.round(np.log(n_per) - clnc / n_per, 6)
@@ -1438,8 +1293,6 @@ def chi2_independence(ds, col_a: str, col_b: str):
     so both engines hash identically (same as ``group_entropy``).
     Cardinality assumption: cells = |A|×|B| rows fit in one partition —
     categorical by definition, KBs."""
-    from fs_schema_validator_ray.state.sketches import key_codes
-
     counts = group_sum(ds.select_columns([col_a, col_b]), [col_a, col_b], [])
 
     def finish(t: pa.Table) -> pa.Table:
@@ -1506,43 +1359,17 @@ def group_string_agg(
     (SQL aggregate semantics): a key with no non-null value emits a null
     string and ``n = 0`` (``n`` counts non-null values, SQL
     ``COUNT(value)``)."""
-    from fs_schema_validator_ray.stages.dedup import default_n_buckets
     from fs_schema_validator_ray.stages.window import _order_arrays
-    from fs_schema_validator_ray.state.sketches import (
-        hash64,
-        key_codes,
-        mix_to_buckets,
-        stable_key_array,
-    )
 
     if n_buckets is None:
         n_buckets = default_n_buckets(ds)
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        t = t.select([key_column, value_column])
-        bucket = mix_to_buckets(
-            hash64(stable_key_array(t.column(key_column))), n_buckets
-        )
-        return t.append_column("__bucket", pa.array(bucket))
-
     def per_bucket(group: pa.Table) -> pa.Table:
-        n = group.num_rows
-        if n == 0:
-            return pa.table(
-                {
-                    key_column: group.column(key_column).slice(0, 0),
-                    "vals": pa.array([], pa.string()),
-                    "n": pa.array([], pa.int64()),
-                }
-            )
         key_col = group.column(key_column).combine_chunks()
-        kcode = key_codes(key_col)
         isnull, vals = _order_arrays(group.column(value_column))
-        order = np.lexsort((vals, isnull, kcode))  # nulls last per key
-        kc = kcode[order]
-        seg_first = np.concatenate([[True], kc[1:] != kc[:-1]])
-        starts = np.flatnonzero(seg_first)
-        ends = np.concatenate([starts[1:], [n]])
+        # nulls last per key
+        order, starts, _, _, _ = segments(key_codes(key_col), isnull, vals)
+        ends = np.append(starts[1:], len(order))
         valid = ~isnull[order]
         strs = np.asarray(
             pc.cast(group.column(value_column).combine_chunks(), pa.string()),
@@ -1563,11 +1390,8 @@ def group_string_agg(
             }
         )
 
-    return (
-        ds.select_columns([key_column, value_column])
-        .map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
+    return bucketed(
+        ds.select_columns([key_column, value_column]), [key_column], n_buckets, per_bucket
     )
 
 
@@ -1587,7 +1411,7 @@ def weighted_sample(ds, id_column: str, weight_column: str, k: int):
     therefore enter or leave the sample together as adjacent ranks —
     each duplicate row carries its own priority (same u, its own
     weight); dedup ids upstream if the sample must be id-unique."""
-    from fs_schema_validator_ray.state.sketches import hash64, stable_key_array
+    from fs_schema_validator_ray.state.sketches import hash64
 
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -1726,35 +1550,21 @@ def grouped_spearman(ds, key_column: str, x_column: str, y_column: str):
     SQL semantics: rows with a null in either column are excluded
     (``corr`` pair semantics); keys with fewer than 2 pairs or zero
     variance in either rank emit NULL. Output ``(key, n, spearman)``."""
-    from fs_schema_validator_ray.stages.dedup import default_n_buckets
-    from fs_schema_validator_ray.state.sketches import (
-        hash64,
-        key_codes,
-        mix_to_buckets,
-        stable_key_array,
-    )
-
     n_buckets = default_n_buckets(ds)
 
-    def add_bucket(t: pa.Table) -> pa.Table:
+    def drop_null_pairs(t: pa.Table) -> pa.Table:
         mask = pc.and_(pc.is_valid(t.column(x_column)), pc.is_valid(t.column(y_column)))
-        t = t.select([key_column, x_column, y_column]).filter(mask)
-        bucket = mix_to_buckets(
-            hash64(stable_key_array(t.column(key_column))), n_buckets
-        )
-        return t.append_column("__bucket", pa.array(bucket))
+        return t.select([key_column, x_column, y_column]).filter(mask)
 
     def avg_ranks(seg: np.ndarray, vals: np.ndarray) -> np.ndarray:
         """1-based fractional ranks of ``vals`` within each ``seg``
         segment id (vectorized: one lexsort + tie-run mean positions)."""
         n = len(vals)
-        order = np.lexsort((vals, seg))
-        seg_s, val_s = seg[order], vals[order]
-        seg_first = np.concatenate([[True], seg_s[1:] != seg_s[:-1]])
-        seg_start = np.flatnonzero(seg_first)
-        seg_lens = np.diff(np.concatenate([seg_start, [n]]))
-        pos = np.arange(n) - np.repeat(seg_start, seg_lens)  # 0-based in segment
-        run_first = seg_first | np.concatenate([[True], val_s[1:] != val_s[:-1]])
+        order, _, _, row_start, _ = segments(seg, vals)
+        val_s = vals[order]
+        pos = np.arange(n) - row_start  # 0-based in segment
+        run_first = pos == 0
+        run_first[1:] |= val_s[1:] != val_s[:-1]
         run_start = np.flatnonzero(run_first)
         run_lens = np.diff(np.concatenate([run_start, [n]]))
         # average 0-based position of each tie run + 1 → fractional rank
@@ -1765,26 +1575,17 @@ def grouped_spearman(ds, key_column: str, x_column: str, y_column: str):
 
     def per_bucket(group: pa.Table) -> pa.Table:
         key_col = group.column(key_column).combine_chunks()
-        if group.num_rows == 0:
-            return pa.table(
-                {
-                    key_column: key_col.slice(0, 0),
-                    "n": pa.array([], pa.int64()),
-                    "spearman": pa.array([], pa.float64()),
-                }
-            )
         seg = key_codes(key_col)
         x = np.asarray(pc.cast(group.column(x_column), pa.float64()))
         y = np.asarray(pc.cast(group.column(y_column), pa.float64()))
         rx = avg_ranks(seg, x)
         ry = avg_ranks(seg, y)
         # one representative row index per segment, deterministic
-        order = np.argsort(seg, kind="stable")
-        seg_s = seg[order]
-        first = np.flatnonzero(np.concatenate([[True], seg_s[1:] != seg_s[:-1]]))
+        order, first, ids, _, _ = segments(seg)
         rep = order[first]
         k = len(rep)
-        comp = np.searchsorted(seg_s[first], seg)  # dense 0..k-1 per row
+        comp = np.empty(len(seg), np.int64)  # dense 0..k-1 per row
+        comp[order] = ids
         n_arr = np.bincount(comp, minlength=k).astype(np.float64)
         sx = np.bincount(comp, weights=rx, minlength=k)
         sy = np.bincount(comp, weights=ry, minlength=k)
@@ -1809,11 +1610,9 @@ def grouped_spearman(ds, key_column: str, x_column: str, y_column: str):
             }
         )
 
-    return (
-        ds.select_columns([key_column, x_column, y_column])
-        .map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
+    return bucketed(
+        ds.select_columns([key_column, x_column, y_column]), [key_column], n_buckets,
+        per_bucket, drop_null_pairs,
     )
 
 
@@ -1920,8 +1719,6 @@ def mutual_information(ds, col_a: str, col_b: str):
     combiner shuffle; the float pass runs once on the tiny cell table
     (ROUND(·,6) protocol, same ln-parity argument as
     ``group_entropy``)."""
-    from fs_schema_validator_ray.state.sketches import key_codes
-
     counts = group_sum(ds.select_columns([col_a, col_b]), [col_a, col_b], [])
 
     def finish(t: pa.Table) -> pa.Table:
@@ -2080,23 +1877,11 @@ def grouped_kendall_tau(ds, key_column: str, x_column: str, y_column: str):
     keys where either factor of the denominator is zero emit NULL τ.
 
     Output ``(key, n, con_minus_dis, tau_b)``."""
-    from fs_schema_validator_ray.stages.dedup import default_n_buckets
-    from fs_schema_validator_ray.state.sketches import (
-        hash64,
-        key_codes,
-        mix_to_buckets,
-        stable_key_array,
-    )
-
     n_buckets = default_n_buckets(ds)
 
-    def add_bucket(t: pa.Table) -> pa.Table:
+    def drop_null_pairs(t: pa.Table) -> pa.Table:
         mask = pc.and_(pc.is_valid(t.column(x_column)), pc.is_valid(t.column(y_column)))
-        t = t.select([key_column, x_column, y_column]).filter(mask)
-        bucket = mix_to_buckets(
-            hash64(stable_key_array(t.column(key_column))), n_buckets
-        )
-        return t.append_column("__bucket", pa.array(bucket))
+        return t.select([key_column, x_column, y_column]).filter(mask)
 
     def tie_pairs(comp: np.ndarray, run_first: np.ndarray, k: int) -> np.ndarray:
         run_start = np.flatnonzero(run_first)
@@ -2108,40 +1893,31 @@ def grouped_kendall_tau(ds, key_column: str, x_column: str, y_column: str):
 
     def per_bucket(group: pa.Table) -> pa.Table:
         key_col = group.column(key_column).combine_chunks()
-        if group.num_rows == 0:
-            return pa.table(
-                {
-                    key_column: key_col.slice(0, 0),
-                    "n": pa.array([], pa.int64()),
-                    "con_minus_dis": pa.array([], pa.int64()),
-                    "tau_b": pa.array([], pa.float64()),
-                }
-            )
         seg = key_codes(key_col)
         x = np.asarray(pc.cast(group.column(x_column), pa.float64()))
         y = np.asarray(pc.cast(group.column(y_column), pa.float64()))
         # dense segment ids 0..k-1 + deterministic representative rows
-        order0 = np.argsort(seg, kind="stable")
-        seg_s0 = seg[order0]
-        first = np.flatnonzero(np.concatenate([[True], seg_s0[1:] != seg_s0[:-1]]))
+        order0, first, ids, _, _ = segments(seg)
         rep = order0[first]
         k = len(rep)
-        comp_all = np.searchsorted(seg_s0[first], seg)
+        comp_all = np.empty(len(seg), np.int64)
+        comp_all[order0] = ids
+        idx = np.arange(len(seg))
 
-        ordx = np.lexsort((y, x, comp_all))
+        ordx, _, _, x_start, _ = segments(comp_all, x, y)
         c_x, x_s, y_s = comp_all[ordx], x[ordx], y[ordx]
-        seg_first = np.concatenate([[True], c_x[1:] != c_x[:-1]])
-        xt_first = seg_first | np.concatenate([[True], x_s[1:] != x_s[:-1]])
-        xyt_first = xt_first | np.concatenate([[True], y_s[1:] != y_s[:-1]])
+        xt_first = x_start == idx
+        xt_first[1:] |= x_s[1:] != x_s[:-1]
+        xyt_first = xt_first.copy()
+        xyt_first[1:] |= y_s[1:] != y_s[:-1]
         n_arr = np.bincount(c_x, minlength=k).astype(np.int64)
         n0 = n_arr * (n_arr - 1) // 2
         n1 = tie_pairs(c_x, xt_first, k)
         n3 = tie_pairs(c_x, xyt_first, k)
-        ordy = np.lexsort((y, comp_all))
+        ordy, _, _, y_start, _ = segments(comp_all, y)
         c_y, y_s2 = comp_all[ordy], y[ordy]
-        yt_first = np.concatenate([[True], c_y[1:] != c_y[:-1]]) | np.concatenate(
-            [[True], y_s2[1:] != y_s2[:-1]]
-        )
+        yt_first = y_start == idx
+        yt_first[1:] |= y_s2[1:] != y_s2[:-1]
         n2 = tie_pairs(c_y, yt_first, k)
         swaps = _padded_inversions(c_x, y_s, k)
         cmd = n0 - n1 - n2 + n3 - 2 * swaps
@@ -2160,11 +1936,7 @@ def grouped_kendall_tau(ds, key_column: str, x_column: str, y_column: str):
             }
         )
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    return bucketed(ds, [key_column], n_buckets, per_bucket, drop_null_pairs)
 
 
 def sequence_islands(ds, key_column: str, value_column: str):
@@ -2178,44 +1950,22 @@ def sequence_islands(ds, key_column: str, value_column: str):
     NOT NULL semantics). Output ``(key, island_start, island_end,
     island_len)``; oracle parity with the classic
     ``value − row_number()`` grouping trick."""
-    from fs_schema_validator_ray.stages.dedup import default_n_buckets
-    from fs_schema_validator_ray.state.sketches import (
-        hash64,
-        key_codes,
-        mix_to_buckets,
-        stable_key_array,
-    )
-
     n_buckets = default_n_buckets(ds)
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        t = t.select([key_column, value_column]).filter(
+    def drop_null_values(t: pa.Table) -> pa.Table:
+        return t.select([key_column, value_column]).filter(
             pc.is_valid(t.column(value_column))
         )
-        bucket = mix_to_buckets(
-            hash64(stable_key_array(t.column(key_column))), n_buckets
-        )
-        return t.append_column("__bucket", pa.array(bucket))
 
     def per_bucket(group: pa.Table) -> pa.Table:
         key_col = group.column(key_column).combine_chunks()
-        if group.num_rows == 0:
-            return pa.table(
-                {
-                    key_column: key_col.slice(0, 0),
-                    "island_start": pa.array([], pa.int64()),
-                    "island_end": pa.array([], pa.int64()),
-                    "island_len": pa.array([], pa.int64()),
-                }
-            )
         seg = key_codes(key_col)
         vals = np.asarray(pc.cast(group.column(value_column), pa.int64()))
-        order = np.lexsort((vals, seg))
+        order, _, _, row_start, _ = segments(seg, vals)
         seg_s, val_s = seg[order], vals[order]
         # distinct (key, value) rows only
-        keep = np.concatenate(
-            [[True], (seg_s[1:] != seg_s[:-1]) | (val_s[1:] != val_s[:-1])]
-        )
+        keep = row_start == np.arange(len(order))
+        keep[1:] |= val_s[1:] != val_s[:-1]
         seg_d, val_d, rows_d = seg_s[keep], val_s[keep], order[keep]
         # island starts: new key OR value gap > 1
         start = np.concatenate(
@@ -2233,11 +1983,7 @@ def sequence_islands(ds, key_column: str, value_column: str):
             }
         )
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    return bucketed(ds, [key_column], n_buckets, per_bucket, drop_null_values)
 
 
 def group_bitagg(ds, keys: list[str], col: str):
@@ -2272,11 +2018,10 @@ def group_bitagg(ds, keys: list[str], col: str):
             if len(keys) > 1
             else pd.Index(np.asarray(tbl.column(keys[0]), dtype=object))
         )
-        order = np.argsort(codes, kind="stable")
-        v_s, c_s = v[order], codes[order]
-        starts = np.flatnonzero(np.concatenate([[True], c_s[1:] != c_s[:-1]]))
+        order, starts, _, _, _ = segments(codes)
+        v_s = v[order]
         take = pa.array(order[starts], pa.int64())
-        ends = np.concatenate([starts[1:], [len(v_s)]])
+        ends = np.append(starts[1:], len(v_s))
         return pa.table(
             {
                 **{k: tbl.column(k).take(take) for k in keys},

@@ -40,7 +40,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from fs_schema_validator_ray.stages.textindex import _flat_tokens
+from fs_schema_validator_ray.stages.textindex import _doc_token_counts, _flat_tokens
 
 #: packs (label, token) into one group-sum key; tokens are [a-z0-9]+ so
 #: the separator can never occur inside either part
@@ -268,13 +268,8 @@ def nb_classify_copartitioned(
 
     Same verdicts as the broadcast path (pytest parity gate)."""
     from fs_schema_validator_ray.stages.agg import group_sum_bucketed
-    from fs_schema_validator_ray.stages.dedup import default_n_buckets
+    from fs_schema_validator_ray.stages.exchange import default_n_buckets, map_buckets, route
     from fs_schema_validator_ray.stages.joins import hash_join
-    from fs_schema_validator_ray.state.sketches import (
-        hash64,
-        mix_to_buckets,
-        stable_key_array,
-    )
 
     if counts_ds is None:
         counts_ds = nb_token_label_counts(ds, text_column, label_column).materialize()
@@ -302,29 +297,7 @@ def nb_classify_copartitioned(
     denom = np.log(tot + v) if v else np.zeros(len(labels))
 
     def doc_token_counts(batch: pa.Table) -> pa.Table:
-        flat, rows = _flat_tokens(batch.column(text_column))
-        ids_col = batch.column(id_column).combine_chunks()
-        if not len(flat):
-            return pa.table(
-                {
-                    id_column: ids_col.slice(0, 0),
-                    "token": pa.array([], pa.string()),
-                    "k": pa.array([], pa.int64()),
-                }
-            )
-        uniq, codes = np.unique(flat, return_inverse=True)
-        order = np.lexsort((codes, rows))
-        r_s, c_s = rows[order], codes[order]
-        first = np.concatenate([[True], (r_s[1:] != r_s[:-1]) | (c_s[1:] != c_s[:-1])])
-        starts = np.flatnonzero(first)
-        k = np.diff(np.concatenate([starts, [len(r_s)]]))
-        return pa.table(
-            {
-                id_column: ids_col.take(pa.array(r_s[starts], pa.int64())),
-                "token": pa.array(uniq[c_s[starts]], pa.string()),
-                "k": pa.array(k, pa.int64()),
-            }
-        )
+        return _doc_token_counts(batch, text_column, id_column)
 
     tok = ds.select_columns([id_column, text_column]).map_batches(
         doc_token_counts, batch_format="pyarrow"
@@ -355,18 +328,7 @@ def nb_classify_copartitioned(
         )
         agg = pa.TableGroupBy(g, [id_column, "lab"]).aggregate([("val", "sum")])
         agg = agg.rename_columns([id_column, "lab", "val"])
-        bucket = mix_to_buckets(
-            hash64(stable_key_array(agg.column(id_column))), n_buckets
-        )
-        return pa.table(
-            {
-                id_column: agg.column(id_column),
-                "lab": agg.column("lab"),
-                "val": agg.column("val"),
-                "kind": pa.array(np.zeros(agg.num_rows, np.int8)),
-                "__bucket": pa.array(bucket),
-            }
-        )
+        return agg.append_column("kind", pa.array(np.zeros(agg.num_rows, np.int8)))
 
     def ntok_partial(t: pa.Table) -> pa.Table:
         # (doc, n_d) sentinel rows, kind=1 — n_d = Σk per doc
@@ -375,19 +337,17 @@ def nb_classify_copartitioned(
             [id_column],
         ).aggregate([("val", "sum")])
         g = g.rename_columns([id_column, "val"])
-        bucket = mix_to_buckets(hash64(stable_key_array(g.column(id_column))), n_buckets)
         return pa.table(
             {
                 id_column: g.column(id_column),
                 "lab": pa.array([""] * g.num_rows, pa.string()),
                 "val": g.column("val"),
                 "kind": pa.array(np.ones(g.num_rows, np.int8)),
-                "__bucket": pa.array(bucket),
             }
         )
 
-    parts = joined.map_batches(score_partial, batch_format="pyarrow").union(
-        tok.map_batches(ntok_partial, batch_format="pyarrow")
+    parts = route(joined, [id_column], n_buckets, score_partial).union(
+        route(tok, [id_column], n_buckets, ntok_partial)
     )
 
     labels_np = np.asarray(labels, object)
@@ -419,4 +379,4 @@ def nb_classify_copartitioned(
             }
         )
 
-    return parts.groupby("__bucket").map_groups(merge_docs, batch_format="pyarrow")
+    return map_buckets(parts, merge_docs)

@@ -26,6 +26,15 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from fs_schema_validator_ray.stages.exchange import (
+    BUCKET,
+    bucket_ids,
+    bucketed,
+    default_n_buckets,
+    map_buckets,
+    route,
+    segments,
+)
 from fs_schema_validator_ray.state.sketches import (
     hash64,
     mix_to_buckets,
@@ -33,102 +42,6 @@ from fs_schema_validator_ray.state.sketches import (
 )
 
 _MERSENNE = np.uint64((1 << 61) - 1)
-
-
-# Target input bytes per bucket group. Each bucket is one map_groups task
-# that materializes its whole group, so the bucket count must scale with
-# DATA size, not CPU count: on a fixed 64-core cluster at 100 TB, 2×CPUs
-# buckets would make each group ~800 GB. 256 MiB per group keeps any
-# single task's materialization comfortably inside a worker heap while
-# still amortizing per-task overhead.
-DEFAULT_TARGET_BUCKET_BYTES = 256 * 2**20
-
-
-def estimate_dataset_bytes(ds) -> int | None:
-    """Metadata-only input-size estimate for a (lazy) Dataset: walk the
-    logical DAG upward until an operator reports a known ``size_bytes``
-    (the column-pruned parquet read does). Never triggers execution;
-    returns ``None`` when nothing in the lineage knows. Transforms
-    usually shrink data, so this is a conservative upper bound."""
-    try:
-        node = ds._logical_plan.dag
-        while node is not None:
-            md = node.infer_metadata()
-            if md.size_bytes is not None:
-                return md.size_bytes
-            deps = node.input_dependencies
-            if not deps:
-                return None
-            if len(deps) > 1:  # union / zip: sum whatever inputs know
-                parts = []
-                for dep in deps:
-                    sub = _estimate_node_bytes(dep)
-                    if sub is not None:
-                        parts.append(sub)
-                return sum(parts) if parts else None
-            node = deps[0]
-    except Exception:  # noqa: BLE001 — sizing is best-effort, never fatal
-        return None
-    return None
-
-
-def estimate_dataset_rows(ds) -> int | None:
-    """Metadata-only row-count estimate (same lineage walk as
-    :func:`estimate_dataset_bytes`); ``None`` when unknown."""
-    try:
-        node = ds._logical_plan.dag
-        while node is not None:
-            md = node.infer_metadata()
-            if md.num_rows is not None:
-                return md.num_rows
-            deps = node.input_dependencies
-            if not deps:
-                return None
-            node = deps[0]
-    except Exception:  # noqa: BLE001
-        return None
-    return None
-
-
-def _estimate_node_bytes(node) -> int | None:
-    while node is not None:
-        md = node.infer_metadata()
-        if md.size_bytes is not None:
-            return md.size_bytes
-        deps = node.input_dependencies
-        if not deps:
-            return None
-        node = deps[0]
-    return None
-
-
-def default_n_buckets(*datasets, target_bucket_bytes: int | None = None) -> int:
-    """Shuffle-bucket default, DATA-AWARE when the exchange's input
-    dataset(s) are passed: ``max(2×CPUs, ceil(input_bytes / 256 MiB))``
-    so per-bucket groups stay bounded as data grows (a CPU-derived count
-    alone would make each group scale linearly with corpus size). Falls
-    back to ``max(16, 2×CPUs)`` when no lineage size is known. Shared by
-    the exact-dedup / uniqueness / join / setop / window bucketed
-    exchanges."""
-    import ray
-
-    try:
-        floor = max(16, 2 * int(ray.cluster_resources().get("CPU", 8)))
-    except Exception:  # noqa: BLE001
-        floor = 16
-    target = target_bucket_bytes or DEFAULT_TARGET_BUCKET_BYTES
-    total = 0
-    known = False
-    for ds in datasets:
-        if ds is None:
-            continue
-        est = estimate_dataset_bytes(ds)
-        if est is not None:
-            total += est
-            known = True
-    if known and total > 0:
-        return max(floor, -(-total // target))
-    return floor
 
 
 def popcount64(x: np.ndarray) -> np.ndarray:
@@ -166,7 +79,7 @@ def exact_dedup_keep_min(
     ``map_batches(fingerprint + per-batch combiner) → groupby(bucket) →
     map_groups(vectorized Arrow group-min)`` — the shuffle moves one
     16-byte fingerprint + one id per *distinct* content per batch keyed
-    by a small int bucket (``fp1 % n_buckets``), never the payload, and
+    by a small int bucket of ``fp1``, never the payload, and
     the final merge is one Arrow ``group_by`` per bucket (Ray's builtin
     ``aggregate()`` combines groups in per-row Python — minutes of CPU
     per million distinct values). Returns a Dataset with one
@@ -177,7 +90,6 @@ def exact_dedup_keep_min(
 
     empty_partial = pa.schema(
         [
-            ("bucket", pa.int32()),
             ("fp1", pa.int64()),
             ("fp2", pa.int64()),
             (id_column, pa.int64()),
@@ -192,42 +104,32 @@ def exact_dedup_keep_min(
         h1, h2 = _fingerprint128(batch.column(text_column).combine_chunks())
         ids = np.asarray(batch.column(id_column), dtype=np.int64)
         # per-batch combiner: one row per distinct fingerprint in the batch
-        order = np.lexsort((h2, h1))
-        h1s, h2s, ids_s = h1[order], h2[order], ids[order]
-        first = np.concatenate(
-            [[True], (h1s[1:] != h1s[:-1]) | (h2s[1:] != h2s[:-1])]
-        )
-        seg = np.cumsum(first) - 1
-        n_seg = int(seg[-1]) + 1 if len(seg) else 0
-        mins = np.full(n_seg, np.iinfo(np.int64).max)
-        np.minimum.at(mins, seg, ids_s)
-        fp1 = h1s[first]
+        order, starts, seg, _, _ = segments((h1, h2))
+        mins = np.full(len(starts), np.iinfo(np.int64).max)
+        np.minimum.at(mins, seg, ids[order])
         # signed REINTERPRETATION (bijective) of the hash bits: uint64
         # values above 2^63 can't ride Ray's shuffle natively (they fall
         # back to pickled-object extension arrays), int64 can
         return pa.table(
             {
-                "bucket": pa.array((fp1 % np.uint64(n_buckets)).astype(np.int32)),
-                "fp1": pa.array(fp1.view(np.int64), pa.int64()),
-                "fp2": pa.array(h2s[first].view(np.int64), pa.int64()),
+                "fp1": pa.array(h1[order[starts]].view(np.int64), pa.int64()),
+                "fp2": pa.array(h2[order[starts]].view(np.int64), pa.int64()),
                 id_column: pa.array(mins),
             }
         )
 
-    partials = ds.select_columns([id_column, text_column]).map_batches(
-        partial, batch_format="pyarrow"
+    partials = route(
+        ds.select_columns([id_column, text_column]), ["fp1"], n_buckets, partial
     )
     # decouple scan parallelism from shuffle fan-out (blocks_in × blocks_out
     # objects): the partials are narrow — coalesce before the exchange
     partials = partials.repartition(max(4, n_buckets // 8))
 
     def merge_bucket(group: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(group.select(["fp1", "fp2", id_column]), ["fp1", "fp2"]).aggregate(
-            [(id_column, "min")]
-        )
+        g = pa.TableGroupBy(group, ["fp1", "fp2"]).aggregate([(id_column, "min")])
         return pa.table({id_column: g.column(f"{id_column}_min")})
 
-    return partials.groupby("bucket").map_groups(merge_bucket, batch_format="pyarrow")
+    return map_buckets(partials, merge_bucket)
 
 
 # --- paragraph-window dedup (C4 / CCNet-style sub-document dedup) ----------
@@ -324,7 +226,7 @@ def dedup_paragraphs_keep_first(
     of ``(doc_id, para_idx)``.
 
     Same exchange discipline as :func:`exact_dedup_keep_min`: the batch
-    pass emits one ``(bucket, fp1, fp2, combined, n_words)`` row per
+    pass emits one ``(fp1, fp2, combined, n_words)`` row per
     distinct window per batch (per-batch combiner keeps the min
     ``combined``), the shuffle moves ~28 bytes per distinct window keyed
     by a small int bucket, and each bucket merges with one vectorized
@@ -340,7 +242,6 @@ def dedup_paragraphs_keep_first(
 
     empty_partial = pa.schema(
         [
-            ("bucket", pa.int32()),
             ("fp1", pa.int64()),
             ("fp2", pa.int64()),
             ("combined", pa.int64()),
@@ -369,22 +270,19 @@ def dedup_paragraphs_keep_first(
             )
         combined = (doc << idx_bits) | para
         # per-batch combiner: keep the min-combined row per fingerprint
-        order = np.lexsort((combined, fp2, fp1))
-        fp1s, fp2s, cs, ns = fp1[order], fp2[order], combined[order], n_words[order]
-        first = np.concatenate([[True], (fp1s[1:] != fp1s[:-1]) | (fp2s[1:] != fp2s[:-1])])
-        fp1f = fp1s[first]
+        order, starts, _, _, _ = segments((fp1, fp2), combined)
+        first = order[starts]
         return pa.table(
             {
-                "bucket": pa.array((fp1f % np.uint64(n_buckets)).astype(np.int32)),
-                "fp1": pa.array(fp1f.view(np.int64), pa.int64()),
-                "fp2": pa.array(fp2s[first].view(np.int64), pa.int64()),
-                "combined": pa.array(cs[first]),
-                "n_words": pa.array(ns[first]),
+                "fp1": pa.array(fp1[first].view(np.int64), pa.int64()),
+                "fp2": pa.array(fp2[first].view(np.int64), pa.int64()),
+                "combined": pa.array(combined[first]),
+                "n_words": pa.array(n_words[first]),
             }
         )
 
-    partials = ds.select_columns([id_column, text_column]).map_batches(
-        partial, batch_format="pyarrow"
+    partials = route(
+        ds.select_columns([id_column, text_column]), ["fp1"], n_buckets, partial
     )
     partials = partials.repartition(max(4, n_buckets // 8))
 
@@ -393,19 +291,18 @@ def dedup_paragraphs_keep_first(
         fp2 = np.asarray(group.column("fp2"), dtype=np.int64)
         combined = np.asarray(group.column("combined"), dtype=np.int64)
         n_words = np.asarray(group.column("n_words"), dtype=np.int64)
-        order = np.lexsort((combined, fp2, fp1))
-        fp1s, fp2s = fp1[order], fp2[order]
-        first = np.concatenate([[True], (fp1s[1:] != fp1s[:-1]) | (fp2s[1:] != fp2s[:-1])])
-        cs = combined[order][first]
+        order, starts, _, _, _ = segments((fp1, fp2), combined)
+        first = order[starts]
+        cs = combined[first]
         return pa.table(
             {
                 id_column: pa.array(cs >> idx_bits),
                 "para_idx": pa.array(cs & ((1 << idx_bits) - 1)),
-                "n_words": pa.array(n_words[order][first]),
+                "n_words": pa.array(n_words[first]),
             }
         )
 
-    return partials.groupby("bucket").map_groups(merge_bucket, batch_format="pyarrow")
+    return map_buckets(partials, merge_bucket)
 
 
 # --- shingles + minhash ----------------------------------------------------
@@ -518,62 +415,62 @@ class MinHashBandStage:
         return pa.table(
             {
                 self.id_column: pa.array(doc_ids),
-                "bucket": pa.array(bucket),
+                BUCKET: pa.array(bucket),
                 "band": pa.array(band_ids),
                 "band_hash": pa.array(band_hashes.view(np.int64), pa.int64()),
             }
         )
 
 
-def _bucket_pairs(group: pa.Table, id_column: str) -> pa.Table:
-    """(a<b) candidate pairs over one COARSE bucket of LSH buckets: sort
-    by (band, band_hash), loop only over segments with ≥2 ids. Per-LSH-
-    bucket fan-out is bounded by capping all-pairs at ``cap`` ids and
-    STAR-LINKING every overflow id to the bucket's min id — O(n) extra
+def _block_pairs(block: tuple, ids: np.ndarray, cap: int):
+    """Candidate pairs inside the LSH blocks of one COARSE bucket: sort
+    by (block, id), loop only over blocks with ≥2 distinct ids.
+    Per-block fan-out is bounded by capping all-pairs at ``cap`` ids and
+    STAR-LINKING every overflow id to the block's min id — O(n) extra
     pairs keep the cluster connected (truncation would drop overflow
-    members from every band, since identical content hits the same bucket
-    in every band); the Jaccard verify stage still filters false
+    members from every band, since identical content hits the same block
+    in every band). Returns ``(order, a_pos, b_pos, n_truncated)`` with
+    the pair members as positions into the sorted rows."""
+    order, starts, _, _, _ = segments(block, ids)
+    ids_s = ids[order]
+    ends = np.append(starts[1:], len(order))
+    multi = ends - starts >= 2
+    out_a, out_b = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    n_truncated = 0
+    for s, e in zip(starts[multi], ends[multi]):
+        keepm = np.concatenate([[True], ids_s[s + 1 : e] != ids_s[s : e - 1]])
+        pos = np.flatnonzero(keepm) + s  # distinct ids, ascending
+        if len(pos) < 2:
+            continue
+        h = pos[:cap]
+        ai, bi = np.triu_indices(len(h), k=1)
+        a_pos, b_pos = h[ai], h[bi]
+        if len(pos) > cap:
+            n_truncated += 1
+            t = pos[cap:]
+            a_pos = np.concatenate([a_pos, np.full(len(t), pos[0], np.int64)])
+            b_pos = np.concatenate([b_pos, t])
+        out_a.append(a_pos)
+        out_b.append(b_pos)
+    return order, np.concatenate(out_a), np.concatenate(out_b), n_truncated
+
+
+def _bucket_pairs(group: pa.Table, id_column: str) -> pa.Table:
+    """(a<b) MinHash candidate pairs over one coarse bucket of (band,
+    band_hash) LSH buckets, all-pairs capped at 64 ids per LSH bucket
+    (:func:`_block_pairs`); the Jaccard verify stage still filters false
     positives."""
-    empty = pa.table({"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64())})
-    if group.num_rows < 2:
-        return empty
     band = np.asarray(group.column("band"), dtype=np.int64)
     bh = np.asarray(group.column("band_hash"), dtype=np.int64)
     ids = np.asarray(group.column(id_column), dtype=np.int64)
-    order = np.lexsort((ids, bh, band))
-    band, bh, ids = band[order], bh[order], ids[order]
-    seg_first = np.concatenate([[True], (band[1:] != band[:-1]) | (bh[1:] != bh[:-1])])
-    starts = np.flatnonzero(seg_first)
-    ends = np.concatenate([starts[1:], [len(ids)]])
-    multi = ends - starts >= 2
-    cap = 64
-    out_a, out_b = [], []
-    for s, e in zip(starts[multi], ends[multi]):
-        seg = ids[s:e]  # sorted within the segment
-        seg = seg[np.concatenate([[True], seg[1:] != seg[:-1]])]  # dedup ids
-        if len(seg) < 2:
-            continue
-        head = seg[:cap]
-        ai, bi = np.triu_indices(len(head), k=1)
-        a, b = head[ai], head[bi]
-        if len(seg) > cap:
-            tail = seg[cap:]
-            a = np.concatenate([a, np.full(len(tail), seg[0], np.int64)])
-            b = np.concatenate([b, tail])
-        out_a.append(a)
-        out_b.append(b)
-    if not out_a:
-        return empty
-    return pa.table(
-        {"a": pa.array(np.concatenate(out_a)), "b": pa.array(np.concatenate(out_b))}
-    )
+    order, a_pos, b_pos, _ = _block_pairs((band, bh), ids, 64)
+    ids = ids[order]
+    return pa.table({"a": pa.array(ids[a_pos]), "b": pa.array(ids[b_pos])})
 
 
 def candidate_pairs(band_rows, id_column: str = "doc_id"):
     """Coarse-bucket groupby → unique candidate (a,b) pairs."""
-    pairs = band_rows.groupby("bucket").map_groups(
-        lambda g: _bucket_pairs(g, id_column), batch_format="pyarrow"
-    )
+    pairs = map_buckets(band_rows, lambda g: _bucket_pairs(g, id_column))
     # dedup pairs produced by multiple bands (bucketed vectorized distinct
     # — the builtin aggregate() merges groups in per-row Python)
     return dedup_pairs_distinct(pairs)
@@ -688,6 +585,29 @@ def build_shingle_lookup(
     return out
 
 
+def _attach_payload(group: pa.Table, payload: str, n_buckets: int) -> pa.Table:
+    """First-exchange body of the co-partitioned verify joins: corpus
+    rows (null ``side``) carry each doc's ``payload``; a sorted
+    ``searchsorted`` join attaches it to the doc's candidate role rows
+    (Arrow ``take`` — no per-doc Python), which then route on ``(a, b)``
+    so both sides of a pair meet in the second exchange. Docs outside the
+    candidate set emit nothing."""
+    is_doc = pc.is_null(group.column("side"))
+    docs = group.filter(is_doc)
+    ro = group.filter(pc.invert(is_doc))
+    ddocs = np.asarray(docs.column("doc"), dtype=np.int64)
+    dorder = np.argsort(ddocs, kind="stable")
+    ddocs_s = ddocs[dorder]
+    rdocs = np.asarray(ro.column("doc"), dtype=np.int64)
+    pos = np.clip(np.searchsorted(ddocs_s, rdocs), 0, max(len(ddocs_s) - 1, 0))
+    hit = ddocs_s[pos] == rdocs if len(ddocs_s) else np.zeros(len(rdocs), bool)
+    ro = ro.filter(pa.array(hit)).drop_columns(["doc", payload])
+    take = pa.array(dorder[pos[hit]], pa.int64())
+    return ro.append_column(payload, docs.column(payload).take(take)).append_column(
+        BUCKET, pa.array(bucket_ids(ro, ["a", "b"], n_buckets))
+    )
+
+
 def minhash_verify_join(
     ds,
     cand_pairs,
@@ -703,27 +623,24 @@ def minhash_verify_join(
 
     Two bucketed exchanges, both with VECTORIZED group bodies:
 
-    1. ``groupby(hash(doc) % P)``: candidate-pair role rows
+    1. bucket exchange on ``doc``: candidate-pair role rows
        ``(doc, a, b, side)`` meet the corpus' per-doc shingle-blob rows;
        inside each bucket a sorted ``searchsorted`` join attaches each
        doc's blob to its role rows (Arrow ``take`` — no per-doc Python).
        Docs outside the candidate set emit nothing.
-    2. ``groupby(hash(a,b) % P)``: the two sides of each pair meet; the
+    2. bucket exchange on ``(a, b)``: the two sides of each pair meet; the
        true-Jaccard check loops only over candidate PAIRS (set
        intersection is inherently per-pair, same as the broadcast path).
     """
     if n_buckets is None:
         n_buckets = default_n_buckets(ds)
-    mix = np.uint64(0x9E3779B97F4A7C15)
 
     def roles(t: pa.Table) -> pa.Table:
         a = np.asarray(t.column("a"), dtype=np.int64)
         b = np.asarray(t.column("b"), dtype=np.int64)
         doc = np.concatenate([a, b])
-        bucket = mix_to_buckets(doc.view(np.uint64), n_buckets)
         return pa.table(
             {
-                "bucket": pa.array(bucket),
                 "doc": pa.array(doc),
                 "a": pa.array(np.concatenate([a, a])),
                 "b": pa.array(np.concatenate([b, b])),
@@ -746,10 +663,8 @@ def minhash_verify_join(
             np.unique(hashes[offsets[i] : offsets[i + 1]]).tobytes()
             for i in range(len(ids))
         ]
-        bucket = mix_to_buckets(ids.view(np.uint64), n_buckets)
         return pa.table(
             {
-                "bucket": pa.array(bucket),
                 "doc": pa.array(ids),
                 "a": pa.nulls(len(ids), pa.int64()),
                 "b": pa.nulls(len(ids), pa.int64()),
@@ -758,65 +673,23 @@ def minhash_verify_join(
             }
         )
 
-    role_rows = cand_pairs.map_batches(roles, batch_format="pyarrow")
-    blob_rows = ds.select_columns([id_column, text_column]).map_batches(
-        blobs, batch_format="pyarrow"
-    )
+    role_rows = route(cand_pairs, ["doc"], n_buckets, roles)
+    blob_rows = route(ds.select_columns([id_column, text_column]), ["doc"], n_buckets, blobs)
     tagged = role_rows.union(blob_rows)
 
-    attached_schema = pa.schema(
-        [
-            ("pair_bucket", pa.int32()),
-            ("a", pa.int64()),
-            ("b", pa.int64()),
-            ("side", pa.int8()),
-            ("blob", pa.large_binary()),
-        ]
-    )
-
     def attach(group: pa.Table) -> pa.Table:
-        is_blob = pc.is_null(group.column("side"))
-        bl = group.filter(is_blob)
-        ro = group.filter(pc.invert(is_blob))
-        if bl.num_rows == 0 or ro.num_rows == 0:
-            return attached_schema.empty_table()
-        bdocs = np.asarray(bl.column("doc"), dtype=np.int64)
-        border = np.argsort(bdocs, kind="stable")
-        bdocs_s = bdocs[border]
-        rdocs = np.asarray(ro.column("doc"), dtype=np.int64)
-        pos = np.searchsorted(bdocs_s, rdocs)
-        pos = np.clip(pos, 0, len(bdocs_s) - 1)
-        hit = bdocs_s[pos] == rdocs
-        ro = ro.filter(pa.array(hit))
-        take = pa.array(border[pos[hit]], pa.int64())
-        a = np.asarray(ro.column("a"), dtype=np.int64)
-        b = np.asarray(ro.column("b"), dtype=np.int64)
-        with np.errstate(over="ignore"):
-            pb = mix_to_buckets(
-                (a.view(np.uint64) * mix) ^ b.view(np.uint64), n_buckets
-            )
-        return pa.table(
-            {
-                "pair_bucket": pa.array(pb),
-                "a": ro.column("a"),
-                "b": ro.column("b"),
-                "side": ro.column("side"),
-                "blob": bl.column("blob").take(take),
-            }
-        )
+        return _attach_payload(group, "blob", n_buckets)
 
-    per_pair = tagged.groupby("bucket").map_groups(attach, batch_format="pyarrow")
+    per_pair = map_buckets(tagged, attach)
 
     def verify(group: pa.Table) -> pa.Table:
         a = np.asarray(group.column("a"), dtype=np.int64)
         b = np.asarray(group.column("b"), dtype=np.int64)
         side = np.asarray(group.column("side"), dtype=np.int8)
-        order = np.lexsort((side, b, a))
+        order, starts, _, _, _ = segments((a, b), side)
         a, b, side = a[order], b[order], side[order]
         blob_col = group.column("blob").take(pa.array(order, pa.int64()))
-        first = np.concatenate([[True], (a[1:] != a[:-1]) | (b[1:] != b[:-1])])
-        starts = np.flatnonzero(first)
-        ends = np.concatenate([starts[1:], [len(a)]])
+        ends = np.append(starts[1:], len(a))
         # complete pairs: both sides' docs present in the corpus
         ok = (ends - starts == 2) & (side[starts] != side[ends - 1])
         starts = starts[ok]
@@ -837,9 +710,7 @@ def minhash_verify_join(
             }
         )
 
-    return per_pair.groupby("pair_bucket").map_groups(
-        verify, batch_format="pyarrow"
-    )
+    return map_buckets(per_pair, verify)
 
 
 def minhash_near_dup_pairs(
@@ -935,11 +806,9 @@ def _distinct_shingle_hashes(
         with np.errstate(over="ignore"):
             for k in range(n):
                 sh = sh * base + th_tok[starts + k]
-    order = np.lexsort((sh, rows))
-    rows, sh = rows[order], sh[order]
-    if distinct and len(sh):
-        first = np.concatenate([[True], (rows[1:] != rows[:-1]) | (sh[1:] != sh[:-1])])
-        rows, sh = rows[first], sh[first]
+    order, starts, _, _, _ = segments((rows, sh))
+    keep = order[starts] if distinct else order
+    rows, sh = rows[keep], sh[keep]
     out = np.bincount(rows, minlength=n_rows)
     return sh, np.concatenate([[0], np.cumsum(out)]).astype(np.int64)
 
@@ -958,18 +827,15 @@ def shingle_document_frequencies(
     bounded at any corpus size; shingles outside the table rank as df=1,
     which keeps the order total and the filter exact — only candidate
     PRECISION varies with the cap)."""
-    P = np.uint64(64)
-    mix = np.uint64(0x9E3779B97F4A7C15)
+    P = 64
 
     def partial(batch: pa.Table) -> pa.Table:
         th, _ = _distinct_shingle_hashes(
             batch.column(text_column).combine_chunks(), shingle_n
         )
         u, c = np.unique(th, return_counts=True)  # distinct per doc already
-        bucket = mix_to_buckets(u, int(P))
         return pa.table(
             {
-                "bucket": pa.array(bucket),
                 "s": pa.array(u.view(np.int64), pa.int64()),
                 "c": pa.array(c.astype(np.int64)),
             }
@@ -981,10 +847,10 @@ def shingle_document_frequencies(
     # ever reaches the driver at ≤ 2 × max_entries rows, any corpus size.
     # The cap trades candidate PRECISION only — dropped entries rank as
     # df=1, which is still a consistent total order (filter stays exact).
-    per_bucket = max(1, (2 * max_entries) // int(P))
+    per_bucket = max(1, (2 * max_entries) // P)
 
     def merge(group: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(group.select(["s", "c"]), "s").aggregate([("c", "sum")])
+        g = pa.TableGroupBy(group, "s").aggregate([("c", "sum")])
         keep = pc.greater_equal(g.column("c_sum"), min_df)
         g = g.filter(keep)
         s = np.asarray(g.column("s"), dtype=np.int64)
@@ -994,10 +860,7 @@ def shingle_document_frequencies(
             s, df = s[top], df[top]
         return pa.table({"s": pa.array(s), "df": pa.array(df)})
 
-    parts = ds.select_columns([id_column, text_column]).map_batches(
-        partial, batch_format="pyarrow"
-    )
-    merged = parts.groupby("bucket").map_groups(merge, batch_format="pyarrow")
+    merged = bucketed(ds.select_columns([id_column, text_column]), ["s"], P, merge, partial)
     keys, dfs = [], []
     for b in merged.iter_batches(batch_format="pyarrow"):
         keys.append(np.asarray(b.column("s"), dtype=np.int64).view(np.uint64))
@@ -1014,7 +877,7 @@ def shingle_document_frequencies(
 
 
 class PrefixRowsStage:
-    """map_batches callable emitting ``(bucket, tok, id, size)`` for each
+    """map_batches callable emitting ``(__bucket, tok, id, size)`` for each
     doc's PREFIX shingles only.
 
     Prefix filtering (Bayardo et al. "Scaling Up All Pairs Similarity
@@ -1087,7 +950,7 @@ class PrefixRowsStage:
             {
                 # small-int shuffle key — grouping by raw token would make
                 # one Python map_groups call per shingle
-                "bucket": pa.array(bucket),
+                BUCKET: pa.array(bucket),
                 # signed reinterpretation (bijective): uint64 above 2^63
                 # falls back to pickled extension arrays in Ray's shuffle
                 "tok": pa.array(tk.view(np.int64), pa.int64()),
@@ -1128,11 +991,9 @@ def _token_bucket_pairs(group: pa.Table, threshold: float) -> pa.Table:
     ids = np.asarray(group.column("id"), dtype=np.int64)
     sizes = np.asarray(group.column("size"), dtype=np.int64)
     poss = np.asarray(group.column("pos"), dtype=np.int64)
-    order = np.lexsort((ids, tok))
-    tok, ids, sizes, poss = tok[order], ids[order], sizes[order], poss[order]
-    first = np.concatenate([[True], tok[1:] != tok[:-1]])
-    starts = np.flatnonzero(first)
-    ends = np.concatenate([starts[1:], [len(tok)]])
+    order, starts, _, _, _ = segments(tok, ids)
+    ids, sizes, poss = ids[order], sizes[order], poss[order]
+    ends = np.append(starts[1:], len(order))
     multi = ends - starts >= 2
     out_a, out_b = [], []
     for s, e in zip(starts[multi], ends[multi]):
@@ -1171,39 +1032,19 @@ def dedup_pairs_distinct(pairs, n_buckets: int = 64, agg=None):
     once candidate pairs reach the millions. ``agg``: optional Arrow
     aggregate spec for value columns carried through, e.g.
     ``[("similarity", "max")]`` (output keeps the plain column name)."""
-    mix = np.uint64(0x9E3779B97F4A7C15)
     val_cols = [c for c, _ in (agg or [])]
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        a_col = t.column("a").combine_chunks()
-        b_col = t.column("b").combine_chunks()
-        if pa.types.is_integer(a_col.type):
-            a = np.asarray(a_col, dtype=np.int64).view(np.uint64)
-            b = np.asarray(b_col, dtype=np.int64).view(np.uint64)
-        else:  # string / other ids: hash for the bucket, ship originals
-            a = hash64(stable_key_array(a_col))
-            b = hash64(stable_key_array(b_col))
-        with np.errstate(over="ignore"):
-            pb = mix_to_buckets((a * mix) ^ b, n_buckets)
-        cols = {"pb": pa.array(pb), "a": a_col, "b": b_col}
-        for c in val_cols:
-            cols[c] = t.column(c)
-        return pa.table(cols)
+    def prune(t: pa.Table) -> pa.Table:
+        return t.select(["a", "b", *val_cols])
 
     def uniq(group: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(
-            group.select(["a", "b"] + val_cols), ["a", "b"]
-        ).aggregate(agg or [])
+        g = pa.TableGroupBy(group, ["a", "b"]).aggregate(agg or [])
         cols = {"a": g.column("a"), "b": g.column("b")}
         for c, fn in agg or []:
             cols[c] = g.column(f"{c}_{fn}")
         return pa.table(cols)
 
-    return (
-        pairs.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("pb")
-        .map_groups(uniq, batch_format="pyarrow")
-    )
+    return bucketed(pairs, ["a", "b"], n_buckets, uniq, prune)
 
 
 def ngram_jaccard_pairs(
@@ -1285,9 +1126,7 @@ def _ngram_candidates(
         PrefixRowsStage(text_column, id_column, threshold, shingle_n, df_ref),
         batch_format="pyarrow",
     )
-    pairs = prefix_rows.groupby("bucket").map_groups(
-        lambda g: _token_bucket_pairs(g, threshold), batch_format="pyarrow"
-    )
+    pairs = map_buckets(prefix_rows, lambda g: _token_bucket_pairs(g, threshold))
     from fs_schema_validator_ray.stages.agg import scrub_empty_blocks
 
     return ds, scrub_empty_blocks(dedup_pairs_distinct(pairs).materialize())
@@ -1407,7 +1246,7 @@ class SimHashStage:
             {
                 self.id_column: pa.array(np.tile(ids, 4)),
                 "simhash": pa.array(np.tile(sh, 4).view(np.int64), pa.int64()),
-                "bucket": pa.array(bucket),
+                BUCKET: pa.array(bucket),
                 "band": pa.array(bands),
                 "band_key": pa.array(keys),
             }
@@ -1430,53 +1269,19 @@ def simhash_near_dup_pairs(
         bkey = np.asarray(group.column("band_key"), dtype=np.int64)
         ids = np.asarray(group.column(id_column), dtype=np.int64)
         hashes = np.asarray(group.column("simhash"), dtype=np.int64).view(np.uint64)
-        order = np.lexsort((ids, bkey, band))
-        band, bkey, ids, hashes = band[order], bkey[order], ids[order], hashes[order]
-        seg_first = np.concatenate(
-            [[True], (band[1:] != band[:-1]) | (bkey[1:] != bkey[:-1])]
-        )
-        starts = np.flatnonzero(seg_first)
-        ends = np.concatenate([starts[1:], [len(ids)]])
-        multi = ends - starts >= 2
-        out_a, out_b, out_x = [], [], []
-        cap = 256
-        for s, e in zip(starts[multi], ends[multi]):
-            s_ids, s_hash = ids[s:e], hashes[s:e]
-            keepm = np.concatenate([[True], s_ids[1:] != s_ids[:-1]])
-            s_ids, s_hash = s_ids[keepm], s_hash[keepm]
-            if len(s_ids) < 2:
-                continue
-            # cap all-pairs fan-out; STAR-LINK overflow ids to the min id
-            # so a giant dup cluster stays connected (identical content
-            # lands in the same bucket in every band, so truncation alone
-            # would drop overflow members from every candidate pair)
-            h_ids, h_hash = s_ids[:cap], s_hash[:cap]
-            ai, bi = np.triu_indices(len(h_ids), k=1)
-            a, b = h_ids[ai], h_ids[bi]
-            xor = h_hash[ai] ^ h_hash[bi]
-            if len(s_ids) > cap:
-                t_ids, t_hash = s_ids[cap:], s_hash[cap:]
-                a = np.concatenate([a, np.full(len(t_ids), s_ids[0], np.int64)])
-                b = np.concatenate([b, t_ids])
-                xor = np.concatenate([xor, s_hash[0] ^ t_hash])
-            out_a.append(a)
-            out_b.append(b)
-            out_x.append(xor)
-        if not out_a:
-            return _PAIR_SCHEMA.empty_table()
-        a = np.concatenate(out_a)
-        b = np.concatenate(out_b)
-        ham = popcount64(np.concatenate(out_x))
+        order, a_pos, b_pos, _ = _block_pairs((band, bkey), ids, 256)
+        ids, hashes = ids[order], hashes[order]
+        ham = popcount64(hashes[a_pos] ^ hashes[b_pos])
         ok = ham <= max_hamming
         return pa.table(
             {
-                "a": pa.array(a[ok]),
-                "b": pa.array(b[ok]),
+                "a": pa.array(ids[a_pos[ok]]),
+                "b": pa.array(ids[b_pos[ok]]),
                 "similarity": pa.array(1.0 - ham[ok] / 64.0),
             }
         )
 
-    allp = rows.groupby("bucket").map_groups(block_pairs, batch_format="pyarrow")
+    allp = map_buckets(rows, block_pairs)
     # a pair's similarity is hash-derived, identical in every band — the
     # max aggregate is just a distinct
     return dedup_pairs_distinct(allp, agg=[("similarity", "max")])
@@ -1581,7 +1386,7 @@ _ED_MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _deletion_band_rows(
-    batch: pa.Table, text_column: str, id_column: str, max_len: int, n_buckets: int
+    batch: pa.Table, text_column: str, id_column: str, max_len: int
 ) -> pa.Table:
     """Vectorized SymSpell banding: every string emits one band key for
     itself and one per single-character deletion — two strings within
@@ -1643,10 +1448,8 @@ def _deletion_band_rows(
         # deletion positions collapse to the same variant
         uniq = np.unique(np.stack([band, bid.view(np.uint64)], axis=1), axis=0)
         band, bid = uniq[:, 0], uniq[:, 1].view(np.int64)
-        bucket = mix_to_buckets(band, n_buckets)
     return pa.table(
         {
-            "bucket": pa.array(bucket),
             "band": pa.array(band.view(np.int64), pa.int64()),
             "id": pa.array(bid, pa.int64()),
         }
@@ -1756,7 +1559,7 @@ def edit_distance_pairs(
     ``(a, b, dist)`` with ``a < b`` and true Levenshtein ≤ 1 — the
     SymSpell deletion-neighborhood method distributed: band rows =
     string + every single-deletion variant (hashes only, never variant
-    strings), ONE groupby(bucket) shuffle, within-band pair expansion,
+    strings), ONE bucket exchange on the band, within-band pair expansion,
     global pair dedup, broadcast exact verify. Banding guarantees NO
     false negatives; the verify removes hash collisions, so the result
     is exact. Targets SHORT keys (names / titles / codes): band fan-out
@@ -1767,21 +1570,15 @@ def edit_distance_pairs(
     if n_buckets is None:
         n_buckets = default_n_buckets(ds)
 
-    band_rows = ds.select_columns([id_column, text_column]).map_batches(
-        lambda t: _deletion_band_rows(t, text_column, id_column, max_len, n_buckets),
-        batch_format="pyarrow",
-    )
+    def band_rows(t: pa.Table) -> pa.Table:
+        return _deletion_band_rows(t, text_column, id_column, max_len)
 
     def bucket_pairs(group: pa.Table) -> pa.Table:
-        n = group.num_rows
-        if n == 0:
-            return pa.table({"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64())})
         band = np.asarray(group.column("band"), dtype=np.int64)
         ids = np.asarray(group.column("id"), dtype=np.int64)
-        order = np.lexsort((ids, band))
-        bb, ii = band[order], ids[order]
-        starts = np.flatnonzero(np.concatenate([[True], bb[1:] != bb[:-1]]))
-        ends = np.concatenate([starts[1:], [n]])
+        order, starts, _, _, _ = segments(band, ids)
+        ii = ids[order]
+        ends = np.append(starts[1:], len(order))
         sizes = ends - starts
         if int(sizes.max()) > max_band:
             raise ValueError(
@@ -1809,7 +1606,10 @@ def edit_distance_pairs(
             }
         )
 
-    pairs = band_rows.groupby("bucket").map_groups(bucket_pairs, batch_format="pyarrow")
+    pairs = bucketed(
+        ds.select_columns([id_column, text_column]), ["band"], n_buckets, bucket_pairs,
+        band_rows,
+    )
     from fs_schema_validator_ray.stages.agg import scrub_empty_blocks
 
     cands = scrub_empty_blocks(dedup_pairs_distinct(pairs).materialize())
@@ -1874,11 +1674,6 @@ def fingerprint64_near_dup_pairs(
     ``block_cap`` if full pair recall inside hot blocks matters more
     than bounded work. Truncated blocks are counted per bucket group and
     logged at WARNING level (no-silent-caps convention)."""
-    from fs_schema_validator_ray.state.sketches import (
-        hash64,
-        mix_to_buckets,
-        stable_key_array,
-    )
 
     def band_rows(batch: pa.Table) -> pa.Table:
         if ok_column is not None:
@@ -1911,7 +1706,7 @@ def fingerprint64_near_dup_pairs(
                     np.tile(hash64(stable_key_array(ids)), 4).view(np.int64)
                 ),
                 "fp": pa.array(np.tile(fp, 4).view(np.int64)),
-                "bucket": pa.array(bucket),
+                BUCKET: pa.array(bucket),
                 "band": pa.array(bands),
                 "band_key": pa.array(keys),
             }
@@ -1926,33 +1721,8 @@ def fingerprint64_near_dup_pairs(
         bkey = np.asarray(group.column("band_key"), dtype=np.int64)
         sid = np.asarray(group.column("sid"), dtype=np.int64)
         fp = np.asarray(group.column("fp"), dtype=np.int64).view(np.uint64)
-        order = np.lexsort((sid, bkey, band))
-        band_s, bkey_s, sid_s, fp_s = band[order], bkey[order], sid[order], fp[order]
-        seg_first = np.concatenate(
-            [[True], (band_s[1:] != band_s[:-1]) | (bkey_s[1:] != bkey_s[:-1])]
-        )
-        starts = np.flatnonzero(seg_first)
-        ends = np.concatenate([starts[1:], [len(sid_s)]])
-        multi = ends - starts >= 2
-        out_ai, out_bi, out_x = [], [], []
-        cap = block_cap
-        n_truncated = 0
-        for s, e in zip(starts[multi], ends[multi]):
-            keepm = np.concatenate([[True], sid_s[s + 1 : e] != sid_s[s : e - 1]])
-            pos = np.flatnonzero(keepm) + s
-            if len(pos) < 2:
-                continue
-            h = pos[:cap]
-            ai, bi = np.triu_indices(len(h), k=1)
-            a_pos, b_pos = h[ai], h[bi]
-            if len(pos) > cap:  # star-link overflow to the block min
-                n_truncated += 1
-                t = pos[cap:]
-                a_pos = np.concatenate([a_pos, np.full(len(t), pos[0], np.int64)])
-                b_pos = np.concatenate([b_pos, t])
-            out_ai.append(a_pos)
-            out_bi.append(b_pos)
-            out_x.append(fp_s[a_pos] ^ fp_s[b_pos])
+        order, a_pos, b_pos, n_truncated = _block_pairs((band, bkey), sid, block_cap)
+        fp_s = fp[order]
         if n_truncated:
             import logging
 
@@ -1962,13 +1732,11 @@ def fingerprint64_near_dup_pairs(
                 "to the block min (pairs among overflow members may be "
                 "missed — see docstring)",
                 n_truncated,
-                cap,
+                block_cap,
             )
-        if not out_ai:
+        if not len(a_pos):
             return pair_schema.empty_table()
-        a_pos = np.concatenate(out_ai)
-        b_pos = np.concatenate(out_bi)
-        ham = popcount64(np.concatenate(out_x))
+        ham = popcount64(fp_s[a_pos] ^ fp_s[b_pos])
         ok = ham <= max_hamming
         a_pos, b_pos, ham = a_pos[ok], b_pos[ok], ham[ok]
         ids_col = group.column(key_column).combine_chunks().take(pa.array(order))
@@ -1979,11 +1747,7 @@ def fingerprint64_near_dup_pairs(
         hi = pc.if_else(flip, a_ids, b_ids)
         return pa.table({"a": lo, "b": hi, "hamming": pa.array(ham)})
 
-    allp = (
-        fps.map_batches(band_rows, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(block_pairs, batch_format="pyarrow")
-    )
+    allp = map_buckets(fps.map_batches(band_rows, batch_format="pyarrow"), block_pairs)
     return dedup_pairs_distinct(allp, agg=[("hamming", "min")])
 
 
@@ -2117,12 +1881,12 @@ def substring_verify_join(
     corpus broadcast. Mirrors ``minhash_verify_join``'s two bucketed
     exchanges, both with vectorized group bodies:
 
-    1. ``groupby(hash(doc) % P)``: candidate-pair role rows
+    1. bucket exchange on ``doc``: candidate-pair role rows
        ``(doc, a, a_pos, b, b_pos, side)`` meet the corpus' ``(doc,
        text)`` rows; a sorted ``searchsorted`` join attaches each doc's
        text to its role rows (Arrow ``take``). Docs without candidates
        emit nothing.
-    2. ``groupby(hash(a,b) % P)``: the two sides of each candidate meet;
+    2. bucket exchange on ``(a, b)``: the two sides of each candidate meet;
        every candidate window of a pair lands in the SAME group, so the
        maximal verified span per ``(a, b)`` is final within the group —
        no third exchange. The extend loop is per-candidate (inherently
@@ -2132,7 +1896,6 @@ def substring_verify_join(
     (pytest forced-switch parity gate)."""
     if n_buckets is None:
         n_buckets = default_n_buckets(ds)
-    mix = np.uint64(0x9E3779B97F4A7C15)
 
     def roles(t: pa.Table) -> pa.Table:
         a = np.asarray(t.column("a"), dtype=np.int64)
@@ -2140,11 +1903,9 @@ def substring_verify_join(
         ap = np.asarray(t.column("a_pos"), dtype=np.int64)
         bp = np.asarray(t.column("b_pos"), dtype=np.int64)
         doc = np.concatenate([a, b])
-        bucket = mix_to_buckets(doc.view(np.uint64), n_buckets)
         n = len(a)
         return pa.table(
             {
-                "bucket": pa.array(bucket),
                 "doc": pa.array(doc),
                 "a": pa.array(np.concatenate([a, a])),
                 "a_pos": pa.array(np.concatenate([ap, ap])),
@@ -2159,10 +1920,8 @@ def substring_verify_join(
 
     def texts(t: pa.Table) -> pa.Table:
         ids = np.asarray(t.column(id_column), dtype=np.int64)
-        bucket = mix_to_buckets(ids.view(np.uint64), n_buckets)
         return pa.table(
             {
-                "bucket": pa.array(bucket),
                 "doc": pa.array(ids),
                 "a": pa.nulls(len(ids), pa.int64()),
                 "a_pos": pa.nulls(len(ids), pa.int64()),
@@ -2175,58 +1934,13 @@ def substring_verify_join(
             }
         )
 
-    role_rows = cands.map_batches(roles, batch_format="pyarrow")
-    text_rows = ds.select_columns([id_column, text_column]).map_batches(
-        texts, batch_format="pyarrow"
-    )
-    tagged = role_rows.union(text_rows)
-
-    attached_schema = pa.schema(
-        [
-            ("pair_bucket", pa.int32()),
-            ("a", pa.int64()),
-            ("a_pos", pa.int64()),
-            ("b", pa.int64()),
-            ("b_pos", pa.int64()),
-            ("side", pa.int8()),
-            ("text", pa.large_string()),
-        ]
-    )
+    role_rows = route(cands, ["doc"], n_buckets, roles)
+    text_rows = route(ds.select_columns([id_column, text_column]), ["doc"], n_buckets, texts)
 
     def attach(group: pa.Table) -> pa.Table:
-        is_text = pc.is_null(group.column("side"))
-        tx = group.filter(is_text)
-        ro = group.filter(pc.invert(is_text))
-        if tx.num_rows == 0 or ro.num_rows == 0:
-            return attached_schema.empty_table()
-        tdocs = np.asarray(tx.column("doc"), dtype=np.int64)
-        torder = np.argsort(tdocs, kind="stable")
-        tdocs_s = tdocs[torder]
-        rdocs = np.asarray(ro.column("doc"), dtype=np.int64)
-        pos = np.searchsorted(tdocs_s, rdocs)
-        pos = np.clip(pos, 0, len(tdocs_s) - 1)
-        hit = tdocs_s[pos] == rdocs
-        ro = ro.filter(pa.array(hit))
-        take = pa.array(torder[pos[hit]], pa.int64())
-        a = np.asarray(ro.column("a"), dtype=np.int64)
-        b = np.asarray(ro.column("b"), dtype=np.int64)
-        with np.errstate(over="ignore"):
-            pb = mix_to_buckets(
-                (a.view(np.uint64) * mix) ^ b.view(np.uint64), n_buckets
-            )
-        return pa.table(
-            {
-                "pair_bucket": pa.array(pb),
-                "a": ro.column("a"),
-                "a_pos": ro.column("a_pos"),
-                "b": ro.column("b"),
-                "b_pos": ro.column("b_pos"),
-                "side": ro.column("side"),
-                "text": tx.column("text").take(take),
-            }
-        )
+        return _attach_payload(group, "text", n_buckets)
 
-    per_pair = tagged.groupby("bucket").map_groups(attach, batch_format="pyarrow")
+    per_pair = map_buckets(role_rows.union(text_rows), attach)
 
     out_schema = pa.schema(
         [
@@ -2244,20 +1958,10 @@ def substring_verify_join(
         ap = np.asarray(group.column("a_pos"), dtype=np.int64)
         bp = np.asarray(group.column("b_pos"), dtype=np.int64)
         side = np.asarray(group.column("side"), dtype=np.int8)
-        order = np.lexsort((side, bp, ap, b, a))
+        order, starts, _, _, _ = segments((a, b, ap, bp), side)
         a, b, ap, bp, side = a[order], b[order], ap[order], bp[order], side[order]
         text_col = group.column("text").take(pa.array(order, pa.int64()))
-        first = np.concatenate(
-            [
-                [True],
-                (a[1:] != a[:-1])
-                | (b[1:] != b[:-1])
-                | (ap[1:] != ap[:-1])
-                | (bp[1:] != bp[:-1]),
-            ]
-        )
-        starts = np.flatnonzero(first)
-        ends = np.concatenate([starts[1:], [len(a)]])
+        ends = np.append(starts[1:], len(a))
         # complete candidates: both sides' texts found in the corpus
         ok = (ends - starts == 2) & (side[starts] != side[ends - 1])
         starts = starts[ok]
@@ -2294,9 +1998,7 @@ def substring_verify_join(
             schema=out_schema,
         )
 
-    return per_pair.groupby("pair_bucket").map_groups(
-        verify, batch_format="pyarrow"
-    )
+    return map_buckets(per_pair, verify)
 
 
 def substring_dup_pairs(
@@ -2330,13 +2032,10 @@ def substring_dup_pairs(
         h = np.asarray(g.column("h"), dtype=np.uint64)
         doc = np.asarray(g.column("doc"), dtype=np.int64)
         pos = np.asarray(g.column("pos"), dtype=np.int64)
-        order = np.lexsort((pos, doc, h))
-        h, doc, pos = h[order], doc[order], pos[order]
+        order, starts, _, _, _ = segments(h, doc, pos)
+        doc, pos = doc[order], pos[order]
         a_out, b_out, pa_out, pb_out = [], [], [], []
-        starts = np.flatnonzero(
-            np.concatenate([[True], h[1:] != h[:-1]])
-        )
-        ends = np.concatenate([starts[1:], [len(h)]])
+        ends = np.append(starts[1:], len(order))
         for s, e in zip(starts, ends):
             d = doc[s:e]
             p = pos[s:e]
@@ -2364,9 +2063,7 @@ def substring_dup_pairs(
             }
         )
 
-    cands = rows.groupby("__bucket").map_groups(
-        bucket_pairs, batch_format="pyarrow"
-    ).materialize()
+    cands = map_buckets(rows, bucket_pairs).materialize()
     if cands.count() == 0:
         import ray.data as _rd
 
@@ -2406,11 +2103,10 @@ def substring_dup_pairs(
             ds, cands, text_column, id_column, min_len, n_buckets
         )
     cand_ids = np.unique(np.asarray(ids_ds.to_pandas()["doc"]))
-    id_set = set(int(x) for x in cand_ids)
 
     def text_partial(t: pa.Table) -> pa.Table:
         ids = np.asarray(t.column(id_column), dtype=np.int64)
-        keep = np.array([int(x) in id_set for x in ids], bool)
+        keep = np.isin(ids, cand_ids)
         return pa.table(
             {
                 "doc": pa.array(ids[keep]),
@@ -2464,16 +2160,7 @@ def substring_dup_pairs(
     verified = cands.map_batches(verify, batch_format="pyarrow")
 
     # one best (longest) span per (a, b) across batches: bucketed shuffle
-    # keyed on the pair hash, vectorized per-bucket argmax per pair
-    mix = np.uint64(0x9E3779B97F4A7C15)
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        a = np.asarray(t.column("a"), np.int64).view(np.uint64)
-        b = np.asarray(t.column("b"), np.int64).view(np.uint64)
-        with np.errstate(over="ignore"):
-            pb = mix_to_buckets((a * mix) ^ b, n_buckets)
-        return t.append_column("pb", pa.array(pb))
-
+    # keyed on the pair, vectorized per-bucket argmax per pair
     def best_per_pair(g: pa.Table) -> pa.Table:
         a = np.asarray(g.column("a"), np.int64)
         b = np.asarray(g.column("b"), np.int64)
@@ -2481,16 +2168,7 @@ def substring_dup_pairs(
         a_st = np.asarray(g.column("a_start"), np.int64)
         b_st = np.asarray(g.column("b_start"), np.int64)
         # longest first; ties -> smallest (a_start, b_start): deterministic
-        order = np.lexsort((b_st, a_st, -ln, b, a))
-        a_s, b_s = a[order], b[order]
-        first = np.concatenate(
-            [[True], (a_s[1:] != a_s[:-1]) | (b_s[1:] != b_s[:-1])]
-        )
-        take = pa.array(order[np.flatnonzero(first)], pa.int64())
-        return g.select(["a", "b", "a_start", "b_start", "length"]).take(take)
+        order, starts, _, _, _ = segments((a, b), -ln, a_st, b_st)
+        return g.take(pa.array(order[starts], pa.int64()))
 
-    return (
-        verified.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("pb")
-        .map_groups(best_per_pair, batch_format="pyarrow")
-    )
+    return bucketed(verified, ["a", "b"], n_buckets, best_per_pair)

@@ -3,8 +3,8 @@
 The reference has no event analytics (it validates schemas); these
 extend the engine along the training/product-data axis with the same
 shuffle discipline as the window family (``stages/window.py``): the
-only all-to-all exchange is ONE ``groupby(hash(key) % n_buckets)``
-coarse-bucket shuffle of the pruned columns, and every per-bucket body
+only all-to-all exchange is ONE coarse-bucket exchange on the key
+(``stages/exchange.py``) of the pruned columns, and every per-bucket body
 is one lexsort + vectorized segment scan — never one Python call per
 key. Both outputs are per-key / per-cohort aggregates (≪ input rows),
 so nothing here materializes the event stream.
@@ -21,6 +21,9 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from fs_schema_validator_ray.stages.exchange import bucketed, default_n_buckets, segments
+from fs_schema_validator_ray.state.sketches import key_codes
 
 _SENTINEL = np.iinfo(np.int64).max
 
@@ -44,14 +47,6 @@ def funnel_steps(
     ``key, steps_completed:int64, t1..tk:int64`` (epoch µs, null from
     the first incomplete step on).
     """
-    from fs_schema_validator_ray.stages.dedup import default_n_buckets
-    from fs_schema_validator_ray.state.sketches import (
-        hash64,
-        key_codes,
-        mix_to_buckets,
-        stable_key_array,
-    )
-
     if len(steps) < 2:
         raise ValueError("a funnel needs at least two steps")
     if n_buckets is None:
@@ -66,12 +61,8 @@ def funnel_steps(
         codes = np.asarray(
             pc.index_in(t.column(type_column), value_set=pa.array(steps))
         ).astype(np.int64)
-        bucket = mix_to_buckets(
-            hash64(stable_key_array(t.column(key_column))), n_buckets
-        )
         return pa.table(
             {
-                "__bucket": pa.array(bucket),
                 key_column: t.column(key_column),
                 "__ts": pc.cast(t.column(ts_column), pa.int64()),
                 "__step": pa.array(codes, pa.int64()),
@@ -80,21 +71,10 @@ def funnel_steps(
 
     def per_bucket(group: pa.Table) -> pa.Table:
         key_col = group.column(key_column).combine_chunks()
-        n = group.num_rows
-        if n == 0:
-            out = {key_column: key_col.slice(0, 0)}
-            out["steps_completed"] = pa.array([], pa.int64())
-            for c in t_cols:
-                out[c] = pa.array([], pa.int64())
-            return pa.table(out)
-        kcode = key_codes(key_col)
         ts = np.asarray(group.column("__ts"), dtype=np.int64)
         sc = np.asarray(group.column("__step"), dtype=np.int64)
-        order = np.lexsort((ts, kcode))
-        kc, ts_s, sc_s = kcode[order], ts[order], sc[order]
-        seg_first = np.concatenate([[True], kc[1:] != kc[:-1]])
-        seg_start = np.flatnonzero(seg_first)
-        seg_id = np.cumsum(seg_first) - 1
+        order, seg_start, seg_id, _, _ = segments(key_codes(key_col), ts)
+        ts_s, sc_s = ts[order], sc[order]
         n_seg = len(seg_start)
         # per segment, per step: masked running min via minimum.reduceat
         t_prev = np.full(n_seg, -1, np.int64)  # step 1: any ts qualifies
@@ -118,13 +98,9 @@ def funnel_steps(
             out[c] = pa.array(col, pa.int64(), mask=col == _SENTINEL)
         return pa.table(out)
 
-    return (
-        ds.select_columns(
-            list(dict.fromkeys([key_column, ts_column, type_column]))
-        )
-        .map_batches(prune, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
+    return bucketed(
+        ds.select_columns(list(dict.fromkeys([key_column, ts_column, type_column]))),
+        [key_column], n_buckets, per_bucket, prune,
     )
 
 
@@ -148,13 +124,6 @@ def cohort_retention(
     ``cohort:int64, week_offset:int64, n_users:int64``.
     """
     from fs_schema_validator_ray.stages.agg import group_sum
-    from fs_schema_validator_ray.stages.dedup import default_n_buckets
-    from fs_schema_validator_ray.state.sketches import (
-        hash64,
-        key_codes,
-        mix_to_buckets,
-        stable_key_array,
-    )
 
     if n_buckets is None:
         n_buckets = default_n_buckets(ds)
@@ -165,41 +134,24 @@ def cohort_retention(
             np.asarray(pc.cast(t.column(ts_column), pa.int64()), dtype=np.int64)
             // period_us
         )
-        kcode = key_codes(keys)
-        order = np.lexsort((period, kcode))
-        kc, pd = kcode[order], period[order]
-        first = np.concatenate([[True], (kc[1:] != kc[:-1]) | (pd[1:] != pd[:-1])])
-        idx = pa.array(order[first], pa.int64())
-        keys_out = keys.take(idx)
+        order, starts, _, _, _ = segments((key_codes(keys), period))
+        first = order[starts]
         return pa.table(
             {
-                "__bucket": pa.array(
-                    mix_to_buckets(hash64(stable_key_array(keys_out)), n_buckets)
-                ),
-                key_column: keys_out,
-                "__period": pa.array(pd[first], pa.int64()),
+                key_column: keys.take(pa.array(first, pa.int64())),
+                "__period": pa.array(period[first], pa.int64()),
             }
         )
 
     def per_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return pa.table(
-                {
-                    "cohort": pa.array([], pa.int64()),
-                    "week_offset": pa.array([], pa.int64()),
-                }
-            )
         kcode = key_codes(group.column(key_column).combine_chunks())
         period = np.asarray(group.column("__period"), dtype=np.int64)
-        order = np.lexsort((period, kcode))
-        kc, pd = kcode[order], period[order]
         # re-dedup across source batches
-        keep = np.concatenate([[True], (kc[1:] != kc[:-1]) | (pd[1:] != pd[:-1])])
-        kc, pd = kc[keep], pd[keep]
-        seg_first = np.concatenate([[True], kc[1:] != kc[:-1]])
-        seg_start = np.flatnonzero(seg_first)
-        seg_id = np.cumsum(seg_first) - 1
-        cohort = pd[seg_start][seg_id]  # rows are period-sorted per key
+        order, starts, _, _, _ = segments((kcode, period))
+        kc, pd = kcode[order[starts]], period[order[starts]]
+        # kc is sorted: its segments are the keys, period-sorted within
+        _, _, _, row_start, _ = segments(kc)
+        cohort = pd[row_start]
         return pa.table(
             {
                 "cohort": pa.array(cohort, pa.int64()),
@@ -207,11 +159,9 @@ def cohort_retention(
             }
         )
 
-    pair_ds = (
-        ds.select_columns(list(dict.fromkeys([key_column, ts_column])))
-        .map_batches(pairs, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
+    pair_ds = bucketed(
+        ds.select_columns(list(dict.fromkeys([key_column, ts_column]))),
+        [key_column], n_buckets, per_bucket, pairs,
     )
     out = group_sum(pair_ds, ["cohort", "week_offset"], [])
 

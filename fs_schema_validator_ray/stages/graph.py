@@ -8,11 +8,11 @@ expressed purely as Ray Data shuffles:
 * state: one ``(node, label)`` row per node, label = smallest node id
   reached so far (init: itself);
 * round: co-locate each edge's source with its current label (ONE
-  ``groupby(hash(node) % n_buckets)`` shuffle of the tagged union),
-  emit ``(dst, label(src))`` messages for both edge orientations, then
-  min-reduce messages per node (second shuffle) — every per-bucket body
-  is one vectorized two-pass stable argsort + segment scan, no per-node
-  Python;
+  bucket exchange on the node, ``stages/exchange.py``, of the tagged
+  union), emit ``(dst, label(src))`` messages for both edge
+  orientations, then min-reduce messages per node (second exchange) —
+  every per-bucket body is one vectorized sort + segment scan, no
+  per-node Python;
 * converged when no label changed (labels only ever decrease, and the
   reduce counts changes as it goes — no extra comparison pass).
 
@@ -35,12 +35,15 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-
-def _two_pass_lexsort(primary: np.ndarray, secondary: np.ndarray) -> np.ndarray:
-    """Stable argsort by (primary, secondary) that also works for
-    object-dtype (string node id) arrays, which np.lexsort rejects."""
-    order = np.argsort(secondary, kind="stable")
-    return order[np.argsort(primary[order], kind="stable")]
+from fs_schema_validator_ray.stages.exchange import (
+    BUCKET,
+    bucket_ids,
+    bucketed,
+    default_n_buckets,
+    map_buckets,
+    route,
+    segments,
+)
 
 
 def connected_components(
@@ -66,22 +69,12 @@ def connected_components(
     each round also propagates along dynamic (v ↔ label(v)) star edges,
     converging in O(log diameter) rounds — same labels, same
     determinism, forced-parity pytest."""
-    from fs_schema_validator_ray.stages.dedup import default_n_buckets
-    from fs_schema_validator_ray.state.sketches import (
-        hash64,
-        mix_to_buckets,
-        stable_key_array,
-    )
-
     if n_buckets is None:
         n_buckets = default_n_buckets(edges)
 
     # pairs ≪ corpus (they are the near-duplicates): pin once, re-tag per
     # round rather than re-running the pair pipeline every round
     edges = edges.select_columns([a_column, b_column]).materialize()
-
-    def bucket_of(col) -> pa.Array:
-        return pa.array(mix_to_buckets(hash64(stable_key_array(col)), n_buckets))
 
     def tag_init(t: pa.Table) -> pa.Table:
         # distinct endpoints per batch, label = self
@@ -93,7 +86,6 @@ def connected_components(
         nodes = nodes.filter(pc.is_valid(nodes))
         return pa.table(
             {
-                "__b2": bucket_of(nodes),
                 "__node": nodes,
                 "__lbl": nodes,
                 "__old": pa.array(np.ones(len(nodes), bool)),
@@ -104,7 +96,6 @@ def connected_components(
         node = t.column(node_column).combine_chunks()
         return pa.table(
             {
-                "__bucket": bucket_of(node),
                 "__node": node,
                 "__lbl": t.column(cluster_column).combine_chunks(),
                 "__side": pa.array(np.zeros(t.num_rows, np.int8)),
@@ -120,7 +111,6 @@ def connected_components(
         src, dst = src.filter(valid), dst.filter(valid)
         return pa.table(
             {
-                "__bucket": bucket_of(src),
                 "__node": src,  # keyed by source: co-locates with its label row
                 "__lbl": dst,  # payload column reused (same type) for the dst id
                 "__side": pa.array(np.ones(len(src), np.int8)),
@@ -150,38 +140,26 @@ def connected_components(
             out_node.append(lbl.take(pa.array(e_idx, pa.int64())))  # dst ids
             out_lbl.append(pa.array(ll_s[pos], type=lbl.type))
             out_old.append(np.zeros(len(e_idx), bool))
-        nodes_out = pa.chunked_array(out_node).combine_chunks()
-        return pa.table(
+        out = pa.table(
             {
-                "__b2": bucket_of(nodes_out),
-                "__node": nodes_out,
+                "__node": pa.chunked_array(out_node).combine_chunks(),
                 "__lbl": pa.chunked_array(out_lbl).combine_chunks(),
                 "__old": pa.array(np.concatenate(out_old)),
             }
         )
+        # the second exchange's routing: messages meet at their dst node
+        return out.append_column(BUCKET, pa.array(bucket_ids(out, ["__node"], n_buckets)))
 
     def min_reduce(group: pa.Table) -> pa.Table:
         """Per destination-bucket: new label = min over messages per
         node; count changes against the passthrough old label."""
-        if group.num_rows == 0:
-            t = group.schema.field("__node").type
-            return pa.table(
-                {
-                    node_column: pa.array([], t),
-                    cluster_column: pa.array([], t),
-                    "__chg": pa.array([], pa.int8()),
-                }
-            )
         node = group.column("__node").combine_chunks()
         lbl = group.column("__lbl").combine_chunks()
         node_np = node.to_numpy(zero_copy_only=False)
         lbl_np = lbl.to_numpy(zero_copy_only=False)
         old = np.asarray(group.column("__old"))
-        order = _two_pass_lexsort(node_np, lbl_np)
-        n_s, l_s, old_s = node_np[order], lbl_np[order], old[order]
-        seg_first = np.concatenate([[True], n_s[1:] != n_s[:-1]])
-        starts = np.flatnonzero(seg_first)
-        seg_id = np.cumsum(seg_first) - 1
+        order, starts, seg_id, _, _ = segments(node_np, lbl_np)
+        l_s, old_s = lbl_np[order], old[order]
         new_lbl = l_s[starts]  # min per node (sorted secondary)
         old_rows = np.flatnonzero(old_s)
         old_lbl = new_lbl.copy()
@@ -199,9 +177,7 @@ def connected_components(
     # initial labels: per-batch distinct endpoints, reduced to one row
     # per node through the same min_reduce machinery (labels = self)
     labels = (
-        edges.map_batches(tag_init, batch_format="pyarrow")
-        .groupby("__b2")
-        .map_groups(min_reduce, batch_format="pyarrow")
+        bucketed(edges, ["__node"], n_buckets, min_reduce, tag_init)
         .drop_columns(["__chg"])
         .materialize()
     )
@@ -218,7 +194,6 @@ def connected_components(
         dst = pa.chunked_array([lb, v]).combine_chunks()
         return pa.table(
             {
-                "__bucket": bucket_of(src),
                 "__node": src,
                 "__lbl": dst,
                 "__side": pa.array(np.ones(len(src), np.int8)),
@@ -226,20 +201,12 @@ def connected_components(
         )
 
     for _ in range(max_rounds):
-        tagged = labels.map_batches(tag_labels, batch_format="pyarrow").union(
-            edges.map_batches(tag_edges, batch_format="pyarrow")
+        tagged = route(labels, ["__node"], n_buckets, tag_labels).union(
+            route(edges, ["__node"], n_buckets, tag_edges)
         )
         if doubling:
-            tagged = tagged.union(
-                labels.map_batches(tag_label_edges, batch_format="pyarrow")
-            )
-        new_labels = (
-            tagged.groupby("__bucket")
-            .map_groups(propagate, batch_format="pyarrow")
-            .groupby("__b2")
-            .map_groups(min_reduce, batch_format="pyarrow")
-            .materialize()
-        )
+            tagged = tagged.union(route(labels, ["__node"], n_buckets, tag_label_edges))
+        new_labels = map_buckets(map_buckets(tagged, propagate), min_reduce).materialize()
         changed = new_labels.sum("__chg") or 0
         labels = new_labels.drop_columns(["__chg"]).materialize()
         if changed == 0:
@@ -462,12 +429,8 @@ def triangle_counts(
     import ray
 
     from fs_schema_validator_ray.stages.agg import group_sum_bucketed
-    from fs_schema_validator_ray.stages.dedup import (
-        default_n_buckets,
-        dedup_pairs_distinct,
-    )
+    from fs_schema_validator_ray.stages.dedup import dedup_pairs_distinct
     from fs_schema_validator_ray.stages.joins import hash_join, semi_anti_join
-    from fs_schema_validator_ray.state.sketches import hash64, mix_to_buckets
 
     if n_buckets is None:
         n_buckets = default_n_buckets(edges)
@@ -566,18 +529,11 @@ def triangle_counts(
 
         oriented = e2.map_batches(orient_joined, batch_format="pyarrow")
 
-    def tag_centre(t: pa.Table) -> pa.Table:
-        u = np.asarray(t.column("u"), np.int64)
-        return t.append_column(
-            "__bucket", pa.array(mix_to_buckets(hash64(u), n_buckets))
-        )
-
     def wedges(group: pa.Table) -> pa.Table:
         u = np.asarray(group.column("u"), np.int64)
         v = np.asarray(group.column("v"), np.int64)
-        order = np.argsort(u, kind="stable")
+        order, starts, _, _, _ = segments(u)
         u, v = u[order], v[order]
-        starts = np.flatnonzero(np.concatenate([[True], u[1:] != u[:-1]]))
         lens = np.diff(np.append(starts, len(u)))
         sq = lens * lens
         total = int(sq.sum())
@@ -600,11 +556,7 @@ def triangle_counts(
             }
         )
 
-    wedge_ds = (
-        oriented.map_batches(tag_centre, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(wedges, batch_format="pyarrow")
-    )
+    wedge_ds = bucketed(oriented, ["u"], n_buckets, wedges)
     closed = semi_anti_join(
         wedge_ds,
         und,
@@ -785,7 +737,7 @@ def k_core(
 # vector fits one machine", fine to ~5×10^7 nodes. Beyond that the node
 # state must itself be sharded. The layout here:
 #
-# * nodes are hash-bucketed (`mix_to_buckets(hash64(node)) % B`); each
+# * nodes are hash-bucketed (`exchange.bucket_ids` over the node); each
 #   bucket's sorted unique node array is pinned ONCE in the object store
 #   and defines that bucket's local code space (`pc.index_in`);
 # * edges are coded to (sb, db, scode, dcode) via two grouped exchanges
@@ -809,13 +761,58 @@ def k_core(
 
 
 def _node_buckets(col, n_buckets: int) -> np.ndarray:
-    from fs_schema_validator_ray.state.sketches import (
-        hash64,
-        mix_to_buckets,
-        stable_key_array,
-    )
+    return bucket_ids(pa.table({"node": col}), ["node"], n_buckets)
 
-    return mix_to_buckets(hash64(stable_key_array(col)), n_buckets)
+
+def _shard_runs(batches):
+    """Split the grouped ``(bucket, node)`` output, streamed in order,
+    into ``(bucket, [node slices])`` — one item per bucket. Raises when a
+    bucket shows up again after another bucket's rows: its shard was
+    already handed out, so the late rows would be lost."""
+    done: set[int] = set()
+    cur_b, parts = None, []
+    for t in batches:
+        if not t.num_rows:
+            continue
+        b_arr = np.asarray(t.column("bucket"), np.int64)
+        node_col = t.column("node").combine_chunks()
+        starts = np.flatnonzero(np.concatenate([[True], b_arr[1:] != b_arr[:-1]]))
+        ends = np.append(starts[1:], len(b_arr))
+        for s, e in zip(starts, ends):
+            b = int(b_arr[s])
+            if b != cur_b:
+                if cur_b is not None:
+                    yield cur_b, parts
+                    done.add(cur_b)
+                if b in done:
+                    raise RuntimeError(
+                        f"node shard {b} reappeared after it was flushed: the "
+                        "grouped output is not contiguous per bucket"
+                    )
+                cur_b, parts = b, []
+            parts.append(node_col.slice(s, e - s))
+    if cur_b is not None:
+        yield cur_b, parts
+
+
+def _code_counts_by_bucket(buckets: np.ndarray, codes: np.ndarray):
+    """``(bucket, (distinct codes, counts))`` for each bucket id present."""
+    order, starts, _, _, row_end = segments(buckets)
+    b_s, c_s = buckets[order], codes[order]
+    for s, e in zip(starts, row_end[starts]):
+        u, cnt = np.unique(c_s[s:e], return_counts=True)
+        yield int(b_s[s]), (u, cnt.astype(np.int64))
+
+
+def _deg_scatter(tab: pa.Table, nb: int) -> tuple:
+    """Source-degree partials of one pinned coded edge block, one output
+    slot per source bucket."""
+    out = [None] * nb
+    sb = np.asarray(tab.column("sb"), np.int64)
+    sc = np.asarray(tab.column("scode"), np.int64)
+    for b, counts in _code_counts_by_bucket(sb, sc):
+        out[b] = counts
+    return tuple(out)
 
 
 def _build_node_shards(edges, src_column, dst_column, n_buckets):
@@ -837,58 +834,25 @@ def _build_node_shards(edges, src_column, dst_column, n_buckets):
             ]
         ).combine_chunks()
         both = pc.unique(both.filter(pc.is_valid(both)))
-        return pa.table(
-            {
-                "bucket": pa.array(_node_buckets(both, n_buckets)),
-                "node": both,
-            }
-        )
+        return pa.table({"node": both})
 
     def per_bucket(g: pa.Table) -> pa.Table:
         nodes = pc.unique(g.column("node").combine_chunks())
         nodes = nodes.take(pc.sort_indices(nodes))
-        return pa.table(
-            {
-                "bucket": pa.array(
-                    np.full(len(nodes), g.column("bucket")[0].as_py(), np.int32)
-                ),
-                "node": nodes,
-            }
-        )
+        # every node of the group routed here: its bucket is the group's
+        b = bucket_ids(g.slice(0, 1), ["node"], n_buckets)[0]
+        return pa.table({"bucket": pa.array(np.full(len(nodes), b, np.int32)), "node": nodes})
 
-    merged = (
-        edges.map_batches(endpoints, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    merged = bucketed(edges, ["node"], n_buckets, per_bucket, endpoints)
 
     shard_refs: dict[int, object] = {}
     sizes: dict[int, int] = {}
-    cur_b, parts = None, []
-
-    def flush():
-        if cur_b is None:
-            return
+    for b, parts in _shard_runs(merged.iter_batches(batch_format="pyarrow")):
         arr = pa.concat_arrays(parts)
         arr = pc.unique(arr)  # idempotent if Ray sliced a group's block
         arr = arr.take(pc.sort_indices(arr))
-        shard_refs[cur_b] = ray.put(arr)
-        sizes[cur_b] = len(arr)
-
-    for t in merged.iter_batches(batch_format="pyarrow"):
-        if not t.num_rows:
-            continue
-        b_arr = np.asarray(t.column("bucket"), np.int64)
-        node_col = t.column("node").combine_chunks()
-        starts = np.flatnonzero(np.concatenate([[True], b_arr[1:] != b_arr[:-1]]))
-        ends = np.concatenate([starts[1:], [len(b_arr)]])
-        for s, e in zip(starts, ends):
-            b = int(b_arr[s])
-            if b != cur_b:
-                flush()
-                cur_b, parts = b, []
-            parts.append(node_col.slice(s, e - s))
-    flush()
+        shard_refs[b] = ray.put(arr)
+        sizes[b] = len(arr)
     return shard_refs, sizes
 
 
@@ -898,25 +862,7 @@ def _code_edge_blocks(edge_rows, shard_refs, n_buckets):
     task reads exactly one node shard (its bucket's)."""
     import ray
 
-    coded_schema = pa.schema(
-        [
-            ("sb", pa.int32()),
-            ("db", pa.int32()),
-            ("scode", pa.int64()),
-            ("dcode", pa.int64()),
-        ]
-    )
-
     def code_dst(g: pa.Table) -> pa.Table:
-        if not g.num_rows:
-            return pa.table(
-                {
-                    "sb": pa.array([], pa.int32()),
-                    "src": g.column("src").slice(0, 0),
-                    "db": pa.array([], pa.int32()),
-                    "dcode": pa.array([], pa.int64()),
-                }
-            )
         db = int(g.column("db")[0].as_py())
         shard = ray.get(shard_refs[db])
         dcode = pc.cast(
@@ -933,8 +879,6 @@ def _code_edge_blocks(edge_rows, shard_refs, n_buckets):
         )
 
     def code_src(g: pa.Table) -> pa.Table:
-        if not g.num_rows:
-            return coded_schema.empty_table()
         sb = int(g.column("sb")[0].as_py())
         shard = ray.get(shard_refs[sb])
         scode = pc.cast(
@@ -977,8 +921,6 @@ def pagerank_copartitioned(
     import ray
     import ray.data
 
-    from fs_schema_validator_ray.stages.dedup import default_n_buckets
-
     edges = edges.select_columns([src_column, dst_column]).materialize()
     if n_buckets is None:
         n_buckets = default_n_buckets(edges)
@@ -1013,23 +955,6 @@ def pagerank_copartitioned(
     )
 
     @ray.remote
-    def _deg_scatter(tab: pa.Table, nb: int):
-        out = [None] * nb
-        if tab.num_rows:
-            sb = np.asarray(tab.column("sb"), np.int64)
-            sc = np.asarray(tab.column("scode"), np.int64)
-            order = np.argsort(sb, kind="stable")
-            sb_s, sc_s = sb[order], sc[order]
-            starts = np.flatnonzero(
-                np.concatenate([[True], sb_s[1:] != sb_s[:-1]])
-            )
-            ends = np.concatenate([starts[1:], [len(sb_s)]])
-            for s, e in zip(starts, ends):
-                codes, cnts = np.unique(sc_s[s:e], return_counts=True)
-                out[int(sb_s[s])] = (codes, cnts.astype(np.int64))
-        return tuple(out)
-
-    @ray.remote
     def _deg_gather(size: int, *partials):
         deg = np.zeros(size, np.int64)
         for p in partials:
@@ -1037,9 +962,8 @@ def pagerank_copartitioned(
                 deg[p[0]] += p[1]
         return deg
 
-    deg_parts = [
-        _deg_scatter.options(num_returns=B).remote(r, B) for r in block_refs
-    ]
+    deg_scatter = ray.remote(_deg_scatter).options(num_returns=B)
+    deg_parts = [deg_scatter.remote(r, B) for r in block_refs]
     if B == 1:  # num_returns=1 returns the bare ref, not a list
         deg_parts = [[p] for p in deg_parts]
     outdeg_refs = {
@@ -1063,12 +987,10 @@ def pagerank_copartitioned(
         db = np.asarray(tab.column("db"), np.int64)
         sc = np.asarray(tab.column("scode"), np.int64)
         dc = np.asarray(tab.column("dcode"), np.int64)
-        order = np.lexsort((dc, db, sb))
+        order, s_starts, _, _, s_end = segments(sb, db, dc)
         sb, db, sc, dc = sb[order], db[order], sc[order], dc[order]
         acc: list = [[] for _ in range(nb)]
-        s_starts = np.flatnonzero(np.concatenate([[True], sb[1:] != sb[:-1]]))
-        s_ends = np.concatenate([s_starts[1:], [len(sb)]])
-        for ss, se in zip(s_starts, s_ends):
+        for ss, se in zip(s_starts, s_end[s_starts]):
             import ray as _ray
 
             mass = _ray.get(state_refs[int(sb[ss])])[0]
@@ -1172,8 +1094,6 @@ def kcore_copartitioned(
     import ray
     import ray.data
 
-    from fs_schema_validator_ray.stages.dedup import default_n_buckets
-
     edges = edges.select_columns([src_column, dst_column]).materialize()
     if n_buckets is None:
         n_buckets = default_n_buckets(edges)
@@ -1191,11 +1111,7 @@ def kcore_copartitioned(
 
     # simple-graph canonical dedup (distributed: pair-hash buckets), then
     # both orientations so scode-degree == node degree
-    from fs_schema_validator_ray.state.sketches import (
-        hash64,
-        mix_to_buckets,
-        stable_key_array,
-    )
+    from fs_schema_validator_ray.state.sketches import stable_key_array
 
     def canon(t: pa.Table) -> pa.Table:
         src = t.column(src_column).combine_chunks()
@@ -1212,37 +1128,15 @@ def kcore_copartitioned(
         v = pa.chunked_array(
             [dst.filter(pa.array(lt & keep)), src.filter(pa.array(~lt & keep))]
         ).combine_chunks()
-        with np.errstate(over="ignore"):
-            pb = mix_to_buckets(
-                hash64(stable_key_array(u))
-                * np.uint64(0x9E3779B97F4A7C15)
-                ^ hash64(stable_key_array(v)),
-                B,
-            )
-        return pa.table({"pb": pa.array(pb), "u": u, "v": v})
+        return pa.table({"u": u, "v": v})
 
     def distinct_pairs(g: pa.Table) -> pa.Table:
         u = np.asarray(g.column("u"), dtype=object)
         v = np.asarray(g.column("v"), dtype=object)
-        if not len(u):
-            return pa.table(
-                {"u": g.column("u").slice(0, 0), "v": g.column("v").slice(0, 0)}
-            )
-        order = np.lexsort((v, u))
-        u_s, v_s = u[order], v[order]
-        first = np.concatenate(
-            [[True], (u_s[1:] != u_s[:-1]) | (v_s[1:] != v_s[:-1])]
-        )
-        take = pa.array(order[np.flatnonzero(first)], pa.int64())
-        return pa.table(
-            {"u": g.column("u").take(take), "v": g.column("v").take(take)}
-        )
+        order, starts, _, _, _ = segments((u, v))
+        return g.take(pa.array(order[starts], pa.int64()))
 
-    simple = (
-        edges.map_batches(canon, batch_format="pyarrow")
-        .groupby("pb")
-        .map_groups(distinct_pairs, batch_format="pyarrow")
-    )
+    simple = bucketed(edges, ["u", "v"], B, distinct_pairs, canon)
 
     def orient_both(t: pa.Table) -> pa.Table:
         u = t.column("u").combine_chunks()
@@ -1263,23 +1157,6 @@ def kcore_copartitioned(
     )
 
     @ray.remote
-    def _deg_scatter(tab: pa.Table, nb: int):
-        out = [None] * nb
-        if tab.num_rows:
-            sb = np.asarray(tab.column("sb"), np.int64)
-            sc = np.asarray(tab.column("scode"), np.int64)
-            order = np.argsort(sb, kind="stable")
-            sb_s, sc_s = sb[order], sc[order]
-            starts = np.flatnonzero(
-                np.concatenate([[True], sb_s[1:] != sb_s[:-1]])
-            )
-            ends = np.concatenate([starts[1:], [len(sb_s)]])
-            for s, e in zip(starts, ends):
-                codes, cnts = np.unique(sc_s[s:e], return_counts=True)
-                out[int(sb_s[s])] = (codes, cnts.astype(np.int64))
-        return tuple(out)
-
-    @ray.remote
     def _state_init(size: int, *partials):
         deg = np.zeros(size, np.int64)
         for p in partials:
@@ -1287,9 +1164,8 @@ def kcore_copartitioned(
                 deg[p[0]] += p[1]
         return deg, np.ones(size, bool), np.zeros(size, np.int64)
 
-    deg_parts = [
-        _deg_scatter.options(num_returns=B).remote(r, B) for r in block_refs
-    ]
+    deg_scatter = ray.remote(_deg_scatter).options(num_returns=B)
+    deg_parts = [deg_scatter.remote(r, B) for r in block_refs]
     if B == 1:
         deg_parts = [[p] for p in deg_parts]
     state_by_bucket = {
@@ -1324,11 +1200,9 @@ def kcore_copartitioned(
         sc = np.asarray(tab.column("scode"), np.int64)
         dc = np.asarray(tab.column("dcode"), np.int64)
         acc: list = [[] for _ in range(nb)]
-        order = np.argsort(db, kind="stable")
+        order, starts, _, _, row_end = segments(db)
         db_s = db[order]
-        starts = np.flatnonzero(np.concatenate([[True], db_s[1:] != db_s[:-1]]))
-        ends = np.concatenate([starts[1:], [len(db_s)]])
-        for s, e in zip(starts, ends):
+        for s, e in zip(starts, row_end[starts]):
             b = int(db_s[s])
             dropped = drop_refs[b]
             if dropped is None:
@@ -1342,14 +1216,8 @@ def kcore_copartitioned(
                 continue
             idx = idx[hit]
             # decrement scode's degree in its own bucket
-            sb_h, sc_h = sb[idx], sc[idx]
-            o2 = np.argsort(sb_h, kind="stable")
-            sb_h, sc_h = sb_h[o2], sc_h[o2]
-            st2 = np.flatnonzero(np.concatenate([[True], sb_h[1:] != sb_h[:-1]]))
-            en2 = np.concatenate([st2[1:], [len(sb_h)]])
-            for s2, e2 in zip(st2, en2):
-                codes, cnts = np.unique(sc_h[s2:e2], return_counts=True)
-                acc[int(sb_h[s2])].append((codes, cnts.astype(np.int64)))
+            for b2, counts in _code_counts_by_bucket(sb[idx], sc[idx]):
+                acc[b2].append(counts)
         for i in range(nb):
             if acc[i]:
                 out[i] = acc[i]

@@ -8,7 +8,7 @@ left-anti join); a data-processing engine needs them. Two shapes:
   all. The right pattern whenever one side fits in worker memory
   (dimension tables, manifests).
 * **As-of join** (both sides big): tag + union the two key-pruned
-  streams, hash-partition by key via ONE ``groupby(key)``, and inside
+  streams, hash-partition by key via ONE bucket exchange, and inside
   each group sort the right side and ``searchsorted`` the left — the
   classic co-partitioned merge. Only the join columns shuffle.
   Partitioning assumption: rows for one key fit in one group (true for
@@ -21,6 +21,20 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from fs_schema_validator_ray.stages.exchange import (
+    BUCKET,
+    DEFAULT_TARGET_BUCKET_BYTES,
+    bucket_ids,
+    default_n_buckets,
+    estimate_dataset_bytes,
+    estimate_dataset_rows,
+    key_hash,
+    map_buckets,
+    route,
+    segments,
+)
+from fs_schema_validator_ray.state.sketches import stable_key_array
 
 
 class BroadcastJoinStage:
@@ -122,20 +136,13 @@ def asof_join(
     (int64 native timestamp units) — left rows whose best match is
     farther away drop like unmatched rows.
 
-    ``tag → union → groupby(hash(key) % n_buckets) → per-bucket
+    ``tag → union → bucket exchange on the key → per-bucket
     key-segment scan + searchsorted``: one shuffle of only the pruned
     join columns, keyed by a small-int bucket (one vectorized
     ``map_groups`` call per bucket, not one Python call per key — most
     keys are singletons-per-side and the per-group call overhead
     dominates at high key cardinality).
     """
-    from fs_schema_validator_ray.stages.dedup import default_n_buckets
-    from fs_schema_validator_ray.state.sketches import (
-        hash64,
-        mix_to_buckets,
-        stable_key_array,
-    )
-
     if direction not in ("backward", "forward", "nearest"):
         raise ValueError(
             f"direction must be backward|forward|nearest, got {direction!r}"
@@ -148,15 +155,10 @@ def asof_join(
     l_types = {c: _target_type(left, c) for c in left_value_columns}
     r_types = {c: _target_type(right, c) for c in right_value_columns}
 
-    def bucket_of(col) -> pa.Array:
-        kv = stable_key_array(col)
-        return pa.array(mix_to_buckets(hash64(kv), n_buckets))
-
     def tag_left(t: pa.Table) -> pa.Table:
         t = t.filter(pc.is_valid(t.column(key_column)))  # inner: null keys drop
         out = pa.table(
             {
-                "__bucket": bucket_of(t.column(key_column)),
                 "__key": t.column(key_column),
                 "__ts": pc.cast(t.column(left_ts), pa.int64()),
                 "__side": pa.array(np.zeros(t.num_rows, np.int8)),
@@ -172,7 +174,6 @@ def asof_join(
         t = t.filter(pc.is_valid(t.column(key_column)))
         out = pa.table(
             {
-                "__bucket": bucket_of(t.column(key_column)),
                 "__key": t.column(key_column),
                 "__ts": pc.cast(t.column(right_ts), pa.int64()),
                 "__side": pa.array(np.ones(t.num_rows, np.int8)),
@@ -184,21 +185,18 @@ def asof_join(
             out = out.append_column(f"r_{c}", t.column(c))
         return out
 
-    tagged = left.select_columns(l_cols).map_batches(
-        tag_left, batch_format="pyarrow"
-    ).union(right.select_columns(r_cols).map_batches(tag_right, batch_format="pyarrow"))
+    tagged = route(left.select_columns(l_cols), ["__key"], n_buckets, tag_left).union(
+        route(right.select_columns(r_cols), ["__key"], n_buckets, tag_right)
+    )
 
     def merge_bucket(group: pa.Table) -> pa.Table:
         side = np.asarray(group.column("__side"))
         ts = np.asarray(group.column("__ts"))
-        keys = stable_key_array(group.column("__key"))
         # one lexsort: rows grouped by key; within a key all lefts
         # (ts-sorted) then all rights (ts-sorted)
-        order = np.lexsort((ts, side, keys))
-        k_s, side_s, ts_s = keys[order], side[order], ts[order]
-        seg_first = np.concatenate([[True], k_s[1:] != k_s[:-1]])
-        starts = np.flatnonzero(seg_first)
-        ends = np.concatenate([starts[1:], [len(k_s)]])
+        order, starts, _, _, _ = segments(stable_key_array(group.column("__key")), side, ts)
+        side_s, ts_s = side[order], ts[order]
+        ends = np.append(starts[1:], len(order))
         keep_l, match_r = [], []
         for s, e in zip(starts, ends):
             split = s + int(np.searchsorted(side_s[s:e], 1))
@@ -243,7 +241,7 @@ def asof_join(
             out_cols[f"r_{c}"] = group.column(f"r_{c}").take(r_match)
         return pa.table(out_cols)
 
-    return tagged.groupby("__bucket").map_groups(merge_bucket, batch_format="pyarrow")
+    return map_buckets(tagged, merge_bucket)
 
 
 def interval_overlap_join(
@@ -282,9 +280,6 @@ def interval_overlap_join(
     (no overlap is possible). Many intervals crossing one band (a hot
     time window) co-locate — shrink ``band_width`` or pre-split hot
     windows upstream, the usual hot-key caveat."""
-    from fs_schema_validator_ray.stages.dedup import default_n_buckets
-    from fs_schema_validator_ray.state.sketches import mix_to_buckets
-
     if band_width < 1:
         raise ValueError("band_width must be >= 1")
     if n_buckets is None:
@@ -316,9 +311,6 @@ def interval_overlap_join(
             ids = t.column(id_col).combine_chunks().take(take)
             return pa.table(
                 {
-                    "__bucket": pa.array(
-                        mix_to_buckets(band.view(np.uint64), n_buckets)
-                    ),
                     "__band": pa.array(band),
                     "__side": pa.array(np.full(len(band), side, np.int8)),
                     "__id_l": ids if side == 0 else pa.nulls(len(band), l_id_type),
@@ -330,12 +322,14 @@ def interval_overlap_join(
 
         return fn
 
-    tagged = left.select_columns(
-        list(dict.fromkeys([left_id, left_lo, left_hi]))
-    ).map_batches(tag(0, left_id, left_lo, left_hi), batch_format="pyarrow").union(
-        right.select_columns(
-            list(dict.fromkeys([right_id, right_lo, right_hi]))
-        ).map_batches(tag(1, right_id, right_lo, right_hi), batch_format="pyarrow")
+    tagged = route(
+        left.select_columns(list(dict.fromkeys([left_id, left_lo, left_hi]))),
+        ["__band"], n_buckets, tag(0, left_id, left_lo, left_hi),
+    ).union(
+        route(
+            right.select_columns(list(dict.fromkeys([right_id, right_lo, right_hi]))),
+            ["__band"], n_buckets, tag(1, right_id, right_lo, right_hi),
+        )
     )
 
     empty_schema = pa.schema(
@@ -354,12 +348,10 @@ def interval_overlap_join(
         hi = np.asarray(group.column("__hi"))
         # several bands can share a coarse bucket: sort by (band, side,
         # lo) and sweep each band's segment independently
-        order = np.lexsort((lo, side, band))
+        order, starts, _, _, _ = segments(band, side, lo)
         band_s, side_s, lo_s, hi_s = band[order], side[order], lo[order], hi[order]
         out_l, out_r = [], []
-        seg_first = np.concatenate([[True], band_s[1:] != band_s[:-1]])
-        starts = np.flatnonzero(seg_first)
-        ends = np.concatenate([starts[1:], [len(band_s)]])
+        ends = np.append(starts[1:], len(order))
         for s, e in zip(starts, ends):
             b = band_s[s]
             mid = s + int(np.searchsorted(side_s[s:e], 1))
@@ -395,7 +387,7 @@ def interval_overlap_join(
             }
         )
 
-    return tagged.groupby("__bucket").map_groups(merge_bucket, batch_format="pyarrow")
+    return map_buckets(tagged, merge_bucket)
 
 
 def range_join(
@@ -415,7 +407,7 @@ def range_join(
     intervals emits k rows (SQL ``JOIN ON key AND ts BETWEEN`` shape).
 
     Same single-shuffle plan as ``asof_join``: tag → union → ONE
-    ``groupby(hash(key) % n_buckets)`` of only the pruned join columns →
+    bucket exchange on the key of only the pruned join columns →
     per-bucket vectorized merge (one lexsort; per key-segment the rights
     are lo-sorted, every left row's candidate window comes from two
     ``searchsorted`` calls, expanded with repeat/arange and filtered by
@@ -430,21 +422,11 @@ def range_join(
     Partitioning assumption: one key's rows fit in one group — salt
     upstream if a key is pathologically hot, as with any equi-join.
     """
-    from fs_schema_validator_ray.stages.dedup import default_n_buckets
-    from fs_schema_validator_ray.state.sketches import (
-        hash64,
-        mix_to_buckets,
-        stable_key_array,
-    )
-
     n_buckets = default_n_buckets(left, right)
     l_cols = list(dict.fromkeys([key_column, left_ts, *left_value_columns]))
     r_cols = list(dict.fromkeys([key_column, right_lo, right_hi, *right_value_columns]))
     l_types = {c: _target_type(left, c) for c in left_value_columns}
     r_types = {c: _target_type(right, c) for c in right_value_columns}
-
-    def bucket_of(col) -> pa.Array:
-        return pa.array(mix_to_buckets(hash64(stable_key_array(col)), n_buckets))
 
     def tag_left(t: pa.Table) -> pa.Table:
         mask = pc.and_(
@@ -453,7 +435,6 @@ def range_join(
         t = t.filter(mask)
         out = pa.table(
             {
-                "__bucket": bucket_of(t.column(key_column).combine_chunks()),
                 "__key": t.column(key_column),
                 "__ts": pc.cast(t.column(left_ts), pa.int64()),
                 "__hi": pa.nulls(t.num_rows, pa.int64()),
@@ -476,7 +457,6 @@ def range_join(
         t = t.filter(mask)
         out = pa.table(
             {
-                "__bucket": bucket_of(t.column(key_column).combine_chunks()),
                 "__key": t.column(key_column),
                 "__ts": pc.cast(t.column(right_lo), pa.int64()),
                 "__hi": pc.cast(t.column(right_hi), pa.int64()),
@@ -489,24 +469,21 @@ def range_join(
             out = out.append_column(f"r_{c}", t.column(c))
         return out
 
-    tagged = left.select_columns(l_cols).map_batches(
-        tag_left, batch_format="pyarrow"
-    ).union(right.select_columns(r_cols).map_batches(tag_right, batch_format="pyarrow"))
+    tagged = route(left.select_columns(l_cols), ["__key"], n_buckets, tag_left).union(
+        route(right.select_columns(r_cols), ["__key"], n_buckets, tag_right)
+    )
 
     def merge_bucket(group: pa.Table) -> pa.Table:
         side = np.asarray(group.column("__side"))
         ts = np.asarray(group.column("__ts"))
-        keys = stable_key_array(group.column("__key"))
         # rows grouped by key; within a key: lefts ts-sorted, rights lo-sorted
-        order = np.lexsort((ts, side, keys))
-        k_s, side_s, ts_s = keys[order], side[order], ts[order]
+        order, starts, _, _, _ = segments(stable_key_array(group.column("__key")), side, ts)
+        side_s, ts_s = side[order], ts[order]
         hi_np = np.asarray(
             group.column("__hi").combine_chunks().fill_null(0), dtype=np.int64
         )
         hi_s = hi_np[order]
-        seg_first = np.concatenate([[True], k_s[1:] != k_s[:-1]])
-        starts = np.flatnonzero(seg_first)
-        ends = np.concatenate([starts[1:], [len(k_s)]])
+        ends = np.append(starts[1:], len(order))
         keep_l, match_r = [], []
         for s, e in zip(starts, ends):
             split = s + int(np.searchsorted(side_s[s:e], 1))
@@ -548,7 +525,7 @@ def range_join(
             out_cols[f"r_{c}"] = group.column(f"r_{c}").take(r_match)
         return pa.table(out_cols)
 
-    return tagged.groupby("__bucket").map_groups(merge_bucket, batch_format="pyarrow")
+    return map_buckets(tagged, merge_bucket)
 
 
 def hash_join(
@@ -567,8 +544,8 @@ def hash_join(
     _skew_report: dict | None = None,
 ):
     """Distributed equi-join (``how``: "inner", "left", "right" or
-    "full_outer"), both sides large: ``tag → union →
-    groupby(hash(key) % n_buckets) → per-bucket vectorized merge``.
+    "full_outer"), both sides large: ``tag → union → bucket exchange on
+    the key → per-bucket vectorized merge``.
 
     ``how="right"`` delegates to the mirrored ``how="left"`` plan (the
     sides swap; a right join IS a left join read from the other side),
@@ -629,13 +606,6 @@ def hash_join(
     merge then drops; false negatives are impossible (same hash both
     sides), so results are identical to the unfiltered join.
     """
-    from fs_schema_validator_ray.stages.dedup import default_n_buckets
-    from fs_schema_validator_ray.state.sketches import (
-        hash64,
-        mix_to_buckets,
-        stable_key_array,
-    )
-
     if how == "right":
         if prefilter:
             raise ValueError("prefilter supports how=inner only")
@@ -680,21 +650,6 @@ def hash_join(
         # left/full_outer must emit unmatched left rows — nothing to prune
         raise ValueError("prefilter supports how=inner only")
 
-    def all_valid(t: pa.Table, names: list[str]):
-        v = pc.is_valid(t.column(names[0]))
-        for k in names[1:]:
-            v = pc.and_(v, pc.is_valid(t.column(k)))
-        return v
-
-    def chash(t: pa.Table, names: list[str], alt: bool = False) -> np.ndarray:
-        key = "fedcba9876543210" if alt else "0123456789abcdef"
-        h = hash64(stable_key_array(t.column(names[0]).combine_chunks()), key=key)
-        for k in names[1:]:
-            h = h * np.uint64(0x9E3779B97F4A7C15) ^ hash64(
-                stable_key_array(t.column(k).combine_chunks()), key=key
-            )
-        return h
-
     membership_ref = None
     if prefilter:
         import ray
@@ -702,9 +657,9 @@ def hash_join(
         from fs_schema_validator_ray.state.sketches import BloomFilter
 
         def hash_partial(t: pa.Table) -> pa.Table:
-            t = t.filter(all_valid(t, r_keys))
-            h1 = chash(t, r_keys)
-            h2 = chash(t, r_keys, alt=True)
+            t = t.filter(_all_valid(t, r_keys))
+            h1 = key_hash(t, r_keys)
+            h2 = key_hash(t, r_keys, key=_ALT_HASH)
             u, ui = np.unique(h1, return_index=True)
             return pa.table(
                 {
@@ -731,78 +686,23 @@ def hash_join(
     # occupies s contiguous final-bucket slots; left rows round-robin
     # into them, right rows replicate into all s (identical correctness
     # argument to uniform salting, applied only where hot).
-    splits = np.full(n_buckets, salt, dtype=np.int64)
-    if adaptive_skew is None:
-        from fs_schema_validator_ray.stages.dedup import estimate_dataset_rows
-
-        est_rows = estimate_dataset_rows(left)
-        adaptive_skew = est_rows is not None and est_rows >= 1_000_000
-    if adaptive_skew and salt == 1 and how in ("inner", "left"):
-        key_only = list(dict.fromkeys(l_keys))
-
-        def count_partial(t: pa.Table) -> pa.Table:
-            b = mix_to_buckets(chash(t, l_keys), n_buckets)
-            c = np.bincount(b, minlength=n_buckets)
-            nz = np.flatnonzero(c)
-            return pa.table(
-                {
-                    "b": pa.array(nz.astype(np.int64)),
-                    "c": pa.array(c[nz].astype(np.int64)),
-                }
-            )
-
-        parts = (
-            left.select_columns(key_only)
-            .map_batches(count_partial, batch_format="pyarrow")
-            .to_pandas()
-        )
-        counts = np.zeros(n_buckets, np.int64)
-        if len(parts):
-            np.add.at(
-                counts,
-                parts["b"].to_numpy(dtype=np.int64),
-                parts["c"].to_numpy(dtype=np.int64),
-            )
-        nz = counts[counts > 0]
-        if len(nz):
-            med = max(1, int(np.median(nz)))
-            cap = max(int(skew_split_cap_rows), 4 * med)
-            need = np.minimum(-(-counts // cap), 64)
-            if (need > 1).any():
-                import logging
-
-                hot = np.flatnonzero(need > 1)
-                logging.getLogger(__name__).warning(
-                    "hash_join adaptive skew: splitting %d hot bucket(s) "
-                    "(max %d rows, median %d, cap %d) into up to %d "
-                    "sub-buckets",
-                    len(hot), int(counts.max()), med, cap, int(need.max()),
-                )
-                splits = np.maximum(splits, need)
+    splits = _split_factors(
+        left, l_keys, n_buckets, salt,
+        adaptive_skew if salt == 1 and how in ("inner", "left") else False,
+        skew_split_cap_rows, "hash_join",
+    )
     if _skew_report is not None:
         _skew_report["splits"] = splits.copy()
         _skew_report["n_hot"] = int((splits > salt).sum())
-    bucket_offsets = np.concatenate(
-        [np.zeros(1, np.int64), np.cumsum(splits)]
-    )[:-1]
-    any_split = bool((splits > 1).any())
-
-    def final_buckets(base: np.ndarray, sub: np.ndarray | None = None) -> pa.Array:
-        if not any_split:
-            return pa.array(base)
-        if sub is None:
-            sp = splits[base]
-            sub = np.arange(len(base), dtype=np.int64) % np.maximum(sp, 1)
-        return pa.array((bucket_offsets[base] + sub).astype(np.int32))
 
     def tag_left(t: pa.Table) -> pa.Table:
         if how == "inner":
-            t = t.filter(all_valid(t, l_keys))
+            t = t.filter(_all_valid(t, l_keys))
         if membership_ref is not None:
             import ray
 
             memb = ray.get(membership_ref)  # zero-copy from local plasma
-            h1 = chash(t, l_keys)
+            h1 = key_hash(t, l_keys)
             if isinstance(memb, np.ndarray):
                 if len(memb):
                     idx = np.clip(np.searchsorted(memb, h1), 0, len(memb) - 1)
@@ -810,9 +710,9 @@ def hash_join(
                 else:
                     keep = np.zeros(len(h1), bool)
             else:
-                keep = memb.contains_hashes(h1, chash(t, l_keys, alt=True))
+                keep = memb.contains_hashes(h1, key_hash(t, l_keys, key=_ALT_HASH))
             t = t.filter(pa.array(keep))
-        out = {"__bucket": final_buckets(mix_to_buckets(chash(t, l_keys), n_buckets))}
+        out = {BUCKET: pa.array(_spread(bucket_ids(t, l_keys, n_buckets), splits))}
         for kc, k, kt in zip(kcols, l_keys, key_types):
             out[kc] = pc.cast(t.column(k), kt)
         out["__side"] = pa.array(np.zeros(t.num_rows, np.int8))
@@ -827,20 +727,11 @@ def hash_join(
         if how != "full_outer":
             # a null right key can never match and (inner/left) never
             # emits; full_outer emits it as a right-only row
-            t = t.filter(all_valid(t, r_keys))
-        base = mix_to_buckets(chash(t, r_keys), n_buckets)
-        if any_split:
-            # replicate each right row into every sub-bucket of its base
-            # bucket (variable per-bucket split factor)
-            sp = splits[base]
-            rep = np.repeat(np.arange(t.num_rows, dtype=np.int64), sp)
+            t = t.filter(_all_valid(t, r_keys))
+        rep, bucket = _replicate(bucket_ids(t, r_keys, n_buckets), splits)
+        if rep is not None:
             t = t.take(pa.array(rep))
-            offs = np.concatenate([np.zeros(1, np.int64), np.cumsum(sp)])
-            sub = np.arange(len(rep), dtype=np.int64) - np.repeat(offs[:-1], sp)
-            bucket = final_buckets(base[rep], sub)
-        else:
-            bucket = pa.array(base)
-        out = {"__bucket": bucket}
+        out = {BUCKET: pa.array(bucket)}
         for kc, k, kt in zip(kcols, r_keys, key_types):
             out[kc] = pc.cast(t.column(k), kt)
         out["__side"] = pa.array(np.ones(t.num_rows, np.int8))
@@ -860,10 +751,6 @@ def hash_join(
     )
 
     def merge_bucket(group: pa.Table) -> pa.Table:
-        from fs_schema_validator_ray.stages.dedup import (
-            DEFAULT_TARGET_BUCKET_BYTES,
-        )
-
         if group.nbytes > 2 * DEFAULT_TARGET_BUCKET_BYTES:
             import logging
 
@@ -876,31 +763,7 @@ def hash_join(
                 group.nbytes / 2**20, DEFAULT_TARGET_BUCKET_BYTES / 2**20,
             )
         side = np.asarray(group.column("__side"))
-        kv = pc.is_valid(group.column(kcols[0]).combine_chunks())
-        for kc in kcols[1:]:
-            kv = pc.and_(kv, pc.is_valid(group.column(kc).combine_chunks()))
-        key_valid = np.asarray(kv)
-        if m == 1:
-            keys = stable_key_array(group.column(kcols[0]))
-        else:
-            # composite key → within-group int64 codes: lexsort the valid
-            # rows' key tuples once, run-length over "any column changed"
-            # (codes only need consistency within this group). Invalid
-            # rows code to −1 and are excluded from every match structure
-            # via key_valid below.
-            keys = np.full(group.num_rows, -1, np.int64)
-            vidx = np.flatnonzero(key_valid)
-            if len(vidx):
-                arrs = [stable_key_array(group.column(kc))[vidx] for kc in kcols]
-                o = np.lexsort(tuple(arrs[::-1]))
-                change = np.zeros(len(vidx), bool)
-                change[0] = True
-                for a in arrs:
-                    s = a[o]
-                    change[1:] |= s[1:] != s[:-1]
-                codes = np.empty(len(vidx), np.int64)
-                codes[o] = np.cumsum(change) - 1
-                keys[vidx] = codes
+        key_valid, keys = _match_keys(group, kcols)
         l_idx = np.flatnonzero(side == 0)
         r_idx = np.flatnonzero(side == 1)
         empty = {lk: group.column(kc).slice(0, 0) for lk, kc in zip(l_keys, kcols)}
@@ -1001,7 +864,7 @@ def hash_join(
             right_only[c] = group.column(c).take(rtake)
         return pa.concat_tables([left_tbl, pa.table(right_only)])
 
-    return tagged.groupby("__bucket").map_groups(merge_bucket, batch_format="pyarrow")
+    return map_buckets(tagged, merge_bucket)
 
 
 def semi_anti_join(
@@ -1019,8 +882,8 @@ def semi_anti_join(
     """Distributed SEMI / ANTI equi-join (SQL ``EXISTS`` / ``NOT
     EXISTS``), both sides large: the right side ships only its
     per-batch-DISTINCT keys (combiner — duplicate keys on the probe side
-    never shuffle), union with the tagged left rows, ONE
-    ``groupby(hash(key) % n_buckets)`` shuffle, then a per-bucket
+    never shuffle), union with the tagged left rows, ONE bucket
+    exchange on the key, then a per-bucket
     vectorized membership test (sort right keys once, two-sided
     ``searchsorted`` equality probe for every left row).
 
@@ -1040,13 +903,6 @@ def semi_anti_join(
     sub-buckets, cap = ``max(skew_split_cap_rows, 4×median)``), logged
     (no-silent-caps). ``None`` auto-enables at ≥1M estimated left rows.
     """
-    from fs_schema_validator_ray.stages.dedup import default_n_buckets
-    from fs_schema_validator_ray.state.sketches import (
-        hash64,
-        mix_to_buckets,
-        stable_key_array,
-    )
-
     if how not in ("semi", "anti"):
         raise ValueError(f"semi_anti_join how must be semi|anti, got {how!r}")
     if n_buckets is None:
@@ -1059,92 +915,21 @@ def semi_anti_join(
     key_types = [_target_type(left, k) for k in l_keys]
     kcols = [f"__key{i}" for i in range(m)]
 
-    def all_valid(t: pa.Table, names: list[str]):
-        v = pc.is_valid(t.column(names[0]))
-        for k in names[1:]:
-            v = pc.and_(v, pc.is_valid(t.column(k)))
-        return v
-
-    def chash(t: pa.Table, names: list[str]) -> np.ndarray:
-        h = hash64(stable_key_array(t.column(names[0]).combine_chunks()))
-        for k in names[1:]:
-            with np.errstate(over="ignore"):
-                h = h * np.uint64(0x9E3779B97F4A7C15) ^ hash64(
-                    stable_key_array(t.column(k).combine_chunks())
-                )
-        return h
-
     # --- per-bucket split factors (adaptive skew, same policy as
     # hash_join): one cheap pre-pass counts left rows per bucket; hot
     # buckets widen into sub-buckets. Left rows round-robin, the right
     # side's distinct keys replicate into every sub-bucket.
-    splits = np.ones(n_buckets, dtype=np.int64)
-    if adaptive_skew is None:
-        from fs_schema_validator_ray.stages.dedup import estimate_dataset_rows
-
-        est_rows = estimate_dataset_rows(left)
-        adaptive_skew = est_rows is not None and est_rows >= 1_000_000
-    if adaptive_skew:
-        key_only = list(dict.fromkeys(l_keys))
-
-        def count_partial(t: pa.Table) -> pa.Table:
-            b = mix_to_buckets(chash(t, l_keys), n_buckets)
-            c = np.bincount(b, minlength=n_buckets)
-            nz = np.flatnonzero(c)
-            return pa.table(
-                {
-                    "b": pa.array(nz.astype(np.int64)),
-                    "c": pa.array(c[nz].astype(np.int64)),
-                }
-            )
-
-        parts = (
-            left.select_columns(key_only)
-            .map_batches(count_partial, batch_format="pyarrow")
-            .to_pandas()
-        )
-        counts = np.zeros(n_buckets, np.int64)
-        if len(parts):
-            np.add.at(
-                counts,
-                parts["b"].to_numpy(dtype=np.int64),
-                parts["c"].to_numpy(dtype=np.int64),
-            )
-        nz = counts[counts > 0]
-        if len(nz):
-            med = max(1, int(np.median(nz)))
-            cap = max(int(skew_split_cap_rows), 4 * med)
-            need = np.minimum(-(-counts // cap), 64)
-            if (need > 1).any():
-                import logging
-
-                hot = np.flatnonzero(need > 1)
-                logging.getLogger(__name__).warning(
-                    "semi_anti_join adaptive skew: splitting %d hot "
-                    "bucket(s) (max %d rows, median %d, cap %d) into up "
-                    "to %d sub-buckets",
-                    len(hot), int(counts.max()), med, cap, int(need.max()),
-                )
-                splits = np.maximum(splits, need)
+    splits = _split_factors(
+        left, l_keys, n_buckets, 1, adaptive_skew, skew_split_cap_rows, "semi_anti_join"
+    )
     if _skew_report is not None:
         _skew_report["splits"] = splits.copy()
         _skew_report["n_hot"] = int((splits > 1).sum())
-    bucket_offsets = np.concatenate(
-        [np.zeros(1, np.int64), np.cumsum(splits)]
-    )[:-1]
-    any_split = bool((splits > 1).any())
 
     def tag_left(t: pa.Table) -> pa.Table:
         if how == "semi":  # a null key component can never match — drop early
-            t = t.filter(all_valid(t, l_keys))
-        base = mix_to_buckets(chash(t, l_keys), n_buckets)
-        if any_split:
-            sp = splits[base]
-            sub = np.arange(len(base), dtype=np.int64) % np.maximum(sp, 1)
-            bucket = pa.array((bucket_offsets[base] + sub).astype(np.int32))
-        else:
-            bucket = pa.array(base)
-        out = {"__bucket": bucket}
+            t = t.filter(_all_valid(t, l_keys))
+        out = {BUCKET: pa.array(_spread(bucket_ids(t, l_keys, n_buckets), splits))}
         for kc, k, kt in zip(kcols, l_keys, key_types):
             out[kc] = pc.cast(t.column(k), kt)
         out["__side"] = pa.array(np.zeros(t.num_rows, np.int8))
@@ -1154,21 +939,13 @@ def semi_anti_join(
         return tbl
 
     def tag_right(t: pa.Table) -> pa.Table:
-        t = t.filter(all_valid(t, r_keys))
+        t = t.filter(_all_valid(t, r_keys))
         g = pa.TableGroupBy(t.select(r_keys), r_keys).aggregate([])
-        base = mix_to_buckets(chash(g, r_keys), n_buckets)
-        if any_split:
-            # replicate each distinct key into every sub-bucket of its
-            # base bucket (distinct keys only — cheap even when hot)
-            sp = splits[base]
-            rep = np.repeat(np.arange(g.num_rows, dtype=np.int64), sp)
+        # distinct keys only replicate — cheap even when hot
+        rep, bucket = _replicate(bucket_ids(g, r_keys, n_buckets), splits)
+        if rep is not None:
             g = g.take(pa.array(rep))
-            offs = np.concatenate([np.zeros(1, np.int64), np.cumsum(sp)])
-            sub = np.arange(len(rep), dtype=np.int64) - np.repeat(offs[:-1], sp)
-            bucket = pa.array((bucket_offsets[base[rep]] + sub).astype(np.int32))
-        else:
-            bucket = pa.array(base)
-        out = {"__bucket": bucket}
+        out = {BUCKET: pa.array(bucket)}
         for kc, k, kt in zip(kcols, r_keys, key_types):
             out[kc] = pc.cast(g.column(k), kt)
         out["__side"] = pa.array(np.ones(g.num_rows, np.int8))
@@ -1187,28 +964,7 @@ def semi_anti_join(
 
     def merge_bucket(group: pa.Table) -> pa.Table:
         side = np.asarray(group.column("__side"))
-        kv = pc.is_valid(group.column(kcols[0]).combine_chunks())
-        for kc in kcols[1:]:
-            kv = pc.and_(kv, pc.is_valid(group.column(kc).combine_chunks()))
-        key_valid = np.asarray(kv)
-        if m == 1:
-            keys = stable_key_array(group.column(kcols[0]))
-        else:
-            # composite → within-group int64 codes (same run-length trick
-            # as hash_join); invalid rows code −1 and never match
-            keys = np.full(group.num_rows, -1, np.int64)
-            vidx = np.flatnonzero(key_valid)
-            if len(vidx):
-                arrs = [stable_key_array(group.column(kc))[vidx] for kc in kcols]
-                o = np.lexsort(tuple(arrs[::-1]))
-                change = np.zeros(len(vidx), bool)
-                change[0] = True
-                for a in arrs:
-                    s = a[o]
-                    change[1:] |= s[1:] != s[:-1]
-                codes = np.empty(len(vidx), np.int64)
-                codes[o] = np.cumsum(change) - 1
-                keys[vidx] = codes
+        key_valid, keys = _match_keys(group, kcols)
         l_idx = np.flatnonzero(side == 0)
         r_idx = np.flatnonzero(side == 1)
         hit = np.zeros(len(l_idx), bool)
@@ -1226,7 +982,121 @@ def semi_anti_join(
             out[c] = group.column(c).take(take)
         return pa.table(out)
 
-    return tagged.groupby("__bucket").map_groups(merge_bucket, batch_format="pyarrow")
+    return map_buckets(tagged, merge_bucket)
+
+
+_ALT_HASH = "fedcba9876543210"  # second hash family for the Bloom prefilter
+
+
+def _all_valid(t: pa.Table, names: list[str]):
+    v = pc.is_valid(t.column(names[0]))
+    for k in names[1:]:
+        v = pc.and_(v, pc.is_valid(t.column(k)))
+    return v
+
+
+def _match_keys(group: pa.Table, kcols: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """``(key_valid, keys)`` for a bucket of tagged join rows: a row is
+    valid when every key component is non-null; ``keys`` is the single
+    column's stable array, or for a composite key within-group int64
+    codes (codes only need consistency within this group). Invalid rows
+    code to −1 and callers exclude them from every match structure."""
+    kv = pc.is_valid(group.column(kcols[0]).combine_chunks())
+    for kc in kcols[1:]:
+        kv = pc.and_(kv, pc.is_valid(group.column(kc).combine_chunks()))
+    key_valid = np.asarray(kv)
+    if len(kcols) == 1:
+        return key_valid, stable_key_array(group.column(kcols[0]))
+    keys = np.full(group.num_rows, -1, np.int64)
+    vidx = np.flatnonzero(key_valid)
+    s = segments(tuple(stable_key_array(group.column(kc))[vidx] for kc in kcols))
+    keys[vidx[s.order]] = s.ids
+    return key_valid, keys
+
+
+def _split_factors(
+    left, l_keys: list[str], n_buckets: int, base: int, adaptive_skew, cap_rows: int, op: str
+) -> np.ndarray:
+    """Per-bucket split factor: ``base`` everywhere, widened where the
+    left side is hot. With ``adaptive_skew`` (``None`` = auto at ≥1M
+    estimated left rows) one cheap pre-pass over the pruned left key
+    columns counts rows per bucket (vectorized bincount partials, the
+    driver holds one int array of ``n_buckets``); a bucket whose count
+    exceeds ``max(cap_rows, 4×median)`` splits into ``ceil(count / cap)``
+    sub-buckets (≤64). Splits are logged (no-silent-caps)."""
+    splits = np.full(n_buckets, base, dtype=np.int64)
+    if adaptive_skew is None:
+        est_rows = estimate_dataset_rows(left)
+        adaptive_skew = est_rows is not None and est_rows >= 1_000_000
+    if not adaptive_skew:
+        return splits
+
+    def count_partial(t: pa.Table) -> pa.Table:
+        c = np.bincount(bucket_ids(t, l_keys, n_buckets), minlength=n_buckets)
+        nz = np.flatnonzero(c)
+        return pa.table(
+            {
+                "b": pa.array(nz.astype(np.int64)),
+                "c": pa.array(c[nz].astype(np.int64)),
+            }
+        )
+
+    parts = (
+        left.select_columns(list(dict.fromkeys(l_keys)))
+        .map_batches(count_partial, batch_format="pyarrow")
+        .to_pandas()
+    )
+    counts = np.zeros(n_buckets, np.int64)
+    if len(parts):
+        np.add.at(
+            counts,
+            parts["b"].to_numpy(dtype=np.int64),
+            parts["c"].to_numpy(dtype=np.int64),
+        )
+    nz = counts[counts > 0]
+    if len(nz):
+        med = max(1, int(np.median(nz)))
+        cap = max(int(cap_rows), 4 * med)
+        need = np.minimum(-(-counts // cap), 64)
+        if (need > 1).any():
+            import logging
+
+            hot = np.flatnonzero(need > 1)
+            logging.getLogger(__name__).warning(
+                "%s adaptive skew: splitting %d hot bucket(s) "
+                "(max %d rows, median %d, cap %d) into up to %d "
+                "sub-buckets",
+                op, len(hot), int(counts.max()), med, cap, int(need.max()),
+            )
+            splits = np.maximum(splits, need)
+    return splits
+
+
+def _offsets(splits: np.ndarray) -> np.ndarray:
+    # a bucket with split factor s occupies s contiguous final-bucket slots
+    return np.concatenate([np.zeros(1, np.int64), np.cumsum(splits)])[:-1]
+
+
+def _spread(base: np.ndarray, splits: np.ndarray) -> np.ndarray:
+    """Final bucket per probe-side row: rows of a split bucket round-robin
+    across its sub-buckets."""
+    if not (splits > 1).any():
+        return base
+    sp = splits[base]
+    sub = np.arange(len(base), dtype=np.int64) % np.maximum(sp, 1)
+    return (_offsets(splits)[base] + sub).astype(np.int32)
+
+
+def _replicate(base: np.ndarray, splits: np.ndarray):
+    """Build-side rows replicate into every sub-bucket of their base
+    bucket: ``(row index per output row or None, final bucket)``."""
+    if not (splits > 1).any():
+        return None, base
+    sp = splits[base]
+    rep = np.repeat(np.arange(len(base), dtype=np.int64), sp)
+    offs = np.concatenate([np.zeros(1, np.int64), np.cumsum(sp)])
+    sub = np.arange(len(rep), dtype=np.int64) - np.repeat(offs[:-1], sp)
+    return rep, (_offsets(splits)[base[rep]] + sub).astype(np.int32)
 
 
 def _target_type(ds, column: str) -> pa.DataType:
@@ -1447,7 +1317,7 @@ def join_auto(
     """Cost-based equi-join strategy pick (the reference has no planner;
     a distributed engine must choose its exchange): BROADCAST the pruned
     right side when its metadata-only byte estimate
-    (:func:`fs_schema_validator_ray.stages.dedup.estimate_dataset_bytes`,
+    (:func:`fs_schema_validator_ray.stages.exchange.estimate_dataset_bytes`,
     a lineage walk to the column-pruned read — never executes) fits under
     ``broadcast_max_bytes``; otherwise run the bucketed-shuffle
     :func:`hash_join`. Unknown size, composite keys, ``right``/
@@ -1458,8 +1328,6 @@ def join_auto(
     are identical either way — parity is pytest-gated on duplicate keys,
     null keys, and unmatched left rows."""
     import logging
-
-    from fs_schema_validator_ray.stages.dedup import estimate_dataset_bytes
 
     log = logging.getLogger("fs_schema_validator_ray.joins")
     est = None

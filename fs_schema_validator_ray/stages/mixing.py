@@ -50,16 +50,14 @@ def leakage_free_split(
     are always in the SAME split (the eval-contamination guard a
     training pipeline needs before splitting a crawl).
 
-    One exchange: each row ships one narrow ``(bucket, fp128, id)``
-    tuple keyed by the fingerprint's bucket (never the payload), and
+    One exchange: each row ships one narrow ``(fp128, id)`` tuple keyed
+    by the fingerprint's bucket (never the payload), and
     each bucket group resolves rep + split in one vectorized lexsort +
     segment-min (the ``exact_dedup_keep_min`` shuffle shape, minus the
     combiner — every row must come back out). Output:
     ``(id_column, rep, split)``."""
-    from fs_schema_validator_ray.stages.dedup import (
-        _fingerprint128,
-        default_n_buckets,
-    )
+    from fs_schema_validator_ray.stages.dedup import _fingerprint128
+    from fs_schema_validator_ray.stages.exchange import bucketed, default_n_buckets, segments
 
     if not (0 < fractions[0] and 0 <= fractions[1] and sum(fractions) <= 1):
         raise ValueError("fractions must be positive and sum to <= 1")
@@ -70,7 +68,6 @@ def leakage_free_split(
 
     empty = pa.schema(
         [
-            ("bucket", pa.int32()),
             ("fp1", pa.int64()),
             ("fp2", pa.int64()),
             (id_column, pa.int64()),
@@ -83,7 +80,6 @@ def leakage_free_split(
         h1, h2 = _fingerprint128(batch.column(text_column).combine_chunks())
         return pa.table(
             {
-                "bucket": pa.array((h1 % np.uint64(n_buckets)).astype(np.int32)),
                 "fp1": pa.array(h1.view(np.int64), pa.int64()),
                 "fp2": pa.array(h2.view(np.int64), pa.int64()),
                 id_column: batch.column(id_column),
@@ -94,14 +90,9 @@ def leakage_free_split(
         h1 = np.asarray(group.column("fp1"), np.int64)
         h2 = np.asarray(group.column("fp2"), np.int64)
         ids = np.asarray(group.column(id_column), np.int64)
-        order = np.lexsort((h2, h1))
-        h1s, h2s, ids_s = h1[order], h2[order], ids[order]
-        first = np.concatenate(
-            [[True], (h1s[1:] != h1s[:-1]) | (h2s[1:] != h2s[:-1])]
-        )
-        seg = np.cumsum(first) - 1
-        n_seg = int(seg[-1]) + 1 if len(seg) else 0
-        mins = np.full(n_seg, np.iinfo(np.int64).max)
+        order, starts, seg, _, _ = segments((h1, h2))
+        ids_s = ids[order]
+        mins = np.full(len(starts), np.iinfo(np.int64).max)
         np.minimum.at(mins, seg, ids_s)
         rep = mins[seg]
         h = ((rep * _LEHMER) % _MOD) % 100
@@ -114,12 +105,7 @@ def leakage_free_split(
             }
         )
 
-    return (
-        ds.select_columns([id_column, text_column])
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(resolve, batch_format="pyarrow")
-    )
+    return bucketed(ds.select_columns([id_column, text_column]), ["fp1"], n_buckets, resolve, tag)
 
 
 def _mix_hash(keys: np.ndarray) -> np.ndarray:

@@ -175,8 +175,7 @@ def pack_next_fit(
     as ``group_string_agg``'s per-key tail), shards pack in parallel,
     and ``(shard, bin)`` is a globally deterministic training-example
     key. Exactly the recursive-CTE derivation the oracle runs."""
-    from fs_schema_validator_ray.stages.dedup import default_n_buckets
-    from fs_schema_validator_ray.state.sketches import hash64, mix_to_buckets
+    from fs_schema_validator_ray.stages.exchange import bucketed, default_n_buckets, segments
 
     if n_buckets is None:
         n_buckets = default_n_buckets(ds)
@@ -192,7 +191,6 @@ def pack_next_fit(
                 id_column: t.column(id_column),
                 cost_column: t.column(cost_column),
                 "__shard": pa.array(shard, pa.int64()),
-                "__bucket": pa.array(mix_to_buckets(hash64(shard), n_buckets)),
             }
         )
 
@@ -200,9 +198,9 @@ def pack_next_fit(
         ids = np.asarray(t.column(id_column), np.int64)
         cost = np.asarray(t.column(cost_column), np.int64)
         shard = np.asarray(t.column("__shard"), np.int64)
-        order = np.lexsort((ids, shard))
+        order, _, _, row_start, _ = segments(shard, ids)
         ids, cost, shard = ids[order], cost[order], shard[order]
-        new_shard = np.concatenate([[True], shard[1:] != shard[:-1]])
+        new_shard = row_start == np.arange(len(ids))
         bins = np.empty(len(ids), np.int64)
         fills = np.empty(len(ids), np.int64)
         b = fill = 0
@@ -225,11 +223,7 @@ def pack_next_fit(
             }
         )
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(pack, batch_format="pyarrow")
-    )
+    return bucketed(ds, ["__shard"], n_buckets, pack, tag)
 
 
 def gapfill(
@@ -261,13 +255,8 @@ def gapfill(
     must be a sane output size (a 10-year daily span is ~3.7k rows/key);
     the bucketed exchange carries only the PRESENT rows.
     """
-    from fs_schema_validator_ray.stages.dedup import default_n_buckets
-    from fs_schema_validator_ray.state.sketches import (
-        hash64,
-        key_codes,
-        mix_to_buckets,
-        stable_key_array,
-    )
+    from fs_schema_validator_ray.stages.exchange import bucketed, default_n_buckets, segments
+    from fs_schema_validator_ray.state.sketches import key_codes
 
     if n_buckets is None:
         n_buckets = default_n_buckets(ds)
@@ -282,29 +271,18 @@ def gapfill(
     span = hi - lo + 1
     cols = [key_column, bucket_column, *value_columns]
 
-    def tag(t: pa.Table) -> pa.Table:
-        b = mix_to_buckets(hash64(stable_key_array(t.column(key_column))), n_buckets)
-        return t.select(cols).append_column("__bucket", pa.array(b))
+    def prune(t: pa.Table) -> pa.Table:
+        return t.select(cols)
 
     def dense(group: pa.Table) -> pa.Table:
         key_col = group.column(key_column).combine_chunks()
-        if group.num_rows == 0:
-            out = {key_column: key_col.slice(0, 0)}
-            out[bucket_column] = pa.array([], pa.int64())
-            for c in value_columns:
-                out[c] = pa.array([], pa.int64())
-            return pa.table(out)
-        kcode = key_codes(key_col)
         bk = np.asarray(
             pc.cast(group.column(bucket_column), pa.int64()), dtype=np.int64
         )
-        order = np.lexsort((bk, kcode))
-        kc, bk_s = kcode[order], bk[order]
+        order, seg_start, seg_id, _, _ = segments(key_codes(key_col), bk)
+        bk_s = bk[order]
         if (bk_s < lo).any() or (bk_s > hi).any():
             raise ValueError("bucket value outside [lo, hi]")
-        seg_first = np.concatenate([[True], kc[1:] != kc[:-1]])
-        seg_start = np.flatnonzero(seg_first)
-        seg_id = np.cumsum(seg_first) - 1
         n_seg = len(seg_start)
         flat = seg_id * span + (bk_s - lo)  # scatter index into the dense grid
         key_rows = pa.array(order[seg_start], pa.int64())
@@ -326,8 +304,4 @@ def gapfill(
             out[c] = pa.array(grid, pa.int64())
         return pa.table(out)
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(dense, batch_format="pyarrow")
-    )
+    return bucketed(ds, [key_column], n_buckets, dense, prune)

@@ -7,8 +7,8 @@ them for manifest reconciliation (ids present in corpus A but not B).
 
 Plan — the same single-shuffle discipline as the joins: per-batch
 DISTINCT combiner on each side (an Arrow ``group_by`` — duplicate rows
-never shuffle), tag with a side flag, union, ONE
-``groupby(hash(row) % n_buckets)`` of the distinct survivors, then a
+never shuffle), tag with a side flag, union, ONE bucket exchange
+(``stages/exchange.py``) on the row of the distinct survivors, then a
 fully vectorized per-bucket segment scan (``key_codes`` per column →
 lexsort → per-segment side-presence via bincount). No per-row or
 per-group Python in any hot path; the shuffle carries only the pruned
@@ -19,23 +19,28 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from fs_schema_validator_ray.state.sketches import (
-    hash64,
-    key_codes,
-    mix_to_buckets,
-    stable_key_array,
+from fs_schema_validator_ray.stages.exchange import (
+    default_n_buckets,
+    map_buckets,
+    route,
+    segments,
 )
+from fs_schema_validator_ray.state.sketches import key_codes
 
-_MIX = np.uint64(0x9E3779B97F4A7C15)
+
+def _tagged(left, right, columns: list[str], n_buckets: int, tag):
+    """Both sides through their per-batch ``tag(side)`` combiner, routed
+    on the row ``columns``, unioned — the map half of every set op."""
+    return route(left.select_columns(columns), columns, n_buckets, tag(0)).union(
+        route(right.select_columns(columns), columns, n_buckets, tag(1))
+    )
 
 
-def _row_buckets(tbl: pa.Table, columns: list[str], n_buckets: int) -> np.ndarray:
-    h = np.zeros(tbl.num_rows, np.uint64)
-    with np.errstate(over="ignore"):
-        for c in columns:
-            h = h * _MIX ^ hash64(stable_key_array(tbl.column(c)))
-    return mix_to_buckets(h, n_buckets)
+def _row_segments(group: pa.Table, columns: list[str]):
+    """Segments of equal rows (NULL = NULL) in a bucket."""
+    return segments(tuple(key_codes(group.column(c)) for c in columns))
 
 
 def set_op_distinct(left, right, columns: list[str], op: str, n_buckets: int | None = None):
@@ -43,8 +48,6 @@ def set_op_distinct(left, right, columns: list[str], op: str, n_buckets: int | N
     right`` over the given row columns, SQL semantics: output rows are
     DISTINCT, and two rows are equal when every column matches with NULL
     equal to NULL."""
-    from fs_schema_validator_ray.stages.dedup import default_n_buckets
-
     if op not in ("intersect", "except", "union"):
         raise ValueError(
             f"set_op_distinct op must be intersect|except|union, got {op!r}"
@@ -55,28 +58,14 @@ def set_op_distinct(left, right, columns: list[str], op: str, n_buckets: int | N
     def tag(side: int):
         def fn(t: pa.Table) -> pa.Table:
             g = pa.TableGroupBy(t.select(columns), columns).aggregate([])
-            return g.append_column(
-                "__side", pa.array(np.full(g.num_rows, side, np.int8))
-            ).append_column("__bucket", pa.array(_row_buckets(g, columns, n_buckets)))
+            return g.append_column("__side", pa.array(np.full(g.num_rows, side, np.int8)))
 
         return fn
 
-    tagged = left.select_columns(columns).map_batches(
-        tag(0), batch_format="pyarrow"
-    ).union(right.select_columns(columns).map_batches(tag(1), batch_format="pyarrow"))
-
     def merge_bucket(group: pa.Table) -> pa.Table:
         side = np.asarray(group.column("__side"))
-        codes = [key_codes(group.column(c)) for c in columns]
-        order = np.lexsort(codes[::-1])
-        sorted_codes = [c[order] for c in codes]
-        boundary = np.zeros(len(order), bool)
-        if len(order):
-            boundary[0] = True
-            for c in sorted_codes:
-                boundary[1:] |= c[1:] != c[:-1]
-        seg_id = np.cumsum(boundary) - 1
-        n_seg = int(seg_id[-1]) + 1 if len(order) else 0
+        order, starts, seg_id, _, _ = _row_segments(group, columns)
+        n_seg = len(starts)
         side_s = side[order]
         has_l = np.bincount(seg_id, weights=(side_s == 0), minlength=n_seg) > 0
         has_r = np.bincount(seg_id, weights=(side_s == 1), minlength=n_seg) > 0
@@ -86,11 +75,10 @@ def set_op_distinct(left, right, columns: list[str], op: str, n_buckets: int | N
             keep = has_l & ~has_r
         else:  # union: every distinct row from either side
             keep = has_l | has_r
-        starts = np.flatnonzero(boundary)
         take = pa.array(order[starts[keep]], pa.int64())
         return group.select(columns).take(take)
 
-    return tagged.groupby("__bucket").map_groups(merge_bucket, batch_format="pyarrow")
+    return map_buckets(_tagged(left, right, columns, n_buckets, tag), merge_bucket)
 
 
 def set_op_bag(left, right, columns: list[str], op: str, n_buckets: int | None = None):
@@ -108,8 +96,6 @@ def set_op_bag(left, right, columns: list[str], op: str, n_buckets: int | None =
     per-bucket segment scan summing per-side counts and ``np.repeat``-ing
     each row its output multiplicity. ``union_all`` needs no shuffle at
     all and short-circuits to ``Dataset.union``."""
-    from fs_schema_validator_ray.stages.dedup import default_n_buckets
-
     if op not in ("intersect_all", "except_all", "union_all"):
         raise ValueError(
             f"set_op_bag op must be intersect_all|except_all|union_all, got {op!r}"
@@ -125,29 +111,15 @@ def set_op_bag(left, right, columns: list[str], op: str, n_buckets: int | None =
                 [([], "count_all")]
             )
             g = g.rename_columns([*columns, "__cnt"])
-            return g.append_column(
-                "__side", pa.array(np.full(g.num_rows, side, np.int8))
-            ).append_column("__bucket", pa.array(_row_buckets(g, columns, n_buckets)))
+            return g.append_column("__side", pa.array(np.full(g.num_rows, side, np.int8)))
 
         return fn
-
-    tagged = left.select_columns(columns).map_batches(
-        tag(0), batch_format="pyarrow"
-    ).union(right.select_columns(columns).map_batches(tag(1), batch_format="pyarrow"))
 
     def merge_bucket(group: pa.Table) -> pa.Table:
         side = np.asarray(group.column("__side"))
         cnt = np.asarray(group.column("__cnt"), dtype=np.int64)
-        codes = [key_codes(group.column(c)) for c in columns]
-        order = np.lexsort(codes[::-1])
-        sorted_codes = [c[order] for c in codes]
-        boundary = np.zeros(len(order), bool)
-        if len(order):
-            boundary[0] = True
-            for c in sorted_codes:
-                boundary[1:] |= c[1:] != c[:-1]
-        seg_id = np.cumsum(boundary) - 1
-        n_seg = int(seg_id[-1]) + 1 if len(order) else 0
+        order, starts, seg_id, _, _ = _row_segments(group, columns)
+        n_seg = len(starts)
         side_s, cnt_s = side[order], cnt[order]
         l_cnt = np.bincount(
             seg_id, weights=cnt_s * (side_s == 0), minlength=n_seg
@@ -159,11 +131,10 @@ def set_op_bag(left, right, columns: list[str], op: str, n_buckets: int | None =
             k = np.minimum(l_cnt, r_cnt)
         else:  # except_all
             k = np.maximum(l_cnt - r_cnt, 0)
-        starts = np.flatnonzero(boundary)
         take = pa.array(np.repeat(order[starts], k), pa.int64())
         return group.select(columns).take(take)
 
-    return tagged.groupby("__bucket").map_groups(merge_bucket, batch_format="pyarrow")
+    return map_buckets(_tagged(left, right, columns, n_buckets, tag), merge_bucket)
 
 
 def table_diff(
@@ -181,7 +152,7 @@ def table_diff(
     snapshots.
 
     Plan: tag each side, union, prune to key+value columns, ONE
-    ``groupby(hash(key) % n_buckets)`` coarse-bucket shuffle, then a
+    coarse-bucket exchange on the key, then a
     fully vectorized per-bucket pass (lexsort by key then side; segment
     length + side classify; per-value-column NULL-safe equality on the
     paired rows via two ``take``s — no per-key Python).
@@ -195,10 +166,6 @@ def table_diff(
 
     Output: ``key_columns + [change]``, one row per differing key
     (``changed`` rows carry the NEW side's key values)."""
-    import pyarrow.compute as pc
-
-    from fs_schema_validator_ray.stages.dedup import default_n_buckets
-
     if n_buckets is None:
         n_buckets = default_n_buckets(old, new)
     cols = list(dict.fromkeys([*key_columns, *value_columns]))
@@ -206,24 +173,16 @@ def table_diff(
     def tag(side: int):
         def fn(t: pa.Table) -> pa.Table:
             t = t.select(cols)
-            return t.append_column(
-                "__side", pa.array(np.full(t.num_rows, side, np.int8))
-            ).append_column(
-                "__bucket", pa.array(_row_buckets(t, key_columns, n_buckets))
-            )
+            return t.append_column("__side", pa.array(np.full(t.num_rows, side, np.int8)))
 
         return fn
 
-    unioned = old.map_batches(tag(0), batch_format="pyarrow").union(
-        new.map_batches(tag(1), batch_format="pyarrow")
+    unioned = route(old, key_columns, n_buckets, tag(0)).union(
+        route(new, key_columns, n_buckets, tag(1))
     )
 
     def per_bucket(group: pa.Table) -> pa.Table:
         n = group.num_rows
-        if n == 0:
-            out = {c: group.column(c).slice(0, 0) for c in key_columns}
-            out["change"] = pa.array([], pa.string())
-            return pa.table(out)
         kcodes = [key_codes(group.column(c).combine_chunks()) for c in key_columns]
         side = np.asarray(group.column("__side"), dtype=np.int8)
         # SQL FULL OUTER JOIN never matches NULL keys: split them off —
@@ -234,28 +193,12 @@ def table_diff(
             null_any |= np.asarray(pc.is_null(group.column(c).combine_chunks()))
         null_idx = np.flatnonzero(null_any)
         valid_idx = np.flatnonzero(~null_any)
-        nv = len(valid_idx)
-        if nv == 0:
-            take = pa.array(null_idx, pa.int64())
-            out = {
-                c: group.column(c).combine_chunks().take(take) for c in key_columns
-            }
-            out["change"] = pa.array(
-                np.where(side[null_idx] == 1, "added", "removed"), pa.string()
-            )
-            return pa.table(out)
-        sub_codes = [k[valid_idx] for k in kcodes]
-        sub_side = side[valid_idx]
-        order = valid_idx[np.lexsort((sub_side, *sub_codes[::-1]))]
-        n = nv
-        ks = [k[order] for k in kcodes]
+        sub, seg_start, _, _, _ = segments(
+            tuple(k[valid_idx] for k in kcodes), side[valid_idx]
+        )
+        order = valid_idx[sub]
         ss = side[order]
-        seg_first = np.zeros(n, dtype=bool)
-        seg_first[0] = True
-        for k in ks:
-            seg_first[1:] |= k[1:] != k[:-1]
-        seg_start = np.flatnonzero(seg_first)
-        seg_len = np.diff(np.concatenate([seg_start, [n]]))
+        seg_len = np.diff(np.append(seg_start, len(order)))
         if seg_len.max(initial=0) > 2:
             raise ValueError(
                 "table_diff: a key appears more than once within one "
@@ -298,4 +241,4 @@ def table_diff(
         out["change"] = pa.array(labels, pa.string())
         return pa.table(out)
 
-    return unioned.groupby("__bucket").map_groups(per_bucket, batch_format="pyarrow")
+    return map_buckets(unioned, per_bucket)

@@ -20,6 +20,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from fs_schema_validator_ray.stages.dedup import _normalize, list_column_to_matrix
+from fs_schema_validator_ray.stages.exchange import BUCKET, map_buckets, segments
 
 
 class TopKPartialStage:
@@ -285,7 +286,7 @@ class HyperplaneSignStage:
             {
                 self.id_column: batch.column(self.id_column).take(tile_idx),
                 self.vec_column: batch.column(self.vec_column).take(tile_idx),
-                "bucket": pa.array(bucket),
+                BUCKET: pa.array(bucket),
                 "band": pa.array(bands),
                 "band_key": pa.array(keys),
             }
@@ -328,14 +329,10 @@ def embedding_near_dup_lsh(
         band = np.asarray(group.column("band"), dtype=np.int64)
         bkey = np.asarray(group.column("band_key"), dtype=np.int64)
         ids = np.asarray(group.column(id_column), dtype=np.int64)
-        order = np.lexsort((ids, bkey, band))
-        band, bkey, ids = band[order], bkey[order], ids[order]
+        order, starts, _, _, _ = segments((band, bkey), ids)
+        ids = ids[order]
         mat_all = _normalize(list_column_to_matrix(group.column(vec_column)))[order]
-        seg_first = np.concatenate(
-            [[True], (band[1:] != band[:-1]) | (bkey[1:] != bkey[:-1])]
-        )
-        starts = np.flatnonzero(seg_first)
-        ends = np.concatenate([starts[1:], [len(ids)]])
+        ends = np.append(starts[1:], len(ids))
         multi = ends - starts >= 2
         out_a, out_b, out_s = [], [], []
         for st, en in zip(starts[multi], ends[multi]):
@@ -374,7 +371,7 @@ def embedding_near_dup_lsh(
             }
         )
 
-    allp = sig.groupby("bucket").map_groups(bucket_pairs, batch_format="pyarrow")
+    allp = map_buckets(sig, bucket_pairs)
     # a pair's cosine is the same in every block — max == distinct
     from fs_schema_validator_ray.stages.dedup import dedup_pairs_distinct
 

@@ -180,7 +180,7 @@ def global_sort_rank(
     total = int(counts.sum())
 
     def rank_partition(group: pa.Table) -> pa.Table:
-        pid = int(group.column("__pid")[0].as_py()) if group.num_rows else 0
+        pid = int(group.column("__pid")[0].as_py())
         order = _lexsort_order(group, sort_column, tiebreak_columns, descending)
         out = group.drop_columns(["__pid"]).take(pa.array(order, pa.int64()))
         rnk = offsets[pid] + np.arange(1, group.num_rows + 1, dtype=np.int64)
@@ -248,7 +248,7 @@ def global_running_sum(
     run_col = f"running_{weight_column}"
 
     def sum_partition(group: pa.Table) -> pa.Table:
-        pid = int(group.column("__pid")[0].as_py()) if group.num_rows else 0
+        pid = int(group.column("__pid")[0].as_py())
         order = _lexsort_order(group, sort_column, tiebreak_columns, False)
         out = group.drop_columns(["__pid"]).take(pa.array(order, pa.int64()))
         w = np.asarray(pc.cast(out.column(weight_column), pa.int64()))

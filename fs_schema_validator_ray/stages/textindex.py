@@ -27,6 +27,12 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from fs_schema_validator_ray.stages.exchange import (
+    bucketed,
+    default_n_buckets,
+    map_buckets,
+    segments,
+)
 from fs_schema_validator_ray.state.sketches import hash64, mix_to_buckets
 
 _TOKEN_SPLIT = r"[^a-z0-9]+"
@@ -55,10 +61,34 @@ def _distinct_doc_tokens(batch: pa.Table, text_column: str, id_column: str):
         return np.empty(0, object), np.empty(0, np.int64)
     ids = np.asarray(batch.column(id_column), dtype=np.int64)[rows]
     uniq, codes = np.unique(tok, return_inverse=True)
-    order = np.lexsort((ids, codes))
-    c_s, i_s = codes[order], ids[order]
-    first = np.concatenate([[True], (c_s[1:] != c_s[:-1]) | (i_s[1:] != i_s[:-1])])
-    return uniq[c_s[first]], i_s[first]
+    order, starts, _, _, _ = segments((codes, ids))
+    first = order[starts]
+    return uniq[codes[first]], ids[first]
+
+
+def _doc_token_counts(batch: pa.Table, text_column: str, id_column: str) -> pa.Table:
+    """Per-doc distinct ``(doc_id, token, k)`` token-count rows of one
+    batch, vectorized (one sort + run-length count)."""
+    flat, rows = _flat_tokens(batch.column(text_column))
+    ids_col = batch.column(id_column).combine_chunks()
+    if not len(flat):
+        return pa.table(
+            {
+                id_column: ids_col.slice(0, 0),
+                "token": pa.array([], pa.string()),
+                "k": pa.array([], pa.int64()),
+            }
+        )
+    uniq, codes = np.unique(flat, return_inverse=True)
+    order, starts, _, _, row_end = segments((rows, codes))
+    first = order[starts]
+    return pa.table(
+        {
+            id_column: ids_col.take(pa.array(rows[first], pa.int64())),
+            "token": pa.array(uniq[codes[first]], pa.string()),
+            "k": pa.array(row_end[starts] - starts, pa.int64()),
+        }
+    )
 
 
 _INDEX_SCHEMA = pa.schema(
@@ -77,38 +107,23 @@ def inverted_index(
     """token → (document frequency, comma-joined ascending doc-id
     postings). ``min_df``/``max_df`` prune rare/stopword tokens — at
     corpus scale ``max_df`` is what keeps posting rows bounded."""
-    from fs_schema_validator_ray.stages.dedup import default_n_buckets
-
     if n_buckets is None:
         n_buckets = default_n_buckets(ds)
 
     def flat(batch: pa.Table) -> pa.Table:
         tok, ids = _distinct_doc_tokens(batch, text_column, id_column)
-        return pa.table(
-            {
-                "token": pa.array(tok, pa.string()),
-                "doc_id": pa.array(ids, pa.int64()),
-                "__bucket": pa.array(mix_to_buckets(hash64(tok), n_buckets))
-                if len(tok)
-                else pa.array(np.empty(0, np.int32)),
-            }
-        )
+        return pa.table({"token": pa.array(tok, pa.string()), "doc_id": pa.array(ids, pa.int64())})
 
     def merge_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return _INDEX_SCHEMA.empty_table()
         tok = np.asarray(group.column("token"), dtype=object)
         ids = np.asarray(group.column("doc_id"), dtype=np.int64)
         uniq, codes = np.unique(tok, return_inverse=True)
-        order = np.lexsort((ids, codes))
-        c_s, i_s = codes[order], ids[order]
         # re-dedup across batches (duplicate doc_id rows would double-count df)
-        first = np.concatenate([[True], (c_s[1:] != c_s[:-1]) | (i_s[1:] != i_s[:-1])])
-        c_s, i_s = c_s[first], i_s[first]
-        bound = np.concatenate([[True], c_s[1:] != c_s[:-1]])
-        seg_starts = np.flatnonzero(bound)
-        seg_ends = np.concatenate([seg_starts[1:], [len(c_s)]])
-        df = (seg_ends - seg_starts).astype(np.int64)
+        order, first, _, _, _ = segments((codes, ids))
+        c_s, i_s = codes[order[first]], ids[order[first]]
+        # c_s is sorted: this second scan only cuts the token runs
+        _, seg_starts, _, _, seg_end = segments(c_s)
+        df = (seg_end[seg_starts] - seg_starts).astype(np.int64)
         tokens_out = uniq[c_s[seg_starts]]
         keep = df >= min_df
         if max_df is not None:
@@ -136,10 +151,9 @@ def inverted_index(
             }
         )
 
-    flat_ds = ds.select_columns([id_column, text_column]).map_batches(
-        flat, batch_format="pyarrow"
+    return bucketed(
+        ds.select_columns([id_column, text_column]), ["token"], n_buckets, merge_bucket, flat
     )
-    return flat_ds.groupby("__bucket").map_groups(merge_bucket, batch_format="pyarrow")
 
 
 def token_document_frequencies(ds, text_column: str = "text", id_column: str = "doc_id"):
@@ -214,12 +228,9 @@ class TfidfTopTermsStage:
             return _TFIDF_SCHEMA.empty_table()
         ids = np.asarray(batch.column(self.id_column), dtype=np.int64)
         uniq, codes = np.unique(tok, return_inverse=True)
-        order = np.lexsort((codes, rows))
-        r_s, c_s = rows[order], codes[order]
-        first = np.concatenate([[True], (r_s[1:] != r_s[:-1]) | (c_s[1:] != c_s[:-1])])
-        starts = np.flatnonzero(first)
-        tf = np.diff(np.concatenate([starts, [len(r_s)]])).astype(np.int64)
-        r_u, c_u = r_s[starts], c_s[starts]
+        order, starts, _, _, row_end = segments((rows, codes))
+        tf = (row_end[starts] - starts).astype(np.int64)
+        r_u, c_u = rows[order[starts]], codes[order[starts]]
         # vocab miss policy: the df table is built from the SAME corpus,
         # so a miss means a stale/pruned vocab. 'error' fails loudly;
         # 'drop' skips the token (the right semantics for a max_df-pruned
@@ -246,11 +257,8 @@ class TfidfTopTermsStage:
         score = (tf * self.n_docs).astype(np.float64) / df
         # top-k per doc: (doc asc, score desc, token asc) — np.unique
         # codes are lexicographic, so c_u ascending == token ascending
-        o2 = np.lexsort((c_u, -score, r_u))
-        r_o = r_u[o2]
-        seg_first = np.concatenate([[True], r_o[1:] != r_o[:-1]])
-        seg_id = np.cumsum(seg_first) - 1
-        rank = (np.arange(len(r_o)) - np.flatnonzero(seg_first)[seg_id] + 1).astype(np.int64)
+        o2, _, _, doc_start, _ = segments(r_u, -score, c_u)
+        rank = (np.arange(len(o2)) - doc_start + 1).astype(np.int64)
         keep = rank <= self.k
         sel = o2[keep]
         return pa.table(
@@ -614,13 +622,7 @@ def unigram_logprob_copartitioned(
     Same result as the broadcast path (pytest parity gate; float sums
     may differ in the last ulp — compare with tolerance, or through the
     ROUND(·,6) oracle protocol)."""
-    from fs_schema_validator_ray.stages.dedup import default_n_buckets
     from fs_schema_validator_ray.stages.joins import hash_join
-    from fs_schema_validator_ray.state.sketches import (
-        hash64,
-        mix_to_buckets,
-        stable_key_array,
-    )
 
     if counts_ds is None:
         counts_ds = corpus_token_counts(ds, text_column, id_column).materialize()
@@ -640,29 +642,7 @@ def unigram_logprob_copartitioned(
     )
 
     def doc_token_counts(batch: pa.Table) -> pa.Table:
-        flat, rows = _flat_tokens(batch.column(text_column))
-        ids_col = batch.column(id_column).combine_chunks()
-        if not len(flat):
-            return pa.table(
-                {
-                    id_column: ids_col.slice(0, 0),
-                    "token": pa.array([], pa.string()),
-                    "k": pa.array([], pa.int64()),
-                }
-            )
-        uniq, codes = np.unique(flat, return_inverse=True)
-        order = np.lexsort((codes, rows))
-        r_s, c_s = rows[order], codes[order]
-        first = np.concatenate([[True], (r_s[1:] != r_s[:-1]) | (c_s[1:] != c_s[:-1])])
-        starts = np.flatnonzero(first)
-        k = np.diff(np.concatenate([starts, [len(r_s)]]))
-        return pa.table(
-            {
-                id_column: ids_col.take(pa.array(r_s[starts], pa.int64())),
-                "token": pa.array(uniq[c_s[starts]], pa.string()),
-                "k": pa.array(k, pa.int64()),
-            }
-        )
+        return _doc_token_counts(batch, text_column, id_column)
 
     tok = ds.select_columns([id_column, text_column]).map_batches(
         doc_token_counts, batch_format="pyarrow"
@@ -683,15 +663,10 @@ def unigram_logprob_copartitioned(
             {id_column: ids, "sw": pa.array(w), "sk": pa.array(k)}
         )
         agg = pa.TableGroupBy(g, [id_column]).aggregate([("sw", "sum"), ("sk", "sum")])
-        agg = agg.rename_columns([id_column, "sw", "sk"])
-        bucket = mix_to_buckets(
-            hash64(stable_key_array(agg.column(id_column))), n_buckets
-        )
-        return agg.append_column("__bucket", pa.array(bucket))
+        return agg.rename_columns([id_column, "sw", "sk"])
 
     def merge_docs(group: pa.Table) -> pa.Table:
-        tbl = group.drop_columns(["__bucket"])
-        agg = pa.TableGroupBy(tbl, [id_column]).aggregate(
+        agg = pa.TableGroupBy(group, [id_column]).aggregate(
             [("sw", "sum"), ("sk", "sum")]
         )
         sw = np.asarray(agg.column("sw_sum"), dtype=np.float64)
@@ -703,11 +678,7 @@ def unigram_logprob_copartitioned(
             }
         )
 
-    return (
-        joined.map_batches(score_partial, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(merge_docs, batch_format="pyarrow")
-    )
+    return bucketed(joined, [id_column], n_buckets, merge_docs, score_partial)
 
 
 # --- bigram language model ---------------------------------------------------
@@ -886,16 +857,12 @@ class _TfidfPostingStage:
         if len(vi) == 0:
             return empty
         # tf per (doc row, vocab index): sort + run-length count
-        order = np.lexsort((vi, rows))
-        r_s, v_s = rows[order], vi[order]
-        first = np.concatenate([[True], (r_s[1:] != r_s[:-1]) | (v_s[1:] != v_s[:-1])])
-        starts = np.flatnonzero(first)
-        tf = np.diff(np.concatenate([starts, [len(r_s)]])).astype(np.int64)
-        r_u, v_u = r_s[starts], v_s[starts]
+        order, starts, _, _, row_end = segments((rows, vi))
+        tf = (row_end[starts] - starts).astype(np.int64)
+        r_u, v_u = rows[order[starts]], vi[order[starts]]
         w = tf * self.idf[v_u]
-        # L2 norm per doc row (contiguous runs of r_u)
-        doc_first = np.concatenate([[True], r_u[1:] != r_u[:-1]])
-        doc_id_idx = np.cumsum(doc_first) - 1
+        # L2 norm per doc row (r_u is sorted: its segment ids are the docs)
+        _, _, doc_id_idx, _, _ = segments(r_u)
         norms_sq = np.zeros(doc_id_idx[-1] + 1)
         np.add.at(norms_sq, doc_id_idx, w * w)
         nrm = np.sqrt(norms_sq)[doc_id_idx]
@@ -948,8 +915,6 @@ def tfidf_cosine_pairs(
     """
     import ray
 
-    from fs_schema_validator_ray.stages.dedup import default_n_buckets
-
     if n_buckets is None:
         n_buckets = default_n_buckets(ds)
     if n_docs is None:
@@ -985,16 +950,12 @@ def tfidf_cosine_pairs(
             }
         )
         n = group.num_rows
-        if n == 0:
-            return empty
         tok = np.asarray(group.column("token"), dtype=object)
         doc = np.asarray(group.column("doc_id"), dtype=np.int64)
         wn = np.asarray(group.column("wn"), dtype=np.float64)
         _, tcode = np.unique(tok, return_inverse=True)
-        order = np.lexsort((doc, tcode))
-        tc, dc, w = tcode[order], doc[order], wn[order]
-        seg_first = np.concatenate([[True], tc[1:] != tc[:-1]])
-        row_start = np.flatnonzero(seg_first)[np.cumsum(seg_first) - 1]
+        order, _, _, row_start, _ = segments(tcode, doc)
+        dc, w = doc[order], wn[order]
         pos = np.arange(n, dtype=np.int64) - row_start
         # row j pairs with the pos[j] earlier rows of its token segment
         # (docs ascend within a segment → a < b for free)
@@ -1005,10 +966,8 @@ def tfidf_cosine_pairs(
         i = np.arange(cum[-1], dtype=np.int64) - cum[j] + row_start[j]
         a, b, s = dc[i], dc[j], w[i] * w[j]
         # local combine by (a, b) before the final exchange
-        po = np.lexsort((b, a))
+        po, ps, _, _, _ = segments((a, b))
         a, b, s = a[po], b[po], s[po]
-        pf = np.concatenate([[True], (a[1:] != a[:-1]) | (b[1:] != b[:-1])])
-        ps = np.flatnonzero(pf)
         sums = np.add.reduceat(s, ps)
         return pa.table(
             {
@@ -1020,9 +979,7 @@ def tfidf_cosine_pairs(
 
     from ray.data.aggregate import Sum
 
-    partials = postings.groupby("__bucket").map_groups(
-        pair_partials, batch_format="pyarrow"
-    )
+    partials = map_buckets(postings, pair_partials)
     # float sums (group_sum's combiner is int64-only); partials are
     # already locally combined per token bucket so this exchange is small
     summed = partials.groupby(["doc_a", "doc_b"]).aggregate(Sum("s", alias_name="s"))

@@ -21,20 +21,27 @@ import pyarrow as pa
 from fs_schema_validator_ray.report import VIOLATION_SCHEMA
 from fs_schema_validator_ray.rules import UniqueRule
 from fs_schema_validator_ray.stages.scalar import PARTITION_COLUMN
+from fs_schema_validator_ray.stages.exchange import (
+    bucketed,
+    default_n_buckets,
+    map_buckets,
+    route,
+    segments,
+)
 from fs_schema_validator_ray.state import HyperLogLog
-from fs_schema_validator_ray.state.sketches import hash64, mix_to_buckets, stable_key_array
+from fs_schema_validator_ray.state.sketches import hash64, stable_key_array
 
 
-def _partial_counts(batch: pa.Table, column: str, n_buckets: int) -> pa.Table:
+def _partial_counts(batch: pa.Table, column: str) -> pa.Table:
     """Per-batch combiner: one output row per distinct key in the batch
     (pure Arrow ``group_by`` — no pandas round-trip in the hot path).
 
-    Emits a ``bucket = hash64(key) % n_buckets`` column: the global merge
-    shuffles on this small int key and merges each bucket VECTORIZED
-    (``groupby(bucket).map_groups`` with an Arrow group_by inside) —
-    Ray's built-in ``aggregate()`` combines grouped rows in per-row
-    Python, which at ~1 row/key (nearly-unique key columns, the
-    worst-case combiner shape) costs minutes of CPU per million rows."""
+    The global merge routes these rows on ``key`` to small-int buckets
+    and merges each bucket VECTORIZED (``map_groups`` with an Arrow
+    group_by inside) — Ray's built-in ``aggregate()`` combines grouped
+    rows in per-row Python, which at ~1 row/key (nearly-unique key
+    columns, the worst-case combiner shape) costs minutes of CPU per
+    million rows."""
     import pyarrow.compute as pc
 
     has_part = PARTITION_COLUMN in batch.column_names
@@ -50,16 +57,9 @@ def _partial_counts(batch: pa.Table, column: str, n_buckets: int) -> pa.Table:
     # keys keep their NATIVE type through the shuffle — casting ints to
     # strings here would make the shuffle payload (and its sort
     # comparisons) the widest possible; violations stringify at emission.
-    # The BUCKET hash must be dtype-stable across batches (to_numpy
-    # promotes int/bool-with-null differently than null-free batches,
-    # splitting one key's partials across buckets → silent false
-    # negative) — stable_key_array canonicalizes per TYPE, not per batch.
-    keys = g.column(column)
-    bucket = mix_to_buckets(hash64(stable_key_array(keys)), n_buckets)
     return pa.table(
         {
-            "bucket": pa.array(bucket),
-            "key": keys,
+            "key": g.column(column),
             "n": pc.cast(g.column(f"{PARTITION_COLUMN}_count"), pa.int64()),
             "part": pc.cast(g.column(f"{PARTITION_COLUMN}_min"), pa.int32()),
         }
@@ -73,15 +73,13 @@ def uniqueness_violations(
 
     ``read → project(key) → map_batches(partial counts + bucket) →
     groupby(bucket) → map_groups(vectorized Arrow merge) → violation
-    rows``. The shuffle key is a small int (``hash64(key) % n_buckets``);
+    rows``. The shuffle key is a small int bucket of the key;
     the per-bucket merge is one Arrow ``group_by`` call — no per-row
     Python anywhere.
     """
     composite = getattr(rule, "columns", None)
     column = key_column or rule.column
     if n_buckets is None:
-        from fs_schema_validator_ray.stages.dedup import default_n_buckets
-
         n_buckets = default_n_buckets(ds)
     part_cols = [PARTITION_COLUMN] if PARTITION_COLUMN in ds.schema().names else []
     if composite:
@@ -107,9 +105,7 @@ def uniqueness_violations(
         column = "__ckey"
     else:
         keys = ds.select_columns([column, *part_cols])
-    partials = keys.map_batches(
-        lambda t: _partial_counts(t, column, n_buckets), batch_format="pyarrow"
-    )
+    partials = route(keys, ["key"], n_buckets, lambda t: _partial_counts(t, column))
     # decouple SCAN parallelism from SHUFFLE fan-out: the sort-shuffle
     # moves blocks_in × blocks_out objects, and the partials are a small
     # fraction of the input (one narrow row per distinct key per block) —
@@ -141,7 +137,7 @@ def uniqueness_violations(
             schema=VIOLATION_SCHEMA,
         )
 
-    return partials.groupby("bucket").map_groups(merge_bucket, batch_format="pyarrow")
+    return map_buckets(partials, merge_bucket)
 
 
 def estimate_duplicates(ds, column: str) -> dict:
@@ -198,34 +194,10 @@ def _grouped_sketch_pipeline(
     ``groupby(key)``) exists because Ray's sort-based groupby cannot
     order null keys against non-null ones, and because it bounds the
     map_groups Python-call count at ``n_buckets``."""
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        bucket = mix_to_buckets(hash64(stable_key_array(t.column(key_column))), n_buckets)
-        return t.append_column("__bucket", pa.array(bucket))
-
-    return (
-        ds.select_columns([key_column, value_column])
-        .map_batches(partial, batch_format="pyarrow")
-        .map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(
-            lambda g: merge_bucket(g.drop_columns(["__bucket"])),
-            batch_format="pyarrow",
-        )
+    return bucketed(
+        ds.select_columns([key_column, value_column]), [key_column], n_buckets,
+        merge_bucket, partial,
     )
-
-
-def _slot_segments(slot: np.ndarray) -> tuple:
-    """One argsort + boundary scan over a slot array → ``(order, starts,
-    ends)`` segment views — O(n log n), replacing a per-slot
-    ``flatnonzero`` rescan that would be O(n_slots × n)."""
-    order = np.argsort(slot, kind="stable")
-    ss = slot[order]
-    if len(ss) == 0:
-        return order, np.empty(0, np.int64), np.empty(0, np.int64)
-    starts = np.flatnonzero(np.concatenate([[True], ss[1:] != ss[:-1]]))
-    ends = np.concatenate([starts[1:], [len(ss)]])
-    return order, starts, ends
 
 
 def grouped_hll_distinct(ds, key_column: str, value_column: str, p: int = 12):
@@ -288,8 +260,8 @@ def grouped_hll_distinct(ds, key_column: str, value_column: str, p: int = 12):
         blobs_in = group.column("blob").to_pylist()
         ests = np.zeros(n_slots, np.float64)
         n_vals = np.zeros(n_slots, np.int64)
-        order, starts, ends = _slot_segments(slot)
-        for st, en in zip(starts, ends):
+        order, starts, _, _, row_end = segments(slot)
+        for st, en in zip(starts, row_end[starts]):
             rows = order[st:en]
             s = int(slot[rows[0]])
             regs = np.stack(
@@ -351,15 +323,9 @@ def grouped_tdigest_quantiles(
             val_col = val_col.combine_chunks()
         valid = np.asarray(val_col.is_valid())
         vals = np.asarray(val_col.cast(pa.float64()).fill_null(0.0), dtype=np.float64)
-        order = np.argsort(slot[valid], kind="stable")
+        order, bounds, _, _, row_end = segments(slot[valid])
         svals, sslot = vals[valid][order], slot[valid][order]
-        if len(sslot):  # all-null value batch → no segments, not [0]
-            bounds = np.flatnonzero(
-                np.concatenate([[True], sslot[1:] != sslot[:-1]])
-            )
-            ends = np.concatenate([bounds[1:], [len(sslot)]])
-        else:
-            bounds = ends = np.empty(0, np.int64)
+        ends = row_end[bounds]
         n_vals = np.zeros(n_slots, np.int64)
         blobs: list = [b""] * n_slots
         for s, e in zip(bounds, ends):
@@ -382,8 +348,8 @@ def grouped_tdigest_quantiles(
         blobs_in = group.column("blob").to_pylist()
         n_vals = np.zeros(n_slots, np.int64)
         quants = np.full((n_slots, len(qs)), np.nan)
-        order, starts, ends = _slot_segments(slot)
-        for st, en in zip(starts, ends):
+        order, starts, _, _, row_end = segments(slot)
+        for st, en in zip(starts, row_end[starts]):
             rows = order[st:en]
             s = int(slot[rows[0]])
             td = None

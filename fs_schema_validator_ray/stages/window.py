@@ -1,8 +1,8 @@
 """Per-key ordered window functions (LAG / running sum / rolling sum).
 
 The SQL shape ``... OVER (PARTITION BY key ORDER BY order1, order2)``
-expressed Ray-Data-first: ONE ``groupby(hash(key) % n_buckets)`` shuffle
-of the pruned columns, then one fully-vectorized pass per coarse bucket
+expressed Ray-Data-first: ONE keyed bucket exchange
+(``stages/exchange.py``) of the pruned columns, then one fully-vectorized pass per coarse bucket
 (lexsort + cumsum segment arithmetic over ALL keys in the bucket — never
 one Python call per key; most keys have few rows and per-group call
 overhead would dominate at high key cardinality, cf. ``sessionize``).
@@ -21,6 +21,9 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from fs_schema_validator_ray.stages.exchange import bucketed, default_n_buckets, segments
+from fs_schema_validator_ray.state.sketches import key_codes, stable_key_array
 
 
 def per_key_window(
@@ -49,13 +52,6 @@ def per_key_window(
     values are skipped by the sums (NULL result only when a frame has
     no valid value), and LAG of a null value is null.
     """
-    from fs_schema_validator_ray.stages.dedup import default_n_buckets
-    from fs_schema_validator_ray.state.sketches import (
-        hash64,
-        key_codes,
-        mix_to_buckets,
-        stable_key_array,
-    )
 
     if n_buckets is None:
         n_buckets = default_n_buckets(ds)
@@ -65,25 +61,15 @@ def per_key_window(
     run_col = f"running_{value_column}"
     roll_col = f"rolling{rolling}_{value_column}"
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        bucket = mix_to_buckets(
-            hash64(stable_key_array(t.column(key_column))), n_buckets
+    def cast_order(t: pa.Table) -> pa.Table:
+        return pa.table(
+            {c: pc.cast(t.column(c), pa.int64()) if c in order_columns else t.column(c)
+             for c in cols}
         )
-        out = {"__bucket": pa.array(bucket)}
-        for c in cols:
-            col = t.column(c)
-            out[c] = pc.cast(col, pa.int64()) if c in order_columns else col
-        return pa.table(out)
 
     def per_bucket(group: pa.Table) -> pa.Table:
         n = group.num_rows
         key_col = group.column(key_column).combine_chunks()
-        if n == 0:
-            empty = {c: group.column(c).slice(0, 0) for c in [*id_columns, key_column]}
-            empty[prev_col] = pa.array([], pa.int64())
-            empty[run_col] = pa.array([], pa.int64())
-            empty[roll_col] = pa.array([], pa.int64())
-            return pa.table(empty)
         # sortable key proxy (arbitrary key types incl. nulls — nulls form
         # their own deterministic segment, cf. stages/agg.sessionize)
         kcode = key_codes(key_col)
@@ -91,20 +77,15 @@ def per_key_window(
         # (null-flag, value) pair — SQL default ASC NULLS LAST; a plain
         # int64 conversion of a null would silently become INT64_MIN and
         # sort FIRST (and poison sums below)
-        sig = [kcode]
+        sig = []
         for c in order_columns:
             oc = group.column(c).combine_chunks()
             sig.append(np.asarray(pc.is_null(oc)))
             sig.append(np.asarray(pc.fill_null(oc, 0), dtype=np.int64))
-        order = np.lexsort(tuple(sig[::-1]))
-        kc = kcode[order]
+        order, _, _, row_start, _ = segments(kcode, *sig)
         val_col = group.column(value_column).combine_chunks()
         valid = np.asarray(pc.is_valid(val_col))[order]
         vals = np.asarray(pc.fill_null(val_col, 0), dtype=np.int64)[order]
-        seg_first = np.concatenate([[True], kc[1:] != kc[:-1]])
-        seg_start_idx = np.flatnonzero(seg_first)
-        seg_id = np.cumsum(seg_first) - 1
-        row_start = seg_start_idx[seg_id]  # each row's segment start index
         # SQL SUM ignores null addends but returns NULL when the frame
         # holds no valid value at all — track a parallel valid-count
         cs = np.cumsum(vals)
@@ -131,12 +112,7 @@ def per_key_window(
         out[roll_col] = pa.array(roll, pa.int64(), mask=roll_n == 0)
         return pa.table(out)
 
-    return (
-        ds.select_columns(cols)
-        .map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    return bucketed(ds.select_columns(cols), [key_column], n_buckets, per_bucket, cast_order)
 
 
 def _order_arrays(col) -> tuple[np.ndarray, np.ndarray]:
@@ -182,13 +158,6 @@ def per_key_rank(
     partition) and ``cume_dist`` (peers-inclusive ``#(value ≤ current)/n``)
     — SQL ``PERCENT_RANK()`` / ``CUME_DIST()``.
     """
-    from fs_schema_validator_ray.stages.dedup import default_n_buckets
-    from fs_schema_validator_ray.state.sketches import (
-        hash64,
-        key_codes,
-        mix_to_buckets,
-        stable_key_array,
-    )
 
     if n_buckets is None:
         n_buckets = default_n_buckets(ds)
@@ -197,25 +166,10 @@ def per_key_rank(
         dict.fromkeys([key_column, *rank_columns, *tiebreak_columns, *id_columns])
     )
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        bucket = mix_to_buckets(
-            hash64(stable_key_array(t.column(key_column))), n_buckets
-        )
-        return t.select(cols).append_column("__bucket", pa.array(bucket))
-
     def per_bucket(group: pa.Table) -> pa.Table:
         n = group.num_rows
         key_col = group.column(key_column).combine_chunks()
-        if n == 0:
-            empty = {c: group.column(c).slice(0, 0) for c in [*id_columns, key_column]}
-            for c in ("rn", "rank", "dense_rank"):
-                empty[c] = pa.array([], pa.int64())
-            if extended:
-                for c in ("percent_rank", "cume_dist"):
-                    empty[c] = pa.array([], pa.float64())
-            return pa.table(empty)
-        kcode = key_codes(key_col)
-        sig: list[np.ndarray] = [kcode]
+        sig: list[np.ndarray] = []
         rank_pairs: list[tuple[np.ndarray, np.ndarray]] = []
         for c in rank_columns:
             pair = _order_arrays(group.column(c))
@@ -223,16 +177,13 @@ def per_key_rank(
             sig.extend(pair)
         for c in tiebreak_columns:
             sig.extend(_order_arrays(group.column(c)))
-        order = np.lexsort(tuple(sig[::-1]))
-        kc = kcode[order]
-        seg_first = np.concatenate([[True], kc[1:] != kc[:-1]])
+        order, _, _, row_start, row_end = segments(key_codes(key_col), *sig)
+        idx = np.arange(n, dtype=np.int64)
         # a rank group starts where the key OR any rank column changes
-        rchange = seg_first.copy()
+        rchange = row_start == idx
         for isnull, vals in rank_pairs:
             nn, vv = isnull[order], vals[order]
             rchange[1:] |= (nn[1:] != nn[:-1]) | (vv[1:] != vv[:-1])
-        idx = np.arange(n, dtype=np.int64)
-        row_start = idx[np.flatnonzero(seg_first)][np.cumsum(seg_first) - 1]
         grp_start = np.maximum.accumulate(np.where(rchange, idx, 0))
         dr = np.cumsum(rchange)
         take = pa.array(order, pa.int64())
@@ -243,11 +194,7 @@ def per_key_rank(
         out["rank"] = pa.array(rank_v, pa.int64())
         out["dense_rank"] = pa.array(dr - dr[row_start] + 1, pa.int64())
         if extended:
-            seg_start_idx = np.flatnonzero(seg_first)
-            seg_ends = np.concatenate([seg_start_idx[1:], [n]]) - 1
-            seg_id = np.cumsum(seg_first) - 1
-            row_end = seg_ends[seg_id]
-            n_seg = (row_end - row_start + 1).astype(np.float64)
+            n_seg = (row_end - row_start).astype(np.float64)
             # end index of each row's rank-peer group (last tied row)
             group_ends = np.concatenate([np.flatnonzero(rchange[1:]), [n - 1]])
             gid = np.cumsum(rchange) - 1
@@ -262,12 +209,7 @@ def per_key_rank(
             )
         return pa.table(out)
 
-    return (
-        ds.select_columns(cols)
-        .map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    return bucketed(ds.select_columns(cols), [key_column], n_buckets, per_bucket)
 
 
 def per_key_shift(
@@ -294,13 +236,6 @@ def per_key_shift(
     one row per input row. LEAD is null past the partition end (and when
     the led value itself is null); order is ASC NULLS LAST (SQL default).
     """
-    from fs_schema_validator_ray.stages.dedup import default_n_buckets
-    from fs_schema_validator_ray.state.sketches import (
-        hash64,
-        key_codes,
-        mix_to_buckets,
-        stable_key_array,
-    )
 
     if lead < 1:
         raise ValueError(
@@ -315,36 +250,17 @@ def per_key_shift(
     first_col = f"first_{value_column}"
     last_col = f"last_{value_column}"
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        bucket = mix_to_buckets(
-            hash64(stable_key_array(t.column(key_column))), n_buckets
-        )
-        return t.select(cols).append_column("__bucket", pa.array(bucket))
-
     def per_bucket(group: pa.Table) -> pa.Table:
         n = group.num_rows
         key_col = group.column(key_column).combine_chunks()
         val_col = group.column(value_column).combine_chunks()
-        if n == 0:
-            empty = {c: group.column(c).slice(0, 0) for c in [*id_columns, key_column]}
-            for c in (lead_col, first_col, last_col):
-                empty[c] = val_col.slice(0, 0)
-            return pa.table(empty)
-        kcode = key_codes(key_col)
-        sig: list[np.ndarray] = [kcode]
+        sig: list[np.ndarray] = []
         for c in order_columns:
             sig.extend(_order_arrays(group.column(c)))
-        order = np.lexsort(tuple(sig[::-1]))
-        kc = kcode[order]
-        seg_first = np.concatenate([[True], kc[1:] != kc[:-1]])
-        seg_start_idx = np.flatnonzero(seg_first)
-        seg_id = np.cumsum(seg_first) - 1
-        row_start = seg_start_idx[seg_id]
-        seg_end = np.concatenate([seg_start_idx[1:], [n]]) - 1
-        row_end = seg_end[seg_id]
+        order, _, _, row_start, row_end = segments(key_codes(key_col), *sig)
         idx = np.arange(n, dtype=np.int64)
         lead_idx = idx + int(lead)
-        lead_ok = lead_idx <= row_end
+        lead_ok = lead_idx < row_end
         take = pa.array(order, pa.int64())
         vals_sorted = val_col.take(take)
         out = {c: group.column(c).take(take) for c in id_columns}
@@ -354,15 +270,10 @@ def per_key_shift(
             pa.array(np.where(lead_ok, lead_idx, 0), pa.int64(), mask=~lead_ok)
         )
         out[first_col] = vals_sorted.take(pa.array(row_start, pa.int64()))
-        out[last_col] = vals_sorted.take(pa.array(row_end, pa.int64()))
+        out[last_col] = vals_sorted.take(pa.array(row_end - 1, pa.int64()))
         return pa.table(out)
 
-    return (
-        ds.select_columns(cols)
-        .map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    return bucketed(ds.select_columns(cols), [key_column], n_buckets, per_bucket)
 
 
 def per_key_range_window_sum(
@@ -392,13 +303,6 @@ def per_key_range_window_sum(
     Falls back to a per-segment loop only if the composite would overflow
     int64 (ts span + preceding ≈ 2^63 / segment count — never for
     realistic time ranges)."""
-    from fs_schema_validator_ray.stages.dedup import default_n_buckets
-    from fs_schema_validator_ray.state.sketches import (
-        hash64,
-        key_codes,
-        mix_to_buckets,
-        stable_key_array,
-    )
 
     if n_buckets is None:
         n_buckets = default_n_buckets(ds)
@@ -406,52 +310,40 @@ def per_key_range_window_sum(
     cols = list(dict.fromkeys([key_column, ts_column, value_column, *id_columns]))
     out_col = f"win_{value_column}"
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        bucket = mix_to_buckets(
-            hash64(stable_key_array(t.column(key_column))), n_buckets
+    def cast_ts(t: pa.Table) -> pa.Table:
+        return pa.table(
+            {c: pc.cast(t.column(c), pa.int64()) if c == ts_column else t.column(c)
+             for c in cols}
         )
-        out = {"__bucket": pa.array(bucket)}
-        for c in cols:
-            col = t.column(c)
-            out[c] = pc.cast(col, pa.int64()) if c == ts_column else col
-        return pa.table(out)
 
     def per_bucket(group: pa.Table) -> pa.Table:
         n = group.num_rows
         key_col = group.column(key_column).combine_chunks()
-        if n == 0:
-            empty = {c: group.column(c).slice(0, 0) for c in [*id_columns, key_column]}
-            empty[out_col] = pa.array([], pa.int64())
-            return pa.table(empty)
-        kcode = key_codes(key_col)
         ts_col = group.column(ts_column).combine_chunks()
         ts_null = np.asarray(pc.is_null(ts_col))
         ts = np.asarray(pc.fill_null(ts_col, 0), dtype=np.int64)
-        order = np.lexsort((ts, ts_null, kcode))
-        kc, nn, tt = kcode[order], ts_null[order], ts[order]
+        order, seg_start_idx, seg_id, row_start, _ = segments(
+            key_codes(key_col), ts_null, ts
+        )
+        nn, tt = ts_null[order], ts[order]
         val_col = group.column(value_column).combine_chunks()
         valid = np.asarray(pc.is_valid(val_col))[order]
         vals = np.asarray(pc.fill_null(val_col, 0), dtype=np.int64)[order]
-        seg_first = np.concatenate([[True], kc[1:] != kc[:-1]])
-        seg_start_idx = np.flatnonzero(seg_first)
-        row_start = seg_start_idx[np.cumsum(seg_first) - 1]
         # frame END: end of the (key, null-flag, ts) peer run
-        run_first = np.concatenate(
-            [[True], seg_first[1:] | (nn[1:] != nn[:-1]) | (tt[1:] != tt[:-1])]
-        )
+        run_first = row_start == np.arange(n)
+        run_first[1:] |= (nn[1:] != nn[:-1]) | (tt[1:] != tt[:-1])
         run_starts = np.flatnonzero(run_first)
         run_id = np.cumsum(run_first) - 1
         run_ends = np.concatenate([run_starts[1:], [n]])
         hi = run_ends[run_id]
         # frame START: first row of the segment with ts >= t - preceding
         # (null-ts rows: their peer run start)
-        seg_id = np.cumsum(seg_first) - 1
-        span = int(tt.max() - tt.min()) if n else 0
+        span = int(tt.max() - tt.min())
         band = span + int(preceding) + 2
-        n_segs = int(seg_id[-1]) + 1
+        n_segs = len(seg_start_idx)
         lo = np.empty(n, np.int64)
         if band > 0 and n_segs * band < 2**62:
-            base = tt - (tt.min() if n else 0)
+            base = tt - tt.min()
             comp = seg_id * band + base
             # valid rows only — null runs handled below
             q = comp - int(preceding)
@@ -484,12 +376,7 @@ def per_key_range_window_sum(
         out[out_col] = pa.array(win, pa.int64(), mask=win_n == 0)
         return pa.table(out)
 
-    return (
-        ds.select_columns(cols)
-        .map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    return bucketed(ds.select_columns(cols), [key_column], n_buckets, per_bucket, cast_ts)
 
 
 def ewma_scan(
@@ -568,13 +455,6 @@ def per_key_ewma(
     ``rows/_chunk`` iterations per bucket of vectorized work, never
     per-row or per-key.
     """
-    from fs_schema_validator_ray.stages.dedup import default_n_buckets
-    from fs_schema_validator_ray.state.sketches import (
-        hash64,
-        key_codes,
-        mix_to_buckets,
-        stable_key_array,
-    )
 
     if not (0.0 < alpha <= 1.0):
         raise ValueError("alpha must be in (0, 1]")
@@ -584,33 +464,16 @@ def per_key_ewma(
     cols = list(dict.fromkeys([key_column, *order_columns, value_column, *id_columns]))
     out_col = f"ewma_{value_column}"
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        bucket = mix_to_buckets(
-            hash64(stable_key_array(t.column(key_column))), n_buckets
-        )
-        return t.select(cols).append_column("__bucket", pa.array(bucket))
-
     def per_bucket(group: pa.Table) -> pa.Table:
-        n = group.num_rows
         key_col = group.column(key_column).combine_chunks()
-        if n == 0:
-            empty = {c: group.column(c).slice(0, 0) for c in [*id_columns, key_column]}
-            empty[out_col] = pa.array([], pa.float64())
-            return pa.table(empty)
-        kcode = key_codes(key_col)
-        sig: list[np.ndarray] = [kcode]
+        sig: list[np.ndarray] = []
         for c in order_columns:
             sig.extend(_order_arrays(group.column(c)))
-        order = np.lexsort(tuple(sig[::-1]))
-        kc = kcode[order]
+        order, _, _, row_start, _ = segments(key_codes(key_col), *sig)
         val_col = group.column(value_column).combine_chunks()
         x = np.asarray(
             pc.fill_null(pc.cast(val_col, pa.float64()), 0.0), dtype=np.float64
         )[order]
-        seg_first = np.concatenate([[True], kc[1:] != kc[:-1]])
-        seg_start_idx = np.flatnonzero(seg_first)
-        seg_id = np.cumsum(seg_first) - 1
-        row_start = seg_start_idx[seg_id]
         y = ewma_scan(x, alpha, row_start=row_start, chunk=_chunk)
         take = pa.array(order, pa.int64())
         out = {c: group.column(c).take(take) for c in id_columns}
@@ -618,12 +481,7 @@ def per_key_ewma(
         out[out_col] = pa.array(y, pa.float64())
         return pa.table(out)
 
-    return (
-        ds.select_columns(cols)
-        .map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    return bucketed(ds.select_columns(cols), [key_column], n_buckets, per_bucket)
 
 
 def throttle_per_key(
@@ -647,54 +505,32 @@ def throttle_per_key(
     is in the timestamp's native int64 unit. Null key/ts rows drop
     (their gap is undefined — SQL LAG over a null partition/order yields
     no comparison)."""
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    from fs_schema_validator_ray.stages.dedup import default_n_buckets
-    from fs_schema_validator_ray.state.sketches import (
-        hash64,
-        key_codes,
-        mix_to_buckets,
-        stable_key_array,
-    )
 
     n_buckets = default_n_buckets(ds)
     cols = list(dict.fromkeys([key_column, ts_column, id_column, *(keep_columns or [])]))
 
-    def add_bucket(t: pa.Table) -> pa.Table:
+    def drop_null_keys(t: pa.Table) -> pa.Table:
         t = t.select(cols)
         mask = pc.and_(pc.is_valid(t.column(key_column)), pc.is_valid(t.column(ts_column)))
         t = t.filter(mask)
-        bucket = mix_to_buckets(
-            hash64(stable_key_array(t.column(key_column))), n_buckets
-        )
-        t = t.set_column(
+        return t.set_column(
             t.schema.get_field_index(ts_column),
             ts_column,
             pc.cast(t.column(ts_column), pa.int64()),
         )
-        return t.append_column("__bucket", pa.array(bucket))
 
     def per_bucket(group: pa.Table) -> pa.Table:
-        drop = ["__bucket"]
-        if group.num_rows == 0:
-            return group.drop_columns(drop)
-        seg = key_codes(group.column(key_column).combine_chunks())
         ts = np.asarray(group.column(ts_column), dtype=np.int64)
         ids = stable_key_array(group.column(id_column).combine_chunks())
-        order = np.lexsort((ids, ts, seg))
-        seg_s, ts_s = seg[order], ts[order]
-        first = np.concatenate([[True], seg_s[1:] != seg_s[:-1]])
+        order, _, _, row_start, _ = segments(
+            key_codes(group.column(key_column).combine_chunks()), ts, ids
+        )
+        ts_s = ts[order]
         gap_ok = np.concatenate([[True], (ts_s[1:] - ts_s[:-1]) > min_gap])
-        keep = first | gap_ok
-        return group.take(pa.array(np.sort(order[keep]), pa.int64())).drop_columns(drop)
+        keep = (row_start == np.arange(len(order))) | gap_ok
+        return group.take(pa.array(np.sort(order[keep]), pa.int64()))
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    return bucketed(ds, [key_column], n_buckets, per_bucket, drop_null_keys)
 
 
 def per_key_rolling_median(
@@ -724,13 +560,6 @@ def per_key_rolling_median(
     Output: ``id_columns + [key_column, median{window}_<value>]`` with
     the median rounded to 6dp (the repo's float protocol).
     """
-    from fs_schema_validator_ray.stages.dedup import default_n_buckets
-    from fs_schema_validator_ray.state.sketches import (
-        hash64,
-        key_codes,
-        mix_to_buckets,
-        stable_key_array,
-    )
 
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -740,39 +569,27 @@ def per_key_rolling_median(
     cols = list(dict.fromkeys([key_column, *order_columns, value_column, *id_columns]))
     med_col = f"median{window}_{value_column}"
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        bucket = mix_to_buckets(
-            hash64(stable_key_array(t.column(key_column))), n_buckets
+    def cast_order(t: pa.Table) -> pa.Table:
+        return pa.table(
+            {c: pc.cast(t.column(c), pa.int64()) if c in order_columns else t.column(c)
+             for c in cols}
         )
-        out = {"__bucket": pa.array(bucket)}
-        for c in cols:
-            col = t.column(c)
-            out[c] = pc.cast(col, pa.int64()) if c in order_columns else col
-        return pa.table(out)
 
     def per_bucket(group: pa.Table) -> pa.Table:
         n = group.num_rows
         key_col = group.column(key_column).combine_chunks()
-        if n == 0:
-            empty = {c: group.column(c).slice(0, 0) for c in [*id_columns, key_column]}
-            empty[med_col] = pa.array([], pa.float64())
-            return pa.table(empty)
-        kcode = key_codes(key_col)
-        sig = [kcode]
+        sig = []
         for c in order_columns:
             oc = group.column(c).combine_chunks()
             sig.append(np.asarray(pc.is_null(oc)))
             sig.append(np.asarray(pc.fill_null(oc, 0), dtype=np.int64))
-        order = np.lexsort(tuple(sig[::-1]))
-        kc = kcode[order]
+        order, _, _, row_start, _ = segments(key_codes(key_col), *sig)
         val_col = group.column(value_column).combine_chunks()
         valid = np.asarray(pc.is_valid(val_col))[order]
         vals = np.asarray(
             pc.cast(pc.fill_null(val_col, 0), pa.float64()), dtype=np.float64
         )[order]
         vals = np.where(valid, vals, np.nan)
-        seg_first = np.concatenate([[True], kc[1:] != kc[:-1]])
-        row_start = np.flatnonzero(seg_first)[np.cumsum(seg_first) - 1]
         padded = np.concatenate([np.full(window - 1, np.nan), vals])
         frames = np.lib.stride_tricks.sliding_window_view(padded, window).copy()
         # frame column j of row i is global index i - window + 1 + j;
@@ -791,9 +608,4 @@ def per_key_rolling_median(
         out[med_col] = pa.array(np.round(med, 6), pa.float64(), mask=np.isnan(med))
         return pa.table(out)
 
-    return (
-        ds.select_columns(cols)
-        .map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    return bucketed(ds.select_columns(cols), [key_column], n_buckets, per_bucket, cast_order)

@@ -469,3 +469,37 @@ def test_connected_components_doubling_parity_and_chain(ray_session):
         for r in connected_components(chain, max_rounds=10, doubling=True).take_all()
     }
     assert set(got.values()) == {0} and len(got) == 64
+
+
+def _shard_batches(*runs):
+    return [
+        pa.table(
+            {
+                "bucket": pa.array([b for b, _ in run], pa.int32()),
+                "node": pa.array([n for _, n in run], pa.int64()),
+            }
+        )
+        for run in runs
+    ]
+
+
+def test_shard_runs_joins_a_bucket_split_across_batches():
+    from fs_schema_validator_ray.stages.graph import _shard_runs
+
+    batches = _shard_batches(
+        [(1, 10), (1, 11), (2, 20)],
+        [],
+        [(2, 21), (3, 30)],
+    )
+    got = [
+        (b, pa.concat_arrays(parts).to_pylist()) for b, parts in _shard_runs(batches)
+    ]
+    assert got == [(1, [10, 11]), (2, [20, 21]), (3, [30])]
+
+
+def test_shard_runs_raises_when_a_flushed_bucket_reappears():
+    from fs_schema_validator_ray.stages.graph import _shard_runs
+
+    batches = _shard_batches([(1, 10), (2, 20)], [(1, 11)])
+    with pytest.raises(RuntimeError, match="reappeared"):
+        list(_shard_runs(batches))

@@ -1,7 +1,7 @@
 """Round-5 scale proof: data-aware bucketing engages above the CPU floor.
 
 The sf0.1 suite resolves every exchange to the 2xCPU bucket floor, so the
-data-aware branch of ``dedup.default_n_buckets`` (ceil(bytes/256MiB)) only
+data-aware branch of ``exchange.default_n_buckets`` (ceil(bytes/256MiB)) only
 had a shrunk-target unit test. This script generates a multi-GiB synthetic
 high-cardinality grouped-sum input (64-char STRING keys — the wide-key
 shape where a raw-key shuffle hurts most; ~76 B/row in memory, so the
@@ -76,22 +76,17 @@ def main() -> None:
     import ray.data
 
     from fs_schema_validator_ray.stages.agg import group_sum_bucketed
-    from fs_schema_validator_ray.stages.dedup import default_n_buckets
-    from fs_schema_validator_ray.state.sketches import hash64, mix_to_buckets
+    from fs_schema_validator_ray.stages.exchange import bucket_ids, default_n_buckets
+    from fs_schema_validator_ray.state.sketches import hash64
 
     files = sorted(glob.glob(os.path.join(args.dir, "*.parquet")))
     ds = ray.data.read_parquet(files, columns=["k", "v"])
     floor = max(16, 2 * args.cpus)
     n_buckets = default_n_buckets(ds)
 
-    # per-bucket input balance (cheap key-only pass with the same mix)
+    # per-bucket input balance (cheap key-only pass with the same routing)
     def bucket_counts(t: pa.Table) -> pa.Table:
-        from fs_schema_validator_ray.state.sketches import stable_key_array
-
-        b = mix_to_buckets(
-            hash64(stable_key_array(t.column("k"))), n_buckets
-        )
-        cnt = np.bincount(b, minlength=n_buckets)
+        cnt = np.bincount(bucket_ids(t, ["k"], n_buckets), minlength=n_buckets)
         return pa.table(
             {
                 "bucket": pa.array(np.arange(n_buckets, dtype=np.int32)),
@@ -99,13 +94,12 @@ def main() -> None:
             }
         )
 
-    bc = (
-        ds.map_batches(bucket_counts, batch_format="pyarrow")
-        .groupby("bucket")
-        .sum("n")
-        .to_pandas()
-    )
-    sizes = bc["sum(n)"].to_numpy()
+    # one n_buckets-long partial per block: the driver sums the vectors
+    sizes = np.zeros(n_buckets, np.int64)
+    for b in ds.select_columns(["k"]).map_batches(
+        bucket_counts, batch_format="pyarrow"
+    ).iter_batches(batch_format="pyarrow"):
+        np.add.at(sizes, np.asarray(b.column("bucket")), np.asarray(b.column("n")))
     balance = float(sizes.max() / max(sizes.mean(), 1))
 
     t0 = time.time()
