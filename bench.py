@@ -2,7 +2,7 @@
 """Headline benchmark: validated clips/sec (full constraint-suite pass).
 
 Runs the flagship clips-validation pipeline (scalar rules + audio decode
-actor pool + uniqueness + referential + drift — the full suite from
++ uniqueness + referential + drift — the full suite from
 BASELINE.json's metric) over a deterministic synthetic clips corpus, and
 times the headline testdata queries over ``$GRAFT_SF_DIR``.
 

@@ -9,7 +9,7 @@ pairs:
   and ``if:`` conditional rules (reference ``fs_schema_validator/__init__.py:46-69``),
 * per-(row x rule) pass/fail producing violation rows
   ``(partition_id, clip_id, rule_id, reason)`` (reference ``report.py:10-14``),
-* payload decode validation in actor pools (reference ``schemas/image.py``,
+* payload decode validation in fused per-row tasks (reference ``schemas/image.py``,
   ``schemas/gltf.py``, ``schemas/zip.py``),
 * mergeable sketches (HLL / t-digest / Bloom / KS-PSI) as the distributed
   generalization of the reference's mergeable ``ValidationReport``

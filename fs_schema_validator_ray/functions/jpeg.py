@@ -1103,6 +1103,9 @@ def _parse_exif_tiff(seg: bytes) -> dict:
         if tag in _EXIF_TAGS_IFD0:
             out[_EXIF_TAGS_IFD0[tag]] = _ifd_value(seg, 0, typ, cnt, voff, endian)
         elif tag == 0x8769:
+            # the sub-IFD pointer is an offset: only SHORT/LONG are one
+            if typ not in (3, 4):
+                raise JpegError("exif: sub-IFD pointer is not SHORT or LONG")
             sub_off = _ifd_value(seg, 0, typ, cnt, voff, endian)
     if sub_off is not None:
         for tag, typ, cnt, voff in _ifd_entries(seg, 0, int(sub_off), endian):

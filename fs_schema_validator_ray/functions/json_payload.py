@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import re
 
-import numpy as np
 import pyarrow as pa
 
 from fs_schema_validator_ray.functions.constraints import (
@@ -41,8 +40,7 @@ from fs_schema_validator_ray.functions.constraints import (
     ValueEnumSpec,
     _AllowedWrapper,
 )
-from fs_schema_validator_ray.report import VIOLATION_SCHEMA
-from fs_schema_validator_ray.stages.scalar import PARTITION_COLUMN
+from fs_schema_validator_ray.report import row_violations
 
 _REGEX_CACHE: dict[str, re.Pattern] = {}
 
@@ -199,45 +197,21 @@ class JsonPayloadStage:
         self.rule = rule
         self.key_column = key_column
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def _check_row(self, raw) -> list[str]:
         rule = self.rule
-        names = batch.column_names
-        n = batch.num_rows
-        payloads = batch.column(rule.column).to_pylist()
-        keys = (
-            batch.column(self.key_column).to_pylist()
-            if self.key_column in names
-            else [None] * n
-        )
-        parts = (
-            batch.column(PARTITION_COLUMN).to_pylist()
-            if PARTITION_COLUMN in names
-            else [-1] * n
-        )
-
-        out_key, out_part, out_reason = [], [], []
-        for i in range(n):
-            raw = payloads[i]
-            if raw is None:
-                msgs = [] if rule.spec.nullable else ["Input should not be null"]
+        if raw is None:
+            msgs = [] if rule.spec.nullable else ["Input should not be null"]
+        else:
+            try:
+                value = json.loads(raw)
+            except (ValueError, TypeError) as ex:
+                msgs = [f"failed to deserialize: ({type(ex).__name__}) {ex}"]
             else:
-                try:
-                    value = json.loads(raw)
-                except (ValueError, TypeError) as ex:
-                    msgs = [f"failed to deserialize: ({type(ex).__name__}) {ex}"]
-                else:
-                    msgs = validate_json_value(value, rule.spec)
-            for msg in msgs:
-                out_key.append(None if keys[i] is None else str(keys[i]))
-                out_part.append(-1 if parts[i] is None else parts[i])
-                out_reason.append(f"`{rule.column}`: {msg}")
+                msgs = validate_json_value(value, rule.spec)
+        return [f"`{rule.column}`: {msg}" for msg in msgs]
 
-        return pa.Table.from_arrays(
-            [
-                pa.array(np.asarray(out_part, dtype=np.int32)),
-                pa.array(out_key, pa.string()),
-                pa.array([rule.rule_id] * len(out_key), pa.string()),
-                pa.array(out_reason, pa.string()),
-            ],
-            schema=VIOLATION_SCHEMA,
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        rows = zip(batch.column(self.rule.column).to_pylist())
+        return row_violations(
+            batch, self.key_column, self.rule.rule_id, self._check_row, rows
         )

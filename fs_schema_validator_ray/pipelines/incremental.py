@@ -34,6 +34,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from fs_schema_validator_ray.sinks import write_json_atomic
+
 
 def _store_manifest(store_dir: str) -> dict:
     path = os.path.join(store_dir, "store_manifest.json")
@@ -44,11 +46,7 @@ def _store_manifest(store_dir: str) -> dict:
 
 
 def _write_manifest(store_dir: str, doc: dict) -> None:
-    path = os.path.join(store_dir, "store_manifest.json")
-    tmp = path + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(doc, f, sort_keys=True)
-    os.replace(tmp, path)
+    write_json_atomic(os.path.join(store_dir, "store_manifest.json"), doc)
 
 
 def dedup_ingest(

@@ -7800,7 +7800,7 @@ def video_frame_sample(sf_dir: str, n_rows: int = 300):
 
 def clips_validation(sf_dir: str, n_rows: int = 1500):
     """The north-star pipeline on a deterministic synthetic clips corpus:
-    scalar rules → audio decode actor pool (PCM SNR≥30dB, codec sniff,
+    scalar rules → audio decode (PCM SNR≥30dB, codec sniff,
     duration, transcript) → uniqueness → referential → drift, resumable
     per-partition. Returns the violations dataset (deterministic)."""
     from fs_schema_validator_ray.pipelines.validate import (

@@ -30,12 +30,13 @@ checkpoint with per-partition lineage" for the query surface.
 from __future__ import annotations
 
 import glob
-import json
 import os
 import shutil
 
 import numpy as np
 import pyarrow as pa
+
+from fs_schema_validator_ray.sinks import write_json_atomic
 
 
 def _manifest_path(output_dir: str, unit: str) -> str:
@@ -51,11 +52,7 @@ def _write_unit_manifest(output_dir: str, unit: str, doc: dict) -> None:
     fully written (crash between output write and manifest leaves no
     row, so the resume clears and redoes the unit)."""
     os.makedirs(os.path.join(output_dir, "manifest"), exist_ok=True)
-    path = _manifest_path(output_dir, unit)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump({"id": unit, **doc}, f)
-    os.replace(tmp, path)
+    write_json_atomic(_manifest_path(output_dir, unit), {"id": unit, **doc})
 
 
 def _clear_unit_output(path: str) -> None:

@@ -21,9 +21,12 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from fs_schema_validator_ray.report import VIOLATION_SCHEMA
+from fs_schema_validator_ray.report import (
+    PARTITION_COLUMN,
+    partition_ids,
+    violations_table,
+)
 from fs_schema_validator_ray.rules import DriftRule
-from fs_schema_validator_ray.stages.scalar import PARTITION_COLUMN
 from fs_schema_validator_ray.state import Histogram, HyperLogLog, TDigest, ks_statistic, psi
 
 
@@ -193,10 +196,7 @@ class _DriftPartial:
         vals = np.asarray(
             pc.fill_null(pc.cast(batch.column(r.column), pa.float64()), np.nan)
         )
-        if PARTITION_COLUMN in batch.column_names:
-            parts = np.asarray(batch.column(PARTITION_COLUMN).combine_chunks().cast(pa.int32()))
-        else:
-            parts = np.full(len(vals), -1, np.int32)
+        parts = partition_ids(batch)
         out_pid, out_counts = [], []
         for pid in np.unique(parts):
             hist = Histogram(r.lo, r.hi, r.bins)
@@ -268,15 +268,7 @@ def _drift_verdicts(merged: dict[int, Histogram], rule: DriftRule, baseline: His
             v_parts.append(pid)
             v_reasons.append(f"distribution drift: psi={p:.4f} exceeds max_psi={rule.max_psi}")
 
-    violations = pa.Table.from_arrays(
-        [
-            pa.array(np.asarray(v_parts, dtype=np.int32)),
-            pa.array([None] * len(v_parts), pa.string()),
-            pa.array([rule.rule_id] * len(v_parts), pa.string()),
-            pa.array(v_reasons, pa.string()),
-        ],
-        schema=VIOLATION_SCHEMA,
-    )
+    violations = violations_table([None] * len(v_parts), rule.rule_id, v_reasons, v_parts)
     return violations, metrics
 
 
@@ -465,12 +457,7 @@ class _CatDriftPartial:
             return empty
         cats = pc.cast(batch.column(r.column).combine_chunks(), pa.string())
         cats = pc.fill_null(cats, "__null")
-        if PARTITION_COLUMN in batch.column_names:
-            parts = np.asarray(
-                batch.column(PARTITION_COLUMN).combine_chunks().cast(pa.int32())
-            )
-        else:
-            parts = np.full(len(cats), -1, np.int32)
+        parts = partition_ids(batch)
         tbl = pa.table(
             {"partition_id": pa.array(parts), "category": cats}
         )
@@ -547,15 +534,7 @@ def categorical_drift_self_check(
                 f"categorical drift: psi={psi_val:.4f} exceeds "
                 f"max_psi={rule.max_psi}"
             )
-    viol = pa.Table.from_arrays(
-        [
-            pa.array(np.asarray(v_parts, np.int32)),
-            pa.array([None] * len(v_parts), pa.string()),
-            pa.array([rule.rule_id] * len(v_parts), pa.string()),
-            pa.array(v_reasons, pa.string()),
-        ],
-        schema=VIOLATION_SCHEMA,
-    )
+    viol = violations_table([None] * len(v_parts), rule.rule_id, v_reasons, v_parts)
     if return_sketches:
         sk = {
             pid: _json.dumps(d, sort_keys=True).encode() for pid, d in per_pid.items()

@@ -8,7 +8,7 @@ Ray-Data-first rebuild of the reference's one-shot serial run
   unit; at scale: one per Lance fragment / file group),
 * partitions are processed in **waves**; each wave is ONE streaming
   Dataset pipeline — ``read_parquet(columns=pruned) → attach partition_id
-  → [scalar rules | decode actor pool | referential broadcast probe] →
+  → [scalar rules | audio decode | referential broadcast probe] →
   write violations parquet`` — so within a wave every stage pipelines
   with backpressure and all cores stay busy,
 * after a wave completes, a **manifest row per partition** records
@@ -41,13 +41,18 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from fs_schema_validator_ray.pipelines.stats import drift_self_check
-from fs_schema_validator_ray.report import VIOLATION_SCHEMA
+from fs_schema_validator_ray.report import (
+    PARTITION_COLUMN,
+    VIOLATION_SCHEMA,
+    violations_table,
+)
 from fs_schema_validator_ray.rules import RuleSet
+from fs_schema_validator_ray.sinks import write_json_atomic
 from fs_schema_validator_ray.stages.combined import CombinedValidateStage
 from fs_schema_validator_ray.stages.referential import build_membership
-from fs_schema_validator_ray.stages.scalar import PARTITION_COLUMN
 from fs_schema_validator_ray.stages.unique import uniqueness_violations
 from fs_schema_validator_ray.state import Histogram
+from fs_schema_validator_ray.state.sketches import canonical_tuple_strings
 
 
 @dataclass
@@ -62,11 +67,6 @@ class ValidationRunConfig:
     partitions: Optional[int] = None     # group files into this many partitions
     wave_size: int = 16
     decode_batch_size: int = 512
-    decode_concurrency: Any = (2, 16)
-    #: True → run the fused per-row stage as an actor pool (stateful
-    #: decoders); False → stateless tasks (no actor spin-up latency)
-    decode_actor_pool: bool = False
-    read_columns: Optional[list[str]] = None
     #: columns to snapshot per-partition mergeable sketch state for in
     #: the checkpoint manifest (north_rule: checkpoints record sketch
     #: state): numeric columns get a t-digest, everything else an HLL.
@@ -171,11 +171,8 @@ def _load_done(output_dir: str) -> dict[str, dict]:
 
 def _write_manifest(output_dir: str, doc: dict) -> None:
     os.makedirs(_manifest_dir(output_dir), exist_ok=True)
-    path = os.path.join(_manifest_dir(output_dir), f"{doc['id']}.json")
-    tmp = path + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(doc, f)
-    os.replace(tmp, path)  # atomic: a manifest row exists only when complete
+    # atomic: a manifest row exists only when complete
+    write_json_atomic(os.path.join(_manifest_dir(output_dir), f"{doc['id']}.json"), doc)
 
 
 def _cluster_cpus() -> int:
@@ -421,34 +418,10 @@ def run_validation(cfg: ValidationRunConfig) -> RunResult:
     except pa.ArrowException:  # conflicting types across files: let reads
         unified_schema = None  # use plain columns= and surface the error there
 
-    def _rule_columns(r) -> list[str]:
-        from fs_schema_validator_ray.rules import (
-            AssetRule,
-            AudioRule,
-            ColumnRule,
-            DriftRule,
-            JsonRule,
-            ReferentialRule,
-            UniqueRule,
-        )
-
-        if isinstance(r, ColumnRule):
-            return [r.column]
-        if isinstance(r, AudioRule):
-            cols = [r.bytes_column, r.codec_column, r.sr_column, r.dur_column]
-            if r.check_transcript:
-                cols.append(r.transcript_column)
-            return cols
-        if isinstance(r, AssetRule):
-            return [r.bytes_column] + ([r.format_column] if r.format_column else [])
-        if isinstance(r, (JsonRule, UniqueRule, ReferentialRule, DriftRule)):
-            return [r.column]
-        return []
-
     missing_col_rules = [
         r
         for r in rules.rules
-        if any(c not in input_columns for c in _rule_columns(r))
+        if any(c not in input_columns for c in r.input_columns())
     ]
     missing_ids = {r.rule_id for r in missing_col_rules}
     active_column_rules = [
@@ -466,24 +439,15 @@ def run_validation(cfg: ValidationRunConfig) -> RunResult:
         plan_dir = os.path.join(cfg.output_dir, "violations", "plan")
         shutil.rmtree(plan_dir, ignore_errors=True)
         os.makedirs(plan_dir, exist_ok=True)
-        tbl = pa.Table.from_arrays(
+        tbl = violations_table(
+            [None] * plan_violations,
+            [r.rule_id for r in missing_col_rules],
             [
-                pa.array([-1] * plan_violations, pa.int32()),
-                pa.array([None] * plan_violations, pa.string()),
-                pa.array([r.rule_id for r in missing_col_rules], pa.string()),
-                pa.array(
-                    [
-                        "column `"
-                        + next(
-                            c for c in _rule_columns(r) if c not in input_columns
-                        )
-                        + "` does not exist"
-                        for r in missing_col_rules
-                    ],
-                    pa.string(),
-                ),
+                "column `"
+                + next(c for c in r.input_columns() if c not in input_columns)
+                + "` does not exist"
+                for r in missing_col_rules
             ],
-            schema=VIOLATION_SCHEMA,
         )
         pq.write_table(tbl, os.path.join(plan_dir, "plan-violations.parquet"))
         _write_manifest(
@@ -504,12 +468,9 @@ def run_validation(cfg: ValidationRunConfig) -> RunResult:
         phase_wall[name] = round(phase_wall.get(name, 0.0) + now - _t, 3)
         _t = now
 
-    read_columns = cfg.read_columns
-    if read_columns is None:
-        needed = set(rules.required_columns(cfg.key_column))
-        # absent columns were already reported as plan violations; asking
-        # the parquet reader for them would fail the whole read
-        read_columns = sorted(needed & input_columns)
+    # absent columns were already reported as plan violations; asking
+    # the parquet reader for them would fail the whole read
+    wave_columns = sorted(set(rules.required_columns(cfg.key_column)) & input_columns)
 
     # --- global pass: uniqueness (keys-only; the one shuffling rule) -----
     global_metrics: dict[str, Any] = {}
@@ -527,9 +488,8 @@ def run_validation(cfg: ValidationRunConfig) -> RunResult:
         all_v = []
         for rule in rules.unique_rules():
             # composite rules need ALL their key columns in the pruned read
-            key_cols = list(getattr(rule, "columns", None) or [rule.column])
             key_ds = _read_partitions(
-                groups, key_cols, override_num_blocks=_cluster_cpus(),
+                groups, list(rule.input_columns()), override_num_blocks=_cluster_cpus(),
                 file_schema=unified_schema,
             )
             v = uniqueness_violations(key_ds, rule)
@@ -558,14 +518,9 @@ def run_validation(cfg: ValidationRunConfig) -> RunResult:
 
 
         for rule in rules.referential_rules():
-            composite = getattr(rule, "columns", None)
-            if composite:
-                from fs_schema_validator_ray.stages.referential import (
-                    canonical_tuple_strings,
-                )
-
-                mt = pq.read_table(cfg.manifest_path, columns=list(composite))
-                keys = canonical_tuple_strings(mt, composite)
+            if rule.columns:
+                mt = pq.read_table(cfg.manifest_path, columns=list(rule.columns))
+                keys = canonical_tuple_strings(mt, rule.columns)
             else:
                 mcol = cfg.manifest_key_column or rule.column
                 keys = pq.read_table(cfg.manifest_path, columns=[mcol]).column(
@@ -610,10 +565,10 @@ def run_validation(cfg: ValidationRunConfig) -> RunResult:
             continue
         t0 = time.perf_counter()
         dds = _read_partitions(
-            groups, [rule.column], override_num_blocks=_cluster_cpus(),
+            groups, list(rule.input_columns()), override_num_blocks=_cluster_cpus(),
             file_schema=unified_schema,
         )
-        if getattr(rule, "categorical", False):
+        if rule.categorical:
             from fs_schema_validator_ray.pipelines.stats import (
                 categorical_drift_self_check,
             )
@@ -698,29 +653,15 @@ def run_validation(cfg: ValidationRunConfig) -> RunResult:
 
         viol_by_pid: dict[int, int] = {}
         if has_row_rules:
-            ds = _read_partitions(wave, read_columns, file_schema=unified_schema)
-            stage_args = (
+            ds = _read_partitions(wave, wave_columns, file_schema=unified_schema)
+            stage = CombinedValidateStage(
                 active_column_rules, rules.audio_rules(), ref_pairs,
                 cfg.key_column, rules.json_rules(), rules.asset_rules(),
             )
-            if cfg.decode_actor_pool:
-                # stateful-decoder shape: callable class → actor pool,
-                # setup once per worker in __init__
-                vds = ds.map_batches(
-                    CombinedValidateStage,
-                    fn_constructor_args=stage_args,
-                    batch_format="pyarrow",
-                    batch_size=cfg.decode_batch_size,
-                    concurrency=cfg.decode_concurrency,
-                    num_cpus=1,
-                )
-            else:
-                # stateless decode: instance → plain tasks, instant fan-out
-                vds = ds.map_batches(
-                    CombinedValidateStage(*stage_args),
-                    batch_format="pyarrow",
-                    batch_size=cfg.decode_batch_size,
-                )
+            # stateless decode: instance → plain tasks, instant fan-out
+            vds = ds.map_batches(
+                stage, batch_format="pyarrow", batch_size=cfg.decode_batch_size
+            )
             vds.write_parquet(parts_root, partition_cols=["partition_id"])
             # violation counts per pid straight from the parquet footers
             for pid in wave_ids:

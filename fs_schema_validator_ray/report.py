@@ -16,7 +16,12 @@ import itertools
 from dataclasses import dataclass, field
 from collections.abc import Iterator
 
+import numpy as np
 import pyarrow as pa
+
+#: name of the partition-id column the pipeline reader attaches to every
+#: batch (the checkpoint unit; ``-1`` where a batch carries none)
+PARTITION_COLUMN = "partition_id"
 
 #: Arrow schema of the violations stream. ``partition_id`` keys resumable
 #: checkpoints; ``key`` is the record key (``clip_id`` for the clips table —
@@ -24,7 +29,7 @@ import pyarrow as pa
 #: ``reason`` is a stable human-readable string.
 VIOLATION_SCHEMA = pa.schema(
     [
-        pa.field("partition_id", pa.int32()),
+        pa.field(PARTITION_COLUMN, pa.int32()),
         pa.field("key", pa.string()),
         pa.field("rule_id", pa.string()),
         pa.field("reason", pa.string()),
@@ -38,22 +43,63 @@ def empty_violations() -> pa.Table:
 
 def violations_table(
     keys: list,
-    rule_ids: list,
+    rule_ids: list | str,
     reasons: list,
-    partition_ids: list | None = None,
+    partition_ids: list | np.ndarray | None = None,
 ) -> pa.Table:
-    """Build a violations Arrow table from parallel columns."""
+    """Build a violations Arrow table from parallel columns. A single
+    ``rule_ids`` string applies to every row; ``partition_ids`` defaults
+    to ``-1`` (a violation of no partition, e.g. a plan-time one)."""
     n = len(keys)
+    if isinstance(rule_ids, str):
+        rule_ids = [rule_ids] * n
     if partition_ids is None:
-        partition_ids = [-1] * n
-    return pa.table(
-        {
-            "partition_id": pa.array(partition_ids, pa.int32()),
-            "key": pa.array(keys, pa.string()),
-            "rule_id": pa.array(rule_ids, pa.string()),
-            "reason": pa.array(reasons, pa.string()),
-        }
+        partition_ids = np.full(n, -1, np.int32)
+    return pa.Table.from_arrays(
+        [
+            pa.array(partition_ids, pa.int32()),
+            pa.array(keys, pa.string()),
+            pa.array(rule_ids, pa.string()),
+            pa.array(reasons, pa.string()),
+        ],
+        schema=VIOLATION_SCHEMA,
     )
+
+
+def partition_ids(batch: pa.Table) -> np.ndarray:
+    """The int32 partition id of every row of ``batch`` — ``-1`` for rows
+    (or whole batches) the reader attached no partition to."""
+    if PARTITION_COLUMN not in batch.column_names:
+        return np.full(batch.num_rows, -1, np.int32)
+    col = batch.column(PARTITION_COLUMN).combine_chunks().cast(pa.int32())
+    return np.asarray(col.fill_null(-1))
+
+
+def row_violations(batch: pa.Table, key_column: str, rule_id: str, check, rows) -> pa.Table:
+    """Run a per-row check over ``batch`` → violation rows.
+
+    ``rows`` yields one argument tuple per batch row, in batch order;
+    ``check(*args)`` returns that row's reasons (empty when it passes).
+    Each reason becomes one row carrying the row's key (stringified;
+    null when the batch has no ``key_column``) and partition id. A check
+    that raises yields one ``unexpected validation error`` reason for its
+    row: one poisoned row must not kill a 100 TB run (anticipated decode
+    errors are typed by the checks themselves; this is the backstop for
+    genuinely malformed payloads)."""
+    idx: list[int] = []
+    reasons: list[str] = []
+    for i, args in enumerate(rows):
+        try:
+            found = check(*args)
+        except Exception as ex:  # noqa: BLE001 - see docstring
+            found = [f"unexpected validation error: ({type(ex).__name__}) {ex}"]
+        idx.extend([i] * len(found))
+        reasons.extend(found)
+    keys = [None] * len(idx)
+    if key_column in batch.column_names:
+        taken = batch.column(key_column).take(pa.array(idx, pa.int64()))
+        keys = [None if k is None else str(k) for k in taken.to_pylist()]
+    return violations_table(keys, rule_id, reasons, partition_ids(batch)[idx])
 
 
 @dataclass(frozen=True)

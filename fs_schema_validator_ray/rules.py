@@ -45,6 +45,12 @@ class RuleSetError(ValueError):
 class Rule:
     rule_id: str
 
+    def input_columns(self) -> tuple[str, ...]:
+        """Every input column the rule reads — the one answer the pruned
+        parquet reads and the plan-time missing-column check share. Rules
+        over one ``column`` read just that; the others override."""
+        return (self.column,)
+
 
 @dataclass(frozen=True)
 class ColumnRule(Rule):
@@ -57,7 +63,7 @@ class ColumnRule(Rule):
 
 @dataclass(frozen=True)
 class AudioRule(Rule):
-    """Payload decode validation (actor-pool stage) — analogue of the
+    """Payload decode validation (per-row decode stage) — analogue of the
     reference's image/gltf/zip byte-wise validators."""
 
     bytes_column: str = "bytes"
@@ -71,6 +77,10 @@ class AudioRule(Rule):
     min_snr_db: float = 30.0
     check_transcript: bool = True
     duration_tolerance_ms: int = 2
+
+    def input_columns(self) -> tuple[str, ...]:
+        cols = (self.bytes_column, self.codec_column, self.sr_column, self.dur_column)
+        return cols + ((self.transcript_column,) if self.check_transcript else ())
 
 
 @dataclass(frozen=True)
@@ -86,6 +96,9 @@ class AssetRule(Rule):
     format_column: str | None = None  # per-row format (gltf/glb/zip)
     format: str | None = None  # fixed format when the column is uniform
 
+    def input_columns(self) -> tuple[str, ...]:
+        return (self.bytes_column,) + ((self.format_column,) if self.format_column else ())
+
 
 @dataclass(frozen=True)
 class JsonRule(Rule):
@@ -99,15 +112,16 @@ class JsonRule(Rule):
 
 @dataclass(frozen=True)
 class UniqueRule(Rule):
-    """Key-uniqueness check (north_rule). ``exact`` uses a hash-partitioned
-    groupby; the approximate path estimates the duplicate count via HLL
-    without a shuffle."""
+    """Key-uniqueness check (north_rule): exact duplicate detection over
+    one hash-partitioned exchange of pre-aggregated key counts."""
 
     column: str = "clip_id"
-    exact: bool = True
     #: composite-key mode: when set, uniqueness is over the TUPLE of
     #: these columns (YAML ``columns: [a, b]``); ``column`` is ignored
     columns: tuple[str, ...] | None = None
+
+    def input_columns(self) -> tuple[str, ...]:
+        return self.columns or (self.column,)
 
 
 @dataclass(frozen=True)
@@ -124,6 +138,9 @@ class ReferentialRule(Rule):
     #: exist in the manifest (same canonical join as composite unique);
     #: null components participate literally on both sides
     columns: tuple[str, ...] | None = None
+
+    def input_columns(self) -> tuple[str, ...]:
+        return self.columns or (self.column,)
 
 
 @dataclass(frozen=True)
@@ -228,23 +245,7 @@ class RuleSet:
     def required_columns(self, key_column: str = "clip_id") -> list[str]:
         """Every input column the rule plan touches — used to prune the
         parquet read to exactly these columns."""
-        cols: set[str] = {key_column}
-        for r in self.rules:
-            if isinstance(r, ColumnRule):
-                cols.add(r.column)
-            elif isinstance(r, AudioRule):
-                cols.update(
-                    {r.bytes_column, r.codec_column, r.sr_column, r.dur_column}
-                )
-                if r.check_transcript:
-                    cols.add(r.transcript_column)
-            elif isinstance(r, AssetRule):
-                cols.add(r.bytes_column)
-                if r.format_column:
-                    cols.add(r.format_column)
-            elif isinstance(r, (JsonRule, UniqueRule, ReferentialRule, DriftRule)):
-                cols.add(r.column)
-        return sorted(cols)
+        return sorted({key_column}.union(*(r.input_columns() for r in self.rules)))
 
 
 # --- untyped → typed helpers ----------------------------------------------
@@ -454,43 +455,22 @@ def _build_rule(d: dict, index: int) -> Rule:
             format=fmt,
         )
 
-    if t == "unique":
+    if t in ("unique", "referential"):
         columns = d.pop("columns", None)
         column = d.pop("column", "clip_id")
         if columns is not None:
             columns = tuple(str(c) for c in columns)
-            rid = rule_id or ("unique_" + "_".join(columns))
-            return UniqueRule(
-                rule_id=rid,
-                column=columns[0],
-                exact=bool(d.pop("exact", True)),
-                columns=columns,
-            )
-        rid = rule_id or f"unique_{column}"
-        return UniqueRule(rule_id=rid, column=column, exact=bool(d.pop("exact", True)))
-
-    if t == "referential":
-        columns = d.pop("columns", None)
-        column = d.pop("column", "clip_id")
-        manifest = d.pop("manifest", "manifest")
-        if columns is not None:
-            columns = tuple(str(c) for c in columns)
-            rid = rule_id or ("referential_" + "_".join(columns))
-            return ReferentialRule(
-                rule_id=rid,
-                column=columns[0],
-                manifest=manifest,
-                use_bloom=bool(d.pop("use_bloom", False)),
-                bloom_fpp=float(d.pop("bloom_fpp", 1e-4)),
-                columns=columns,
-            )
-        rid = rule_id or f"referential_{column}"
+            column = columns[0]
+        rid = rule_id or f"{t}_" + "_".join(columns or (column,))
+        if t == "unique":
+            return UniqueRule(rule_id=rid, column=column, columns=columns)
         return ReferentialRule(
             rule_id=rid,
             column=column,
-            manifest=manifest,
+            manifest=d.pop("manifest", "manifest"),
             use_bloom=bool(d.pop("use_bloom", False)),
             bloom_fpp=float(d.pop("bloom_fpp", 1e-4)),
+            columns=columns,
         )
 
     if t == "drift":

@@ -8,6 +8,7 @@ finished partitions and downstream readers prune at the directory level.
 
 from __future__ import annotations
 
+import json
 import os
 
 
@@ -39,3 +40,14 @@ def read_partition_pruned(out_dir: str, partition_col: str, value):
     return ray.data.read_parquet(
         os.path.join(out_dir, f"{partition_col}={value}")
     )
+
+
+def write_json_atomic(path: str, doc) -> None:
+    """Write ``doc`` as JSON to ``path`` atomically: the document goes to
+    a ``.tmp`` sibling first and is renamed over ``path`` with
+    ``os.replace``, so a crash mid-write leaves the previous file (or no
+    file) — never a truncated one a reader would fail to parse."""
+    tmp = path + ".tmp"
+    with open(tmp, "w") as f:
+        json.dump(doc, f, sort_keys=True)
+    os.replace(tmp, path)

@@ -27,6 +27,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from fs_schema_validator_ray.sinks import write_json_atomic
+
 
 def ann_index_build(
     ds,
@@ -78,8 +80,7 @@ def ann_index_build(
         "vec_column": vec_column,
         "id_column": id_column,
     }
-    with open(os.path.join(index_dir, "index_manifest.json"), "w") as f:
-        json.dump(manifest, f, sort_keys=True)
+    write_json_atomic(os.path.join(index_dir, "index_manifest.json"), manifest)
     return manifest
 
 
@@ -173,14 +174,12 @@ def ann_index_append(
     complement of :func:`ann_index_build` for a growing corpus; centroid
     quality degrades gracefully as the distribution drifts — monitor
     with the categorical/PSI drift gates and rebuild when flagged."""
-    import json as _json
-
     import ray
 
     from fs_schema_validator_ray.stages.similarity import IvfAssignStage
 
     with open(os.path.join(index_dir, "index_manifest.json")) as f:
-        man = _json.load(f)
+        man = json.load(f)
     cent = _load_centroids(index_dir)
     assigned = new_ds.select_columns(
         [man["id_column"], man["vec_column"]]
@@ -192,8 +191,5 @@ def ann_index_append(
         os.path.join(index_dir, "postings"), partition_cols=["list_id"]
     )
     man["n_vectors"] = int(man["n_vectors"]) + int(n_new)
-    tmp = os.path.join(index_dir, "index_manifest.json.tmp")
-    with open(tmp, "w") as f:
-        _json.dump(man, f, sort_keys=True)
-    os.replace(tmp, os.path.join(index_dir, "index_manifest.json"))
+    write_json_atomic(os.path.join(index_dir, "index_manifest.json"), man)
     return man

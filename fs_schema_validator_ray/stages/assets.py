@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import pyarrow as pa
 
-from fs_schema_validator_ray.report import VIOLATION_SCHEMA
-from fs_schema_validator_ray.stages.scalar import PARTITION_COLUMN
+from fs_schema_validator_ray.functions.assets import validate_gltf, validate_zip
+from fs_schema_validator_ray.report import row_violations
 
 
 class AssetValidateStage:
@@ -47,55 +47,23 @@ class AssetValidateStage:
             fixed_format=rule.format,
         )
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from fs_schema_validator_ray.functions.assets import (
-            validate_gltf,
-            validate_zip,
-        )
+    @staticmethod
+    def _check_row(payload, fmt) -> list[str]:
+        if payload is None or len(payload) == 0:
+            return ["cannot be empty"]
+        if fmt in ("gltf", "glb"):
+            return validate_gltf(payload, fmt)
+        if fmt == "zip":
+            return validate_zip(payload)
+        return [f"unknown asset format {fmt!r}"]
 
-        names = batch.column_names
-        n = batch.num_rows
+    def __call__(self, batch: pa.Table) -> pa.Table:
         payloads = batch.column(self.bytes_column).to_pylist()
         fmts = (
-            [self.fixed_format] * n
+            [self.fixed_format] * batch.num_rows
             if self.format_column is None
             else batch.column(self.format_column).to_pylist()
         )
-        keys = (
-            batch.column(self.key_column).to_pylist()
-            if self.key_column in names
-            else [None] * n
-        )
-        parts = (
-            batch.column(PARTITION_COLUMN).to_pylist()
-            if PARTITION_COLUMN in names
-            else [-1] * n
-        )
-
-        out_key, out_part, out_reason = [], [], []
-        for i in range(n):
-            p = payloads[i]
-            if p is None or len(p) == 0:
-                reasons = ["cannot be empty"]
-            elif fmts[i] in ("gltf", "glb"):
-                reasons = validate_gltf(p, fmts[i])
-            elif fmts[i] == "zip":
-                reasons = validate_zip(p)
-            else:
-                reasons = [f"unknown asset format {fmts[i]!r}"]
-            for r in reasons:
-                out_key.append(None if keys[i] is None else str(keys[i]))
-                out_part.append(-1 if parts[i] is None else parts[i])
-                out_reason.append(r)
-
-        import numpy as np
-
-        return pa.Table.from_arrays(
-            [
-                pa.array(np.asarray(out_part, dtype=np.int32)),
-                pa.array(out_key, pa.string()),
-                pa.array([self.rule_id] * len(out_key), pa.string()),
-                pa.array(out_reason, pa.string()),
-            ],
-            schema=VIOLATION_SCHEMA,
+        return row_violations(
+            batch, self.key_column, self.rule_id, self._check_row, zip(payloads, fmts)
         )

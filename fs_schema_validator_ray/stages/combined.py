@@ -8,10 +8,7 @@ three times; fused, each block is read once, validated once, and only
 (sparse) violation rows leave the task.
 
 Shipped as a callable *instance* → stateless Ray tasks (instant full-
-cluster fan-out, no actor spin-up). For genuinely stateful decoders
-(model weights, external codec handles) pass the class via
-``ValidationRunConfig(decode_actor_pool=True)`` and it becomes an actor
-pool with per-worker init (north_star's stateful-stage shape).
+cluster fan-out, no actor spin-up).
 """
 
 from __future__ import annotations
@@ -19,13 +16,14 @@ from __future__ import annotations
 import pyarrow as pa
 
 from fs_schema_validator_ray.functions.json_payload import JsonPayloadStage
-from fs_schema_validator_ray.report import VIOLATION_SCHEMA
+from fs_schema_validator_ray.report import empty_violations
 from fs_schema_validator_ray.rules import (
     AudioRule,
     ColumnRule,
     JsonRule,
     ReferentialRule,
 )
+from fs_schema_validator_ray.stages.assets import AssetValidateStage
 from fs_schema_validator_ray.stages.decode import AudioValidateStage
 from fs_schema_validator_ray.stages.referential import ReferentialStage
 from fs_schema_validator_ray.stages.scalar import ScalarRuleStage
@@ -43,33 +41,16 @@ class CombinedValidateStage:
         json_rules: list[JsonRule] = (),
         asset_rules: list = (),
     ) -> None:
-        from fs_schema_validator_ray.stages.assets import AssetValidateStage
-
-        self.scalar = (
-            ScalarRuleStage(column_rules, key_column) if column_rules else None
+        self.stages = (
+            ([ScalarRuleStage(column_rules, key_column)] if column_rules else [])
+            + [AudioValidateStage(r, key_column) for r in audio_rules]
+            + [JsonPayloadStage(r, key_column) for r in json_rules]
+            + [AssetValidateStage.from_rule(r, key_column) for r in asset_rules]
+            + [ReferentialStage(rule, ref) for rule, ref in referential_rules]
         )
-        self.audio = [AudioValidateStage(r, key_column) for r in audio_rules]
-        self.json = [JsonPayloadStage(r, key_column) for r in json_rules]
-        self.assets = [
-            AssetValidateStage.from_rule(r, key_column) for r in asset_rules
-        ]
-        self.referential = [
-            ReferentialStage(rule, ref) for rule, ref in referential_rules
-        ]
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        parts: list[pa.Table] = []
-        if self.scalar is not None:
-            parts.append(self.scalar(batch))
-        for stage in self.audio:
-            parts.append(stage(batch))
-        for stage in self.json:
-            parts.append(stage(batch))
-        for stage in self.assets:
-            parts.append(stage(batch))
-        for stage in self.referential:
-            parts.append(stage(batch))
-        parts = [p for p in parts if p.num_rows]
+        parts = [p for p in (stage(batch) for stage in self.stages) if p.num_rows]
         if not parts:
-            return VIOLATION_SCHEMA.empty_table()
+            return empty_violations()
         return pa.concat_tables(parts)

@@ -1,4 +1,4 @@
-"""Audio payload decode validation — the actor-pool stage.
+"""Audio payload decode validation.
 
 Ray Data re-expression of the reference's byte-wise payload validators:
 
@@ -13,11 +13,9 @@ Ray Data re-expression of the reference's byte-wise payload validators:
   ``schemas/zip.py:19-32``, generalized per the north_star invariant:
   decoded-PCM allclose SNR ≥ 30 dB + transcript equality).
 
-Used as ``ds.map_batches(AudioValidateStage(rule), concurrency=N,
-batch_size=B, batch_format="pyarrow")`` — a callable class → Ray actor
-pool, so any per-worker decoder state is built once in ``__init__``
-(the reference instead re-opens codecs per file). Batches should be kept
-small (payload-heavy rows): 256–1024 rows works well for ~3–13 KB clips;
+Runs inside the fused per-row stage (``stages/combined.py``) as
+stateless ``map_batches`` tasks. Batches should be kept small
+(payload-heavy rows): 256–1024 rows works well for ~3–13 KB clips;
 shrink for longer audio.
 """
 
@@ -27,9 +25,8 @@ import numpy as np
 import pyarrow as pa
 
 from fs_schema_validator_ray import audio
-from fs_schema_validator_ray.report import VIOLATION_SCHEMA
+from fs_schema_validator_ray.report import row_violations
 from fs_schema_validator_ray.rules import AudioRule
-from fs_schema_validator_ray.stages.scalar import PARTITION_COLUMN
 
 
 def binary_views(col: pa.Array) -> list:
@@ -121,56 +118,22 @@ class AudioValidateStage:
         names = batch.column_names
         n = batch.num_rows
 
-        def col(name, default=None):
+        def col(name):
             if name in names:
                 return batch.column(name).to_pylist()
-            return [default] * n
+            return [None] * n
 
-        keys = col(self.key_column)
         payloads = (
             binary_views(batch.column(r.bytes_column))
             if r.bytes_column in names
             else [None] * n
         )
-        codecs = col(r.codec_column)
-        srs = col(r.sr_column)
-        durs = col(r.dur_column)
         transcripts = col(r.transcript_column) if r.check_transcript else [None] * n
-        parts = (
-            batch.column(PARTITION_COLUMN).to_pylist()
-            if PARTITION_COLUMN in names
-            else [-1] * n
+        rows = zip(
+            col(self.key_column), payloads, col(r.codec_column),
+            col(r.sr_column), col(r.dur_column), transcripts,
         )
-
-        out_part: list[int] = []
-        out_key: list[str] = []
-        out_reason: list[str] = []
-        for i in range(n):
-            try:
-                reasons = self._check_row(
-                    keys[i], payloads[i], codecs[i], srs[i], durs[i], transcripts[i]
-                )
-            except Exception as ex:  # noqa: BLE001 - one poisoned row must
-                # not kill a 100 TB run; surface it as a violation instead
-                # (anticipated decode errors are already typed; this is the
-                # backstop for genuinely malformed payloads)
-                reasons = [
-                    f"unexpected validation error: ({type(ex).__name__}) {ex}"
-                ]
-            for reason in reasons:
-                out_part.append(parts[i] if parts[i] is not None else -1)
-                out_key.append(keys[i])
-                out_reason.append(reason)
-
-        return pa.Table.from_arrays(
-            [
-                pa.array(out_part, pa.int32()),
-                pa.array(out_key, pa.string()),
-                pa.array([r.rule_id] * len(out_key), pa.string()),
-                pa.array(out_reason, pa.string()),
-            ],
-            schema=VIOLATION_SCHEMA,
-        )
+        return row_violations(batch, self.key_column, r.rule_id, self._check_row, rows)
 
 
 WAV_HEADER_SCHEMA = pa.schema(

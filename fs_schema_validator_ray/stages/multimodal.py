@@ -49,8 +49,7 @@ from typing import Callable, Optional
 import numpy as np
 import pyarrow as pa
 
-from fs_schema_validator_ray.report import VIOLATION_SCHEMA
-from fs_schema_validator_ray.stages.scalar import PARTITION_COLUMN
+from fs_schema_validator_ray.report import row_violations
 
 # --- container sniffing (real, stdlib-only) --------------------------------
 
@@ -337,178 +336,146 @@ class ImageValidateStage:
         self.bounds = (min_width, min_height, max_width, max_height)
         self.deep_decode = deep_decode
 
+    def _check_row(self, p, declared) -> list[str]:
+        if p is None or len(p) == 0:
+            return ["cannot be empty"]
+        actual = sniff_image_format(p)
+        if actual is None:
+            # reference: svg gets its own reason string (image.py:47-52)
+            if declared == "svg":
+                return ["file does not contain a valid svg"]
+            return ["file does not contain a valid image"]
+        if declared is not None and actual != declared:
+            return [f"payload is not in {declared} format (got {actual})"]
+        if actual == "svg":
+            # full XML parse (reference svglib parity, image.py:47-52);
+            # intrinsic dims are optional for the vector format
+            if self.deep_decode and not validate_svg(p):
+                return ["file does not contain a valid svg"]
+            dims = parse_image_dims(p, actual)
+            if dims is None:
+                return []
+        else:
+            dims = parse_image_dims(p, actual)
+            if dims is None:
+                return [f"failed to parse {actual} header"]
+        w, h = dims
+        min_w, min_h, max_w, max_h = self.bounds
+        if not (min_w <= w <= max_w and min_h <= h <= max_h):
+            return [f"image dimensions {w}x{h} outside bounds"]
+        if self.deep_decode and actual == "png":
+            from fs_schema_validator_ray.functions.png import (
+                PngError,
+                decode_apng,
+                decode_png,
+                png_is_animated,
+            )
+
+            # APNG validates through the frame-composition path
+            # (every fcTL/fdAT frame must decode); stills as before
+            try:
+                if png_is_animated(p):
+                    decode_apng(p)
+                else:
+                    decode_png(p)
+            except PngError:
+                return ["file does not contain a valid image"]
+        elif self.deep_decode and actual == "gif":
+            from fs_schema_validator_ray.functions.gif import (
+                GifError,
+                decode_gif,
+                decode_gif_anim,
+                gif_is_animated,
+            )
+
+            if gif_is_animated(p):
+                # every frame must decode + compose
+                try:
+                    decode_gif_anim(p)
+                except GifError:
+                    return ["file does not contain a valid image"]
+                return []
+            try:
+                decode_gif(p)
+            except GifError:
+                return ["file does not contain a valid image"]
+        elif self.deep_decode and actual == "jpeg":
+            from fs_schema_validator_ray.functions.jpeg import (
+                JpegError,
+                decode_jpeg,
+            )
+
+            try:
+                decode_jpeg(p)
+            except JpegError:
+                return ["file does not contain a valid image"]
+        elif self.deep_decode and actual == "bmp":
+            from fs_schema_validator_ray.functions.bmp import BmpError, decode_bmp
+
+            try:
+                decode_bmp(p)
+            except BmpError:
+                return ["file does not contain a valid image"]
+        elif self.deep_decode and actual == "tiff":
+            from fs_schema_validator_ray.functions.bmp import (
+                TiffError,
+                decode_tiff,
+            )
+
+            try:
+                decode_tiff(p)
+            except TiffError:
+                return ["file does not contain a valid image"]
+        elif self.deep_decode and actual == "webp":
+            from fs_schema_validator_ray.functions.webp import (
+                WebpError,
+                decode_webp,
+                decode_webp_alpha,
+                decode_webp_anim,
+                webp_is_animated,
+            )
+
+            # both halves decode for real (VP8L in webp.py, lossy
+            # VP8 key frames in vp8.py), plus the ALPH alpha plane;
+            # animated containers validate through the ANMF
+            # composition path (every frame must decode)
+            try:
+                if webp_is_animated(p):
+                    decode_webp_anim(p)
+                else:
+                    decode_webp(p)
+                    decode_webp_alpha(p)
+            except WebpError:
+                return ["file does not contain a valid image"]
+        elif self.deep_decode and actual == "avif":
+            # REAL only when the system provides libavif (the
+            # reference's own runtime dependency); without it the
+            # check stays header-level so verdicts never depend on
+            # host libraries the corpus oracle can't see
+            from fs_schema_validator_ray.functions.avif import (
+                AvifError,
+                AvifUnavailableError,
+                decode_avif,
+            )
+
+            try:
+                decode_avif(p)
+            except AvifUnavailableError:
+                pass
+            except AvifError:
+                return ["file does not contain a valid image"]
+        return []
+
     def __call__(self, batch: pa.Table) -> pa.Table:
-        names = batch.column_names
-        n = batch.num_rows
         payloads = batch.column(self.bytes_column).to_pylist()
         declared = (
             batch.column(self.format_column).to_pylist()
-            if self.format_column in names
-            else [None] * n
+            if self.format_column in batch.column_names
+            else [None] * batch.num_rows
         )
-        keys = (
-            batch.column(self.key_column).to_pylist()
-            if self.key_column in names
-            else [None] * n
-        )
-        parts = (
-            batch.column(PARTITION_COLUMN).to_pylist()
-            if PARTITION_COLUMN in names
-            else [-1] * n
-        )
-        min_w, min_h, max_w, max_h = self.bounds
-
-        out_key, out_part, out_reason = [], [], []
-
-        def emit(i, reason):
-            out_key.append(None if keys[i] is None else str(keys[i]))
-            out_part.append(-1 if parts[i] is None else parts[i])
-            out_reason.append(reason)
-
-        for i in range(n):
-            p = payloads[i]
-            if p is None or len(p) == 0:
-                emit(i, "cannot be empty")
-                continue
-            actual = sniff_image_format(p)
-            if actual is None:
-                # reference: svg gets its own reason string (image.py:47-52)
-                if declared[i] == "svg":
-                    emit(i, "file does not contain a valid svg")
-                else:
-                    emit(i, "file does not contain a valid image")
-                continue
-            if declared[i] is not None and actual != declared[i]:
-                emit(i, f"payload is not in {declared[i]} format (got {actual})")
-                continue
-            if actual == "svg":
-                # full XML parse (reference svglib parity, image.py:47-52);
-                # intrinsic dims are optional for the vector format
-                if self.deep_decode and not validate_svg(p):
-                    emit(i, "file does not contain a valid svg")
-                    continue
-                dims = parse_image_dims(p, actual)
-                if dims is None:
-                    continue
-            else:
-                dims = parse_image_dims(p, actual)
-                if dims is None:
-                    emit(i, f"failed to parse {actual} header")
-                    continue
-            w, h = dims
-            if not (min_w <= w <= max_w and min_h <= h <= max_h):
-                emit(i, f"image dimensions {w}x{h} outside bounds")
-                continue
-            if self.deep_decode and actual == "png":
-                from fs_schema_validator_ray.functions.png import (
-                    PngError,
-                    decode_apng,
-                    decode_png,
-                    png_is_animated,
-                )
-
-                # APNG validates through the frame-composition path
-                # (every fcTL/fdAT frame must decode); stills as before
-                try:
-                    if png_is_animated(p):
-                        decode_apng(p)
-                    else:
-                        decode_png(p)
-                except PngError:
-                    emit(i, "file does not contain a valid image")
-            elif self.deep_decode and actual == "gif":
-                from fs_schema_validator_ray.functions.gif import (
-                    GifError,
-                    decode_gif,
-                    decode_gif_anim,
-                    gif_is_animated,
-                )
-
-                if gif_is_animated(p):
-                    # every frame must decode + compose
-                    try:
-                        decode_gif_anim(p)
-                    except GifError:
-                        emit(i, "file does not contain a valid image")
-                    continue
-                try:
-                    decode_gif(p)
-                except GifError:
-                    emit(i, "file does not contain a valid image")
-            elif self.deep_decode and actual == "jpeg":
-                from fs_schema_validator_ray.functions.jpeg import (
-                    JpegError,
-                    decode_jpeg,
-                )
-
-                try:
-                    decode_jpeg(p)
-                except JpegError:
-                    emit(i, "file does not contain a valid image")
-            elif self.deep_decode and actual == "bmp":
-                from fs_schema_validator_ray.functions.bmp import BmpError, decode_bmp
-
-                try:
-                    decode_bmp(p)
-                except BmpError:
-                    emit(i, "file does not contain a valid image")
-            elif self.deep_decode and actual == "tiff":
-                from fs_schema_validator_ray.functions.bmp import (
-                    TiffError,
-                    decode_tiff,
-                )
-
-                try:
-                    decode_tiff(p)
-                except TiffError:
-                    emit(i, "file does not contain a valid image")
-            elif self.deep_decode and actual == "webp":
-                from fs_schema_validator_ray.functions.webp import (
-                    WebpError,
-                    decode_webp,
-                    decode_webp_alpha,
-                    decode_webp_anim,
-                    webp_is_animated,
-                )
-
-                # both halves decode for real (VP8L in webp.py, lossy
-                # VP8 key frames in vp8.py), plus the ALPH alpha plane;
-                # animated containers validate through the ANMF
-                # composition path (every frame must decode)
-                try:
-                    if webp_is_animated(p):
-                        decode_webp_anim(p)
-                    else:
-                        decode_webp(p)
-                        decode_webp_alpha(p)
-                except WebpError:
-                    emit(i, "file does not contain a valid image")
-            elif self.deep_decode and actual == "avif":
-                # REAL only when the system provides libavif (the
-                # reference's own runtime dependency); without it the
-                # check stays header-level so verdicts never depend on
-                # host libraries the corpus oracle can't see
-                from fs_schema_validator_ray.functions.avif import (
-                    AvifError,
-                    AvifUnavailableError,
-                    decode_avif,
-                )
-
-                try:
-                    decode_avif(p)
-                except AvifUnavailableError:
-                    pass
-                except AvifError:
-                    emit(i, "file does not contain a valid image")
-
-        return pa.Table.from_arrays(
-            [
-                pa.array(np.asarray(out_part, dtype=np.int32)),
-                pa.array(out_key, pa.string()),
-                pa.array([self.rule_id] * len(out_key), pa.string()),
-                pa.array(out_reason, pa.string()),
-            ],
-            schema=VIOLATION_SCHEMA,
+        return row_violations(
+            batch, self.key_column, self.rule_id, self._check_row,
+            zip(payloads, declared),
         )
 
 

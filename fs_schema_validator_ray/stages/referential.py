@@ -22,11 +22,13 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from fs_schema_validator_ray.report import VIOLATION_SCHEMA
+from fs_schema_validator_ray.report import partition_ids, violations_table
 from fs_schema_validator_ray.rules import ReferentialRule
-from fs_schema_validator_ray.stages.scalar import PARTITION_COLUMN
 from fs_schema_validator_ray.state import BloomFilter, hash64
-from fs_schema_validator_ray.state.sketches import stable_key_array
+from fs_schema_validator_ray.state.sketches import (
+    canonical_tuple_strings,
+    stable_key_array,
+)
 
 
 def build_membership(keys, use_bloom: bool = False, fpp: float = 1e-4):
@@ -78,19 +80,6 @@ def _probe(membership, values: np.ndarray) -> np.ndarray:
     return membership[idx] == h
 
 
-def canonical_tuple_strings(batch: pa.Table, columns) -> np.ndarray:
-    """Canonical composite-key strings (US-separator join, nulls spelled
-    ``\x00null``) — the SAME form ``stages/unique.py`` composite mode
-    uses, so unique/referential tuple semantics agree."""
-    cols = [batch.column(c).to_pylist() for c in columns]
-    out = np.empty(batch.num_rows, dtype=object)
-    for i, row in enumerate(zip(*cols)):
-        out[i] = "\x1f".join(
-            "\x00null" if v is None else str(v) for v in row
-        )
-    return out
-
-
 class ReferentialStage:
     """``map_batches`` callable. Construct with the ``ray.ObjectRef`` of the
     membership structure (``ray.put`` once on the driver); each worker
@@ -113,9 +102,8 @@ class ReferentialStage:
     def __call__(self, batch: pa.Table) -> pa.Table:
         rule = self.rule
         membership = self._resolve()
-        composite = getattr(rule, "columns", None)
-        if composite:
-            values = canonical_tuple_strings(batch, composite)
+        if rule.columns:
+            values = canonical_tuple_strings(batch, rule.columns)
             nulls = np.zeros(len(values), bool)  # tuples probe literally
         else:
             col = batch.column(rule.column).combine_chunks()
@@ -131,17 +119,9 @@ class ReferentialStage:
         if (~nulls).any():
             present[~nulls] = _probe(membership, values[~nulls])
         missing = np.flatnonzero(~present)
-        if PARTITION_COLUMN in batch.column_names:
-            parts = np.asarray(batch.column(PARTITION_COLUMN).combine_chunks().cast(pa.int32()))
-        else:
-            parts = np.full(len(values), -1, np.int32)
-        reason = f"does not exist in manifest `{rule.manifest}`"
-        return pa.Table.from_arrays(
-            [
-                pa.array(parts[missing].astype(np.int32, copy=False)),
-                pa.array([None if nulls[i] else str(values[i]) for i in missing], pa.string()),
-                pa.array([rule.rule_id] * len(missing), pa.string()),
-                pa.array([reason] * len(missing), pa.string()),
-            ],
-            schema=VIOLATION_SCHEMA,
+        return violations_table(
+            [None if nulls[i] else str(values[i]) for i in missing],
+            rule.rule_id,
+            [f"does not exist in manifest `{rule.manifest}`"] * len(missing),
+            partition_ids(batch)[missing],
         )

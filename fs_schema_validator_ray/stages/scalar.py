@@ -15,11 +15,13 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from fs_schema_validator_ray.report import VIOLATION_SCHEMA
+from fs_schema_validator_ray.report import (  # noqa: F401 - PARTITION_COLUMN re-exported
+    PARTITION_COLUMN,
+    empty_violations,
+    partition_ids,
+    violations_table,
+)
 from fs_schema_validator_ray.rules import ColumnRule
-
-#: name of the partition-id column attached by the pipeline reader
-PARTITION_COLUMN = "partition_id"
 
 
 class ScalarRuleStage:
@@ -37,12 +39,7 @@ class ScalarRuleStage:
             if self.key_column in batch.column_names
             else None
         )
-        if PARTITION_COLUMN in batch.column_names:
-            parts = np.asarray(
-                batch.column(PARTITION_COLUMN).combine_chunks().cast(pa.int32())
-            )
-        else:
-            parts = None
+        parts = partition_ids(batch)
 
         out_keys: list[pa.Array] = []
         out_parts: list[np.ndarray] = []
@@ -70,21 +67,18 @@ class ScalarRuleStage:
                     if key_arr is not None
                     else pa.array([None] * len(idx), pa.string())
                 )
-                out_parts.append(
-                    parts[idx] if parts is not None else np.full(len(idx), -1, np.int32)
-                )
+                out_parts.append(parts[idx])
                 rule_ids.append(rule.rule_id)
                 reasons.append(f"`{rule.column}`: {msg}")
                 sizes.append(len(idx))
 
         if not sizes:
-            return VIOLATION_SCHEMA.empty_table()
-
-        n = int(np.sum(sizes))
-        rid_col = pa.array(np.repeat(np.asarray(rule_ids, dtype=object), sizes), pa.string())
-        reason_col = pa.array(np.repeat(np.asarray(reasons, dtype=object), sizes), pa.string())
-        key_col = pa.concat_arrays([a.cast(pa.string()) for a in out_keys])
-        part_col = pa.array(np.concatenate(out_parts).astype(np.int32, copy=False))
-        return pa.Table.from_arrays(
-            [part_col, key_col, rid_col, reason_col], schema=VIOLATION_SCHEMA
-        ).slice(0, n)
+            return empty_violations()
+        # one Arrow take per (rule, finding) and one np.repeat per column:
+        # the findings are index arrays, so no per-row Python here
+        return violations_table(
+            pa.concat_arrays([a.cast(pa.string()) for a in out_keys]),
+            np.repeat(np.asarray(rule_ids, dtype=object), sizes),
+            np.repeat(np.asarray(reasons, dtype=object), sizes),
+            np.concatenate(out_parts),
+        )

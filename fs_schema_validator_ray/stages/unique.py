@@ -18,9 +18,12 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from fs_schema_validator_ray.report import VIOLATION_SCHEMA
+from fs_schema_validator_ray.report import (
+    PARTITION_COLUMN,
+    partition_ids,
+    violations_table,
+)
 from fs_schema_validator_ray.rules import UniqueRule
-from fs_schema_validator_ray.stages.scalar import PARTITION_COLUMN
 from fs_schema_validator_ray.stages.exchange import (
     bucketed,
     default_n_buckets,
@@ -29,7 +32,11 @@ from fs_schema_validator_ray.stages.exchange import (
     segments,
 )
 from fs_schema_validator_ray.state import HyperLogLog
-from fs_schema_validator_ray.state.sketches import hash64, stable_key_array
+from fs_schema_validator_ray.state.sketches import (
+    canonical_tuple_strings,
+    hash64,
+    stable_key_array,
+)
 
 
 def _partial_counts(batch: pa.Table, column: str) -> pa.Table:
@@ -44,24 +51,17 @@ def _partial_counts(batch: pa.Table, column: str) -> pa.Table:
     million rows."""
     import pyarrow.compute as pc
 
-    has_part = PARTITION_COLUMN in batch.column_names
-    tbl = batch.select([column] + ([PARTITION_COLUMN] if has_part else []))
-    if not has_part:
-        tbl = tbl.append_column(
-            PARTITION_COLUMN, pa.array(np.full(len(tbl), -1, np.int32))
-        )
+    tbl = pa.table({"key": batch.column(column), "part": partition_ids(batch)})
     # count on the (never-null) partition column so null keys count too
-    g = pa.TableGroupBy(tbl, column).aggregate(
-        [(PARTITION_COLUMN, "count"), (PARTITION_COLUMN, "min")]
-    )
+    g = pa.TableGroupBy(tbl, "key").aggregate([("part", "count"), ("part", "min")])
     # keys keep their NATIVE type through the shuffle — casting ints to
     # strings here would make the shuffle payload (and its sort
     # comparisons) the widest possible; violations stringify at emission.
     return pa.table(
         {
-            "key": g.column(column),
-            "n": pc.cast(g.column(f"{PARTITION_COLUMN}_count"), pa.int64()),
-            "part": pc.cast(g.column(f"{PARTITION_COLUMN}_min"), pa.int32()),
+            "key": g.column("key"),
+            "n": pc.cast(g.column("part_count"), pa.int64()),
+            "part": g.column("part_min"),
         }
     )
 
@@ -77,26 +77,19 @@ def uniqueness_violations(
     the per-bucket merge is one Arrow ``group_by`` call — no per-row
     Python anywhere.
     """
-    composite = getattr(rule, "columns", None)
+    composite = rule.columns
     column = key_column or rule.column
     if n_buckets is None:
         n_buckets = default_n_buckets(ds)
     part_cols = [PARTITION_COLUMN] if PARTITION_COLUMN in ds.schema().names else []
     if composite:
         # composite-key mode: canonicalize the tuple to one string key
-        # (US-separator join; nulls spelled out so (None, "x") can never
-        # collide with ("None", "x")) and reuse the single-key machinery
+        # (the injective tuple encoding shared with referential rules) and
+        # reuse the single-key machinery
         keys = ds.select_columns([*composite, *part_cols])
 
         def canonize(t: pa.Table) -> pa.Table:
-            cols_np = [
-                t.column(c).to_pylist() for c in composite
-            ]
-            joined = [
-                "\x1f".join("\x00null" if v is None else str(v) for v in row)
-                for row in zip(*cols_np)
-            ]
-            out = {"__ckey": pa.array(joined, pa.string())}
+            out = {"__ckey": pa.array(canonical_tuple_strings(t, composite), pa.string())}
             for c in part_cols:
                 out[c] = t.column(c)
             return pa.table(out)
@@ -123,18 +116,11 @@ def uniqueness_violations(
         # promote the whole int column to float64 and render "5.0"
         keys_np = np.empty(g.num_rows, dtype=object)
         keys_np[:] = g.column("key").to_pylist()
-        parts_np = np.asarray(g.column("part_min"), dtype=np.int64)
-        return pa.Table.from_arrays(
-            [
-                pa.array(parts_np[dup].astype(np.int32)),
-                pa.array([str(k) for k in keys_np[dup]], pa.string()),
-                pa.array([rule.rule_id] * len(dup), pa.string()),
-                pa.array(
-                    [f"duplicate key (appears {int(c)} times)" for c in counts[dup]],
-                    pa.string(),
-                ),
-            ],
-            schema=VIOLATION_SCHEMA,
+        return violations_table(
+            [str(k) for k in keys_np[dup]],
+            rule.rule_id,
+            [f"duplicate key (appears {int(c)} times)" for c in counts[dup]],
+            np.asarray(g.column("part_min"))[dup],
         )
 
     return map_buckets(partials, merge_bucket)

@@ -52,6 +52,32 @@ def stable_key_array(col) -> np.ndarray:
     return col.to_numpy(zero_copy_only=False)
 
 
+def _tuple_component(v) -> str:
+    if v is None:
+        return "\x00null"
+    return str(v).replace("\x00", "\x00\x00").replace("\x1f", "\x00\x1f")
+
+
+def canonical_tuple_strings(batch, columns) -> np.ndarray:
+    """One canonical string per row for the composite key ``columns`` —
+    the single encoding composite ``unique`` and ``referential`` rules
+    (both the probe and the manifest membership build) agree on.
+
+    Components are formatted with ``str(v)`` and joined with ``\\x1f``.
+    A null component is spelled ``\\x00null``: nulls participate
+    LITERALLY, so ``(x, null)`` equals ``(x, null)`` — a duplicate under
+    ``unique``, a match under ``referential``. The encoding is injective:
+    inside a component value ``\\x00`` becomes ``\\x00\\x00`` and ``\\x1f``
+    becomes ``\\x00\\x1f``, so ``('a\\x1fb', 'c')`` and ``('a', 'b\\x1fc')``,
+    or a literal ``'\\x00null'`` and a real null, never collide. Values
+    containing neither character encode exactly as the plain join."""
+    cols = [batch.column(c).to_pylist() for c in columns]
+    out = np.empty(batch.num_rows, dtype=object)
+    for i, row in enumerate(zip(*cols)):
+        out[i] = "\x1f".join(map(_tuple_component, row))
+    return out
+
+
 def key_codes(col) -> np.ndarray:
     """Dictionary-encoded int64 codes for an Arrow key column — the
     sortable, groupable key proxy used by the vectorized per-bucket

@@ -227,3 +227,27 @@ def test_exif_truncated_ifd_raises_typed():
     bad = insert_exif(j, b"\xff\xe1" + struct.pack(">H", len(body) + 2) + body)
     with pytest.raises(JpegError, match="exif"):
         jpeg_exif(bad)
+
+
+@pytest.mark.parametrize(
+    "typ,cnt,value",
+    [(2, 4, b"abc\x00"), (1, 1, b"\x05\x00\x00\x00"), (1, 2, b"\x01\x02\x00\x00")],
+    ids=["ascii", "byte", "two-bytes"],
+)
+def test_exif_sub_ifd_pointer_of_wrong_type_raises_typed(typ, cnt, value):
+    """The Exif sub-IFD pointer (tag 0x8769) is an offset; declared as
+    ASCII or BYTE it must raise JpegError, not ValueError/TypeError."""
+    import struct
+
+    from fs_schema_validator_ray.functions.jpeg import insert_exif, jpeg_exif
+
+    tiff = (
+        b"II" + struct.pack("<HI", 42, 8)
+        + struct.pack("<H", 1) + struct.pack("<HHI", 0x8769, typ, cnt) + value
+        + struct.pack("<I", 0)
+    )
+    body = b"Exif\x00\x00" + tiff
+    app1 = b"\xff\xe1" + struct.pack(">H", len(body) + 2) + body
+    j = insert_exif(encode_jpeg(np.zeros((8, 8, 3), np.uint8)), app1)
+    with pytest.raises(JpegError, match="sub-IFD pointer"):
+        jpeg_exif(j)

@@ -180,29 +180,6 @@ def test_full_run_and_resume(ray_session, corpus, tmp_path):
     assert res3.total_rows == CFG.n_rows
 
 
-def test_actor_pool_decode_path(ray_session, corpus, tmp_path):
-    """decode_actor_pool=True (stateful-decoder shape: callable class →
-    Ray actor pool) must produce the identical violation set as the
-    stateless-task path."""
-    cfg = make_cfg(corpus, tmp_path / "run_actor")
-    cfg.decode_actor_pool = True
-    cfg.decode_concurrency = (1, 2)
-    res = run_validation(cfg)
-
-    ref_cfg = make_cfg(corpus, tmp_path / "run_fn")
-    ref = run_validation(ref_cfg)
-
-    mine = sorted(
-        (r["key"], r["rule_id"], r["reason"])
-        for r in res.violations_dataset().take_all()
-    )
-    theirs = sorted(
-        (r["key"], r["rule_id"], r["reason"])
-        for r in ref.violations_dataset().take_all()
-    )
-    assert mine == theirs and res.total_violations == ref.total_violations
-
-
 def test_drifted_partition_detected(ray_session, corpus, tmp_path):
     """A shifted dur_ms distribution in one partition must trip the KS rule
     when validated against the clean corpus baseline."""
@@ -454,6 +431,18 @@ rules:
         ray.data.from_arrow(t2).repartition(2), rule, n_buckets=4
     ).to_pandas()
     assert len(out2) == 0
+    # separator / null-sentinel characters inside values cannot collide:
+    # ("a\x1fb", "c") vs ("a", "b\x1fc") and a literal "\x00null" vs null
+    t3 = pa.table(
+        {
+            "user_id": pa.array(["a\x1fb", "a", "\x00null", None], pa.string()),
+            "day": ["c", "b\x1fc", "z", "z"],
+        }
+    )
+    out3 = uniqueness_violations(
+        ray.data.from_arrow(t3).repartition(2), rule, n_buckets=4
+    ).to_pandas()
+    assert len(out3) == 0
 
 
 def test_categorical_drift_rule(ray_session):
@@ -606,3 +595,72 @@ rules:
     assert res.total_violations == 1  # the planted (c0, pcm) duplicate
     v = res.violations_dataset().to_pandas()
     assert v["key"].iloc[0] == "c0\x1fpcm"
+
+
+def test_run_validation_composite_referential(ray_session, tmp_path):
+    """A composite referential rule end to end: the wave read must carry
+    every key column, and only tuples absent from the manifest fail."""
+    import pyarrow as pa
+
+    clips_dir = tmp_path / "clips"
+    clips_dir.mkdir()
+    for pid, (ids, codecs) in enumerate(
+        [(["a", "b", "c"], ["pcm", "ulaw", "pcm"]), (["d", "e"], ["alaw", None])]
+    ):
+        pq.write_table(
+            pa.table({"clip_id": ids, "codec": pa.array(codecs, pa.string())}),
+            str(clips_dir / f"part-{pid}.parquet"),
+        )
+    manifest = tmp_path / "manifest.parquet"
+    pq.write_table(
+        pa.table(
+            {
+                "clip_id": ["a", "b", "c", "d", "e"],
+                "codec": pa.array(["pcm", "pcm", "pcm", "alaw", None], pa.string()),
+            }
+        ),
+        str(manifest),
+    )
+    res = run_validation(
+        ValidationRunConfig(
+            input_path=str(clips_dir),
+            rules=RuleSet.from_yaml(
+                "rules:\n  - rule: ref_pair\n    type: referential\n"
+                "    columns: [clip_id, codec]\n"
+            ),
+            output_dir=str(tmp_path / "out"),
+            manifest_path=str(manifest),
+        )
+    )
+    v = res.violations_dataset().to_pandas()
+    # ("b", "ulaw") has the wrong codec; ("e", null) matches literally
+    assert res.total_violations == 1
+    assert list(zip(v["partition_id"], v["key"], v["rule_id"], v["reason"])) == [
+        (0, "b\x1fulaw", "ref_pair", "does not exist in manifest `manifest`")
+    ]
+
+
+def test_run_validation_composite_unique_absent_column(ray_session, tmp_path):
+    """A composite unique rule naming an absent column is ONE plan-time
+    violation (and is dropped from the data plane), not a crashed read."""
+    import pyarrow as pa
+
+    clips_dir = tmp_path / "clips"
+    clips_dir.mkdir()
+    pq.write_table(
+        pa.table({"clip_id": ["a", "a", "b"]}), str(clips_dir / "part-0.parquet")
+    )
+    res = run_validation(
+        ValidationRunConfig(
+            input_path=str(clips_dir),
+            rules=RuleSet.from_yaml(
+                "rules:\n  - type: unique\n    columns: [clip_id, lang]\n"
+            ),
+            output_dir=str(tmp_path / "out"),
+        )
+    )
+    v = res.violations_dataset().to_pandas()
+    assert res.total_violations == 1
+    assert list(zip(v["key"], v["rule_id"], v["reason"])) == [
+        (None, "unique_clip_id_lang", "column `lang` does not exist")
+    ]

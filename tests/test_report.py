@@ -70,3 +70,31 @@ def test_reasons_for():
 def test_violation_frozen():
     v = Violation(key="k", rule_id="r", reason="x")
     assert (v.key, v.rule_id, v.reason) == ("k", "r", "x")
+
+
+def test_row_violations_turns_a_raising_check_into_a_row():
+    from fs_schema_validator_ray.report import VIOLATION_SCHEMA, row_violations
+
+    batch = pa.table(
+        {
+            "clip_id": ["a", "b", "c"],
+            "partition_id": pa.array([7, None, 9], pa.int32()),
+            "x": [1, 0, 2],
+        }
+    )
+
+    def check(x):
+        return ["two reasons", "for 2"] if x == 2 else [str(1 // x)] * (x != 1)
+
+    out = row_violations(batch, "clip_id", "r", check, zip(batch.column("x").to_pylist()))
+    assert out.schema == VIOLATION_SCHEMA
+    assert out.to_pylist() == [
+        {"partition_id": -1, "key": "b", "rule_id": "r",
+         "reason": "unexpected validation error: (ZeroDivisionError) integer division or modulo by zero"},
+        {"partition_id": 9, "key": "c", "rule_id": "r", "reason": "two reasons"},
+        {"partition_id": 9, "key": "c", "rule_id": "r", "reason": "for 2"},
+    ]
+    # no key column → null keys; no partition column → -1
+    out = row_violations(batch.select(["x"]), "clip_id", "r", check, [(2,)])
+    assert out.column("key").to_pylist() == [None, None]
+    assert out.column("partition_id").to_pylist() == [-1, -1]

@@ -401,3 +401,22 @@ def test_psi_by_group_planted_drift(ray_session):
     # the shifted group drifts harder than the majority group (whose
     # PSI is nonzero too: the eps floor punishes its empty upper bins)
     assert got["hot"] > got["base"] > 0.0
+
+
+def test_canonical_tuple_strings_injective_and_stable():
+    """Composite keys: separator / null-sentinel characters inside values
+    never collide, and values without them encode as the plain join."""
+    from fs_schema_validator_ray.state.sketches import canonical_tuple_strings
+
+    t = pa.table(
+        {
+            "a": pa.array(["a\x1fb", "a", "\x00null", None, "x", None], pa.string()),
+            "b": pa.array(["c", "b\x1fc", "z", "z", "y", None], pa.string()),
+            "n": pa.array([1, 2, 3, 4, None, 6], pa.int64()),
+        }
+    )
+    keys = list(canonical_tuple_strings(t, ["a", "b"]))
+    assert keys[0] != keys[1]  # ('a\x1fb', 'c') vs ('a', 'b\x1fc')
+    assert keys[2] != keys[3]  # literal '\x00null' vs a real null
+    assert keys[4:] == ["x\x1fy", "\x00null\x1f\x00null"]
+    assert list(canonical_tuple_strings(t, ["n", "b"]))[4:] == ["\x00null\x1fy", "6\x1f\x00null"]
