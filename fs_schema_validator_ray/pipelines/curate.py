@@ -22,12 +22,13 @@ of payloads.
 
 from __future__ import annotations
 
-import json
 import os
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from fs_schema_validator_ray.sinks import write_json_atomic
 
 
 def curate_documents(
@@ -147,6 +148,5 @@ def curate_documents(
             "n_shards": n_shards,
         },
     }
-    with open(os.path.join(output_dir, "curation_manifest.json"), "w") as f:
-        json.dump(summary, f, sort_keys=True)
+    write_json_atomic(os.path.join(output_dir, "curation_manifest.json"), summary)
     return summary

@@ -49,6 +49,28 @@ def _write_manifest(store_dir: str, doc: dict) -> None:
     write_json_atomic(os.path.join(store_dir, "store_manifest.json"), doc)
 
 
+def _seen(store: pa.Table, batch: pa.Table) -> np.ndarray:
+    """Per row of ``batch``: is its ``(h1, h2)`` fingerprint in ``store``?
+    The store is lexsorted by ``(h1, h2)`` and each batch row's ``h1``
+    run found by ``searchsorted``; the runs are then checked offset by
+    offset, all rows at once, so a shared ``h1`` cannot match a
+    different ``h2`` and the passes are as many as the longest run
+    (one, but for 64-bit ``h1`` collisions)."""
+    sh1 = np.asarray(store.column("h1"), np.int64)
+    sh2 = np.asarray(store.column("h2"), np.int64)
+    so = np.lexsort((sh2, sh1))
+    sh1, sh2 = sh1[so], sh2[so]
+    nh1 = np.asarray(batch.column("h1"), np.int64)
+    nh2 = np.asarray(batch.column("h2"), np.int64)
+    lo = np.searchsorted(sh1, nh1, "left")
+    run = np.searchsorted(sh1, nh1, "right") - lo
+    hit = np.zeros(len(nh1), bool)
+    for k in range(int(run.max(initial=0))):
+        rows = np.flatnonzero(run > k)
+        hit[rows] |= sh2[lo[rows] + k] == nh2[rows]
+    return hit
+
+
 def dedup_ingest(
     new_ds,
     store_dir: str,
@@ -121,22 +143,7 @@ def dedup_ingest(
         keep_idx = order[starts]
         sub = group.take(pa.array(np.sort(keep_idx), pa.int64()))
         if seen is not None and seen.num_rows:
-            sh1 = np.asarray(seen.column("h1"), np.int64)
-            sh2 = np.asarray(seen.column("h2"), np.int64)
-            so = np.lexsort((sh2, sh1))
-            sh1, sh2 = sh1[so], sh2[so]
-            nh1 = np.asarray(sub.column("h1"), np.int64)
-            nh2 = np.asarray(sub.column("h2"), np.int64)
-            pos = np.searchsorted(sh1, nh1)
-            hit = np.zeros(len(nh1), bool)
-            # verify h2 within the h1 run (h1 collisions possible)
-            for i in range(len(nh1)):
-                p = pos[i]
-                while p < len(sh1) and sh1[p] == nh1[i]:
-                    if sh2[p] == nh2[i]:
-                        hit[i] = True
-                        break
-                    p += 1
+            hit = _seen(seen, sub)
             sub = sub.filter(pa.array(~hit))
         return sub.add_column(0, "bucket", pa.array(np.full(sub.num_rows, b, np.int32)))
 

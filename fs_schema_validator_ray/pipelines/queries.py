@@ -2429,7 +2429,7 @@ def catpsi_events_type_by_bucket(sf_dir: str):
     """CATEGORICAL PSI per user bucket: each ``user_id % 8`` cohort's
     event-type mix vs the global mix — the oracle-checkable closed form
     of the categorical drift gate
-    (``pipelines/stats.py::categorical_drift_self_check``; same eps=1e-6
+    (``pipelines/stats.py::drift_verdicts``; same eps=1e-6
     floor, same ROUND(·,6) protocol as ``psi_nchars_by_source``; SUM
     over ≤|types| doubles — the documented few-term residual)."""
     from fs_schema_validator_ray.stages.agg import group_sum

@@ -7,14 +7,22 @@ and partials are merged per column. The input dataset streams once; only
 kilobyte-sized partials ever move. This generalizes the reference's
 mergeable ``ValidationReport`` (``report.py:44-48``) to numeric state.
 
-Drift: per-partition fixed-bin histograms merged the same way, compared
-against a baseline histogram with KS / PSI (north_rule) — partitions
-whose statistic exceeds the rule threshold produce partition-level
-violation rows.
+Drift: per-batch, per-partition partials (fixed-bin histogram counts, or
+category counts for a categorical rule), folded on the driver by
+:func:`merge_drift_partial` and judged by :func:`drift_verdicts` against
+a baseline with KS / PSI (north_rule) — partitions whose statistic
+exceeds the rule threshold produce partition-level violation rows.
+
+The validation run's global pass (:func:`global_partials`) is the same
+partial/final pattern over every pending ``unique`` and ``drift`` rule
+at once: one read, per batch one partial per rule — the drift partial,
+or the sparse cell counts of a ``unique`` rule's counting filter (the
+cells come from ``stages/unique.py``) — merged on the driver.
 """
 
 from __future__ import annotations
 
+import json
 from typing import Optional
 
 import numpy as np
@@ -27,6 +35,8 @@ from fs_schema_validator_ray.report import (
     violations_table,
 )
 from fs_schema_validator_ray.rules import DriftRule
+from fs_schema_validator_ray.stages import unique as unique_stage
+from fs_schema_validator_ray.stages.exchange import estimate_dataset_rows
 from fs_schema_validator_ray.state import Histogram, HyperLogLog, TDigest, ks_statistic, psi
 
 
@@ -209,50 +219,109 @@ class _DriftPartial:
         )
 
 
-def _per_partition_histograms(ds, rule: DriftRule) -> dict[int, Histogram]:
-    """One pass → per-partition merged histograms. The materialized data
-    is ``num_partitions × (bins+2)`` int64s, driver-sized even at
-    thousands of partitions."""
-    parts = ds.map_batches(_DriftPartial(rule), batch_format="pyarrow").to_pandas()
-    merged: dict[int, Histogram] = {}
-    for pid, counts in zip(parts["partition_id"], parts["counts"]):
+def drift_partial(rule: DriftRule):
+    """The per-batch partial of one drift rule: per-partition histogram
+    counts (numeric) or category counts (``categorical``)."""
+    return _CatDriftPartial(rule) if rule.categorical else _DriftPartial(rule)
+
+
+def merge_drift_partial(merged: dict, rule: DriftRule, partial: pa.Table) -> None:
+    """Fold one :func:`drift_partial` output into ``merged`` in place:
+    ``{pid: Histogram}`` for a numeric rule, ``{pid: {category: n}}`` for
+    a categorical one. The state is partitions × bins (categories),
+    never rows."""
+    pids = partial.column("partition_id").to_pylist()
+    if rule.categorical:
+        for pid, cat, n in zip(
+            pids, partial.column("category").to_pylist(), partial.column("n").to_pylist()
+        ):
+            d = merged.setdefault(pid, {})
+            d[cat] = d.get(cat, 0) + n
+        return
+    for pid, counts in zip(pids, partial.column("counts").to_pylist()):
         h = Histogram(rule.lo, rule.hi, rule.bins)
         h.counts = np.asarray(counts, dtype=np.int64)
-        if pid in merged:
-            merged[pid] = merged[pid].merge(h)
-        else:
-            merged[pid] = h
-    return merged
+        merged[pid] = merged[pid].merge(h) if pid in merged else h
 
 
-def drift_check(ds, rule: DriftRule, baseline: Histogram):
-    """Per-partition KS/PSI vs baseline → (violations_table, metrics)."""
-    return _drift_verdicts(_per_partition_histograms(ds, rule), rule, baseline)
+def _ipc(t: pa.Table) -> bytes:
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_stream(sink, t.schema) as w:
+        w.write_table(t)
+    return sink.getvalue().to_pybytes()
 
 
-def drift_self_check(
-    ds, rule: DriftRule, baseline: Optional[Histogram] = None,
-    return_sketches: bool = False,
-):
-    """Single-pass drift: per-partition histograms computed once; the
-    baseline (when not given) is their merge — each partition is compared
-    against the global distribution without a second read.
+class GlobalPartial:
+    """Aggregating half of the validation run's global pass: ONE map UDF
+    for every pending ``unique`` and ``drift`` rule, after
+    ``stages.unique.with_key_cells``. Per batch it emits one row per
+    rule, the rule's index (unique rules first) and its partial as an
+    Arrow IPC blob: the sparse ``(cell, min(n, 2))`` pairs of the ``i``-th
+    unique rule's ``__cell<i>`` column, the :func:`drift_partial` table
+    of a drift rule."""
 
-    ``return_sketches=True`` additionally returns the per-partition
-    histogram blobs (``{pid: bytes}``) — the mergeable sketch state the
-    run manifest checkpoints (north_star lineage requirement)."""
-    merged = _per_partition_histograms(ds, rule)
+    def __init__(self, n_unique: int, drift_rules: list) -> None:
+        self.n_unique, self.drift_rules = n_unique, drift_rules
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        blobs = []
+        for i in range(self.n_unique):
+            cells, n = np.unique(np.asarray(batch.column(f"__cell{i}")), return_counts=True)
+            # the filter saturates at 2: five bytes a pair
+            n = np.minimum(n, 2).astype(np.uint8)
+            blobs.append(_ipc(pa.table({"cell": cells, "n": n})))
+        for rule in self.drift_rules:
+            blobs.append(_ipc(drift_partial(rule)(batch)))
+        return pa.table(
+            {"rule": pa.array(range(len(blobs)), pa.int32()),
+             "blob": pa.array(blobs, pa.binary())}
+        )
+
+
+def global_partials(ds, unique_rules: list, drift_rules: list) -> tuple[list, list]:
+    """The global pass over ``ds``: ONE ``map_batches`` chain —
+    ``stages.unique.with_key_cells`` (skipped without unique rules) then
+    :class:`GlobalPartial` — merged on the driver as the blocks arrive.
+    Returns ``(filters, drift_states)``: per unique rule a count for each
+    of its ``2**stages.unique.filter_bits(rows)`` cells, saturated at 2
+    (a byte a cell), and per drift rule its :func:`merge_drift_partial`
+    state. Driver memory is the filters plus partitions × bins; each
+    block sends at most one pair per distinct cell it holds."""
+    bits = unique_stage.filter_bits(estimate_dataset_rows(ds))
+    if unique_rules:
+        keep = {PARTITION_COLUMN, *(c for r in drift_rules for c in r.input_columns())}
+        ds = unique_stage.with_key_cells(ds, unique_rules, bits, sorted(keep))
+    filters = [np.zeros(1 << bits, np.uint8) for _ in unique_rules]
+    drift_states: list = [{} for _ in drift_rules]
+    out = ds.map_batches(GlobalPartial(len(unique_rules), drift_rules), batch_format="pyarrow")
+    for b in out.iter_batches(batch_format="pyarrow", batch_size=None):
+        for i, blob in zip(b.column("rule").to_pylist(), b.column("blob").to_pylist()):
+            part = pa.ipc.open_stream(blob).read_all()
+            if i < len(unique_rules):
+                # cells are distinct within one partial
+                cells = np.asarray(part.column("cell"))
+                filters[i][cells] = np.minimum(filters[i][cells] + np.asarray(part.column("n")), 2)
+            else:
+                j = i - len(unique_rules)
+                merge_drift_partial(drift_states[j], drift_rules[j], part)
+    return filters, drift_states
+
+
+def drift_verdicts(merged: dict, rule: DriftRule, baseline=None):
+    """Per-partition drift verdicts over the merged partials of one rule
+    → ``(violations_table, {pid: metrics}, {pid: sketch bytes})``.
+
+    ``baseline`` (a ``Histogram``, or a category-count dict for a
+    categorical rule) defaults to the merge of every partition: each
+    partition is compared against the global distribution. The sketch
+    bytes are what the run manifest checkpoints per partition (histogram
+    blobs, or sorted-key JSON category counts)."""
+    if rule.categorical:
+        return _categorical_verdicts(merged, rule, baseline)
     if baseline is None:
         baseline = Histogram(rule.lo, rule.hi, rule.bins)
         for h in merged.values():
             baseline = baseline.merge(h)
-    violations, metrics = _drift_verdicts(merged, rule, baseline)
-    if return_sketches:
-        return violations, metrics, {pid: h.to_bytes() for pid, h in merged.items()}
-    return violations, metrics
-
-
-def _drift_verdicts(merged: dict[int, Histogram], rule: DriftRule, baseline: Histogram):
     v_parts, v_reasons = [], []
     metrics = {}
     for pid, hist in sorted(merged.items()):
@@ -269,19 +338,7 @@ def _drift_verdicts(merged: dict[int, Histogram], rule: DriftRule, baseline: His
             v_reasons.append(f"distribution drift: psi={p:.4f} exceeds max_psi={rule.max_psi}")
 
     violations = violations_table([None] * len(v_parts), rule.rule_id, v_reasons, v_parts)
-    return violations, metrics
-
-
-def compute_histogram(ds, column: str, lo: float, hi: float, bins: int = 64) -> Histogram:
-    """Build a baseline histogram from a reference dataset (one pass)."""
-    rule = DriftRule(rule_id="__baseline__", column=column, lo=lo, hi=hi, bins=bins)
-    parts = ds.map_batches(_DriftPartial(rule), batch_format="pyarrow").to_pandas()
-    out = Histogram(lo, hi, bins)
-    for counts in parts["counts"]:
-        h = Histogram(lo, hi, bins)
-        h.counts = np.asarray(counts, dtype=np.int64)
-        out = out.merge(h)
-    return out
+    return violations, metrics, {pid: h.to_bytes() for pid, h in merged.items()}
 
 
 def schema_drift(ds_a, ds_b):
@@ -380,7 +437,7 @@ def psi_by_group(
     the GLOBAL distribution, over fixed-width integer bins
     ``bin = min(value // width, n_bins - 1)`` — the oracle-checkable
     closed form of the per-partition drift gate
-    (``drift_self_check`` / ``state.sketches.psi``; same ``eps`` floor
+    (``drift_verdicts`` / ``state.sketches.psi``; same ``eps`` floor
     on both ratios so empty bins contribute finitely).
 
     Plan: one combiner ``group_sum`` to the tiny ``(group, bin)`` count
@@ -473,30 +530,12 @@ class _CatDriftPartial:
         )
 
 
-def categorical_drift_self_check(
-    ds,
-    rule: DriftRule,
-    baseline: dict[str, int] | None = None,
-    return_sketches: bool = False,
-):
+def _categorical_verdicts(per_pid: dict, rule: DriftRule, baseline=None):
     """Per-partition categorical PSI vs the baseline (default: the merge
-    of all partitions — single pass, same convention as
-    :func:`drift_self_check`). Categories beyond ``rule.top_k`` by
-    GLOBAL frequency lump into ``__other`` on BOTH sides (bounded state
-    at any cardinality); PSI uses the repo's eps=1e-6 floor. Returns
-    ``(violations_table, {pid: {"psi": ...}}, [sketches])`` where the
-    sketch blobs are the JSON category-count dicts the run manifest
-    checkpoints."""
-    import json as _json
-
-    parts = ds.map_batches(_CatDriftPartial(rule), batch_format="pyarrow").to_pandas()
-    per_pid: dict[int, dict[str, int]] = {}
-    for pid, cat, n in zip(
-        parts["partition_id"], parts["category"], parts["n"]
-    ):
-        per_pid.setdefault(int(pid), {})
-        per_pid[int(pid)][cat] = per_pid[int(pid)].get(cat, 0) + int(n)
-
+    of all partitions). Categories beyond ``rule.top_k`` by GLOBAL
+    frequency lump into ``__other`` on BOTH sides (bounded state at any
+    cardinality); PSI uses the repo's eps=1e-6 floor. Metrics are
+    ``{pid: {"psi", "n"}}``."""
     if baseline is None:
         base: dict[str, int] = {}
         for d in per_pid.values():
@@ -535,9 +574,5 @@ def categorical_drift_self_check(
                 f"max_psi={rule.max_psi}"
             )
     viol = violations_table([None] * len(v_parts), rule.rule_id, v_reasons, v_parts)
-    if return_sketches:
-        sk = {
-            pid: _json.dumps(d, sort_keys=True).encode() for pid, d in per_pid.items()
-        }
-        return viol, metrics, sk
-    return viol, metrics
+    sketches = {pid: json.dumps(d, sort_keys=True).encode() for pid, d in per_pid.items()}
+    return viol, metrics, sketches

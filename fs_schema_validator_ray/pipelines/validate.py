@@ -16,9 +16,15 @@ Ray-Data-first rebuild of the reference's one-shot serial run
   time; a rerun anti-joins done partitions out of the plan and continues
   (north_rule: resumable from per-partition checkpoints with lineage +
   metrics),
-* globally-scoped rules (key uniqueness) run once as a separate
-  keys-only pass — the only all-to-all exchange in the system, shuffling
-  pre-aggregated ``(key, count)`` rows, never payloads.
+* globally-scoped rules — every pending ``unique`` and ``drift`` rule —
+  run first as ONE global pass: one keys-only read whose fused
+  ``map_batches`` chain emits each unique rule's counting-filter cells and
+  each drift rule's per-partition partials, merged on the driver
+  (``pipelines/stats.py::global_partials``). Drift verdicts need nothing
+  more. Keys can repeat only in cells counted twice: with none there is
+  no second read and no shuffle; otherwise one more keys-only read keeps
+  just those rows and the exact keyed exchange runs over them
+  (``stages/unique.py``) — never payloads.
 
 Violation output is one hive directory per PARTITION (plus one each
 for the global/drift/plan passes): a resumed run deletes and rewrites
@@ -40,7 +46,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from fs_schema_validator_ray.pipelines.stats import drift_self_check
+from fs_schema_validator_ray.pipelines.stats import drift_verdicts, global_partials
 from fs_schema_validator_ray.report import (
     PARTITION_COLUMN,
     VIOLATION_SCHEMA,
@@ -50,8 +56,7 @@ from fs_schema_validator_ray.rules import RuleSet
 from fs_schema_validator_ray.sinks import write_json_atomic
 from fs_schema_validator_ray.stages.combined import CombinedValidateStage
 from fs_schema_validator_ray.stages.referential import build_membership
-from fs_schema_validator_ray.stages.unique import uniqueness_violations
-from fs_schema_validator_ray.state import Histogram
+from fs_schema_validator_ray.stages import unique
 from fs_schema_validator_ray.state.sketches import canonical_tuple_strings
 
 
@@ -348,7 +353,6 @@ def run_validation(cfg: ValidationRunConfig) -> RunResult:
     """Execute (or resume) a validation run. Ray must already be
     initialized by the caller (driver contract)."""
     import ray
-    import ray.data
 
     rules = cfg.rules
     os.makedirs(cfg.output_dir, exist_ok=True)
@@ -472,33 +476,45 @@ def run_validation(cfg: ValidationRunConfig) -> RunResult:
     # the parquet reader for them would fail the whole read
     wave_columns = sorted(set(rules.required_columns(cfg.key_column)) & input_columns)
 
-    # --- global pass: uniqueness (keys-only; the one shuffling rule) -----
+    # --- global pass: every pending unique and drift rule from ONE read --
+    # One keys-only pass emits each unique rule's counting-filter cells and
+    # each drift rule's per-partition partials; the driver merges both.
+    # Only keys in a cell counted twice can repeat: none → no further
+    # read; else one more read keeps those rows for the exchange.
     global_metrics: dict[str, Any] = {}
     g_violations = 0
     if "global" in done:
         global_metrics = done["global"].get("metrics", {})
         g_violations = done["global"].get("violations", 0)
-    elif rules.unique_rules():
-        t0 = time.perf_counter()
+    unique_rules = [] if "global" in done else rules.unique_rules()
+    drift_rules = [r for r in rules.drift_rules() if f"drift-{r.rule_id}" not in done]
+
+    def read_keys(columns):
+        # narrow pass: cap blocks near the CPU count (see _read_partitions)
+        return _read_partitions(
+            groups, sorted(columns), override_num_blocks=_cluster_cpus(),
+            file_schema=unified_schema,
+        )
+
+    t0 = time.perf_counter()
+    filters, drift_states = (
+        global_partials(
+            read_keys({c for r in [*unique_rules, *drift_rules] for c in r.input_columns()}),
+            unique_rules, drift_rules,
+        )
+        if unique_rules or drift_rules
+        else ([], [])
+    )
+    if unique_rules:
         out_dir = os.path.join(cfg.output_dir, "violations", "global")
         # a crash between write and manifest leaves stale files: clear them
         # so the re-run cannot double-count (manifest rows are written only
         # AFTER output is complete, so this is always safe)
         shutil.rmtree(out_dir, ignore_errors=True)
-        all_v = []
-        for rule in rules.unique_rules():
-            # composite rules need ALL their key columns in the pruned read
-            key_ds = _read_partitions(
-                groups, list(rule.input_columns()), override_num_blocks=_cluster_cpus(),
-                file_schema=unified_schema,
-            )
-            v = uniqueness_violations(key_ds, rule)
-            all_v.append(v)
-        vds = all_v[0]
-        if len(all_v) > 1:
-            vds = vds.union(*all_v[1:])
-        vds.write_parquet(out_dir)
-        # footer sum (zero violations → write_parquet emits no files → 0)
+        vds = unique.candidate_violations(read_keys, unique_rules, filters)
+        if vds is not None:
+            vds.write_parquet(out_dir)
+        # footer sum (zero violations → no files → 0)
         g_violations = _footer_row_count(out_dir)
         global_metrics = {"wall_s": time.perf_counter() - t0, "violations": g_violations}
         _write_manifest(
@@ -515,7 +531,6 @@ def run_validation(cfg: ValidationRunConfig) -> RunResult:
     if pending and rules.referential_rules():
         if cfg.manifest_path is None:
             raise ValueError("ruleset has referential rules but no manifest_path configured")
-
 
         for rule in rules.referential_rules():
             if rule.columns:
@@ -534,9 +549,10 @@ def run_validation(cfg: ValidationRunConfig) -> RunResult:
             membership_refs[rule.rule_id] = ray.put(membership)
 
     _mark("membership")
-    # --- drift: ONE pruned pass per rule over all partitions --------------
+    # --- drift: verdicts over the partials the global pass merged ---------
     # Per-partition histograms and the (self-)baseline come out of the same
     # read; nothing about drift touches the payload-bearing wave pass.
+    drift_state = dict(zip((r.rule_id for r in drift_rules), drift_states))
     drift_by_rule: dict[str, dict[int, dict]] = {}
     drift_viol_by_pid: dict[int, int] = {}
     # drift counts computed THIS run (vs loaded from a done manifest):
@@ -563,29 +579,14 @@ def run_validation(cfg: ValidationRunConfig) -> RunResult:
                 ):
                     fresh_drift_by_pid[pid] = fresh_drift_by_pid.get(pid, 0) + nv
             continue
-        t0 = time.perf_counter()
-        dds = _read_partitions(
-            groups, list(rule.input_columns()), override_num_blocks=_cluster_cpus(),
-            file_schema=unified_schema,
+        dviol, dmetrics, dsketches = drift_verdicts(
+            drift_state[rule.rule_id], rule, cfg.baselines.get(rule.rule_id)
         )
-        if rule.categorical:
-            from fs_schema_validator_ray.pipelines.stats import (
-                categorical_drift_self_check,
-            )
-
-            dviol, dmetrics, dsketches = categorical_drift_self_check(
-                dds, rule, cfg.baselines.get(rule.rule_id), return_sketches=True
-            )
-        else:
-            dviol, dmetrics, dsketches = drift_self_check(
-                dds, rule, cfg.baselines.get(rule.rule_id), return_sketches=True
-            )
         drift_out = os.path.join(cfg.output_dir, "violations", doc_id)
         shutil.rmtree(drift_out, ignore_errors=True)
         if dviol.num_rows:
-            import ray.data as rd
-
-            rd.from_arrow(dviol).write_parquet(drift_out)
+            os.makedirs(drift_out)
+            pq.write_table(dviol, os.path.join(drift_out, "drift-violations.parquet"))
         vb: dict[int, int] = {}
         for pid in dviol.column("partition_id").to_pylist():
             vb[int(pid)] = vb.get(int(pid), 0) + 1

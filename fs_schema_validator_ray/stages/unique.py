@@ -1,7 +1,21 @@
 """Key-uniqueness check (north_rule: HLL uniqueness / exact duplicates).
 
-Exact path: the one genuinely global, shuffle-requiring rule. Kept cheap
-by (a) projecting to the key column before anything moves, (b)
+Validation run (``pipelines/validate.py``): a counting filter first.
+The run's global pass (one read shared with the drift rules) maps every
+``unique`` rule's key to one of ``2**filter_bits(rows)`` cells by the
+top bits of its stable hash (:func:`with_key_cells`; a composite key is
+hashed as its canonical tuple string), and
+``pipelines/stats.py::GlobalPartial`` counts the cells. Equal keys share
+a cell, so only rows in a cell counted twice can be duplicates. No such
+cell: the rule is done, with no further read. Otherwise
+:func:`candidate_violations` reads the keys once more, keeps just the
+candidate rows (:class:`CandidateRows`) and runs the exact exchange
+below over them, one per rule. A saturated filter makes every row a
+candidate: the exchange then sees what it would have seen without the
+filter.
+
+Exact path (:func:`uniqueness_violations`, also used by queries): kept
+cheap by (a) projecting to the key column before anything moves, (b)
 pre-aggregating counts per batch inside ``map_batches`` (classic
 partial/combiner), so the ``groupby`` shuffles at most one row per
 distinct key per block instead of one per input row, and (c) shuffling
@@ -25,6 +39,7 @@ from fs_schema_validator_ray.report import (
 )
 from fs_schema_validator_ray.rules import UniqueRule
 from fs_schema_validator_ray.stages.exchange import (
+    DEFAULT_TARGET_BUCKET_BYTES,
     bucketed,
     default_n_buckets,
     map_buckets,
@@ -37,6 +52,102 @@ from fs_schema_validator_ray.state.sketches import (
     hash64,
     stable_key_array,
 )
+
+
+#: log2 of the largest counting filter, in cells per ``unique`` rule: the
+#: driver holds a byte a cell (16 MiB a rule), each candidate task a bit
+#: a cell. With ``d`` distinct keys in ``m`` cells a unique key is a false
+#: candidate with probability ``1 - exp(-d / m)`` (38% at 8M keys in
+#: 2^24). Chosen by measurement (one CPU, one int64 unique rule, unique
+#: phase wall): at 2M / 8M keys 2^24 cells take 1.3-2.3 s / 7.8-8.1 s
+#: where the per-rule exchange alone takes 3.5 s / 13.3-13.8 s, and a
+#: saturated filter (2^16 cells) 3.0-3.2 s / 11.8-13.7 s.
+FILTER_BITS = 24
+
+
+def filter_bits(rows: int | None) -> int:
+    """log2 of the filter cells for a corpus of ``rows``: eight cells a
+    row, so that a key seen once is a false candidate with probability
+    under ``1 - exp(-1/8)`` (12%), up to ``FILTER_BITS`` (also taken
+    when the row count is unknown)."""
+    if rows is None:
+        return FILTER_BITS
+    return min(FILTER_BITS, (max(rows, 1) - 1).bit_length() + 3)
+
+
+def _keys(batch: pa.Table, rule: UniqueRule):
+    """The rule's key per row: the native column, or the canonical tuple
+    string of a composite key."""
+    if rule.columns:
+        return pa.array(canonical_tuple_strings(batch, rule.columns), pa.string())
+    return batch.column(rule.column)
+
+
+def key_cells(batch: pa.Table, rule: UniqueRule, bits: int) -> np.ndarray:
+    """Counting-filter cell of every row: the top ``bits`` of the key's
+    stable hash. Equal keys always share a cell; so do a null int and
+    ``0`` (``stable_key_array``), which only costs a candidate row."""
+    h = hash64(stable_key_array(_keys(batch, rule)))
+    return (h >> np.uint64(64 - bits)).astype(np.int64)
+
+
+def _with_cells(batch: pa.Table, rules: list, bits: int, keep: list) -> pa.Table:
+    out = {c: batch.column(c) for c in keep if c in batch.column_names}
+    for i, rule in enumerate(rules):
+        out[f"__cell{i}"] = key_cells(batch, rule, bits).astype(np.int32)
+    return pa.table(out)
+
+
+def with_key_cells(ds, rules: list, bits: int, keep: list):
+    """Map half of the validation run's global pass: every row's filter
+    cell of each rule ``rules[i]`` as the int32 column ``__cell<i>``,
+    beside the ``keep`` columns the batch has; the keys themselves go no
+    further. ``pipelines.stats.GlobalPartial`` counts the cells per batch."""
+    return ds.map_batches(lambda t: _with_cells(t, rules, bits, keep), batch_format="pyarrow")
+
+
+class CandidateRows:
+    """Map UDF: keeps the rows whose key lands in a candidate cell of at
+    least one rule. ``masks[i]`` is rule ``i``'s filter of ``2**bits``
+    cells as one bit a cell (``np.packbits(..., bitorder="little")``),
+    set where the cell was counted twice or more."""
+
+    def __init__(self, rules: list, masks: list, bits: int) -> None:
+        self.rules, self.masks, self.bits = rules, masks, bits
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        keep = np.zeros(batch.num_rows, bool)
+        for rule, mask in zip(self.rules, self.masks):
+            cells = key_cells(batch, rule, self.bits)
+            keep |= (mask[cells >> 3] >> (cells & 7).astype(np.uint8)) & 1 == 1
+        return batch.filter(pa.array(keep))
+
+
+def candidate_violations(read, rules: list, filters: list):
+    """Exact duplicates of every ``unique`` rule from its merged counting
+    filter (``filters[i]``: a count per cell) → violations Dataset, or
+    ``None`` when no cell of any rule was counted twice. ``read(columns)``
+    returns a keys-only Dataset of the corpus; it is read once, the
+    candidate rows of every rule are kept (``materialize``: the exchanges
+    of several rules then share that one read), and each rule with
+    candidates runs :func:`uniqueness_violations` over them, with one
+    bucket per ``DEFAULT_TARGET_BUCKET_BYTES`` of candidates. A row kept
+    for another rule cannot make a false duplicate: a key outside the
+    rule's candidate cells occurs once in the corpus."""
+    pending = [(r, f >= 2) for r, f in zip(rules, filters)]
+    pending = [(r, np.packbits(m, bitorder="little")) for r, m in pending if m.any()]
+    if not pending:
+        return None
+    columns = sorted({c for r, _ in pending for c in r.input_columns()})
+    bits = len(filters[0]).bit_length() - 1
+    cands = read(columns).map_batches(
+        CandidateRows(*map(list, zip(*pending)), bits), batch_format="pyarrow"
+    ).materialize()
+    # the exchange's own per-bucket budget over the candidates' exact
+    # size: below it, one bucket and no shuffle
+    n_buckets = -(-cands.size_bytes() // DEFAULT_TARGET_BUCKET_BYTES) or 1
+    parts = [uniqueness_violations(cands, r, n_buckets=n_buckets) for r, _ in pending]
+    return parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
 
 
 def _partial_counts(batch: pa.Table, column: str) -> pa.Table:
@@ -89,7 +200,7 @@ def uniqueness_violations(
         keys = ds.select_columns([*composite, *part_cols])
 
         def canonize(t: pa.Table) -> pa.Table:
-            out = {"__ckey": pa.array(canonical_tuple_strings(t, composite), pa.string())}
+            out = {"__ckey": _keys(t, rule)}
             for c in part_cols:
                 out[c] = t.column(c)
             return pa.table(out)
@@ -104,7 +215,7 @@ def uniqueness_violations(
     # fraction of the input (one narrow row per distinct key per block) —
     # coalesce them (metadata-level, no shuffle) so the groupby exchanges
     # a few consolidated blocks instead of scan-width² tiny ones
-    partials = partials.repartition(max(4, n_buckets // 8))
+    partials = partials.repartition(1 if n_buckets == 1 else max(4, n_buckets // 8))
 
     def merge_bucket(group: pa.Table) -> pa.Table:
         g = pa.TableGroupBy(group.select(["key", "n", "part"]), "key").aggregate(
@@ -123,6 +234,10 @@ def uniqueness_violations(
             np.asarray(g.column("part_min"))[dup],
         )
 
+    if n_buckets == 1:
+        # one bucket is one group: merge the one coalesced block where it
+        # is instead of sort-shuffling it to itself
+        return partials.map_batches(merge_bucket, batch_format="pyarrow", batch_size=None)
     return map_buckets(partials, merge_bucket)
 
 

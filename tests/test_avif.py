@@ -115,3 +115,18 @@ def test_hybrid_decoder_real_avif_pixels():
     px = dec(_FIXTURE.read_bytes(), "avif", (400, 400))
     assert px.shape == (400, 400, 3)
     assert np.array_equal(px, decode_avif(_FIXTURE.read_bytes()))
+
+
+@needs_libavif
+def test_encoded_payload_round_trips():
+    """A payload built by libavif's own encoder decodes to its image."""
+    from avif_encode import encode_avif
+
+    rgb = np.zeros((12, 16, 3), np.uint8)
+    rgb[:, 8:] = (200, 40, 90)
+    data = encode_avif(rgb)
+    if data is None:
+        pytest.skip("libavif has no AV1 encoder")
+    out = decode_avif(data)
+    assert out.shape == rgb.shape
+    assert np.abs(out.astype(int) - rgb.astype(int)).max() <= 12

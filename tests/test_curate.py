@@ -75,3 +75,28 @@ def test_curate_end_to_end(ray_session, tmp_path):
                 "doc_id"
             ).to_pylist()
     assert len(seen) == n_distinct and len(set(seen)) == n_distinct
+
+
+def test_failed_manifest_write_keeps_previous_manifest(ray_session, tmp_path, monkeypatch):
+    """The curation manifest is written atomically: a write that fails
+    mid-document leaves the previous manifest whole."""
+    import pytest
+
+    from fs_schema_validator_ray import sinks
+    from fs_schema_validator_ray.pipelines.curate import curate_documents
+
+    out = str(tmp_path / "run")
+    os.makedirs(out)
+    path = os.path.join(out, "curation_manifest.json")
+    sinks.write_json_atomic(path, {"n_input": 1})
+
+    def dump_half_then_fail(doc, f, **kwargs):
+        f.write('{"n_input": ')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(sinks.json, "dump", dump_half_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        curate_documents(ray.data.from_arrow(_docs()), out, min_quality=0.2,
+                         capacity_chars=600, n_shards=2)
+    with open(path) as f:
+        assert json.load(f) == {"n_input": 1}

@@ -1,0 +1,260 @@
+"""The global pass of a validation run: every pending ``unique`` and
+``drift`` rule from one read, duplicates found by a counting filter and
+verified exactly by the exchange over the candidate rows
+(``pipelines/stats.py``, ``stages/unique.py``, ``pipelines/validate.py``)."""
+
+import json
+import os
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.parquet as pq
+import pytest
+
+from fs_schema_validator_ray.pipelines import validate
+from fs_schema_validator_ray.pipelines.validate import (
+    ValidationRunConfig,
+    plan_partitions,
+    run_validation,
+)
+from fs_schema_validator_ray.rules import RuleSet
+from fs_schema_validator_ray.stages import unique
+
+RULES_YAML = """
+rules:
+  - rule: unique_id
+    type: unique
+    column: id
+  - rule: unique_name
+    type: unique
+    column: name
+  - rule: unique_id_name
+    type: unique
+    columns: [id, name]
+  - rule: unique_n
+    type: unique
+    column: n
+  - rule: drift_v
+    type: drift
+    column: v
+    lo: 0
+    hi: 10
+    bins: 5
+"""
+
+DRIFT_CAT_YAML = """
+  - rule: drift_name
+    type: drift
+    column: name
+    categorical: true
+"""
+
+
+def _write_corpus(root, columns_per_file):
+    os.makedirs(root)
+    for i, cols in enumerate(columns_per_file):
+        pq.write_table(pa.table(cols), os.path.join(root, f"part-{i:02d}.parquet"))
+    return str(root)
+
+
+@pytest.fixture
+def clean_corpus(tmp_path):
+    """Every key column is duplicate-free across three files, and no two
+    keys of a rule share a filter cell: ids are taken in order, skipping
+    any whose key would land in a cell its rule already uses."""
+    rules = RuleSet.from_yaml(RULES_YAML).unique_rules()
+    bits = unique.filter_bits(150)
+    used = [set() for _ in rules]
+    ids, i = [], 0
+    while len(ids) < 150:
+        row = pa.table({"id": [i], "name": [f"c{i}"], "n": [i + 1000]})
+        cells = [int(unique.key_cells(row, r, bits)[0]) for r in rules]
+        if all(c not in u for c, u in zip(cells, used)):
+            ids.append(i)
+            for c, u in zip(cells, used):
+                u.add(c)
+        i += 1
+    files = []
+    for f in range(3):
+        ids_f = np.array(ids[f * 50:(f + 1) * 50])
+        files.append({
+            "id": pa.array(ids_f, pa.int64()),
+            "name": pa.array([f"c{i}" for i in ids_f]),
+            "n": pa.array(ids_f + 1000, pa.int64()),
+            "v": pa.array(ids_f % 10, pa.float64()),
+        })
+    return _write_corpus(tmp_path / "clean", files)
+
+
+@pytest.fixture
+def dup_corpus(tmp_path):
+    """Planted duplicates within and across files: int, string and
+    composite keys, null keys of each, and an int column where null and
+    ``0`` share a filter cell but are different keys."""
+    files = [
+        {
+            "id": pa.array([1, 2, 3, None, 5, 6], pa.int64()),
+            "name": pa.array(["a", "b", None, "d", "e", "f"]),
+            "n": pa.array([0, None, 7, 8, 9, 10], pa.int64()),
+            "v": pa.array([1.0, 2.0, 3.0, None, 5.0, 6.0]),
+        },
+        {
+            "id": pa.array([2, 7, 8, None, 3, 9], pa.int64()),
+            "name": pa.array(["b", "x", None, "d", "y", "z"]),
+            "n": pa.array([11, 12, 13, 14, 7, 15], pa.int64()),
+            "v": pa.array([2.0, 2.0, 9.0, 9.0, 9.0, 9.0]),
+        },
+        {
+            "id": pa.array([3, 10, 11, 12, 2, 13], pa.int64()),
+            "name": pa.array(["q", "x", "s", "t", "b", "u"]),
+            "n": pa.array([16, 17, 18, 19, 20, 21], pa.int64()),
+            "v": pa.array([0.5, 0.5, 0.5, 0.5, 0.5, 0.5]),
+        },
+    ]
+    return _write_corpus(tmp_path / "dups", files)
+
+
+def _cfg(corpus, out, yaml=RULES_YAML):
+    return ValidationRunConfig(
+        input_path=corpus, rules=RuleSet.from_yaml(yaml), output_dir=str(out)
+    )
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Counts ``read_parquet`` calls, groupby calls and exchange runs."""
+    import ray.data
+
+    calls = {"read_parquet": 0, "groupby": 0, "uniqueness_violations": 0}
+
+    def counting(target, attr, key):
+        inner = getattr(target, attr)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(target, attr, wrapper)
+
+    counting(ray.data, "read_parquet", "read_parquet")
+    counting(ray.data.Dataset, "groupby", "groupby")
+    counting(unique, "uniqueness_violations", "uniqueness_violations")
+    return calls
+
+
+def _global_rows(out):
+    path = os.path.join(out, "violations", "global")
+    if not os.path.isdir(path):
+        return []
+    t = pq.read_table(path).select(["key", "rule_id", "reason", "partition_id"])
+    return sorted(t.to_pylist(), key=lambda r: (r["rule_id"], str(r["key"])))
+
+
+def _exchange_rows(corpus):
+    """The per-rule exchange the global pass replaces, over the full
+    corpus with the run's partition ids."""
+    groups = plan_partitions(validate._input_files(corpus), None)
+    rows = []
+    for rule in RuleSet.from_yaml(RULES_YAML).unique_rules():
+        ds = validate._read_partitions(groups, list(rule.input_columns()))
+        for r in unique.uniqueness_violations(ds, rule).take_all():
+            rows.append({c: r[c] for c in ("key", "rule_id", "reason", "partition_id")})
+    return sorted(rows, key=lambda r: (r["rule_id"], str(r["key"])))
+
+
+def test_null_int_and_zero_share_a_cell():
+    rule = RuleSet.from_yaml(RULES_YAML).unique_rules()[3]
+    cells = unique.key_cells(pa.table({"n": pa.array([None, 0, 1], pa.int64())}), rule, 20)
+    assert cells[0] == cells[1]
+
+
+def test_filter_size_follows_the_row_count():
+    assert unique.filter_bits(4096) == 15 and unique.filter_bits(4097) == 16
+    assert unique.filter_bits(10**9) == unique.filter_bits(None) == unique.FILTER_BITS
+
+
+def test_duplicate_free_corpus_is_one_read_and_no_shuffle(
+    ray_session, clean_corpus, tmp_path, counted
+):
+    res = run_validation(_cfg(clean_corpus, tmp_path / "out", RULES_YAML + DRIFT_CAT_YAML))
+    assert counted == {"read_parquet": 1, "groupby": 0, "uniqueness_violations": 0}
+    assert _global_rows(str(tmp_path / "out")) == []
+    with open(tmp_path / "out" / "manifest" / "global.json") as f:
+        assert json.load(f)["violations"] == 0
+    # both drift rules came out of the same read
+    for rid in ("drift_v", "drift_name"):
+        with open(tmp_path / "out" / "manifest" / f"drift-{rid}.json") as f:
+            assert set(json.load(f)["sketches_hex"]) == {"0", "1", "2"}
+    assert res.total_rows == 150
+
+
+def test_planted_duplicates_match_the_exchange(ray_session, dup_corpus, tmp_path, counted):
+    out = str(tmp_path / "out")
+    res = run_validation(_cfg(dup_corpus, out))
+    # one pass for the filters, one keys-only read for the candidates of
+    # all four rules, then one exchange per rule over those rows: one
+    # bucket each, so no shuffle
+    assert counted == {"read_parquet": 2, "groupby": 0, "uniqueness_violations": 4}
+    got = _global_rows(out)
+    assert got == _exchange_rows(dup_corpus)
+    by_rule = {}
+    for r in got:
+        by_rule.setdefault(r["rule_id"], set()).add((r["key"], r["reason"], r["partition_id"]))
+    twice, thrice = "duplicate key (appears 2 times)", "duplicate key (appears 3 times)"
+    assert by_rule["unique_id"] == {
+        ("2", thrice, 0), ("3", thrice, 0), ("None", twice, 0),
+    }
+    assert by_rule["unique_name"] == {
+        ("b", thrice, 0), ("d", twice, 0), ("None", twice, 0), ("x", twice, 1),
+    }
+    assert by_rule["unique_id_name"] == {("2\x1fb", thrice, 0), ("\x00null\x1fd", twice, 0)}
+    # the one null `n` and the one `0` share a cell but are two keys
+    assert by_rule["unique_n"] == {("7", twice, 0)}
+    assert res.global_metrics["violations"] == len(got) == 10
+
+
+def test_bucketed_exchange_gives_the_same_rows(
+    ray_session, dup_corpus, tmp_path, counted, monkeypatch
+):
+    # a byte of candidates per bucket: every rule's check shuffles
+    monkeypatch.setattr(unique, "DEFAULT_TARGET_BUCKET_BYTES", 1)
+    out = str(tmp_path / "out")
+    run_validation(_cfg(dup_corpus, out))
+    assert counted["uniqueness_violations"] == 4 and counted["groupby"] == 4
+    assert _global_rows(out) == _exchange_rows(dup_corpus)
+
+
+def test_saturated_filter_gives_the_same_rows(ray_session, dup_corpus, tmp_path, monkeypatch):
+    # two cells per rule: every key shares a cell, every row is a candidate
+    monkeypatch.setattr(unique, "FILTER_BITS", 1)
+    out = str(tmp_path / "out")
+    run_validation(_cfg(dup_corpus, out))
+    assert _global_rows(out) == _exchange_rows(dup_corpus)
+
+
+def test_candidate_rows_keep_exactly_the_marked_cells():
+    rule = RuleSet.from_yaml(RULES_YAML).unique_rules()[0]
+    t = pa.table({"id": pa.array(range(1000), pa.int64())})
+    cells = unique.key_cells(t, rule, 4)
+    mask = np.zeros(16, bool)
+    mask[[3, 9]] = True
+    kept = unique.CandidateRows([rule], [np.packbits(mask, bitorder="little")], 4)(t)
+    assert kept.column("id").to_pylist() == [i for i, c in enumerate(cells) if c in (3, 9)]
+
+
+def test_resume_with_a_new_drift_rule_reads_once(
+    ray_session, dup_corpus, tmp_path, counted, monkeypatch
+):
+    out = str(tmp_path / "out")
+    run_validation(_cfg(dup_corpus, out))
+    written = []
+    write = validate._write_manifest
+    monkeypatch.setattr(
+        validate, "_write_manifest", lambda d, doc: (written.append(doc["id"]), write(d, doc))
+    )
+    counted["read_parquet"] = 0
+    res = run_validation(_cfg(dup_corpus, out, RULES_YAML + DRIFT_CAT_YAML))
+    assert counted["read_parquet"] == 1
+    assert written == ["drift-drift_name"]
+    assert res.partitions_skipped == 3 and res.waves_run == 0
+    assert res.global_metrics["violations"] == 10

@@ -55,3 +55,44 @@ def test_incremental_dedup_store(ray_session, tmp_path):
 
     with pytest.raises(ValueError, match="buckets"):
         dedup_ingest(_batch(["x doc here"]), store, n_buckets=8)
+
+
+def _seen_by_loop(store, batch):
+    """The per-row scan of the ``h1`` run that ``_seen`` replaced."""
+    sh1 = np.asarray(store.column("h1"), np.int64)
+    sh2 = np.asarray(store.column("h2"), np.int64)
+    so = np.lexsort((sh2, sh1))
+    sh1, sh2 = sh1[so], sh2[so]
+    nh1 = np.asarray(batch.column("h1"), np.int64)
+    nh2 = np.asarray(batch.column("h2"), np.int64)
+    pos = np.searchsorted(sh1, nh1)
+    hit = np.zeros(len(nh1), bool)
+    for i in range(len(nh1)):
+        p = pos[i]
+        while p < len(sh1) and sh1[p] == nh1[i]:
+            if sh2[p] == nh2[i]:
+                hit[i] = True
+                break
+            p += 1
+    return hit
+
+
+def test_seen_with_colliding_h1_matches_the_loop():
+    from fs_schema_validator_ray.pipelines.incremental import _seen
+
+    rng = np.random.default_rng(7)
+    # few distinct h1 values: long runs of colliding h1 with different h2,
+    # including the int64 extremes the pair order must handle
+    h1 = rng.choice([-(2**63), -1, 0, 5, 2**63 - 1], 400)
+    h2 = rng.integers(-(2**63), 2**63 - 1, 400, dtype=np.int64)
+    store = pa.table({"h1": h1[:300], "h2": h2[:300]})
+    # half the batch is stored pairs, half new pairs on the same h1 values
+    batch = pa.table({
+        "h1": np.concatenate([h1[:100], h1[300:]]),
+        "h2": np.concatenate([h2[:100], h2[300:]]),
+    })
+    got = _seen(store, batch)
+    assert np.array_equal(got, _seen_by_loop(store, batch))
+    assert got[:100].all() and not got[100:].any()
+    empty = pa.table({"h1": pa.array([], pa.int64()), "h2": pa.array([], pa.int64())})
+    assert not _seen(empty, batch).any()

@@ -185,7 +185,7 @@ def test_drifted_partition_detected(ray_session, corpus, tmp_path):
     when validated against the clean corpus baseline."""
     import pyarrow as pa
 
-    from fs_schema_validator_ray.pipelines.stats import compute_histogram, drift_check
+    from fs_schema_validator_ray.pipelines.stats import drift_verdicts, global_partials
     from fs_schema_validator_ray.rules import DriftRule
     import ray.data
 
@@ -198,9 +198,10 @@ def test_drifted_partition_detected(ray_session, corpus, tmp_path):
     drifted = pa.table(
         {"dur_ms": rng.integers(260, 440, 20_000), "partition_id": np.ones(20_000, np.int32)}
     )
-    baseline = compute_histogram(ray.data.from_arrow(clean), "dur_ms", 0, 500, 32)
+    (clean_hists,) = global_partials(ray.data.from_arrow(clean), [], [rule])[1]
+    baseline = clean_hists[0]
     ds = ray.data.from_arrow(pa.concat_tables([clean, drifted]))
-    viol, metrics = drift_check(ds, rule, baseline)
+    viol, metrics, _ = drift_verdicts(global_partials(ds, [], [rule])[1][0], rule, baseline)
     rows = viol.to_pylist()
     assert [r["partition_id"] for r in rows] == [1]
     assert "ks=" in rows[0]["reason"]
@@ -451,9 +452,7 @@ def test_categorical_drift_rule(ray_session):
     import pyarrow as pa
     import ray.data
 
-    from fs_schema_validator_ray.pipelines.stats import (
-        categorical_drift_self_check,
-    )
+    from fs_schema_validator_ray.pipelines.stats import drift_verdicts, global_partials
     from fs_schema_validator_ray.rules import RuleSet
     from fs_schema_validator_ray.stages.scalar import PARTITION_COLUMN
 
@@ -486,8 +485,11 @@ rules:
             "codec": pa.array([r[1] for r in rows], pa.string()),
         }
     )
+    def categorical_drift_self_check(ds):
+        return drift_verdicts(global_partials(ds, [], [rule])[1][0], rule)
+
     viol, metrics, sketches = categorical_drift_self_check(
-        ray.data.from_arrow(t).repartition(4), rule, return_sketches=True
+        ray.data.from_arrow(t).repartition(4)
     )
     flagged = set(viol.column("partition_id").to_pylist())
     assert flagged == {3}
@@ -497,8 +499,8 @@ rules:
 
     assert json.loads(sketches[3].decode())["pcm"] == 270
     # deterministic
-    viol2, metrics2 = categorical_drift_self_check(
-        ray.data.from_arrow(t).repartition(4), rule
+    viol2, metrics2, _ = categorical_drift_self_check(
+        ray.data.from_arrow(t).repartition(4)
     )
     assert metrics2 == metrics
 

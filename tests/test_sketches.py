@@ -134,7 +134,14 @@ def test_ks_psi_closed_form_distributed(ray_session):
     import pytest
     import ray.data
 
-    from fs_schema_validator_ray.pipelines.stats import compute_histogram
+    from fs_schema_validator_ray.rules import DriftRule
+    from fs_schema_validator_ray.pipelines.stats import global_partials
+
+    def compute_histogram(ds, column, lo, hi, bins):
+        # the validation run's drift partials; no partition column → pid -1
+        rule = DriftRule(rule_id="baseline", column=column, lo=lo, hi=hi, bins=bins)
+        _, (merged,) = global_partials(ds, [], [rule])
+        return merged[-1]
 
     n = 1000
     a_vals = (np.arange(n) + 0.5) / n          # uniform [0, 1)
@@ -176,7 +183,11 @@ def test_drift_self_check_planted_partition(ray_session):
     import pytest
     import ray.data
 
-    from fs_schema_validator_ray.pipelines.stats import DriftRule, drift_self_check
+    from fs_schema_validator_ray.pipelines.stats import (
+        DriftRule,
+        drift_verdicts,
+        global_partials,
+    )
 
     n = 1200  # per partition
     base = (np.arange(n) + 0.5) / n            # uniform [0, 1)
@@ -196,7 +207,7 @@ def test_drift_self_check_planted_partition(ray_session):
         rule_id="drift_v", column="v", lo=0.0, hi=2.0, bins=4,
         max_ks=0.5, max_psi=10.0,
     )
-    violations, metrics = drift_self_check(ds, rule)
+    violations, metrics, _ = drift_verdicts(global_partials(ds, [], [rule])[1][0], rule)
     # baseline = merge = 3 parts uniform[0,1) + 1 part uniform[1,2):
     # CDF gap for an unshifted partition peaks at x=1: 1 - 3/4 = 0.25;
     # for the shifted one: 3/4 - 0 = 0.75
