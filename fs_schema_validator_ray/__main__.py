@@ -82,7 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", default=None, help="manifest parquet for referential rules")
     p.add_argument("--key-column", default="clip_id")
     p.add_argument("--partitions", type=int, default=None)
-    p.add_argument("--wave-size", type=int, default=16)
+    p.add_argument("--wave-size", type=int, default=16,
+                   help="max partitions per row-pass task (default 16)")
     p.add_argument("--sketch-columns", default=None, metavar="COL[,COL...]",
                    help="checkpoint per-partition mergeable sketch state for "
                         "these columns (t-digest for numeric, HLL otherwise)")

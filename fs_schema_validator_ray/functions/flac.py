@@ -214,10 +214,6 @@ def _zigzag(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, x << 1, ((-x) << 1) - 1)
 
 
-def _unzigzag(u: int) -> int:
-    return (u >> 1) if not (u & 1) else -((u + 1) >> 1)
-
-
 # --- encoder -------------------------------------------------------------------
 
 _BLOCK = 4096

@@ -5,17 +5,20 @@ Ray-Data-first rebuild of the reference's one-shot serial run
 ``__main__.py:76-96``) for a 10^12-row corpus:
 
 * the input file list is grouped into **partitions** (the checkpoint
-  unit; at scale: one per Lance fragment / file group),
-* partitions are processed in **waves**; each wave is ONE streaming
-  Dataset pipeline — ``read_parquet(columns=pruned) → attach partition_id
-  → [scalar rules | audio decode | referential broadcast probe] →
-  write violations parquet`` — so within a wave every stage pipelines
-  with backpressure and all cores stay busy,
-* after a wave completes, a **manifest row per partition** records
-  lineage (input files), row/violation counts, drift statistics and wall
-  time; a rerun anti-joins done partitions out of the plan and continues
-  (north_rule: resumable from per-partition checkpoints with lineage +
-  metrics),
+  unit: one file group each),
+* the row pass is ONE Ray execution over every pending partition: the
+  partitions are split into contiguous runs of near-equal bytes (the
+  uncompressed size of the pruned columns, from the footers), one task
+  per run (:func:`plan_tasks`). A task reads each of its partitions
+  itself in ``decode_batch_size`` batches, runs every per-row rule
+  (scalar + audio decode + JSON + assets + referential broadcast probe)
+  as one fused stage, and **commits** the partition the moment its last
+  row is checked: first its violations file, then its manifest
+  ``part-N.json`` (lineage, row/violation counts, drift statistics,
+  wall time). The driver only plans the tasks and collects one small
+  receipt (the manifest) per partition. A rerun skips the partitions
+  whose manifest exists (north_rule: resumable from per-partition
+  checkpoints with lineage + metrics),
 * globally-scoped rules — every pending ``unique`` and ``drift`` rule —
   run first as ONE global pass: one keys-only read whose fused
   ``map_batches`` chain emits each unique rule's counting-filter cells and
@@ -59,6 +62,9 @@ from fs_schema_validator_ray.stages.referential import build_membership
 from fs_schema_validator_ray.stages import unique
 from fs_schema_validator_ray.state.sketches import canonical_tuple_strings
 
+#: a partition's violations file: the hive path restores ``partition_id``
+PART_FILE_SCHEMA = pa.schema([f for f in VIOLATION_SCHEMA if f.name != PARTITION_COLUMN])
+
 
 @dataclass
 class ValidationRunConfig:
@@ -70,6 +76,7 @@ class ValidationRunConfig:
     manifest_key_column: Optional[str] = None
     baselines: dict = field(default_factory=dict)  # rule_id -> Histogram
     partitions: Optional[int] = None     # group files into this many partitions
+    #: max partitions per row-pass task (see :func:`plan_tasks`)
     wave_size: int = 16
     decode_batch_size: int = 512
     #: columns to snapshot per-partition mergeable sketch state for in
@@ -88,6 +95,7 @@ class RunResult:
     global_metrics: dict
     total_violations: int
     total_rows: int
+    #: row-pass executions: 1 if any partition was pending, else 0
     waves_run: int
     partitions_skipped: int
 
@@ -111,10 +119,11 @@ class RunResult:
 
         sources = []
         # per-partition (hive-partitioned) row-rule violations: read the
-        # directory so partition_id is restored from the path
+        # directory so partition_id is restored from the path; only
+        # committed files (a killed task leaves a tmp name behind)
         parts_root = os.path.join(self.output_dir, "violations", "parts")
         if glob.glob(os.path.join(parts_root, "**", "*.parquet"), recursive=True):
-            sources.append(ray.data.read_parquet(parts_root))
+            sources.append(ray.data.read_parquet(parts_root, file_extensions=["parquet"]))
         # global/drift violations carry partition_id as a normal column
         flat = sorted(
             p
@@ -189,77 +198,148 @@ def _cluster_cpus() -> int:
         return 8
 
 
-def _wave_stats_sketches(
-    wave: list[tuple[int, list[str]]],
-    columns: list[str],
-    file_schema: Optional[pa.Schema],
-) -> dict[int, dict[str, dict[str, str]]]:
-    """Per-partition mergeable sketch snapshots for one wave — the
-    north_rule's 'checkpoints record sketch state'. One columns-pruned
-    read of the wave's files; per-block partials emit ``(pid, column,
-    kind, blob)`` rows (t-digest for numeric columns, HLL otherwise),
-    merged per (pid, column) on the driver (a wave is ≤ wave_size
-    partitions × KB-sized blobs)."""
-    from fs_schema_validator_ray.state.sketches import HyperLogLog, TDigest
+def plan_tasks(
+    sizes: list[tuple[int, int]], cpus: int, target_bytes: int, max_per_task: int
+) -> list[list[int]]:
+    """Split pending partitions ``[(pid, bytes), ...]`` into row-pass tasks:
+    contiguous runs of near-equal bytes, at most ``max_per_task``
+    partitions each. The task count is
+    ``min(P, max(cpus, ceil(bytes / target_bytes), ceil(P / max_per_task)))``:
+    every CPU gets work, a task reads about ``target_bytes`` or less, and
+    none holds more than ``max_per_task`` partitions."""
+    p = len(sizes)
+    if not p:
+        return []
+    total = sum(b for _, b in sizes)
+    n = min(p, max(cpus, -(-total // max(target_bytes, 1)), -(-p // max_per_task)))
+    # cut i goes where the byte prefix is closest to i/n of the total,
+    # clamped so that every run is non-empty and within the cap
+    weights = [b for _, b in sizes] if total else [1] * p
+    cum = np.concatenate([[0], np.cumsum(weights, dtype=np.float64)])
+    cuts = [0]
+    for i in range(1, n):
+        goal = cum[-1] * i / n
+        j = int(np.searchsorted(cum, goal))
+        if j > 0 and goal - cum[j - 1] <= cum[j] - goal:
+            j -= 1
+        lo = max(cuts[-1] + 1, p - (n - i) * max_per_task)
+        hi = min(cuts[-1] + max_per_task, p - (n - i))
+        cuts.append(min(max(j, lo), hi))
+    cuts.append(p)
+    return [[pid for pid, _ in sizes[a:b]] for a, b in zip(cuts, cuts[1:])]
 
-    def partial(batch: pa.Table) -> pa.Table:
-        pids_arr = np.asarray(batch.column(PARTITION_COLUMN), dtype=np.int32)
-        out_pid, out_col, out_kind, out_blob = [], [], [], []
-        for pid in np.unique(pids_arr):
-            mask = pa.array(pids_arr == pid)
-            sub = batch.filter(mask)
-            for col in columns:
-                arr = sub.column(col)
-                atype = arr.type
-                if pa.types.is_integer(atype) or pa.types.is_floating(atype):
-                    vals = np.asarray(
-                        arr.combine_chunks().drop_null(), dtype=np.float64
-                    )
-                    td = TDigest()
-                    if len(vals):
-                        td.add(vals)
-                    kind, blob = "tdigest", td.to_bytes()
-                else:
-                    hll = HyperLogLog()
-                    dropped = arr.combine_chunks().drop_null()
-                    if len(dropped):
-                        hll.add(dropped.to_numpy(zero_copy_only=False))
-                    kind, blob = "hll", hll.to_bytes()
-                out_pid.append(int(pid))
-                out_col.append(col)
-                out_kind.append(kind)
-                out_blob.append(blob)
-        return pa.table(
-            {
-                "pid": pa.array(out_pid, pa.int32()),
-                "column": pa.array(out_col, pa.string()),
-                "kind": pa.array(out_kind, pa.string()),
-                "blob": pa.array(out_blob, pa.binary()),
-            }
+
+class CommitPartitions:
+    """The row-pass task: validates whole partitions and commits each one
+    as soon as its last row is checked.
+
+    Input: one row per partition holding its manifest doc as far as the
+    driver knows it (lineage, footer row count, drift metrics, drift
+    violations). Per partition: clear its violations directory, stream
+    its files in ``batch_size`` batches through the fused stage and the
+    sketch columns into their sketches, check that the rows read equal
+    the footer count, ``os.replace`` the violations file into place, then
+    write ``part-N.json``. Output: the written docs, one row per
+    partition (the receipts)."""
+
+    def __init__(
+        self,
+        stage: Optional[CombinedValidateStage],
+        stage_columns: list[str],
+        sketch_columns: list[str],
+        file_schema: Optional[pa.Schema],
+        batch_size: int,
+        output_dir: str,
+    ) -> None:
+        self.stage = stage
+        self.stage_columns = stage_columns
+        self.sketch_columns = sketch_columns
+        self.columns = sorted(
+            set(sketch_columns) | (set(stage_columns) if stage is not None else set())
         )
+        # with the footer-unified schema, files missing a column read as
+        # nulls (a schema-evolved corpus); without it, conflicting types
+        # surface as the read's own error
+        self.schema = (
+            pa.schema([file_schema.field(c) for c in self.columns])
+            if file_schema is not None
+            else None
+        )
+        self.batch_size = batch_size
+        self.output_dir = output_dir
 
-    sds = _read_partitions(wave, columns, file_schema=file_schema)
-    merged: dict[tuple[int, str], Any] = {}
-    kinds: dict[tuple[int, str], str] = {}
-    for b in sds.map_batches(partial, batch_format="pyarrow").iter_batches(
-        batch_format="pyarrow"
-    ):
-        for r in b.to_pylist():
-            key = (r["pid"], r["column"])
-            sk = (
-                TDigest.from_bytes(r["blob"])
-                if r["kind"] == "tdigest"
-                else HyperLogLog.from_bytes(r["blob"])
+    def __call__(self, items: pa.Table) -> pa.Table:
+        docs = [self.commit(json.loads(d)) for d in items.column("doc").to_pylist()]
+        return pa.table({"doc": pa.array([json.dumps(d) for d in docs], pa.string())})
+
+    def commit(self, doc: dict) -> dict:
+        t0 = time.perf_counter()
+        out_dir = doc["violations_path"]
+        shutil.rmtree(out_dir, ignore_errors=True)
+        tmp = os.path.join(out_dir, "violations.tmp")
+        rows, found, sketches = doc["rows"], 0, {}
+        if self.columns:
+            rows, found, sketches = self.check(doc["partition_id"], doc["files"], tmp)
+        if rows != doc["rows"]:
+            raise ValueError(
+                f"partition {doc['partition_id']}: read {rows} rows, "
+                f"its footers say {doc['rows']}"
             )
-            merged[key] = sk if key not in merged else merged[key].merge(sk)
-            kinds[key] = r["kind"]
-    out: dict[int, dict[str, dict[str, str]]] = {}
-    for (pid, col), sk in merged.items():
-        out.setdefault(pid, {})[col] = {
-            "kind": kinds[(pid, col)],
-            "blob": sk.to_bytes().hex(),
-        }
-    return out
+        if found:
+            os.replace(tmp, os.path.join(out_dir, "violations.parquet"))
+        doc["violations"] += found
+        if rows and sketches:
+            doc["stats_sketches_hex"] = {
+                c: {"kind": kind, "blob": sk.to_bytes().hex()}
+                for c, (kind, sk) in sketches.items()
+            }
+        doc["wall_s"] = time.perf_counter() - t0
+        write_json_atomic(
+            os.path.join(_manifest_dir(self.output_dir), f"{doc['id']}.json"), doc
+        )
+        return doc
+
+    def check(self, pid: int, files: list[str], tmp: str):
+        """Stream one partition's files through the stage and the
+        sketches; violation rows go to ``tmp`` (not named ``*.parquet``
+        until committed). Returns ``(rows read, violations, sketches)``."""
+        import pyarrow.dataset as pads
+
+        from fs_schema_validator_ray.state.sketches import HyperLogLog, TDigest
+
+        data = pads.dataset(files, schema=self.schema, format="parquet")
+        # a t-digest for numeric columns, an HLL for everything else
+        sketches = {}
+        for c in self.sketch_columns:
+            t = data.schema.field(c).type
+            numeric = pa.types.is_integer(t) or pa.types.is_floating(t)
+            sketches[c] = ("tdigest", TDigest()) if numeric else ("hll", HyperLogLog())
+        rows, found, writer = 0, 0, None
+        try:
+            for rb in data.to_batches(columns=self.columns, batch_size=self.batch_size):
+                rows += rb.num_rows
+                for c, (_, sk) in sketches.items():
+                    values = rb.column(c).drop_null()
+                    if len(values):
+                        sk.add(values.to_numpy(zero_copy_only=False))
+                if self.stage is None or not rb.num_rows:
+                    continue
+                batch = pa.Table.from_batches([rb]).select(self.stage_columns)
+                v = self.stage(batch.append_column(
+                    PARTITION_COLUMN, pa.array(np.full(rb.num_rows, pid, np.int32))
+                ))
+                if v.num_rows:
+                    if writer is None:
+                        os.makedirs(os.path.dirname(tmp), exist_ok=True)
+                        writer = pq.ParquetWriter(tmp, PART_FILE_SCHEMA)
+                    writer.write_table(
+                        v.select(PART_FILE_SCHEMA.names).cast(PART_FILE_SCHEMA)
+                    )
+                    found += v.num_rows
+        finally:
+            if writer is not None:
+                writer.close()
+        return rows, found, sketches
 
 
 def merged_stats_sketches(output_dir: str) -> dict[str, Any]:
@@ -341,6 +421,18 @@ def _read_partitions(
     return ds.map_batches(attach, batch_format="pyarrow")
 
 
+def _column_bytes(md: pq.FileMetaData) -> dict[str, int]:
+    """Uncompressed bytes per top-level column, from a parquet footer."""
+    out: dict[str, int] = {}
+    for i in range(md.num_row_groups):
+        rg = md.row_group(i)
+        for j in range(rg.num_columns):
+            c = rg.column(j)
+            name = c.path_in_schema.split(".", 1)[0]
+            out[name] = out.get(name, 0) + c.total_uncompressed_size
+    return out
+
+
 def _footer_row_count(directory: str) -> int:
     """Row count from parquet footers — no data read, no Ray job."""
     return sum(
@@ -353,6 +445,7 @@ def run_validation(cfg: ValidationRunConfig) -> RunResult:
     """Execute (or resume) a validation run. Ray must already be
     initialized by the caller (driver contract)."""
     import ray
+    import ray.data
 
     rules = cfg.rules
     os.makedirs(cfg.output_dir, exist_ok=True)
@@ -386,7 +479,7 @@ def run_validation(cfg: ValidationRunConfig) -> RunResult:
     # purge on-disk state for partitions invalidated above (shifted or
     # removed from the corpus): their manifest rows and violation dirs
     # must not leak into violations_dataset() / merged_stats_sketches().
-    # Reprocessed pids are rewritten by the wave loop anyway; removed
+    # Reprocessed pids are rewritten by the row pass anyway; removed
     # pids have nothing else to clear them.
     parts_root_ = os.path.join(cfg.output_dir, "violations", "parts")
     for path in glob.glob(os.path.join(_manifest_dir(cfg.output_dir), "part-*.json")):
@@ -404,14 +497,17 @@ def run_validation(cfg: ValidationRunConfig) -> RunResult:
     # dropped from the data plane — otherwise every batch of every block
     # would re-emit it (or crash the read) and counts would depend on
     # partitioning. Schema = union over ALL file footers (footer-only
-    # reads are cheap; the wave loop re-reads them for row counts anyway)
-    # so a schema-evolved corpus whose rule column appears only in later
-    # files is never falsely reported as missing.
+    # reads are cheap, and the same footers give the row pass its row
+    # counts and byte sizes) so a schema-evolved corpus whose rule column
+    # appears only in later files is never falsely reported as missing.
     input_columns: set[str] = set()
     file_schemas = []
     seen_schema_ids: set[tuple] = set()
+    footers: dict[str, tuple[int, dict[str, int]]] = {}
     for f in files:
-        s = pq.ParquetFile(f).schema_arrow
+        pf = pq.ParquetFile(f)
+        s = pf.schema_arrow
+        footers[f] = (pf.metadata.num_rows, _column_bytes(pf.metadata))
         key = tuple((n, str(s.field(n).type)) for n in s.names)
         if key not in seen_schema_ids:
             seen_schema_ids.add(key)
@@ -474,7 +570,9 @@ def run_validation(cfg: ValidationRunConfig) -> RunResult:
 
     # absent columns were already reported as plan violations; asking
     # the parquet reader for them would fail the whole read
-    wave_columns = sorted(set(rules.required_columns(cfg.key_column)) & input_columns)
+    row_columns = sorted(
+        (set(rules.required_columns(cfg.key_column)) & input_columns) - {PARTITION_COLUMN}
+    )
 
     # --- global pass: every pending unique and drift rule from ONE read --
     # One keys-only pass emits each unique rule's counting-filter cells and
@@ -551,12 +649,12 @@ def run_validation(cfg: ValidationRunConfig) -> RunResult:
     _mark("membership")
     # --- drift: verdicts over the partials the global pass merged ---------
     # Per-partition histograms and the (self-)baseline come out of the same
-    # read; nothing about drift touches the payload-bearing wave pass.
+    # read; nothing about drift touches the payload-bearing row pass.
     drift_state = dict(zip((r.rule_id for r in drift_rules), drift_states))
     drift_by_rule: dict[str, dict[int, dict]] = {}
     drift_viol_by_pid: dict[int, int] = {}
     # drift counts computed THIS run (vs loaded from a done manifest):
-    # partitions skipped by the wave loop still need these in the total
+    # partitions skipped by the row pass still need these in the total
     fresh_drift_by_pid: dict[int, int] = {}
     for rule in rules.drift_rules():
         doc_id = f"drift-{rule.rule_id}"
@@ -607,107 +705,82 @@ def run_validation(cfg: ValidationRunConfig) -> RunResult:
         )
 
     _mark("drift")
-    # --- waves over pending partitions ------------------------------------
-    # ONE fused pass per wave: every per-row rule (scalar + audio decode +
-    # referential probe) runs inside a single map_batches over a single
-    # read — branching streams would each re-execute the payload read.
+    # --- row pass: ONE Ray execution over every pending partition --------
+    # Every per-row rule (scalar + audio decode + JSON + assets +
+    # referential probe) runs as one fused stage inside a task that owns
+    # whole partitions and commits each as soon as its last row is checked.
     skipped = len(groups) - len(pending)
     partition_metrics: dict[int, dict] = {
         int(doc["partition_id"]): doc
         for doc in done.values()
         if "partition_id" in doc
     }
-
-    waves = [pending[i : i + cfg.wave_size] for i in range(0, len(pending), cfg.wave_size)]
-    ref_pairs = (
-        [(rule, membership_refs[rule.rule_id]) for rule in rules.referential_rules()]
-        if pending
-        else []
-    )
-    has_row_rules = bool(
-        active_column_rules
-        or rules.audio_rules()
-        or rules.json_rules()
-        or rules.asset_rules()
-        or ref_pairs
-    )
-
-    # violations are laid out ONE DIRECTORY PER PARTITION (the checkpoint
-    # unit), not per wave: a resumed run deletes and rewrites exactly the
-    # partitions it reprocesses, so `violations_dataset()` can never see a
-    # stale or duplicated copy (crash-between-write-and-manifest safe).
-    parts_root = os.path.join(cfg.output_dir, "violations", "parts")
-
-    for wave_no, wave in enumerate(waves):
-        t0 = time.perf_counter()
-        wave_ids = [pid for pid, _ in wave]
-        for pid in wave_ids:
-            shutil.rmtree(
-                os.path.join(parts_root, f"partition_id={pid}"), ignore_errors=True
-            )
-
-        # per-partition row counts from parquet footers — no data read
-        rows_by_pid = {
-            pid: sum(pq.ParquetFile(f).metadata.num_rows for f in grp)
-            for pid, grp in wave
-        }
-
-        viol_by_pid: dict[int, int] = {}
-        if has_row_rules:
-            ds = _read_partitions(wave, wave_columns, file_schema=unified_schema)
-            stage = CombinedValidateStage(
+    if pending:
+        ref_pairs = [
+            (rule, membership_refs[rule.rule_id]) for rule in rules.referential_rules()
+        ]
+        has_row_rules = bool(
+            active_column_rules
+            or rules.audio_rules()
+            or rules.json_rules()
+            or rules.asset_rules()
+            or ref_pairs
+        )
+        commit = CommitPartitions(
+            CombinedValidateStage(
                 active_column_rules, rules.audio_rules(), ref_pairs,
                 cfg.key_column, rules.json_rules(), rules.asset_rules(),
-            )
-            # stateless decode: instance → plain tasks, instant fan-out
-            vds = ds.map_batches(
-                stage, batch_format="pyarrow", batch_size=cfg.decode_batch_size
-            )
-            vds.write_parquet(parts_root, partition_cols=["partition_id"])
-            # violation counts per pid straight from the parquet footers
-            for pid in wave_ids:
-                files = glob.glob(
-                    os.path.join(parts_root, f"partition_id={pid}", "*.parquet")
-                )
-                if files:
-                    viol_by_pid[pid] = sum(
-                        pq.ParquetFile(f).metadata.num_rows for f in files
-                    )
-
-        sketches_by_pid: dict[int, dict[str, dict[str, str]]] = {}
-        if cfg.stats_sketch_columns:
-            scols = [c for c in cfg.stats_sketch_columns if c in input_columns]
-            if scols:
-                sketches_by_pid = _wave_stats_sketches(
-                    wave, scols, unified_schema
-                )
-
-        wall = time.perf_counter() - t0
-        for pid, grp in wave:
-            n_viol = viol_by_pid.get(pid, 0) + drift_viol_by_pid.get(pid, 0)
-            doc = {
+            ) if has_row_rules else None,
+            row_columns,
+            [c for c in cfg.stats_sketch_columns or () if c in input_columns],
+            unified_schema, cfg.decode_batch_size, cfg.output_dir,
+        )
+        # violations are laid out ONE DIRECTORY PER PARTITION (the
+        # checkpoint unit): a resumed run clears and rewrites exactly the
+        # partitions it reprocesses, so `violations_dataset()` never sees
+        # a stale or duplicated copy
+        parts_root = os.path.join(cfg.output_dir, "violations", "parts")
+        docs = {
+            pid: {
                 "id": f"part-{pid}",
                 "partition_id": pid,
                 "status": "done",
                 "files": grp,
-                "rows": rows_by_pid.get(pid, 0),
-                "violations": n_viol,
+                "rows": sum(footers[f][0] for f in grp),
+                "violations": drift_viol_by_pid.get(pid, 0),
                 "violations_path": os.path.join(parts_root, f"partition_id={pid}"),
                 "drift": {
                     rid: metrics[pid]
                     for rid, metrics in drift_by_rule.items()
                     if pid in metrics
                 },
-                "wave_wall_s": wall,
             }
-            if sketches_by_pid.get(pid):
-                doc["stats_sketches_hex"] = sketches_by_pid[pid]
-            _write_manifest(cfg.output_dir, doc)
-            partition_metrics[pid] = doc
+            for pid, grp in pending
+        }
+        sizes = [
+            (pid, sum(footers[f][1].get(c, 0) for f in grp for c in commit.columns))
+            for pid, grp in pending
+        ]
+        runs = plan_tasks(
+            sizes, _cluster_cpus(),
+            ray.data.DataContext.get_current().target_min_block_size,
+            max(1, cfg.wave_size),
+        )
+        os.makedirs(_manifest_dir(cfg.output_dir), exist_ok=True)
+        # one block per run: map_batches(batch_size=None) gives each its task
+        items = ray.data.from_arrow([
+            pa.table({"doc": pa.array([json.dumps(docs[pid]) for pid in run], pa.string())})
+            for run in runs
+        ])
+        for row in items.map_batches(
+            commit, batch_format="pyarrow", batch_size=None
+        ).take_all():
+            doc = json.loads(row["doc"])
+            partition_metrics[doc["partition_id"]] = doc
 
     _mark("waves")
     global_metrics["phase_wall"] = phase_wall
-    # freshly-computed drift violations on partitions the wave loop
+    # freshly-computed drift violations on partitions the row pass
     # skipped (their manifests predate the drift rule) are counted here;
     # reprocessed partitions already folded them into their new docs
     pending_pids = {pid for pid, _ in pending}
@@ -727,6 +800,6 @@ def run_validation(cfg: ValidationRunConfig) -> RunResult:
         global_metrics=global_metrics,
         total_violations=int(total_viols),
         total_rows=int(total_rows),
-        waves_run=len(waves),
+        waves_run=int(bool(pending)),
         partitions_skipped=skipped,
     )

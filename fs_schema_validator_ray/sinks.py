@@ -46,7 +46,8 @@ def write_json_atomic(path: str, doc) -> None:
     """Write ``doc`` as JSON to ``path`` atomically: the document goes to
     a ``.tmp`` sibling first and is renamed over ``path`` with
     ``os.replace``, so a crash mid-write leaves the previous file (or no
-    file) — never a truncated one a reader would fail to parse."""
+    file) — never a truncated one a reader would fail to parse. Row-pass
+    tasks call it from workers: each path has one writer at a time."""
     tmp = path + ".tmp"
     with open(tmp, "w") as f:
         json.dump(doc, f, sort_keys=True)

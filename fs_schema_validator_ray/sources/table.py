@@ -5,10 +5,8 @@ sandbox has no ``lance``/``pylance`` package, so the engine reads Parquet
 through the same interface and switches to ``ray.data.read_lance`` when
 the dependency exists (import-gated, per the environment constraints).
 
-Partitioning contract: for Parquet, the checkpoint partition is a file
-group (``pipelines/validate.py:plan_partitions``); for Lance it is the
-fragment — ``fragment_ids`` maps to the same per-partition lineage field
-in the run manifest.
+Partitioning contract: the checkpoint partition is a file group
+(``pipelines/validate.py:plan_partitions``).
 """
 
 from __future__ import annotations
@@ -57,13 +55,3 @@ def read_table(
         ds = ray.data.read_json(path, **kwargs)
         return ds.select_columns(columns) if columns else ds
     return ray.data.read_parquet(path, columns=columns, **kwargs)
-
-
-def lance_fragment_groups(path: str) -> list[tuple[int, list[str]]]:
-    """Checkpoint partitions for a Lance table: one per fragment
-    (fragment id doubles as partition id — the lineage unit)."""
-    import lance
-
-    ds = lance.dataset(path)
-    return [(frag.fragment_id, [f"{path}#fragment-{frag.fragment_id}"])
-            for frag in ds.get_fragments()]

@@ -2,56 +2,6 @@
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.parquet as pq
-
-from fs_schema_validator_ray.pipelines.validate import (
-    ValidationRunConfig,
-    run_validation,
-)
-from fs_schema_validator_ray.rules import RuleSet
-
-
-def test_drift_violations_survive_noop_rerun(ray_session, tmp_path):
-    """ADVICE r1: a no-op rerun after a drift rule was added on resume must
-    keep reporting the drift violations (exit 1), not silently flip to 0."""
-    src = tmp_path / "in"
-    src.mkdir()
-    rng = np.random.default_rng(1)
-    pq.write_table(
-        pa.table({"k": [f"a{i}" for i in range(500)],
-                  "v": rng.integers(10, 40, 500)}), src / "f0.parquet"
-    )
-    pq.write_table(
-        pa.table({"k": [f"b{i}" for i in range(500)],
-                  "v": rng.integers(60, 90, 500)}), src / "f1.parquet"
-    )
-    out = tmp_path / "run"
-    base = "rules:\n  - rule: v_range\n    type: int\n    column: v\n    min: 0\n    max: 100\n"
-    cfg = ValidationRunConfig(
-        input_path=str(src), rules=RuleSet.from_yaml(base),
-        output_dir=str(out), key_column="k",
-    )
-    assert run_validation(cfg).total_violations == 0
-
-    drifted = base + (
-        "  - rule: v_drift\n    type: drift\n    column: v\n"
-        "    lo: 0\n    hi: 100\n    bins: 20\n    max_ks: 0.3\n"
-    )
-    cfg2 = ValidationRunConfig(
-        input_path=str(src), rules=RuleSet.from_yaml(drifted),
-        output_dir=str(out), key_column="k",
-    )
-    res2 = run_validation(cfg2)
-    assert res2.total_violations == 2 and res2.exit_code() == 1
-
-    # run 3: everything (incl. the drift manifest) is done — the loaded
-    # drift counts must still be included for partitions whose docs
-    # predate the drift rule
-    res3 = run_validation(cfg2)
-    assert res3.waves_run == 0
-    assert res3.total_violations == 2 and res3.exit_code() == 1
-    v = res3.violations_dataset().to_pandas()
-    assert (v["rule_id"] == "v_drift").sum() == 2
 
 
 def test_broadcast_join_all_miss_batch_keeps_type(ray_session):
@@ -152,31 +102,6 @@ def test_exact_dedup_tolerates_empty_blocks(ray_session):
     ds = ray.data.from_arrow([empty, full, empty])
     out = sorted(r["doc_id"] for r in exact_dedup_keep_min(ds).take_all())
     assert out == [1, 2]
-
-
-def test_plan_schema_check_scans_all_footers(ray_session, tmp_path):
-    """ADVICE r1: a rule column that appears only after the 256th file must
-    not be falsely dropped as 'does not exist'."""
-    src = tmp_path / "in"
-    src.mkdir()
-    n_files = 260
-    for i in range(n_files):
-        cols = {"k": pa.array([f"{i}-{j}" for j in range(5)])}
-        if i == n_files - 1:  # column v exists ONLY in the last file
-            cols["v"] = pa.array([1, 2, 3, 4, 5], pa.int64())
-        pq.write_table(pa.table(cols), src / f"f{i:04d}.parquet")
-    rules = RuleSet.from_yaml(
-        "rules:\n  - rule: v_rule\n    type: int\n    column: v\n"
-        "    min: 0\n    max: 100\n    nullable: true\n"
-    )
-    cfg = ValidationRunConfig(
-        input_path=str(src), rules=rules, output_dir=str(tmp_path / "run"),
-        key_column="k", partitions=4,
-    )
-    res = run_validation(cfg)
-    assert res.total_violations == 0
-    v = res.violations_dataset().to_pandas()
-    assert len(v) == 0
 
 
 def test_fingerprint_vectorized_matches_per_row_reference():

@@ -1,0 +1,270 @@
+"""The row pass of a validation run: one Ray execution whose tasks own
+whole partitions and commit each one (violations file, then manifest) as
+soon as its last row is checked (``pipelines/validate.py``)."""
+
+import glob
+import hashlib
+import json
+import math
+import os
+import shutil
+import signal
+import subprocess
+import sys
+import tempfile
+import time
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.parquet as pq
+import pytest
+
+from fs_schema_validator_ray.pipelines.validate import (
+    ValidationRunConfig,
+    plan_tasks,
+    run_validation,
+)
+from fs_schema_validator_ray.rules import RuleSet
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+RULES = """
+rules:
+  - rule: v_range
+    type: int
+    column: v
+    min: 0
+    max: 100
+  - rule: k_shape
+    type: str
+    column: k
+    regex: "^[a-h]-[0-9]+$"
+  - rule: unique_k
+    type: unique
+    column: k
+"""
+
+N_PARTS = 8
+ROWS = 40
+
+
+def _corpus(root):
+    """``N_PARTS`` files; every partition has a few row-rule violations and
+    partitions 0 and 5 share one key (a unique violation)."""
+    d = os.path.join(root, "in")
+    os.makedirs(d)
+    for i in range(N_PARTS):
+        keys = [f"{'abcdefgh'[i]}-{j}" for j in range(ROWS)]
+        if i == 5:
+            keys[7] = "a-7"
+        keys[3 + i] = f"bad key {i}"
+        v = [200 if j % 9 == i % 9 else j for j in range(ROWS)]
+        pq.write_table(pa.table({"k": keys, "v": pa.array(v, pa.int64())}),
+                       os.path.join(d, f"part-{i:02d}.parquet"))
+    return d
+
+
+def _cfg(src, out, **kw):
+    return ValidationRunConfig(input_path=src, rules=RuleSet.from_yaml(RULES),
+                               output_dir=str(out), key_column="k", **kw)
+
+
+def _digest(output_dir):
+    """Order-insensitive digest of every committed violation row, reasons
+    included; rows under ``parts/partition_id=N`` get ``N`` from the path."""
+    rows = []
+    for f in glob.glob(os.path.join(output_dir, "violations", "**", "*.parquet"),
+                       recursive=True):
+        t = pq.read_table(f)
+        hive = [p for p in f.split(os.sep) if p.startswith("partition_id=")]
+        pids = ([int(hive[-1].split("=")[1])] * t.num_rows if hive
+                else t.column("partition_id").to_pylist())
+        rows += zip(pids, *(t.column(c).to_pylist() for c in ("key", "rule_id", "reason")))
+    return hashlib.sha256(repr(sorted(rows, key=repr)).encode()).hexdigest(), len(rows)
+
+
+# --- the task planner ----------------------------------------------------------
+
+
+def _n_tasks(sizes, cpus, target, cap):
+    p = len(sizes)
+    return min(p, max(cpus, math.ceil(sum(b for _, b in sizes) / target), math.ceil(p / cap)))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_plan_covers_every_partition_once_in_order(seed):
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(1, 60))
+    pids = sorted(rng.choice(1000, p, replace=False).tolist())
+    sizes = [(pid, int(b)) for pid, b in zip(pids, rng.integers(0, 5 << 20, p))]
+    cpus, target, cap = int(rng.integers(1, 9)), int(rng.integers(1, 8) << 20), int(rng.integers(1, 20))
+    runs = plan_tasks(sizes, cpus, target, cap)
+    assert [pid for run in runs for pid in run] == pids
+    assert len(runs) == _n_tasks(sizes, cpus, target, cap)
+    assert all(1 <= len(run) <= cap for run in runs)
+
+
+def test_plan_balances_bytes():
+    sizes = [(i, 1000) for i in range(12)]
+    assert plan_tasks(sizes, 4, 1 << 20, 16) == [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]]
+    # one big partition gets a task of its own
+    sizes = [(0, 9000)] + [(i, 1000) for i in range(1, 10)]
+    assert plan_tasks(sizes, 2, 1 << 20, 16) == [[0], list(range(1, 10))]
+    # no bytes at all (nothing to read): runs of near-equal counts
+    assert plan_tasks([(i, 0) for i in range(8)], 4, 1 << 20, 16) == [
+        [0, 1], [2, 3], [4, 5], [6, 7]]
+    assert plan_tasks([], 4, 1 << 20, 16) == []
+
+
+def test_plan_of_the_benchmark_shapes_at_one_cpu():
+    target = 1 << 20  # Ray's default DataContext.target_min_block_size
+    # metadata-only rules over 32 small files
+    assert len(plan_tasks([(i, 2_000) for i in range(32)], 1, target, 128)) == 1
+    # a resumed half of 32 payload partitions, at most 4 per task
+    assert len(plan_tasks([(i, 363_000) for i in range(16, 32)], 1, target, 4)) == 6
+    # 4 large payload partitions
+    assert len(plan_tasks([(i, 4_800_000) for i in range(4)], 1, target, 128)) == 4
+
+
+# --- committed output ----------------------------------------------------------
+
+
+def test_violations_dataset_ignores_uncommitted_files(ray_session, tmp_path):
+    """A task killed mid-write leaves its tmp file in ``partition_id=N/``;
+    only committed ``*.parquet`` files are violations."""
+    src = _corpus(str(tmp_path))
+    res = run_validation(_cfg(src, tmp_path / "out"))
+    n = res.violations_dataset().count()
+    assert n == res.total_violations > 0
+    part = os.path.join(str(tmp_path / "out"), "violations", "parts", "partition_id=3")
+    with open(os.path.join(part, "violations.tmp"), "wb") as f:
+        f.write(b"PAR1\x15\x04half a parquet file")
+    assert res.violations_dataset().count() == n
+
+
+def test_task_reads_schema_evolved_files_and_commits_sketches(ray_session, tmp_path):
+    """A partition of an old file (no ``v``) and a new one: the old rows
+    read as nulls, and the sketch is folded from the same read."""
+    d = tmp_path / "in"
+    d.mkdir()
+    pq.write_table(pa.table({"k": ["a-1", "a-2"]}), d / "f0.parquet")
+    pq.write_table(pa.table({"k": ["b-1", "b-2"], "v": pa.array([5, 500], pa.int64())}),
+                   d / "f1.parquet")
+    out = tmp_path / "out"
+    res = run_validation(_cfg(str(d), out, partitions=1, stats_sketch_columns=["v"]))
+    assert res.total_rows == 4
+    v = res.violations_dataset().to_pandas()
+    # the two null `v` rows and the 500 fail the non-nullable range rule
+    assert sorted(v[v["rule_id"] == "v_range"]["key"]) == ["a-1", "a-2", "b-2"]
+    with open(out / "manifest" / "part-0.json") as f:
+        doc = json.load(f)
+    assert doc["rows"] == 4 and doc["stats_sketches_hex"]["v"]["kind"] == "tdigest"
+
+
+# --- kill and resume -----------------------------------------------------------
+
+KILLED_RUN = """
+import sys, time
+import ray
+from fs_schema_validator_ray.pipelines import validate
+from fs_schema_validator_ray.rules import RuleSet
+
+
+class SlowStage(validate.CombinedValidateStage):
+    # slow enough that the run is killed with partitions still pending
+    def __call__(self, batch):
+        time.sleep(0.25)
+        return super().__call__(batch)
+
+
+validate.CombinedValidateStage = SlowStage
+src, out, rules, temp_dir = sys.argv[1:]
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR", _temp_dir=temp_dir)
+validate.run_validation(validate.ValidationRunConfig(
+    input_path=src, rules=RuleSet.from_yaml(rules), output_dir=out,
+    key_column="k", wave_size=1, decode_batch_size=16))
+"""
+
+
+def _manifests(out):
+    return sorted(glob.glob(os.path.join(out, "manifest", "part-*.json")))
+
+
+def _session_processes(sid):
+    found = []
+    for d in os.listdir("/proc"):
+        if d.isdigit():
+            try:
+                with open(f"/proc/{d}/stat") as f:
+                    stat = f.read().rsplit(")", 1)[1].split()
+            except OSError:
+                continue
+            if int(stat[3]) == sid:
+                found.append(int(d))
+    return found
+
+
+def _kill_after(src, out, k):
+    """Run the validation in its own process session and SIGKILL the whole
+    session (driver, Ray and its workers) once ``k`` manifests landed."""
+    temp_dir = tempfile.mkdtemp(prefix="rk")  # Ray's socket paths must be short
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [ROOT] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.Popen([sys.executable, "-c", KILLED_RUN, src, out, RULES, temp_dir],
+                            env=env, start_new_session=True,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    try:
+        deadline = time.time() + 240
+        while len(_manifests(out)) < k:
+            assert proc.poll() is None, proc.stderr.read().decode()[-3000:]
+            assert time.time() < deadline, "no partition committed in time"
+            time.sleep(0.02)
+    finally:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+        proc.stderr.close()
+        for _ in range(100):
+            left = _session_processes(proc.pid)
+            if not left:
+                break
+            for pid in left:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+            time.sleep(0.1)
+        shutil.rmtree(temp_dir, ignore_errors=True)
+    assert not _session_processes(proc.pid)
+
+
+def test_killed_run_resumes_to_the_uninterrupted_violations(ray_session, tmp_path):
+    src = _corpus(str(tmp_path))
+    full = run_validation(_cfg(src, tmp_path / "full"))
+    want = _digest(str(tmp_path / "full"))
+    assert want[1] == full.total_violations > N_PARTS
+
+    out = str(tmp_path / "killed")
+    _kill_after(src, out, 3)
+    landed = _manifests(out)
+    assert 3 <= len(landed) < N_PARTS
+
+    # a partition killed between its violations file and its manifest:
+    # the file is committed, the manifest is not
+    with open(landed[0]) as f:
+        replaced = json.load(f)
+    os.remove(landed[0])
+    old_file = os.path.join(replaced["violations_path"], "violations.parquet")
+    assert os.path.exists(old_file)
+    os.utime(old_file, (0, 0))
+
+    res = run_validation(_cfg(src, out))
+    assert res.partitions_skipped == len(landed) - 1
+    assert res.waves_run == 1
+    assert _digest(out) == want
+    assert res.total_violations == full.total_violations
+    assert res.total_rows == full.total_rows == N_PARTS * ROWS
+    assert res.violations_dataset().count() == full.total_violations
+    # rewritten, not kept: the resumed run committed the file again
+    assert os.path.getmtime(old_file) > 0
+    assert len(_manifests(out)) == N_PARTS
