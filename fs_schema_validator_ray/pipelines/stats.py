@@ -15,7 +15,7 @@ exceeds the rule threshold produce partition-level violation rows.
 
 The validation run's global pass (:func:`global_partials`) is the same
 partial/final pattern over every pending ``unique`` and ``drift`` rule
-at once: one read, per batch one partial per rule — the drift partial,
+at once: one keys-only scan, per batch one partial per rule — the drift partial,
 or the sparse cell counts of a ``unique`` rule's counting filter (the
 cells come from ``stages/unique.py``) — merged on the driver.
 """
@@ -36,7 +36,6 @@ from fs_schema_validator_ray.report import (
 )
 from fs_schema_validator_ray.rules import DriftRule
 from fs_schema_validator_ray.stages import unique as unique_stage
-from fs_schema_validator_ray.stages.exchange import estimate_dataset_rows
 from fs_schema_validator_ray.state import Histogram, HyperLogLog, TDigest, ks_statistic, psi
 
 
@@ -278,8 +277,9 @@ class GlobalPartial:
         )
 
 
-def global_partials(ds, unique_rules: list, drift_rules: list) -> tuple[list, list]:
-    """The global pass over ``ds``: ONE ``map_batches`` chain —
+def global_partials(ds, unique_rules: list, drift_rules: list, rows: Optional[int] = None):
+    """The global pass over ``ds``, a corpus of ``rows`` rows (``None``:
+    the largest filter): ONE ``map_batches`` chain —
     ``stages.unique.with_key_cells`` (skipped without unique rules) then
     :class:`GlobalPartial` — merged on the driver as the blocks arrive.
     Returns ``(filters, drift_states)``: per unique rule a count for each
@@ -287,7 +287,7 @@ def global_partials(ds, unique_rules: list, drift_rules: list) -> tuple[list, li
     (a byte a cell), and per drift rule its :func:`merge_drift_partial`
     state. Driver memory is the filters plus partitions × bins; each
     block sends at most one pair per distinct cell it holds."""
-    bits = unique_stage.filter_bits(estimate_dataset_rows(ds))
+    bits = unique_stage.filter_bits(rows)
     if unique_rules:
         keep = {PARTITION_COLUMN, *(c for r in drift_rules for c in r.input_columns())}
         ds = unique_stage.with_key_cells(ds, unique_rules, bits, sorted(keep))

@@ -6,28 +6,30 @@ Ray-Data-first rebuild of the reference's one-shot serial run
 
 * the input file list is grouped into **partitions** (the checkpoint
   unit: one file group each),
-* the row pass is ONE Ray execution over every pending partition: the
-  partitions are split into contiguous runs of near-equal bytes (the
-  uncompressed size of the pruned columns, from the footers), one task
-  per run (:func:`plan_tasks`). A task reads each of its partitions
-  itself in ``decode_batch_size`` batches, runs every per-row rule
-  (scalar + audio decode + JSON + assets + referential broadcast probe)
-  as one fused stage, and **commits** the partition the moment its last
-  row is checked: first its violations file, then its manifest
-  ``part-N.json`` (lineage, row/violation counts, drift statistics,
-  wall time). The driver only plans the tasks and collects one small
-  receipt (the manifest) per partition. A rerun skips the partitions
-  whose manifest exists (north_rule: resumable from per-partition
-  checkpoints with lineage + metrics),
+* every pass plans its tasks the same way (:func:`_task_items`): the
+  partitions it needs, in contiguous runs of near-equal bytes of its
+  pruned columns (from the footers), one task per run
+  (:func:`plan_tasks`); each task reads its partitions' files itself
+  (:func:`scan_partition`, the run's one reader),
 * globally-scoped rules — every pending ``unique`` and ``drift`` rule —
-  run first as ONE global pass: one keys-only read whose fused
-  ``map_batches`` chain emits each unique rule's counting-filter cells and
-  each drift rule's per-partition partials, merged on the driver
+  run first as ONE global pass: one keys-only scan
+  (:class:`ScanPartitions`) whose fused ``map_batches`` chain emits each
+  unique rule's counting-filter cells and each drift rule's
+  per-partition partials, merged on the driver
   (``pipelines/stats.py::global_partials``). Drift verdicts need nothing
   more. Keys can repeat only in cells counted twice: with none there is
-  no second read and no shuffle; otherwise one more keys-only read keeps
+  no second read and no shuffle; otherwise one more keys-only scan keeps
   just those rows and the exact keyed exchange runs over them
-  (``stages/unique.py``) — never payloads.
+  (``stages/unique.py``) — never payloads,
+* the row pass is ONE Ray execution over every pending partition: a
+  task reads each of its partitions in ``decode_batch_size`` batches,
+  runs every per-row rule (scalar + audio decode + JSON + assets +
+  referential broadcast probe) as one fused stage, and **commits** the
+  partition the moment its last row is checked: its violations file,
+  then its manifest ``part-N.json`` (lineage, row/violation counts,
+  drift statistics, wall time). A rerun skips the partitions whose
+  manifest exists (north_rule: resumable from per-partition checkpoints
+  with lineage + metrics).
 
 Violation output is one hive directory per PARTITION (plus one each
 for the global/drift/plan passes): a resumed run deletes and rewrites
@@ -37,6 +39,7 @@ file.
 
 from __future__ import annotations
 
+import contextlib
 import glob
 import json
 import shutil
@@ -201,7 +204,7 @@ def _cluster_cpus() -> int:
 def plan_tasks(
     sizes: list[tuple[int, int]], cpus: int, target_bytes: int, max_per_task: int
 ) -> list[list[int]]:
-    """Split pending partitions ``[(pid, bytes), ...]`` into row-pass tasks:
+    """Split partitions ``[(pid, bytes), ...]`` into the tasks of a pass:
     contiguous runs of near-equal bytes, at most ``max_per_task``
     partitions each. The task count is
     ``min(P, max(cpus, ceil(bytes / target_bytes), ceil(P / max_per_task)))``:
@@ -227,6 +230,63 @@ def plan_tasks(
         cuts.append(min(max(j, lo), hi))
     cuts.append(p)
     return [[pid for pid, _ in sizes[a:b]] for a, b in zip(cuts, cuts[1:])]
+
+
+def _task_items(groups, columns: list[str], footers: dict, max_per_task: int, item):
+    """The task plan every pass of a run shares: the partitions ``groups``
+    (``[(pid, files)]``) cut by :func:`plan_tasks` on the footer bytes of
+    ``columns``, as a Dataset of one block (one ``map_batches(...,
+    batch_size=None)`` call) per task; a partition's row is ``item(pid, files)``."""
+    import ray.data
+
+    files_of = dict(groups)
+    sizes = [(pid, sum(footers[f][1].get(c, 0) for f in files for c in columns))
+             for pid, files in groups]
+    target = ray.data.DataContext.get_current().target_min_block_size
+    runs = plan_tasks(sizes, _cluster_cpus(), target, max(1, max_per_task))
+    return ray.data.from_arrow(
+        [pa.Table.from_pylist([item(pid, files_of[pid]) for pid in run]) for run in runs]
+    )
+
+
+def scan_partition(files: list[str], columns: list[str], file_schema: Optional[pa.Schema],
+                   batch_size: Optional[int] = None):
+    """The run's one reader: a ``pyarrow.dataset`` scanner over one
+    partition's ``files``, pruned to ``columns``, in ``batch_size`` rows
+    (pyarrow's default if ``None``). With the footer-unified ``file_schema``
+    a file missing a column reads it as nulls; without it, conflicting
+    types surface as the read's own error."""
+    import pyarrow.dataset as pads
+
+    schema = pa.schema([file_schema.field(c) for c in columns]) if file_schema else None
+    kw = {"batch_size": batch_size} if batch_size else {}
+    return pads.dataset(files, schema=schema, format="parquet").scanner(columns=columns, **kw)
+
+
+def _with_partition(batch, pid: int) -> pa.Table:
+    """``batch`` as a table with the plan's ``partition_id`` column."""
+    return pa.Table.from_batches([batch]).append_column(
+        PARTITION_COLUMN, pa.array(np.full(batch.num_rows, pid, np.int32))
+    )
+
+
+class ScanPartitions:
+    """Map UDF of the keys-only passes: input rows are ``(partition_id,
+    files)`` plan items; yields each partition's ``columns`` batches with
+    its ``partition_id`` attached."""
+
+    def __init__(self, columns: list[str], file_schema: Optional[pa.Schema]) -> None:
+        # the partition id comes from the plan, never from the files
+        self.columns = [c for c in columns if c != PARTITION_COLUMN]
+        self.file_schema = file_schema
+
+    def __call__(self, items: pa.Table):
+        for pid, files in zip(
+            items.column("partition_id").to_pylist(), items.column("files").to_pylist()
+        ):
+            for rb in scan_partition(files, self.columns, self.file_schema).to_batches():
+                if rb.num_rows:
+                    yield _with_partition(rb, pid)
 
 
 class CommitPartitions:
@@ -257,14 +317,7 @@ class CommitPartitions:
         self.columns = sorted(
             set(sketch_columns) | (set(stage_columns) if stage is not None else set())
         )
-        # with the footer-unified schema, files missing a column read as
-        # nulls (a schema-evolved corpus); without it, conflicting types
-        # surface as the read's own error
-        self.schema = (
-            pa.schema([file_schema.field(c) for c in self.columns])
-            if file_schema is not None
-            else None
-        )
+        self.file_schema = file_schema
         self.batch_size = batch_size
         self.output_dir = output_dir
 
@@ -303,20 +356,18 @@ class CommitPartitions:
         """Stream one partition's files through the stage and the
         sketches; violation rows go to ``tmp`` (not named ``*.parquet``
         until committed). Returns ``(rows read, violations, sketches)``."""
-        import pyarrow.dataset as pads
-
         from fs_schema_validator_ray.state.sketches import HyperLogLog, TDigest
 
-        data = pads.dataset(files, schema=self.schema, format="parquet")
+        scan = scan_partition(files, self.columns, self.file_schema, self.batch_size)
         # a t-digest for numeric columns, an HLL for everything else
         sketches = {}
         for c in self.sketch_columns:
-            t = data.schema.field(c).type
+            t = scan.projected_schema.field(c).type
             numeric = pa.types.is_integer(t) or pa.types.is_floating(t)
             sketches[c] = ("tdigest", TDigest()) if numeric else ("hll", HyperLogLog())
         rows, found, writer = 0, 0, None
         try:
-            for rb in data.to_batches(columns=self.columns, batch_size=self.batch_size):
+            for rb in scan.to_batches():
                 rows += rb.num_rows
                 for c, (_, sk) in sketches.items():
                     values = rb.column(c).drop_null()
@@ -324,10 +375,7 @@ class CommitPartitions:
                         sk.add(values.to_numpy(zero_copy_only=False))
                 if self.stage is None or not rb.num_rows:
                     continue
-                batch = pa.Table.from_batches([rb]).select(self.stage_columns)
-                v = self.stage(batch.append_column(
-                    PARTITION_COLUMN, pa.array(np.full(rb.num_rows, pid, np.int32))
-                ))
+                v = self.stage(_with_partition(rb.select(self.stage_columns), pid))
                 if v.num_rows:
                     if writer is None:
                         os.makedirs(os.path.dirname(tmp), exist_ok=True)
@@ -364,63 +412,6 @@ def merged_stats_sketches(output_dir: str) -> dict[str, Any]:
     return out
 
 
-def _read_partitions(
-    groups: list[tuple[int, list[str]]],
-    columns: Optional[list[str]],
-    override_num_blocks: Optional[int] = None,
-    file_schema: Optional[pa.Schema] = None,
-):
-    """ONE parquet read over every file of every group (full read
-    parallelism, one plan op), with the partition id derived per batch
-    from the file path (``include_paths``) — no per-partition read fan-out
-    and no union of N dataset plans. Column pruning is pushed into the
-    read. ``override_num_blocks``: for narrow (key-only) passes feeding a
-    shuffle, cap blocks near the CPU count — shuffle fan-out is
-    blocks², and thousands of tiny blocks cost more in object-store
-    round-trips than they buy in parallelism.
-
-    ``file_schema`` (the footer-unified schema): when given, pruning is
-    expressed as ``schema=<pruned subset>`` instead of ``columns=`` —
-    pyarrow then null-fills columns absent from individual files, so a
-    schema-evolved corpus (rule column only in newer files) reads cleanly
-    instead of failing on the first old file."""
-    import ray.data
-
-    path_to_pid = {f: pid for pid, files in groups for f in files}
-    if columns is not None and file_schema is not None:
-        read_kwargs = {
-            "schema": pa.schema([file_schema.field(c) for c in columns])
-        }
-    else:
-        read_kwargs = {"columns": columns}
-    ds = ray.data.read_parquet(
-        sorted(path_to_pid),
-        include_paths=True,
-        **read_kwargs,
-        **({"override_num_blocks": override_num_blocks} if override_num_blocks else {}),
-    )
-
-    def attach(batch: pa.Table) -> pa.Table:
-        paths = batch.column("path").combine_chunks()
-        enc = paths.dictionary_encode()
-        uniq = [p.as_py() for p in enc.dictionary]
-        unknown = [p for p in uniq if p not in path_to_pid]
-        if unknown:
-            # fail LOUDLY: silently mapping to -1 would drop these rows
-            # from every per-partition count and cleanup path
-            raise ValueError(
-                f"read returned path(s) not in the partition plan: {unknown[:3]}"
-            )
-        lut = np.asarray([path_to_pid[p] for p in uniq], dtype=np.int32)
-        pids = lut[np.asarray(enc.indices, dtype=np.int64)]
-        batch = batch.drop_columns(["path"])
-        if PARTITION_COLUMN in batch.column_names:
-            batch = batch.drop_columns([PARTITION_COLUMN])
-        return batch.append_column(PARTITION_COLUMN, pa.array(pids, pa.int32()))
-
-    return ds.map_batches(attach, batch_format="pyarrow")
-
-
 def _column_bytes(md: pq.FileMetaData) -> dict[str, int]:
     """Uncompressed bytes per top-level column, from a parquet footer."""
     out: dict[str, int] = {}
@@ -445,7 +436,6 @@ def run_validation(cfg: ValidationRunConfig) -> RunResult:
     """Execute (or resume) a validation run. Ray must already be
     initialized by the caller (driver contract)."""
     import ray
-    import ray.data
 
     rules = cfg.rules
     os.makedirs(cfg.output_dir, exist_ok=True)
@@ -534,11 +524,23 @@ def run_validation(cfg: ValidationRunConfig) -> RunResult:
             rules=[r for r in rules.rules if r.rule_id not in missing_ids],
             bindings=rules.bindings,
         )
+    # whole-run docs hold only for the rules they were computed for: one
+    # written for another ruleset (or before docs recorded their rules) is
+    # not done, and goes with its violations before any pass runs
+    for doc_id, ids in (
+        ("plan", sorted(missing_ids)),
+        ("global", sorted(r.rule_id for r in rules.unique_rules())),
+    ):
+        if done.get(doc_id, {}).get("rules") != ids:
+            done.pop(doc_id, None)
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(_manifest_dir(cfg.output_dir), f"{doc_id}.json"))
+            shutil.rmtree(os.path.join(cfg.output_dir, "violations", doc_id), ignore_errors=True)
+
     plan_violations = len(missing_col_rules)
     if missing_col_rules and "plan" not in done:
         plan_dir = os.path.join(cfg.output_dir, "violations", "plan")
-        shutil.rmtree(plan_dir, ignore_errors=True)
-        os.makedirs(plan_dir, exist_ok=True)
+        os.makedirs(plan_dir)
         tbl = violations_table(
             [None] * plan_violations,
             [r.rule_id for r in missing_col_rules],
@@ -553,11 +555,8 @@ def run_validation(cfg: ValidationRunConfig) -> RunResult:
         _write_manifest(
             cfg.output_dir,
             {"id": "plan", "status": "done", "violations": plan_violations,
-             "corpus_sig": corpus_sig,
-             "rules": [r.rule_id for r in missing_col_rules]},
+             "corpus_sig": corpus_sig, "rules": sorted(missing_ids)},
         )
-    elif "plan" in done:
-        plan_violations = done["plan"].get("violations", 0)
 
     phase_wall: dict[str, float] = {}
     _t = time.perf_counter()
@@ -588,27 +587,26 @@ def run_validation(cfg: ValidationRunConfig) -> RunResult:
     drift_rules = [r for r in rules.drift_rules() if f"drift-{r.rule_id}" not in done]
 
     def read_keys(columns):
-        # narrow pass: cap blocks near the CPU count (see _read_partitions)
-        return _read_partitions(
-            groups, sorted(columns), override_num_blocks=_cluster_cpus(),
-            file_schema=unified_schema,
+        # keys only: pyarrow's default batch size
+        columns = sorted(columns)
+        return _task_items(
+            groups, columns, footers, cfg.wave_size,
+            lambda pid, files: {"partition_id": pid, "files": files},
+        ).map_batches(
+            ScanPartitions(columns, unified_schema), batch_format="pyarrow", batch_size=None
         )
 
     t0 = time.perf_counter()
     filters, drift_states = (
         global_partials(
             read_keys({c for r in [*unique_rules, *drift_rules] for c in r.input_columns()}),
-            unique_rules, drift_rules,
+            unique_rules, drift_rules, sum(rows for rows, _ in footers.values()),
         )
         if unique_rules or drift_rules
         else ([], [])
     )
     if unique_rules:
         out_dir = os.path.join(cfg.output_dir, "violations", "global")
-        # a crash between write and manifest leaves stale files: clear them
-        # so the re-run cannot double-count (manifest rows are written only
-        # AFTER output is complete, so this is always safe)
-        shutil.rmtree(out_dir, ignore_errors=True)
         vds = unique.candidate_violations(read_keys, unique_rules, filters)
         if vds is not None:
             vds.write_parquet(out_dir)
@@ -618,7 +616,8 @@ def run_validation(cfg: ValidationRunConfig) -> RunResult:
         _write_manifest(
             cfg.output_dir,
             {"id": "global", "status": "done", "violations": g_violations,
-             "corpus_sig": corpus_sig, "metrics": global_metrics},
+             "corpus_sig": corpus_sig, "rules": sorted(r.rule_id for r in unique_rules),
+             "metrics": global_metrics},
         )
 
     _mark("unique")
@@ -757,21 +756,11 @@ def run_validation(cfg: ValidationRunConfig) -> RunResult:
             }
             for pid, grp in pending
         }
-        sizes = [
-            (pid, sum(footers[f][1].get(c, 0) for f in grp for c in commit.columns))
-            for pid, grp in pending
-        ]
-        runs = plan_tasks(
-            sizes, _cluster_cpus(),
-            ray.data.DataContext.get_current().target_min_block_size,
-            max(1, cfg.wave_size),
-        )
         os.makedirs(_manifest_dir(cfg.output_dir), exist_ok=True)
-        # one block per run: map_batches(batch_size=None) gives each its task
-        items = ray.data.from_arrow([
-            pa.table({"doc": pa.array([json.dumps(docs[pid]) for pid in run], pa.string())})
-            for run in runs
-        ])
+        items = _task_items(
+            pending, commit.columns, footers, cfg.wave_size,
+            lambda pid, files: {"doc": json.dumps(docs[pid])},
+        )
         for row in items.map_batches(
             commit, batch_format="pyarrow", batch_size=None
         ).take_all():

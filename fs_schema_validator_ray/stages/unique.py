@@ -1,18 +1,18 @@
 """Key-uniqueness check (north_rule: HLL uniqueness / exact duplicates).
 
 Validation run (``pipelines/validate.py``): a counting filter first.
-The run's global pass (one read shared with the drift rules) maps every
-``unique`` rule's key to one of ``2**filter_bits(rows)`` cells by the
-top bits of its stable hash (:func:`with_key_cells`; a composite key is
-hashed as its canonical tuple string), and
-``pipelines/stats.py::GlobalPartial`` counts the cells. Equal keys share
-a cell, so only rows in a cell counted twice can be duplicates. No such
-cell: the rule is done, with no further read. Otherwise
-:func:`candidate_violations` reads the keys once more, keeps just the
-candidate rows (:class:`CandidateRows`) and runs the exact exchange
-below over them, one per rule. A saturated filter makes every row a
-candidate: the exchange then sees what it would have seen without the
-filter.
+The run's global pass (one keys-only scan shared with the drift rules)
+maps every ``unique`` rule's key to one of ``2**filter_bits(rows)``
+cells (``rows`` from the footers) by the top bits of its stable hash
+(:func:`with_key_cells`; a composite key is hashed as its canonical
+tuple string), and ``pipelines/stats.py::GlobalPartial`` counts the
+cells. Equal keys share a cell, so only rows in a cell counted twice can
+be duplicates. No such cell: the rule is done, with no further read.
+Otherwise :func:`candidate_violations` scans the keys once more, keeps
+just the candidate rows (:class:`CandidateRows`) and runs the exact
+exchange below over them, one per rule. A saturated filter makes every
+row a candidate: the exchange then sees what it would have seen without
+the filter.
 
 Exact path (:func:`uniqueness_violations`, also used by queries): kept
 cheap by (a) projecting to the key column before anything moves, (b)

@@ -172,26 +172,6 @@ def test_minhash_join_verify_matches_broadcast_path(ray_session):
     assert joined == broadcast
 
 
-def test_uniqueness_bucket_hash_dtype_stable(ray_session):
-    """code-review r2: an int key duplicated ACROSS batches, where one
-    batch also contains a null, must still be flagged — to_numpy()'s
-    silent int64→float64 promotion used to split the key's partials
-    across buckets (silent false negative)."""
-    import ray.data
-
-    from fs_schema_validator_ray.rules import UniqueRule
-    from fs_schema_validator_ray.stages.unique import uniqueness_violations
-
-    t1 = pa.table({"k": pa.array([5, None], pa.int64())})
-    t2 = pa.table({"k": pa.array([5, 7], pa.int64())})
-    ds = ray.data.from_arrow(t1).union(ray.data.from_arrow(t2))
-    rule = UniqueRule(rule_id="uk", column="k")
-    out = uniqueness_violations(ds, rule).take_all()
-    assert [(r["key"], r["reason"]) for r in out] == [
-        ("5", "duplicate key (appears 2 times)")
-    ]
-
-
 def test_svg_dims_ignores_stroke_width():
     """code-review r2: \\bwidth used to match inside stroke-width."""
     from fs_schema_validator_ray.stages.multimodal import parse_image_dims

@@ -122,10 +122,11 @@ def _cfg(corpus, out, yaml=RULES_YAML):
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Counts ``read_parquet`` calls, groupby calls and exchange runs."""
+    """Counts keys-only scans (``ScanPartitions`` built on the driver),
+    groupby calls and exchange runs."""
     import ray.data
 
-    calls = {"read_parquet": 0, "groupby": 0, "uniqueness_violations": 0}
+    calls = {"scans": 0, "groupby": 0, "uniqueness_violations": 0}
 
     def counting(target, attr, key):
         inner = getattr(target, attr)
@@ -136,7 +137,7 @@ def counted(monkeypatch):
 
         monkeypatch.setattr(target, attr, wrapper)
 
-    counting(ray.data, "read_parquet", "read_parquet")
+    counting(validate, "ScanPartitions", "scans")
     counting(ray.data.Dataset, "groupby", "groupby")
     counting(unique, "uniqueness_violations", "uniqueness_violations")
     return calls
@@ -153,10 +154,17 @@ def _global_rows(out):
 def _exchange_rows(corpus):
     """The per-rule exchange the global pass replaces, over the full
     corpus with the run's partition ids."""
+    import ray.data
+
+    def read(pid, files, columns):
+        t = pq.read_table(files, columns=columns)
+        return t.append_column("partition_id", pa.array([pid] * t.num_rows, pa.int32()))
+
     groups = plan_partitions(validate._input_files(corpus), None)
     rows = []
     for rule in RuleSet.from_yaml(RULES_YAML).unique_rules():
-        ds = validate._read_partitions(groups, list(rule.input_columns()))
+        columns = list(rule.input_columns())
+        ds = ray.data.from_arrow([read(pid, files, columns) for pid, files in groups])
         for r in unique.uniqueness_violations(ds, rule).take_all():
             rows.append({c: r[c] for c in ("key", "rule_id", "reason", "partition_id")})
     return sorted(rows, key=lambda r: (r["rule_id"], str(r["key"])))
@@ -177,7 +185,7 @@ def test_duplicate_free_corpus_is_one_read_and_no_shuffle(
     ray_session, clean_corpus, tmp_path, counted
 ):
     res = run_validation(_cfg(clean_corpus, tmp_path / "out", RULES_YAML + DRIFT_CAT_YAML))
-    assert counted == {"read_parquet": 1, "groupby": 0, "uniqueness_violations": 0}
+    assert counted == {"scans": 1, "groupby": 0, "uniqueness_violations": 0}
     assert _global_rows(str(tmp_path / "out")) == []
     with open(tmp_path / "out" / "manifest" / "global.json") as f:
         assert json.load(f)["violations"] == 0
@@ -194,7 +202,7 @@ def test_planted_duplicates_match_the_exchange(ray_session, dup_corpus, tmp_path
     # one pass for the filters, one keys-only read for the candidates of
     # all four rules, then one exchange per rule over those rows: one
     # bucket each, so no shuffle
-    assert counted == {"read_parquet": 2, "groupby": 0, "uniqueness_violations": 4}
+    assert counted == {"scans": 2, "groupby": 0, "uniqueness_violations": 4}
     got = _global_rows(out)
     assert got == _exchange_rows(dup_corpus)
     by_rule = {}
@@ -252,9 +260,29 @@ def test_resume_with_a_new_drift_rule_reads_once(
     monkeypatch.setattr(
         validate, "_write_manifest", lambda d, doc: (written.append(doc["id"]), write(d, doc))
     )
-    counted["read_parquet"] = 0
+    counted["scans"] = 0
     res = run_validation(_cfg(dup_corpus, out, RULES_YAML + DRIFT_CAT_YAML))
-    assert counted["read_parquet"] == 1
+    assert counted["scans"] == 1
     assert written == ["drift-drift_name"]
     assert res.partitions_skipped == 3 and res.waves_run == 0
     assert res.global_metrics["violations"] == 10
+
+
+def test_uniqueness_bucket_hash_dtype_stable(ray_session):
+    """code-review r2: an int key duplicated ACROSS batches, where one
+    batch also contains a null, must still be flagged — to_numpy()'s
+    silent int64→float64 promotion used to split the key's partials
+    across buckets (silent false negative)."""
+    import ray.data
+
+    from fs_schema_validator_ray.rules import UniqueRule
+    from fs_schema_validator_ray.stages.unique import uniqueness_violations
+
+    t1 = pa.table({"k": pa.array([5, None], pa.int64())})
+    t2 = pa.table({"k": pa.array([5, 7], pa.int64())})
+    ds = ray.data.from_arrow(t1).union(ray.data.from_arrow(t2))
+    rule = UniqueRule(rule_id="uk", column="k")
+    out = uniqueness_violations(ds, rule).take_all()
+    assert [(r["key"], r["reason"]) for r in out] == [
+        ("5", "duplicate key (appears 2 times)")
+    ]

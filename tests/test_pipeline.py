@@ -853,3 +853,58 @@ def test_plan_schema_check_scans_all_footers(ray_session, tmp_path):
     assert res.total_violations == 0
     v = res.violations_dataset().to_pandas()
     assert len(v) == 0
+
+
+# --- resume under a changed ruleset ---------------------------------------------
+
+PASSING = "  - rule: v_small\n    type: int\n    column: v\n    min: 0\n    max: 1000\n"
+UNIQUE_A = "  - rule: unique_a\n    type: unique\n    column: a\n"
+UNIQUE_B = "  - rule: unique_b\n    type: unique\n    column: b\n"
+GHOST_1 = "  - rule: ghost_1\n    type: int\n    column: nope_1\n    min: 0\n"
+GHOST_2 = "  - rule: ghost_2\n    type: int\n    column: nope_2\n    min: 0\n"
+
+
+def _resumed_and_fresh(tmp_path, before, after):
+    """Runs ``before`` to completion, resumes the same output directory
+    with ``after``, and runs ``after`` fresh. Columns ``a`` and ``b`` each
+    hold one duplicate key across the two files."""
+    src = tmp_path / "in"
+    src.mkdir()
+    pq.write_table(pa.table({"k": ["x0", "x1"], "a": [1, 2], "b": ["p", "q"],
+                             "v": [1, 2]}), src / "f0.parquet")
+    pq.write_table(pa.table({"k": ["y0", "y1"], "a": [2, 3], "b": ["q", "r"],
+                             "v": [3, 4]}), src / "f1.parquet")
+
+    def run(rules, out):
+        return run_validation(ValidationRunConfig(
+            input_path=str(src), rules=RuleSet.from_yaml("rules:\n" + rules),
+            output_dir=str(tmp_path / out), key_column="k",
+        ))
+
+    run(before, "resumed")
+    resumed, fresh = run(after, "resumed"), run(after, "fresh")
+    assert resumed.partitions_skipped == 2
+    for res in (resumed, fresh):
+        assert res.violations_dataset().count() == res.total_violations
+    return resumed, fresh
+
+
+def test_resume_checks_a_unique_rule_added_on_resume(ray_session, tmp_path):
+    resumed, fresh = _resumed_and_fresh(tmp_path, UNIQUE_A, UNIQUE_A + UNIQUE_B)
+    assert resumed.total_violations == fresh.total_violations == 2
+
+
+def test_resume_drops_a_unique_rule_removed_on_resume(ray_session, tmp_path):
+    resumed, fresh = _resumed_and_fresh(tmp_path, PASSING + UNIQUE_A, PASSING)
+    assert resumed.total_violations == fresh.total_violations == 0
+
+
+def test_resume_reports_a_missing_column_rule_added_on_resume(ray_session, tmp_path):
+    resumed, fresh = _resumed_and_fresh(tmp_path, PASSING + GHOST_1, PASSING + GHOST_1 + GHOST_2)
+    assert resumed.total_violations == fresh.total_violations == 2
+
+
+def test_resume_drops_a_missing_column_rule_removed_on_resume(ray_session, tmp_path):
+    resumed, fresh = _resumed_and_fresh(tmp_path, PASSING + GHOST_1, PASSING)
+    assert resumed.total_violations == fresh.total_violations == 0
+    assert resumed.exit_code() == 0

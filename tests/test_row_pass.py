@@ -142,23 +142,60 @@ def test_violations_dataset_ignores_uncommitted_files(ray_session, tmp_path):
     assert res.violations_dataset().count() == n
 
 
+EVOLVED_RULES = RULES + """
+  - rule: unique_v
+    type: unique
+    column: v
+  - rule: drift_v
+    type: drift
+    column: v
+    lo: 0
+    hi: 1000
+    bins: 4
+"""
+
+
 def test_task_reads_schema_evolved_files_and_commits_sketches(ray_session, tmp_path):
     """A partition of an old file (no ``v``) and a new one: the old rows
-    read as nulls, and the sketch is folded from the same read."""
+    read as nulls, and the sketch is folded from the same read. The
+    global pass reads them the same way: its unique and drift verdicts on
+    ``v`` equal those of the same rows written as one file."""
     d = tmp_path / "in"
     d.mkdir()
     pq.write_table(pa.table({"k": ["a-1", "a-2"]}), d / "f0.parquet")
-    pq.write_table(pa.table({"k": ["b-1", "b-2"], "v": pa.array([5, 500], pa.int64())}),
-                   d / "f1.parquet")
+    pq.write_table(pa.table({"k": ["b-1", "b-2", "b-3"],
+                             "v": pa.array([5, 500, 5], pa.int64())}), d / "f1.parquet")
+    one = tmp_path / "one"
+    one.mkdir()
+    rows = [pq.read_table(d / f) for f in ("f0.parquet", "f1.parquet")]
+    pq.write_table(pa.concat_tables(rows, promote_options="default"), one / "f.parquet")
+
+    def run(src, out):
+        return run_validation(ValidationRunConfig(
+            input_path=str(src), rules=RuleSet.from_yaml(EVOLVED_RULES), output_dir=str(out),
+            key_column="k", partitions=1, stats_sketch_columns=["v"]))
+
+    def verdicts(out):
+        t = pq.read_table(out / "violations" / "global")
+        with open(out / "manifest" / "drift-drift_v.json") as f:
+            drift = json.load(f)
+        return (sorted(zip(*(t.column(c).to_pylist() for c in ("key", "rule_id", "reason")))),
+                drift["metrics"], drift["violations_by_pid"])
+
     out = tmp_path / "out"
-    res = run_validation(_cfg(str(d), out, partitions=1, stats_sketch_columns=["v"]))
-    assert res.total_rows == 4
+    res = run(d, out)
+    assert res.total_rows == 5
     v = res.violations_dataset().to_pandas()
     # the two null `v` rows and the 500 fail the non-nullable range rule
     assert sorted(v[v["rule_id"] == "v_range"]["key"]) == ["a-1", "a-2", "b-2"]
     with open(out / "manifest" / "part-0.json") as f:
         doc = json.load(f)
-    assert doc["rows"] == 4 and doc["stats_sketches_hex"]["v"]["kind"] == "tdigest"
+    assert doc["rows"] == 5 and doc["stats_sketches_hex"]["v"]["kind"] == "tdigest"
+    got = verdicts(out)
+    assert got[0] == [("5", "unique_v", "duplicate key (appears 2 times)"),
+                      ("None", "unique_v", "duplicate key (appears 2 times)")]
+    run(one, tmp_path / "one-out")
+    assert got == verdicts(tmp_path / "one-out")
 
 
 # --- kill and resume -----------------------------------------------------------

@@ -27,3 +27,28 @@ def test_write_json_atomic_keeps_previous_document_on_failed_write(tmp_path, mon
     with open(path) as f:
         assert json.load(f) == {"n_vectors": 20}
     assert os.listdir(tmp_path) == ["index_manifest.json"]
+
+
+def test_write_partitioned_parquet_roundtrip(ray_session, tmp_path):
+    """Hive-partitioned write → per-partition pruned read-back."""
+    import pyarrow as pa
+    import ray.data
+
+    from fs_schema_validator_ray.sinks import (
+        read_partition_pruned,
+        write_partitioned_parquet,
+    )
+
+    t = pa.table(
+        {
+            "shard": pa.array(["a", "a", "b", "b", "b"]),
+            "v": pa.array([1, 2, 3, 4, 5], pa.int64()),
+        }
+    )
+    out = str(tmp_path / "out")
+    parts = write_partitioned_parquet(
+        ray.data.from_arrow(t).repartition(2), out, ["shard"]
+    )
+    assert any("shard=a" in p for p in parts) and any("shard=b" in p for p in parts)
+    back = read_partition_pruned(out, "shard", "b").take_all()
+    assert sorted(r["v"] for r in back) == [3, 4, 5]

@@ -431,3 +431,14 @@ def test_canonical_tuple_strings_injective_and_stable():
     assert keys[2] != keys[3]  # literal '\x00null' vs a real null
     assert keys[4:] == ["x\x1fy", "\x00null\x1f\x00null"]
     assert list(canonical_tuple_strings(t, ["n", "b"]))[4:] == ["\x00null\x1fy", "6\x1f\x00null"]
+
+
+def test_std_zero_for_constant_column(ray_session):
+    import ray.data
+
+    from fs_schema_validator_ray.pipelines.stats import column_stats
+
+    t = pa.table({"z": pa.array([0.0] * 100)})
+    stats = column_stats(ray.data.from_arrow(t), ["z"])
+    assert stats["z"]["std"] == 0.0
+    assert stats["z"]["mean"] == 0.0
