@@ -350,15 +350,6 @@ def encode(samples: np.ndarray, sr_hz: int, codec: str) -> bytes:
     return header + data
 
 
-def sniff_codec(payload: bytes) -> str:
-    """Identify the actual codec from the container header — the analogue of
-    PIL's format detection (reference ``image.py:54-69``)."""
-    if payload[:4] == b"fLaC":
-        return "flac"
-    _, fmt, bits, _, _, _, _ = _parse_header(payload)
-    return _codec_name(fmt, bits)
-
-
 def _codec_name(fmt: int, bits: int) -> str:
     if fmt == _FMT_PCM and bits == 16:
         return "pcm_s16le"

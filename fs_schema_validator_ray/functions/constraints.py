@@ -633,6 +633,10 @@ class _AllowedWrapper(Spec):
         )
         return out
 
+    def __repr__(self) -> str:
+        # every field: a resumed run keys its manifests on the rule's repr
+        return f"_AllowedWrapper({self.base!r}, {self.enum.allowed!r}, nullable={self.nullable!r})"
+
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, _AllowedWrapper)

@@ -419,21 +419,6 @@ def encode_png(
     return b"".join(out)
 
 
-class PngPixelDecoder:
-    """Per-actor decoder callable for the multimodal stages: REAL pixel
-    decode for PNG payloads via :func:`decode_png`; other formats raise
-    ``NotImplementedError`` (only PNG has a from-scratch decoder — see
-    ``multimodal.default_decoder_factory`` for the hybrid that falls back
-    to the deterministic fake for non-PNG containers)."""
-
-    def __call__(self, payload: bytes, fmt: str, dims) -> np.ndarray:
-        if fmt == "png":
-            return decode_png(payload)
-        raise NotImplementedError(
-            f"no from-scratch decoder for {fmt!r} (png only in this sandbox)"
-        )
-
-
 # --- APNG (animated PNG, public spec) ----------------------------------------
 #
 # Same honesty model as functions/webp.py's animated path: frame PIXELS go

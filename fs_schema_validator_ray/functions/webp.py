@@ -705,18 +705,6 @@ def _decode_vp8l_stream(br: _BitReader, w: int, h: int) -> np.ndarray:
     return argb
 
 
-def parse_vp8l_dims(data: bytes) -> tuple[int, int] | None:
-    """Header-only (width, height) for a VP8L container, None otherwise."""
-    try:
-        payload = _vp8l_payload(data)
-    except WebpError:
-        return None
-    if len(payload) < 5 or payload[0] != 0x2F:
-        return None
-    br = _BitReader(payload[1:])
-    return br.read(14) + 1, br.read(14) + 1
-
-
 # --- ALPH alpha plane --------------------------------------------------------
 #
 # The VP8X extended container carries transparency for lossy-VP8 images

@@ -151,130 +151,6 @@ def ngram_jaccard_pairs_resumable(
     return ray.data.read_parquet(out_files)
 
 
-def audio_dedup_clusters_resumable(
-    clips_factory,
-    output_dir: str,
-    *,
-    bytes_column: str = "bytes",
-    key_column: str = "clip_id",
-    max_hamming: int = 3,
-    n_parts: int = 8,
-    _fail_after_parts: int | None = None,
-):
-    """Crash-safe end-to-end audio duplicate-cluster resolution — the
-    manifest pattern applied to the OTHER long pipeline class (decode-
-    heavy per-clip work instead of a join). Units:
-
-    * ``fingerprints/part=K`` + manifest ``fingerprints-K.json`` — the
-      expensive decode+DSP fingerprint pass, split by
-      ``hash(clip_id) % n_parts``: a killed run loses at most one
-      part's decodes.
-    * ``pairs/`` — LSH banding + hamming verify over the read-back
-      fingerprint table (tiny: id + 64-bit fp per clip).
-    * ``clusters/`` — connected components + per-cluster sizes.
-
-    ``clips_factory()`` must return a fresh Dataset over the clips
-    table each call. Returns the cluster-size Dataset read back from
-    ``output_dir/clusters``; resume yields byte-identical results
-    (deterministic per-part outputs)."""
-    import ray.data
-
-    from fs_schema_validator_ray.stages.audio_features import AudioFingerprintStage
-    from fs_schema_validator_ray.stages.dedup import fingerprint64_near_dup_pairs
-    from fs_schema_validator_ray.state.sketches import hash64, stable_key_array
-
-    fp_dir = os.path.join(output_dir, "fingerprints")
-    pairs_dir = os.path.join(output_dir, "pairs")
-    clusters_dir = os.path.join(output_dir, "clusters")
-
-    done_parts = 0
-    for k in range(n_parts):
-        unit = f"fingerprints-{k}"
-        part_dir = os.path.join(fp_dir, f"part={k}")
-        if _unit_done(output_dir, unit):
-            continue
-        _clear_unit_output(part_dir)
-
-        def in_part(t: pa.Table, part: int = k) -> pa.Table:
-            h = hash64(stable_key_array(t.column(key_column).combine_chunks()))
-            return t.filter(pa.array((h % np.uint64(n_parts)) == part))
-
-        fps = (
-            clips_factory()
-            .select_columns([key_column, bytes_column])
-            .map_batches(in_part, batch_format="pyarrow")
-            .map_batches(
-                AudioFingerprintStage(bytes_column, key_column),
-                batch_format="pyarrow",
-                batch_size=512,
-            )
-            .materialize()  # id + fp + flag per clip: bounded
-        )
-        n = fps.count()
-        if n:
-            fps.write_parquet(part_dir)
-        _write_unit_manifest(output_dir, unit, {"rows": n, "part": k})
-        done_parts += 1
-        if _fail_after_parts is not None and done_parts >= _fail_after_parts:
-            raise RuntimeError(
-                f"injected crash after {done_parts} fingerprint parts"
-            )
-
-    if not _unit_done(output_dir, "pairs"):
-        _clear_unit_output(pairs_dir)
-        fp_files = glob.glob(os.path.join(fp_dir, "part=*", "*.parquet"))
-        n_rows = 0
-        if fp_files:
-            pairs = fingerprint64_near_dup_pairs(
-                ray.data.read_parquet(fp_files),
-                key_column="clip_id",
-                fp_column="fp",
-                max_hamming=max_hamming,
-                ok_column="decode_ok",
-            ).materialize()
-            n_rows = pairs.count()
-            if n_rows:
-                pairs.write_parquet(pairs_dir)
-        _write_unit_manifest(output_dir, "pairs", {"rows": n_rows})
-
-    if not _unit_done(output_dir, "clusters"):
-        _clear_unit_output(clusters_dir)
-        pair_files = glob.glob(os.path.join(pairs_dir, "*.parquet"))
-        n_rows = 0
-        if pair_files:
-            from fs_schema_validator_ray.stages.agg import group_sum
-            from fs_schema_validator_ray.stages.graph import connected_components
-
-            labels = connected_components(
-                ray.data.read_parquet(pair_files),
-                "a",
-                "b",
-                node_column="clip_id",
-                cluster_column="rep",
-            )
-            sizes = group_sum(
-                labels.map_batches(
-                    lambda t: pa.table({"rep": t.column("rep")}),
-                    batch_format="pyarrow",
-                ),
-                ["rep"],
-                [],
-            ).materialize()
-            n_rows = sizes.count()
-            if n_rows:
-                sizes.write_parquet(clusters_dir)
-        _write_unit_manifest(output_dir, "clusters", {"rows": n_rows})
-
-    files = glob.glob(os.path.join(clusters_dir, "*.parquet"))
-    if not files:
-        return ray.data.from_arrow(
-            pa.table(
-                {"rep": pa.array([], pa.string()), "n": pa.array([], pa.int64())}
-            )
-        )
-    return ray.data.read_parquet(files)
-
-
 def semdedup_resumable(
     ds_factory,
     output_dir: str,

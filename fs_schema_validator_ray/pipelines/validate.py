@@ -27,9 +27,15 @@ Ray-Data-first rebuild of the reference's one-shot serial run
   referential broadcast probe) as one fused stage, and **commits** the
   partition the moment its last row is checked: its violations file,
   then its manifest ``part-N.json`` (lineage, row/violation counts,
-  drift statistics, wall time). A rerun skips the partitions whose
-  manifest exists (north_rule: resumable from per-partition checkpoints
-  with lineage + metrics).
+  wall time).
+
+Every manifest doc (``part-N``, ``plan``, ``global``, ``drift-<id>``)
+records ``key``, a digest of the inputs it was computed from (:func:`_key`).
+A rerun reuses a doc only when its key equals the key the rerun computes
+for it, and deletes every other doc with its violations before any pass
+runs (north_rule: resumable from per-partition checkpoints with lineage +
+metrics). Each violation is counted in exactly one doc, so the run's
+total is the sum over its docs.
 
 Violation output is one hive directory per PARTITION (plus one each
 for the global/drift/plan passes): a resumed run deletes and rewrites
@@ -39,8 +45,8 @@ file.
 
 from __future__ import annotations
 
-import contextlib
 import glob
+import hashlib
 import json
 import shutil
 import os
@@ -63,7 +69,7 @@ from fs_schema_validator_ray.sinks import write_json_atomic
 from fs_schema_validator_ray.stages.combined import CombinedValidateStage
 from fs_schema_validator_ray.stages.referential import build_membership
 from fs_schema_validator_ray.stages import unique
-from fs_schema_validator_ray.state.sketches import canonical_tuple_strings
+from fs_schema_validator_ray.state.sketches import Histogram, canonical_tuple_strings
 
 #: a partition's violations file: the hive path restores ``partition_id``
 PART_FILE_SCHEMA = pa.schema([f for f in VIOLATION_SCHEMA if f.name != PARTITION_COLUMN])
@@ -177,6 +183,20 @@ def _manifest_dir(output_dir: str) -> str:
     return os.path.join(output_dir, "manifest")
 
 
+def _manifest_path(output_dir: str, doc_id: str) -> str:
+    return os.path.join(_manifest_dir(output_dir), f"{doc_id}.json")
+
+
+def _violations_dir(output_dir: str, doc_id: str) -> str:
+    """Where the violations a doc counts live: ``violations/parts/
+    partition_id=N`` for ``part-N`` (the hive path restores the id),
+    ``violations/<id>`` for the whole-run docs."""
+    if doc_id.startswith("part-"):
+        pid = doc_id[len("part-"):]
+        return os.path.join(output_dir, "violations", "parts", f"partition_id={pid}")
+    return os.path.join(output_dir, "violations", doc_id)
+
+
 def _load_done(output_dir: str) -> dict[str, dict]:
     out: dict[str, dict] = {}
     for path in glob.glob(os.path.join(_manifest_dir(output_dir), "*.json")):
@@ -189,7 +209,24 @@ def _load_done(output_dir: str) -> dict[str, dict]:
 def _write_manifest(output_dir: str, doc: dict) -> None:
     os.makedirs(_manifest_dir(output_dir), exist_ok=True)
     # atomic: a manifest row exists only when complete
-    write_json_atomic(os.path.join(_manifest_dir(output_dir), f"{doc['id']}.json"), doc)
+    write_json_atomic(_manifest_path(output_dir, doc["id"]), doc)
+
+
+def _key(*inputs) -> str:
+    """A manifest doc's validity key: a digest of the inputs it was
+    computed from. Rules are frozen dataclasses of plain values, so their
+    ``repr`` is the same in every process."""
+    return hashlib.sha256(repr(inputs).encode()).hexdigest()[:16]
+
+
+def _baseline_input(baseline) -> Any:
+    """A drift rule's baseline as a key input: a histogram's bytes, or a
+    categorical baseline's sorted counts."""
+    if baseline is None:
+        return None
+    if isinstance(baseline, Histogram):
+        return baseline.to_bytes()
+    return sorted(dict(baseline).items(), key=repr)
 
 
 def _cluster_cpus() -> int:
@@ -293,13 +330,13 @@ class CommitPartitions:
     """The row-pass task: validates whole partitions and commits each one
     as soon as its last row is checked.
 
-    Input: one row per partition holding its manifest doc as far as the
-    driver knows it (lineage, footer row count, drift metrics, drift
-    violations). Per partition: clear its violations directory, stream
-    its files in ``batch_size`` batches through the fused stage and the
-    sketch columns into their sketches, check that the rows read equal
-    the footer count, ``os.replace`` the violations file into place, then
-    write ``part-N.json``. Output: the written docs, one row per
+    Input: one row per partition holding its manifest doc as planned
+    (key, lineage, footer row count). Per partition:
+    clear its violations directory, stream its files in ``batch_size``
+    batches through the fused stage and the sketch columns into their
+    sketches, check that the rows read equal the footer count,
+    ``os.replace`` the violations file into place, then write
+    ``part-N.json``. Output: the written docs, one row per
     partition (the receipts)."""
 
     def __init__(
@@ -340,16 +377,14 @@ class CommitPartitions:
             )
         if found:
             os.replace(tmp, os.path.join(out_dir, "violations.parquet"))
-        doc["violations"] += found
+        doc["violations"] = found
         if rows and sketches:
             doc["stats_sketches_hex"] = {
                 c: {"kind": kind, "blob": sk.to_bytes().hex()}
                 for c, (kind, sk) in sketches.items()
             }
         doc["wall_s"] = time.perf_counter() - t0
-        write_json_atomic(
-            os.path.join(_manifest_dir(self.output_dir), f"{doc['id']}.json"), doc
-        )
+        _write_manifest(self.output_dir, doc)
         return doc
 
     def check(self, pid: int, files: list[str], tmp: str):
@@ -441,46 +476,6 @@ def run_validation(cfg: ValidationRunConfig) -> RunResult:
     os.makedirs(cfg.output_dir, exist_ok=True)
     files = _input_files(cfg.input_path)
     groups = plan_partitions(files, cfg.partitions)
-    done = _load_done(cfg.output_dir)
-
-    # --- resume safety under a CHANGED corpus (incremental runs) --------
-    # A manifest row is only valid for the exact input slice it was
-    # computed from. Whole-corpus docs (plan/global/drift) carry the
-    # corpus signature and are re-run when any file is added/removed;
-    # per-partition docs carry their file list and stay valid exactly
-    # when the partition plan still maps the same files to that pid
-    # (appending sorted-later files keeps existing one-file-per-partition
-    # pids stable → a true incremental run; any shifted pid recomputes).
-    import hashlib
-
-    corpus_sig = hashlib.sha256("\n".join(files).encode()).hexdigest()[:16]
-    done = {
-        k: d
-        for k, d in done.items()
-        if (k.startswith("part-") or d.get("corpus_sig") == corpus_sig)
-    }
-    group_files = dict(groups)
-    done = {
-        k: d
-        for k, d in done.items()
-        if not k.startswith("part-")
-        or group_files.get(d.get("partition_id")) == d.get("files")
-    }
-    # purge on-disk state for partitions invalidated above (shifted or
-    # removed from the corpus): their manifest rows and violation dirs
-    # must not leak into violations_dataset() / merged_stats_sketches().
-    # Reprocessed pids are rewritten by the row pass anyway; removed
-    # pids have nothing else to clear them.
-    parts_root_ = os.path.join(cfg.output_dir, "violations", "parts")
-    for path in glob.glob(os.path.join(_manifest_dir(cfg.output_dir), "part-*.json")):
-        key = os.path.basename(path)[: -len(".json")]
-        if key not in done:
-            os.remove(path)
-            pid_s = key[len("part-"):]
-            shutil.rmtree(
-                os.path.join(parts_root_, f"partition_id={pid_s}"),
-                ignore_errors=True,
-            )
 
     # --- plan-time schema check: a rule targeting an absent column emits
     # ONE violation (reference's compile-level "does not exist") and is
@@ -514,9 +509,6 @@ def run_validation(cfg: ValidationRunConfig) -> RunResult:
         if any(c not in input_columns for c in r.input_columns())
     ]
     missing_ids = {r.rule_id for r in missing_col_rules}
-    active_column_rules = [
-        r for r in rules.column_rules() if r.rule_id not in missing_ids
-    ]
     if missing_ids:
         # drop EVERY rule family member that targets an absent column —
         # they were reported once at plan time
@@ -524,25 +516,59 @@ def run_validation(cfg: ValidationRunConfig) -> RunResult:
             rules=[r for r in rules.rules if r.rule_id not in missing_ids],
             bindings=rules.bindings,
         )
-    # whole-run docs hold only for the rules they were computed for: one
-    # written for another ruleset (or before docs recorded their rules) is
-    # not done, and goes with its violations before any pass runs
-    for doc_id, ids in (
-        ("plan", sorted(missing_ids)),
-        ("global", sorted(r.rule_id for r in rules.unique_rules())),
-    ):
-        if done.get(doc_id, {}).get("rules") != ids:
-            done.pop(doc_id, None)
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(os.path.join(_manifest_dir(cfg.output_dir), f"{doc_id}.json"))
-            shutil.rmtree(os.path.join(cfg.output_dir, "violations", doc_id), ignore_errors=True)
 
-    plan_violations = len(missing_col_rules)
+    # --- resume: a doc holds only for the inputs it was computed from ----
+    # Each doc records `key`, a digest of those inputs, and is reused only
+    # when it equals the key computed here. A partition's key leaves out
+    # the unique and drift rules: their verdicts live in whole-run docs,
+    # so adding one keeps the finished partitions.
+    row_rules = (rules.column_rules(), rules.audio_rules(), rules.json_rules(),
+                 rules.asset_rules(), rules.referential_rules())
+    sketch_columns = [c for c in cfg.stats_sketch_columns or () if c in input_columns]
+    doc_keys = {
+        f"part-{pid}": _key(grp, row_rules, cfg.key_column, cfg.manifest_path,
+                            cfg.manifest_key_column, sketch_columns)
+        for pid, grp in groups
+    }
+    doc_keys["plan"] = _key(files, missing_col_rules)
+    doc_keys["global"] = _key(groups, rules.unique_rules())
+    for r in rules.drift_rules():
+        baseline = _baseline_input(cfg.baselines.get(r.rule_id))
+        doc_keys[f"drift-{r.rule_id}"] = _key(groups, r, baseline)
+    done = {
+        doc_id: doc
+        for doc_id, doc in _load_done(cfg.output_dir).items()
+        if doc_id in doc_keys and doc.get("key") == doc_keys[doc_id]
+    }
+    # the one purge: after it the output directory holds exactly the kept
+    # docs and their violations (a killed write's leftovers go too)
+    keep = {os.path.join(cfg.output_dir, "violations", "parts")}
+    keep.update(p for doc_id in done for p in (
+        _manifest_path(cfg.output_dir, doc_id), _violations_dir(cfg.output_dir, doc_id)
+    ))
+    for path in (
+        glob.glob(os.path.join(_manifest_dir(cfg.output_dir), "*"))
+        + glob.glob(os.path.join(cfg.output_dir, "violations", "*"))
+        + glob.glob(os.path.join(cfg.output_dir, "violations", "parts", "*"))
+    ):
+        if path in keep:
+            continue
+        if os.path.isdir(path):
+            shutil.rmtree(path)
+        else:
+            os.remove(path)
+    docs = dict(done)  # every doc of this run: the kept ones and the new
+
+    def write(doc: dict) -> None:
+        doc["key"] = doc_keys[doc["id"]]
+        _write_manifest(cfg.output_dir, doc)
+        docs[doc["id"]] = doc
+
     if missing_col_rules and "plan" not in done:
-        plan_dir = os.path.join(cfg.output_dir, "violations", "plan")
+        plan_dir = _violations_dir(cfg.output_dir, "plan")
         os.makedirs(plan_dir)
         tbl = violations_table(
-            [None] * plan_violations,
+            [None] * len(missing_col_rules),
             [r.rule_id for r in missing_col_rules],
             [
                 "column `"
@@ -552,11 +578,7 @@ def run_validation(cfg: ValidationRunConfig) -> RunResult:
             ],
         )
         pq.write_table(tbl, os.path.join(plan_dir, "plan-violations.parquet"))
-        _write_manifest(
-            cfg.output_dir,
-            {"id": "plan", "status": "done", "violations": plan_violations,
-             "corpus_sig": corpus_sig, "rules": sorted(missing_ids)},
-        )
+        write({"id": "plan", "status": "done", "violations": len(missing_col_rules)})
 
     phase_wall: dict[str, float] = {}
     _t = time.perf_counter()
@@ -578,11 +600,7 @@ def run_validation(cfg: ValidationRunConfig) -> RunResult:
     # each drift rule's per-partition partials; the driver merges both.
     # Only keys in a cell counted twice can repeat: none → no further
     # read; else one more read keeps those rows for the exchange.
-    global_metrics: dict[str, Any] = {}
-    g_violations = 0
-    if "global" in done:
-        global_metrics = done["global"].get("metrics", {})
-        g_violations = done["global"].get("violations", 0)
+    global_metrics: dict[str, Any] = done.get("global", {}).get("metrics", {})
     unique_rules = [] if "global" in done else rules.unique_rules()
     drift_rules = [r for r in rules.drift_rules() if f"drift-{r.rule_id}" not in done]
 
@@ -606,19 +624,14 @@ def run_validation(cfg: ValidationRunConfig) -> RunResult:
         else ([], [])
     )
     if unique_rules:
-        out_dir = os.path.join(cfg.output_dir, "violations", "global")
+        out_dir = _violations_dir(cfg.output_dir, "global")
         vds = unique.candidate_violations(read_keys, unique_rules, filters)
         if vds is not None:
             vds.write_parquet(out_dir)
         # footer sum (zero violations → no files → 0)
-        g_violations = _footer_row_count(out_dir)
-        global_metrics = {"wall_s": time.perf_counter() - t0, "violations": g_violations}
-        _write_manifest(
-            cfg.output_dir,
-            {"id": "global", "status": "done", "violations": g_violations,
-             "corpus_sig": corpus_sig, "rules": sorted(r.rule_id for r in unique_rules),
-             "metrics": global_metrics},
-        )
+        n = _footer_row_count(out_dir)
+        global_metrics = {"wall_s": time.perf_counter() - t0, "violations": n}
+        write({"id": "global", "status": "done", "violations": n, "metrics": global_metrics})
 
     _mark("unique")
     pending = [(pid, grp) for pid, grp in groups if f"part-{pid}" not in done]
@@ -649,53 +662,22 @@ def run_validation(cfg: ValidationRunConfig) -> RunResult:
     # --- drift: verdicts over the partials the global pass merged ---------
     # Per-partition histograms and the (self-)baseline come out of the same
     # read; nothing about drift touches the payload-bearing row pass.
-    drift_state = dict(zip((r.rule_id for r in drift_rules), drift_states))
-    drift_by_rule: dict[str, dict[int, dict]] = {}
-    drift_viol_by_pid: dict[int, int] = {}
-    # drift counts computed THIS run (vs loaded from a done manifest):
-    # partitions skipped by the row pass still need these in the total
-    fresh_drift_by_pid: dict[int, int] = {}
-    for rule in rules.drift_rules():
+    for rule, state in zip(drift_rules, drift_states):
         doc_id = f"drift-{rule.rule_id}"
-        if doc_id in done:
-            stored = done[doc_id]
-            drift_by_rule[rule.rule_id] = {
-                int(k): v for k, v in stored.get("metrics", {}).items()
-            }
-            for pid_s, nv in stored.get("violations_by_pid", {}).items():
-                pid = int(pid_s)
-                drift_viol_by_pid[pid] = drift_viol_by_pid.get(pid, 0) + nv
-                # a partition manifest written BEFORE this drift rule ran
-                # never folded these counts into its own `violations` —
-                # treat loaded counts like fresh ones for such docs, or a
-                # no-op rerun silently flips exit code 1 → 0 while the
-                # drift violations still exist on disk
-                part_doc = done.get(f"part-{pid}")
-                if part_doc is not None and rule.rule_id not in part_doc.get(
-                    "drift", {}
-                ):
-                    fresh_drift_by_pid[pid] = fresh_drift_by_pid.get(pid, 0) + nv
-            continue
         dviol, dmetrics, dsketches = drift_verdicts(
-            drift_state[rule.rule_id], rule, cfg.baselines.get(rule.rule_id)
+            state, rule, cfg.baselines.get(rule.rule_id)
         )
-        drift_out = os.path.join(cfg.output_dir, "violations", doc_id)
-        shutil.rmtree(drift_out, ignore_errors=True)
         if dviol.num_rows:
+            drift_out = _violations_dir(cfg.output_dir, doc_id)
             os.makedirs(drift_out)
             pq.write_table(dviol, os.path.join(drift_out, "drift-violations.parquet"))
-        vb: dict[int, int] = {}
+        vb: dict[str, int] = {}
         for pid in dviol.column("partition_id").to_pylist():
-            vb[int(pid)] = vb.get(int(pid), 0) + 1
-        for pid, nv in vb.items():
-            drift_viol_by_pid[pid] = drift_viol_by_pid.get(pid, 0) + nv
-            fresh_drift_by_pid[pid] = fresh_drift_by_pid.get(pid, 0) + nv
-        drift_by_rule[rule.rule_id] = dmetrics
-        _write_manifest(
-            cfg.output_dir,
-            {"id": doc_id, "status": "done", "corpus_sig": corpus_sig,
+            vb[str(pid)] = vb.get(str(pid), 0) + 1
+        write(
+            {"id": doc_id, "status": "done", "violations": dviol.num_rows,
              "metrics": {str(k): v for k, v in dmetrics.items()},
-             "violations_by_pid": {str(k): v for k, v in vb.items()},
+             "violations_by_pid": vb,
              # mergeable sketch state per partition (hex histogram blobs):
              # a resumed/extended run can re-derive the global baseline by
              # merging these without re-reading finished partitions
@@ -708,87 +690,56 @@ def run_validation(cfg: ValidationRunConfig) -> RunResult:
     # Every per-row rule (scalar + audio decode + JSON + assets +
     # referential probe) runs as one fused stage inside a task that owns
     # whole partitions and commits each as soon as its last row is checked.
-    skipped = len(groups) - len(pending)
-    partition_metrics: dict[int, dict] = {
-        int(doc["partition_id"]): doc
-        for doc in done.values()
-        if "partition_id" in doc
-    }
     if pending:
         ref_pairs = [
             (rule, membership_refs[rule.rule_id]) for rule in rules.referential_rules()
         ]
-        has_row_rules = bool(
-            active_column_rules
-            or rules.audio_rules()
-            or rules.json_rules()
-            or rules.asset_rules()
-            or ref_pairs
-        )
         commit = CommitPartitions(
             CombinedValidateStage(
-                active_column_rules, rules.audio_rules(), ref_pairs,
+                rules.column_rules(), rules.audio_rules(), ref_pairs,
                 cfg.key_column, rules.json_rules(), rules.asset_rules(),
-            ) if has_row_rules else None,
-            row_columns,
-            [c for c in cfg.stats_sketch_columns or () if c in input_columns],
-            unified_schema, cfg.decode_batch_size, cfg.output_dir,
+            ) if any(row_rules) else None,
+            row_columns, sketch_columns, unified_schema, cfg.decode_batch_size,
+            cfg.output_dir,
         )
         # violations are laid out ONE DIRECTORY PER PARTITION (the
         # checkpoint unit): a resumed run clears and rewrites exactly the
         # partitions it reprocesses, so `violations_dataset()` never sees
         # a stale or duplicated copy
-        parts_root = os.path.join(cfg.output_dir, "violations", "parts")
-        docs = {
-            pid: {
-                "id": f"part-{pid}",
-                "partition_id": pid,
-                "status": "done",
-                "files": grp,
-                "rows": sum(footers[f][0] for f in grp),
-                "violations": drift_viol_by_pid.get(pid, 0),
-                "violations_path": os.path.join(parts_root, f"partition_id={pid}"),
-                "drift": {
-                    rid: metrics[pid]
-                    for rid, metrics in drift_by_rule.items()
-                    if pid in metrics
-                },
-            }
-            for pid, grp in pending
-        }
-        os.makedirs(_manifest_dir(cfg.output_dir), exist_ok=True)
         items = _task_items(
             pending, commit.columns, footers, cfg.wave_size,
-            lambda pid, files: {"doc": json.dumps(docs[pid])},
+            lambda pid, files: {"doc": json.dumps({
+                "id": f"part-{pid}",
+                "key": doc_keys[f"part-{pid}"],
+                "partition_id": pid,
+                "status": "done",
+                "files": files,
+                "rows": sum(footers[f][0] for f in files),
+                "violations_path": _violations_dir(cfg.output_dir, f"part-{pid}"),
+            })},
         )
         for row in items.map_batches(
             commit, batch_format="pyarrow", batch_size=None
         ).take_all():
             doc = json.loads(row["doc"])
-            partition_metrics[doc["partition_id"]] = doc
+            docs[doc["id"]] = doc
 
     _mark("waves")
     global_metrics["phase_wall"] = phase_wall
-    # freshly-computed drift violations on partitions the row pass
-    # skipped (their manifests predate the drift rule) are counted here;
-    # reprocessed partitions already folded them into their new docs
-    pending_pids = {pid for pid, _ in pending}
-    drift_on_skipped = sum(
-        n for pid, n in fresh_drift_by_pid.items() if pid not in pending_pids
-    )
-    total_viols = (
-        plan_violations
-        + g_violations
-        + drift_on_skipped
-        + sum(m.get("violations", 0) for m in partition_metrics.values())
-    )
-    total_rows = sum(m.get("rows", 0) for m in partition_metrics.values())
+    # a partition's drift metrics come from the run's current drift docs
+    partition_metrics = {d["partition_id"]: d for d in docs.values() if "partition_id" in d}
+    for pid, doc in partition_metrics.items():
+        doc["drift"] = {
+            r.rule_id: docs[f"drift-{r.rule_id}"]["metrics"][str(pid)]
+            for r in rules.drift_rules()
+            if str(pid) in docs[f"drift-{r.rule_id}"]["metrics"]
+        }
     return RunResult(
         output_dir=cfg.output_dir,
         partition_metrics=partition_metrics,
         global_metrics=global_metrics,
-        total_violations=int(total_viols),
-        total_rows=int(total_rows),
+        total_violations=sum(doc.get("violations", 0) for doc in docs.values()),
+        total_rows=sum(doc["rows"] for doc in partition_metrics.values()),
         waves_run=int(bool(pending)),
-        partitions_skipped=skipped,
+        partitions_skipped=len(groups) - len(pending),
     )

@@ -32,16 +32,6 @@ def write_partitioned_parquet(
     return sorted(parts)
 
 
-def read_partition_pruned(out_dir: str, partition_col: str, value):
-    """Read back ONLY one partition directory — the pruning contract the
-    layout exists for (no full-dataset scan to fetch one key range)."""
-    import ray.data
-
-    return ray.data.read_parquet(
-        os.path.join(out_dir, f"{partition_col}={value}")
-    )
-
-
 def write_json_atomic(path: str, doc) -> None:
     """Write ``doc`` as JSON to ``path`` atomically: the document goes to
     a ``.tmp`` sibling first and is renamed over ``path`` with

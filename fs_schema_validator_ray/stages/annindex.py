@@ -161,35 +161,3 @@ def ann_index_query(
             "cos": pa.array(out_cos, pa.float64()),
         }
     )
-
-
-def ann_index_append(
-    new_ds,
-    index_dir: str,
-) -> dict:
-    """Append new vectors to an EXISTING index without refitting: assign
-    against the stored coarse quantizer, write additional part files
-    into the affected ``list_id`` partitions (append-only — existing
-    files are never rewritten), bump the manifest. The ingest-side
-    complement of :func:`ann_index_build` for a growing corpus; centroid
-    quality degrades gracefully as the distribution drifts — monitor
-    with the categorical/PSI drift gates and rebuild when flagged."""
-    import ray
-
-    from fs_schema_validator_ray.stages.similarity import IvfAssignStage
-
-    with open(os.path.join(index_dir, "index_manifest.json")) as f:
-        man = json.load(f)
-    cent = _load_centroids(index_dir)
-    assigned = new_ds.select_columns(
-        [man["id_column"], man["vec_column"]]
-    ).map_batches(
-        IvfAssignStage(ray.put(cent), man["vec_column"]), batch_format="pyarrow"
-    )
-    n_new = new_ds.count()
-    assigned.write_parquet(
-        os.path.join(index_dir, "postings"), partition_cols=["list_id"]
-    )
-    man["n_vectors"] = int(man["n_vectors"]) + int(n_new)
-    write_json_atomic(os.path.join(index_dir, "index_manifest.json"), man)
-    return man

@@ -588,58 +588,6 @@ def _decode_or_none(decoder, payload, fmt, dims):
         return None
 
 
-class PixelDecodeStage:
-    """Actor-pool stage: decode → per-image features
-    ``(key, width, height, mean_luma, entropy8)``.
-
-    ``decoder_factory`` is called ONCE per actor in ``__init__`` (model/
-    codec load happens per worker, not per batch); the default is
-    :class:`HybridPixelDecoder` (real png/gif/jpeg/bmp/tiff/webp,
-    deterministic fake for avif only).
-    Undecodable payloads drop (the audit pass is ``ImageValidateStage``).
-    """
-
-    def __init__(
-        self,
-        decoder_factory: Optional[Callable[[], Callable]] = None,
-        bytes_column: str = "bytes",
-        key_column: str = "key",
-    ) -> None:
-        self.decoder = (decoder_factory or default_decoder_factory)()  # once per actor
-        self.bytes_column = bytes_column
-        self.key_column = key_column
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = batch.column(self.bytes_column).to_pylist()
-        keys, widths, heights, lumas, ents = [], [], [], [], []
-        for i, p in enumerate(payloads):
-            fmt = sniff_image_format(p or b"")
-            dims = parse_image_dims(p, fmt) if fmt else None
-            if not fmt or not dims:
-                continue
-            px = _decode_or_none(self.decoder, p, fmt, dims)
-            if px is None:
-                continue
-            keys.append(batch.column(self.key_column)[i].as_py())
-            widths.append(dims[0])
-            heights.append(dims[1])
-            luma = px.astype(np.float64).mean()
-            lumas.append(float(luma))
-            hist, _ = np.histogram(px, bins=8, range=(0, 256))
-            pmf = hist / max(1, hist.sum())
-            pmf = pmf[pmf > 0]
-            ents.append(float(-(pmf * np.log2(pmf)).sum()))
-        return pa.table(
-            {
-                "key": pa.array(keys, pa.string()),
-                "width": pa.array(widths, pa.int32()),
-                "height": pa.array(heights, pa.int32()),
-                "mean_luma": pa.array(lumas, pa.float64()),
-                "entropy8": pa.array(ents, pa.float64()),
-            }
-        )
-
-
 class FrameSampleStage:
     """Video frame-sampling stage. For MJPEG-in-AVI payloads this is
     REAL end-to-end (``functions/video.py``): the RIFF container is

@@ -208,17 +208,6 @@ def rolling_kgram_hashes(data: bytes, k: int) -> np.ndarray:
     return h
 
 
-def winnow(hashes: np.ndarray, window: int) -> np.ndarray:
-    """Winnowing selection: the min hash of every ``window``-wide span
-    (dedup-adjacent) — standard document fingerprinting."""
-    if len(hashes) <= window:
-        return np.unique(hashes.min(keepdims=True)) if len(hashes) else hashes
-    from numpy.lib.stride_tricks import sliding_window_view
-
-    mins = sliding_window_view(hashes, window).min(axis=1)
-    return np.unique(mins)
-
-
 class FingerprintStage:
     """Winnowing fingerprint per document → ``(id, fingerprint, n_grams)``.
 

@@ -109,11 +109,15 @@ def test_fingerprint_vectorized_matches_per_row_reference():
     per-document rolling-hash + winnow reference path."""
     import pyarrow as pa
 
-    from fs_schema_validator_ray.stages.text import (
-        FingerprintStage,
-        rolling_kgram_hashes,
-        winnow,
-    )
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    from fs_schema_validator_ray.stages.text import FingerprintStage, rolling_kgram_hashes
+
+    def winnow(hashes, window):
+        # the distinct minima of every ``window``-wide span
+        if len(hashes) <= window:
+            return np.unique(hashes.min(keepdims=True)) if len(hashes) else hashes
+        return np.unique(sliding_window_view(hashes, window).min(axis=1))
 
     rng = np.random.default_rng(5)
     texts = []

@@ -66,37 +66,3 @@ def test_ann_index_build_query(ray_session, tmp_path):
     ann_index_build(ds, idx2, n_lists=8, iters=3)
     out2 = ann_index_query(idx2, np.arange(40), queries, k=1, nprobe=4)
     assert out.equals(out2)
-
-
-def test_ann_index_append(ray_session, tmp_path):
-    from fs_schema_validator_ray.stages.annindex import ann_index_append
-
-    vecs, ds = _corpus(n=200, seed=21)
-    idx = str(tmp_path / "idx_app")
-    ann_index_build(ds, idx, n_lists=8, iters=3)
-
-    # append 50 new vectors with fresh ids
-    rng = np.random.default_rng(5)
-    new_vecs = rng.normal(size=(50, 16))
-    new_ds = ray.data.from_arrow(
-        pa.table(
-            {
-                "vec_id": pa.array(range(1000, 1050), pa.int64()),
-                "embedding": pa.array(
-                    [list(v) for v in new_vecs], pa.list_(pa.float64())
-                ),
-            }
-        )
-    )
-    man = ann_index_append(new_ds, idx)
-    assert man["n_vectors"] == 250
-
-    # exact-copy queries of APPENDED vectors come back at rank 0 / cos 1
-    qids = np.array([1000, 1025, 1049])
-    out = ann_index_query(idx, qids, new_vecs[[0, 25, 49]], k=1, nprobe=1)
-    top = {r["query_id"]: (r["id"], r["cos"]) for r in out.to_pylist()}
-    for q in qids:
-        assert top[int(q)][0] == int(q) and abs(top[int(q)][1] - 1.0) < 1e-12
-    # ... and pre-existing vectors still resolve
-    out0 = ann_index_query(idx, np.array([7]), vecs[[7]], k=1, nprobe=1)
-    assert out0.to_pylist()[0]["id"] == 7

@@ -130,79 +130,6 @@ def test_svg_deep_validate():
     assert got == {("bad", "file does not contain a valid svg")}
 
 
-def test_pixel_decode_default_hybrid():
-    """Default decoder: REAL pixels for png AND gif (codec parity);
-    corrupt payloads drop instead of failing the batch."""
-    import numpy as np
-
-    from fs_schema_validator_ray.functions.gif import encode_gif
-    from fs_schema_validator_ray.functions.png import decode_png, encode_png
-    from fs_schema_validator_ray.sources.images import corrupt_idat
-    from fs_schema_validator_ray.stages.multimodal import PixelDecodeStage
-
-    rng = np.random.default_rng(3)
-    px = rng.integers(0, 256, size=(5, 4, 3), dtype=np.uint8)
-    gidx = rng.integers(0, 16, size=(4, 4), dtype=np.uint8)
-    gpal = rng.integers(0, 256, size=(16, 3), dtype=np.uint8)
-    t = pa.table(
-        {
-            "key": pa.array(["png", "gif", "gif_hdr_only", "bad"]),
-            "bytes": pa.array(
-                [
-                    encode_png(px),
-                    encode_gif(gidx, gpal),
-                    make_gif(4, 4),  # header-only: fails real gif decode
-                    corrupt_idat(encode_png(px)),
-                ],
-                pa.binary(),
-            ),
-        }
-    )
-    out = PixelDecodeStage()(t)
-    rows = {r["key"]: r for r in out.to_pylist()}
-    assert set(rows) == {"png", "gif"}  # corrupt png + header-only gif drop
-    assert rows["png"]["mean_luma"] == pytest.approx(
-        float(decode_png(encode_png(px)).mean())
-    )
-    assert rows["gif"]["mean_luma"] == pytest.approx(
-        float(gpal[gidx].astype(np.float64).mean())
-    )  # exact: the stage reports the channel mean of the REAL gif pixels
-
-
-def test_pixel_decode_with_fake(ray_session):
-    import ray.data
-
-    from fs_schema_validator_ray.stages.multimodal import (
-        FakePixelDecoder,
-        PixelDecodeStage,
-    )
-
-    t = pa.table(
-        {
-            "key": pa.array(["a", "b", "bad"]),
-            "bytes": pa.array([make_png(8, 8), make_gif(4, 4), b"junk"], pa.binary()),
-        }
-    )
-    out = (
-        ray.data.from_arrow(t)
-        .map_batches(
-            PixelDecodeStage,
-            fn_constructor_kwargs={"decoder_factory": FakePixelDecoder},
-            batch_format="pyarrow",
-            concurrency=1,
-            batch_size=2,
-        )
-        .to_pandas()
-        .sort_values("key")
-    )
-    assert list(out["key"]) == ["a", "b"]  # bad payload skipped
-    assert list(out["width"]) == [8, 4]
-    assert (out["entropy8"] > 0).all()
-    # deterministic: same payload → same features
-    again = PixelDecodeStage(decoder_factory=FakePixelDecoder)(t)
-    assert again.column("mean_luma").to_pylist()[0] == out["mean_luma"].iloc[0]
-
-
 def test_frame_sample_stage():
     from fs_schema_validator_ray.stages.multimodal import FrameSampleStage
 

@@ -862,18 +862,23 @@ UNIQUE_A = "  - rule: unique_a\n    type: unique\n    column: a\n"
 UNIQUE_B = "  - rule: unique_b\n    type: unique\n    column: b\n"
 GHOST_1 = "  - rule: ghost_1\n    type: int\n    column: nope_1\n    min: 0\n"
 GHOST_2 = "  - rule: ghost_2\n    type: int\n    column: nope_2\n    min: 0\n"
+V_RANGE = "  - rule: v_range\n    type: int\n    column: v\n    min: 0\n    max: {max}\n"
+V_DRIFT = ("  - rule: v_drift\n    type: drift\n    column: v\n    lo: 0\n    hi: 100\n"
+           "    bins: 20\n    max_ks: {max}\n    max_psi: {max}\n")
 
 
-def _resumed_and_fresh(tmp_path, before, after):
-    """Runs ``before`` to completion, resumes the same output directory
-    with ``after``, and runs ``after`` fresh. Columns ``a`` and ``b`` each
-    hold one duplicate key across the two files."""
+def _resumed_and_fresh(tmp_path, before, after, change=None, skipped=2):
+    """Runs ``before`` to completion, calls ``change(input_dir)`` if given,
+    resumes the same output directory with ``after``, and runs ``after``
+    fresh. Columns ``a`` and ``b`` each hold one duplicate key across the
+    two files; ``v`` is low in ``f0`` and high in ``f1``, so each drifts
+    from their pooled distribution."""
     src = tmp_path / "in"
     src.mkdir()
     pq.write_table(pa.table({"k": ["x0", "x1"], "a": [1, 2], "b": ["p", "q"],
-                             "v": [1, 2]}), src / "f0.parquet")
+                             "v": [10, 20]}), src / "f0.parquet")
     pq.write_table(pa.table({"k": ["y0", "y1"], "a": [2, 3], "b": ["q", "r"],
-                             "v": [3, 4]}), src / "f1.parquet")
+                             "v": [70, 80]}), src / "f1.parquet")
 
     def run(rules, out):
         return run_validation(ValidationRunConfig(
@@ -882,8 +887,10 @@ def _resumed_and_fresh(tmp_path, before, after):
         ))
 
     run(before, "resumed")
+    if change is not None:
+        change(src)
     resumed, fresh = run(after, "resumed"), run(after, "fresh")
-    assert resumed.partitions_skipped == 2
+    assert resumed.partitions_skipped == skipped
     for res in (resumed, fresh):
         assert res.violations_dataset().count() == res.total_violations
     return resumed, fresh
@@ -908,3 +915,49 @@ def test_resume_drops_a_missing_column_rule_removed_on_resume(ray_session, tmp_p
     resumed, fresh = _resumed_and_fresh(tmp_path, PASSING + GHOST_1, PASSING)
     assert resumed.total_violations == fresh.total_violations == 0
     assert resumed.exit_code() == 0
+
+
+def test_resume_drops_a_drift_rule_removed_on_resume(ray_session, tmp_path):
+    v_range = V_RANGE.format(max=100)
+    resumed, fresh = _resumed_and_fresh(tmp_path, v_range + V_DRIFT.format(max=0.3), v_range)
+    assert resumed.total_violations == fresh.total_violations == 0
+    assert not os.path.exists(tmp_path / "resumed" / "manifest" / "drift-v_drift.json")
+    assert not os.path.exists(tmp_path / "resumed" / "violations" / "drift-v_drift")
+
+
+def test_resume_recomputes_drift_over_an_appended_file(ray_session, tmp_path):
+    rules = V_RANGE.format(max=100) + V_DRIFT.format(max=0.3)
+
+    def append(src):
+        pq.write_table(pa.table({"k": ["z0", "z1"], "a": [7, 8], "b": ["s", "t"],
+                                 "v": [15, 75]}), src / "f2.parquet")
+
+    resumed, fresh = _resumed_and_fresh(tmp_path, rules, rules, change=append)
+    # each file's values fill bins the others leave empty: all three drift
+    assert resumed.total_violations == fresh.total_violations == 3
+
+
+def test_resume_rechecks_drift_thresholds_changed_under_the_same_id(ray_session, tmp_path):
+    v_range = V_RANGE.format(max=100)
+    resumed, fresh = _resumed_and_fresh(
+        tmp_path, v_range + V_DRIFT.format(max=0.3), v_range + V_DRIFT.format(max=50)
+    )
+    assert resumed.total_violations == fresh.total_violations == 0
+
+
+def test_resume_rechecks_partitions_when_a_row_rule_changes_under_the_same_id(
+    ray_session, tmp_path
+):
+    resumed, fresh = _resumed_and_fresh(
+        tmp_path, V_RANGE.format(max=100), V_RANGE.format(max=50), skipped=0
+    )
+    # both `v` of f1 exceed the new maximum
+    assert resumed.total_violations == fresh.total_violations == 2
+
+
+def test_resume_rechecks_partitions_when_an_allowed_list_changes(ray_session, tmp_path):
+    allowed = "  - rule: b_enum\n    type: str\n    column: b\n    allowed: [{}]\n"
+    resumed, fresh = _resumed_and_fresh(
+        tmp_path, allowed.format("p, q, r"), allowed.format("p, q"), skipped=0
+    )
+    assert resumed.total_violations == fresh.total_violations == 1

@@ -12,7 +12,6 @@ import pytest
 
 from fs_schema_validator_ray.functions.png import (
     PngError,
-    PngPixelDecoder,
     decode_png,
     encode_png,
 )
@@ -198,14 +197,6 @@ def test_invalid_header_fields():
         decode_png(with_ihdr(3, 3, 4, 2, 0, 0, 0))
     with pytest.raises(PngError, match="interlace"):
         decode_png(with_ihdr(3, 3, 8, 2, 0, 0, 7))
-
-
-def test_pixel_decoder_callable():
-    px = rgb(5, 5)
-    dec = PngPixelDecoder()
-    assert np.array_equal(dec(encode_png(px), "png", (5, 5)), px)
-    with pytest.raises(NotImplementedError):
-        dec(b"GIF89a", "gif", (1, 1))
 
 
 # --- BMP codec (shares the raster-trio test file) ----------------------------

@@ -119,77 +119,6 @@ def test_crash_between_output_and_manifest_is_safe(ray_session, tmp_path):
     assert again == ref
 
 
-# --- resumable audio dedup clusters ------------------------------------------
-
-
-def _clips_table(tmp_path) -> str:
-    """Small clips parquet with planted cross-codec duplicate pairs."""
-    from fs_schema_validator_ray import audio
-
-    ids, payloads = [], []
-    for i in range(40):
-        cid = f"rc-{i:05d}"
-        sr, dur = [(16000, 150), (8000, 100)][i % 2]
-        x = audio.reference_signal(cid, sr, dur)
-        ids.append(cid)
-        payloads.append(audio.encode(x, sr, "pcm_s16le"))
-        if i % 5 == 0:
-            ids.append(f"{cid}-re")
-            payloads.append(audio.encode(x, sr, "ulaw"))
-    path = os.path.join(tmp_path, "clips.parquet")
-    pq.write_table(
-        pa.table(
-            {
-                "clip_id": pa.array(ids, pa.string()),
-                "bytes": pa.array(payloads, pa.binary()),
-            }
-        ),
-        path,
-    )
-    return path
-
-
-def _clusters_set(ds) -> set:
-    return {(r["rep"], r["n"]) for r in ds.take_all()}
-
-
-def test_audio_clusters_kill_and_resume(ray_session, tmp_path):
-    from fs_schema_validator_ray.pipelines.resume import (
-        audio_dedup_clusters_resumable,
-    )
-
-    path = _clips_table(tmp_path)
-    factory = lambda: ray.data.read_parquet(path)  # noqa: E731
-
-    ref_dir = str(tmp_path / "aref")
-    ref = _clusters_set(
-        audio_dedup_clusters_resumable(factory, ref_dir, n_parts=4)
-    )
-    # the 8 planted cross-codec pairs must each form a 2-cluster whose
-    # representative is the lexicographic minimum (the original id)
-    assert len(ref) == 8
-    assert all(rep.startswith("rc-") and not rep.endswith("-re") and n == 2
-               for rep, n in ref)
-
-    # crash after 2 fingerprint parts, then resume
-    run_dir = str(tmp_path / "arun")
-    with pytest.raises(RuntimeError, match="injected crash"):
-        audio_dedup_clusters_resumable(
-            factory, run_dir, n_parts=4, _fail_after_parts=2
-        )
-    manifests = set(glob.glob(os.path.join(run_dir, "manifest", "*.json")))
-    assert len(manifests) == 2  # two finished fingerprint parts
-    mtimes = {m: os.path.getmtime(m) for m in manifests}
-
-    out = _clusters_set(
-        audio_dedup_clusters_resumable(factory, run_dir, n_parts=4)
-    )
-    assert out == ref
-    # resume did not redo the finished parts
-    for m in manifests:
-        assert os.path.getmtime(m) == mtimes[m]
-
-
 # --- SemDeDup resumable (round 5) --------------------------------------------
 
 

@@ -210,15 +210,14 @@ def test_shard_export_write_and_pruned_readback(ray_session, tmp_path):
     """The manifest query's shard assignment drives an actual
     hive-partitioned write; each shard directory reads back alone
     (resume contract) and re-unions to the full corpus."""
+    import os
+
     import numpy as np
     import pyarrow as pa
     import ray.data
 
     from fs_schema_validator_ray.pipelines.queries import _shuffle_hash
-    from fs_schema_validator_ray.sinks import (
-        read_partition_pruned,
-        write_partitioned_parquet,
-    )
+    from fs_schema_validator_ray.sinks import write_partitioned_parquet
 
     ds = ray.data.read_parquet(
         "/root/testdata/sf0.001/documents.parquet", columns=["doc_id", "n_chars"]
@@ -237,7 +236,7 @@ def test_shard_export_write_and_pruned_readback(ray_session, tmp_path):
     total = 0
     seen = set()
     for s in range(4):
-        part = read_partition_pruned(out, "shard", s).to_pandas()
+        part = ray.data.read_parquet(os.path.join(out, f"shard={s}")).to_pandas()
         assert (_shuffle_hash(part["doc_id"].to_numpy()) % 4 == s).all()
         seen.update(part["doc_id"])
         total += len(part)

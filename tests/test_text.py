@@ -65,20 +65,6 @@ def test_fingerprint_stable_and_discriminative():
     assert again["fingerprint"] == out["fingerprint"]
 
 
-def test_winnow_properties():
-    from fs_schema_validator_ray.stages.text import rolling_kgram_hashes, winnow
-
-    h = rolling_kgram_hashes(b"abcdefghijklmnop", 4)
-    assert len(h) == 13
-    sel = winnow(h, 4)
-    # winnowed selection is a subset of the hashes and includes the min
-    assert set(sel) <= set(h.tolist())
-    assert h.min() in sel
-    # shifting the text window keeps overlapping grams' hashes identical
-    h2 = rolling_kgram_hashes(b"Xabcdefghijklmnop", 4)
-    assert set(h.tolist()) <= set(h2.tolist())
-
-
 def test_segment_sums_empty_rows():
     from fs_schema_validator_ray.stages.text import _segment_sums
 

@@ -17,7 +17,6 @@ from fs_schema_validator_ray.functions.webp import (
     _distance_map,
     decode_webp,
     encode_webp,
-    parse_vp8l_dims,
 )
 
 
@@ -72,7 +71,6 @@ def test_lz77_runs_and_cache_interaction():
 def test_parse_dims_and_container():
     img = rand_img(19, 33, seed=7)
     data = encode_webp(img)
-    assert parse_vp8l_dims(data) == (33, 19)
     out = decode_webp(data)
     assert out.shape == (19, 33, 3)
 
