@@ -1,26 +1,44 @@
-"""Constraint-spec model + vectorized evaluation over Arrow arrays.
+"""The constraint language: one spec model, two evaluators per node.
 
-Columnar re-expression of the reference's recursive JSON constraint
-language (`/root/reference/fs_schema_validator/schemas/json.py:22-229`):
-the same 10 node kinds — float, bool, int, str, array, fixed_array/tuple,
-object, dict, enum, literal — each carrying ``nullable``, with the same
-per-node constraints (min/max/exclusive/multiple_of, min/max_length/regex,
-min/max_items, recursive attrs/keys/values/variants, exact literal).
+Re-expression of the reference's recursive JSON constraint language
+(``schemas/json.py:22-229``): the same 10 node kinds — float, bool, int,
+str, array, fixed_array/tuple, object, dict, enum, literal — each
+carrying ``nullable``, with the same per-node
+constraints (min/max/exclusive/multiple_of, min/max_length/regex,
+min/max_items, recursive attrs/keys/values/variants, exact literal), plus
+``binary`` (payload bytes) and ``allowed:`` (a flat value enum on any
+scalar node).
 
-Where the reference compiles a spec to a pydantic model and validates one
-JSON payload at a time (``json.py:244-247``, rebuilt per call), we compile
-a spec once on the driver and evaluate it against a whole Arrow column per
-batch with ``pyarrow.compute`` / numpy kernels. Violation *masks* are fully
-vectorized; reason strings are constant per check, so string assembly only
-ever touches the (sparse) violating rows.
+Each node declares its constraint once — fields, bound tables, messages —
+and evaluates it two ways, both driven by the template on :class:`Spec`
+(null, then type, then the node's value constraints, then ``allowed``):
 
-Reason strings follow the reference's rendering shape
-`` `column.path`: message `` (``json.py:248-263``) with a stable,
-pydantic-like message catalog pinned by our tests.
+* ``findings(arr)`` checks a whole Arrow column with ``pyarrow.compute`` /
+  numpy kernels (``ScalarRuleStage``). Where the reference compiles a spec
+  to a pydantic model and validates one payload at a time (rebuilt per
+  call, ``json.py:244-247``), we compile once on the driver. Violation
+  masks are vectorized; reason strings are constant per check, so string
+  assembly only touches the (sparse) violating rows.
+* ``check(value)`` checks one decoded JSON value (``JsonPayloadStage``)
+  with the reference's strict typing (``StrictInt``/``StrictStr`` …,
+  ``json.py:11-14``: ``{"int": "1"}`` → "Input should be a valid integer").
+
+Both emit one message catalog, pydantic-like and pinned by our tests,
+rendered by the stages as `` `column`: path: message `` (``json.py:248-263``).
+The differences between the two are intended and pinned by tests:
+
+* a list item's path is ``@i:`` in a column and ``i:`` in JSON;
+* ``regex`` (search semantics, like pydantic ``pattern=``) runs on RE2
+  (``pc.match_substring_regex``) in a column and on Python ``re`` in JSON;
+* a dict column reports a row once per message, a JSON dict once per
+  offending key or value;
+* byte-size bounds (``binary``) apply to columns only.
 """
 
 from __future__ import annotations
 
+import operator
+import re
 from dataclasses import dataclass, field
 from typing import Any, Optional, Union
 
@@ -37,6 +55,8 @@ class SpecError(ValueError):
 # One violation finding: row indices into the evaluated array + one reason
 # string shared by all of them (keeps the hot path allocation-free).
 Finding = tuple[np.ndarray, str]
+
+NULL_MESSAGE = "Input should not be null"
 
 
 def _as_array(arr: Union[pa.Array, pa.ChunkedArray]) -> pa.Array:
@@ -58,16 +78,93 @@ def _bool_np(mask: pa.Array) -> np.ndarray:
     return np.asarray(pc.fill_null(mask, False))
 
 
+def _rows(mask: np.ndarray, msg: str) -> list[Finding]:
+    idx = np.flatnonzero(mask)
+    return [(idx, msg)] if len(idx) else []
+
+
+def _not_multiple(x, m):
+    """True where ``x`` is not a multiple of ``m``: exact modulo when both
+    are integers (Python ints beyond int64 too), else the quotient must lie
+    within 1e-9 of an integer. ``x`` is a numpy array or one value."""
+    integral = (
+        np.issubdtype(x.dtype, np.integer) if isinstance(x, np.ndarray)
+        else isinstance(x, int)
+    )
+    if integral and float(m).is_integer():
+        return x % int(m) != 0
+    q = x / m
+    return np.abs(q - np.round(q)) > 1e-9
+
+
+# A bound is (field, violated(measure, limit), message): the measure is a
+# number, a string length, a list length or a payload size.
+_NUMERIC_BOUNDS = (
+    ("min", operator.lt, "Input should be greater than or equal to {}"),
+    ("exclusive_min", operator.le, "Input should be greater than {}"),
+    ("max", operator.gt, "Input should be less than or equal to {}"),
+    ("exclusive_max", operator.ge, "Input should be less than {}"),
+    ("multiple_of", _not_multiple, "Input should be a multiple of {}"),
+)
+_LENGTH_BOUNDS = (
+    ("min_length", operator.lt, "String should have at least {} characters"),
+    ("max_length", operator.gt, "String should have at most {} characters"),
+)
+_ITEM_BOUNDS = (
+    ("min_items", operator.lt, "List should have at least {} items"),
+    ("max_items", operator.gt, "List should have at most {} items"),
+)
+_BYTE_BOUNDS = (
+    ("min_bytes", operator.lt, "Payload should have at least {} bytes"),
+    ("max_bytes", operator.gt, "Payload should have at most {} bytes"),
+)
+
+
+def _bounds(spec: Spec, table: tuple, measure):
+    """``(violated, message)`` for each bound in ``table`` that ``spec``
+    sets. ``measure`` is a numpy array of per-row measures (``violated`` is
+    a row mask) or one value's measure (``violated`` is a bool)."""
+    for name, violated, msg in table:
+        limit = getattr(spec, name)
+        if limit is not None:
+            yield violated(measure, limit), msg.format(limit)
+
+
+def _bound_findings(
+    spec: Spec, table: tuple, measure: np.ndarray, valid: np.ndarray
+) -> list[Finding]:
+    out: list[Finding] = []
+    for mask, msg in _bounds(spec, table, measure):
+        out += _rows(mask & valid, msg)
+    return out
+
+
+def _bound_errors(spec: Spec, table: tuple, measure) -> list[str]:
+    return [msg for bad, msg in _bounds(spec, table, measure) if bad]
+
+
+def _nested(path: Any, msgs: list[str]) -> list[str]:
+    return [f"{path}: {m}" for m in msgs]
+
+
 @dataclass
 class Spec:
-    """Base constraint node. ``findings`` yields violations; ``passes``
-    yields a per-row ok-mask (used by enum variant composition)."""
+    """Base constraint node. ``findings`` yields a column's violations,
+    ``check`` one JSON value's messages, ``passes`` a per-row ok-mask (used
+    by enum variant composition). Subclasses declare their typing
+    (``type_ok`` for an Arrow type, ``value_ok`` for a decoded value) and
+    their value constraints (``value_findings``, ``value_errors``)."""
 
     nullable: bool = False
+    #: flat value enum (YAML ``allowed:``), checked on non-null rows of the
+    #: right type; ``parse_spec`` sets it on scalar nodes only
+    allowed: Optional[tuple] = None
 
-    #: Arrow types this node accepts; None = any
-    def type_ok(self, dtype: pa.DataType) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
+    def type_ok(self, dtype: pa.DataType) -> bool:
+        return True
+
+    def value_ok(self, value: Any) -> bool:
+        return True
 
     def type_message(self) -> str:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -76,19 +173,36 @@ class Spec:
         """Violations among rows where ``valid`` (non-null) is True."""
         return []
 
+    def value_errors(self, value: Any) -> list[str]:
+        """Messages for one non-null value of the right type."""
+        return []
+
+    def allowed_message(self) -> str:
+        return "Input should be " + " or ".join(repr(v) for v in self.allowed)
+
     def findings(self, arr: Union[pa.Array, pa.ChunkedArray]) -> list[Finding]:
         arr = _as_array(arr)
-        nulls = _null_mask(arr)
-        valid = ~nulls
-        out: list[Finding] = []
-        if not self.nullable and nulls.any():
-            out.append((np.flatnonzero(nulls), "Input should not be null"))
+        valid = ~_null_mask(arr)
+        out = [] if self.nullable else _rows(~valid, NULL_MESSAGE)
         if not self.type_ok(arr.type):
-            idx = np.flatnonzero(valid)
-            if len(idx):
-                out.append((idx, self.type_message()))
-            return out
-        out.extend(self.value_findings(arr, valid))
+            return out + _rows(valid, self.type_message())
+        out += self.value_findings(arr, valid)
+        if self.allowed is not None:
+            try:
+                hit = _bool_np(pc.is_in(arr, value_set=pa.array(list(self.allowed))))
+            except (pa.ArrowInvalid, pa.ArrowNotImplementedError, pa.ArrowTypeError):
+                hit = np.zeros(len(arr), dtype=bool)
+            out += _rows(~hit & valid, self.allowed_message())
+        return out
+
+    def check(self, value: Any) -> list[str]:
+        if value is None:
+            return [] if self.nullable else [NULL_MESSAGE]
+        if not self.value_ok(value):
+            return [self.type_message()]
+        out = self.value_errors(value)
+        if self.allowed is not None and value not in self.allowed:
+            out.append(self.allowed_message())
         return out
 
     def passes(self, arr: Union[pa.Array, pa.ChunkedArray]) -> np.ndarray:
@@ -97,12 +211,6 @@ class Spec:
         for idx, _ in self.findings(arr):
             ok[idx] = False
         return ok
-
-
-def _numeric_np(arr: pa.Array) -> np.ndarray:
-    """Extract values as float64/int64 numpy with nulls filled (callers
-    only look at valid positions)."""
-    return np.asarray(pc.fill_null(arr, 0))
 
 
 @dataclass
@@ -117,37 +225,20 @@ class NumericSpec(Spec):
     multiple_of: Optional[float] = None
 
     def value_findings(self, arr: pa.Array, valid: np.ndarray) -> list[Finding]:
-        vals = _numeric_np(arr)
-        out: list[Finding] = []
+        vals = np.asarray(pc.fill_null(arr, 0))  # only valid rows are looked at
+        return _bound_findings(self, _NUMERIC_BOUNDS, vals, valid)
 
-        def bad(mask: np.ndarray, msg: str) -> None:
-            idx = np.flatnonzero(mask & valid)
-            if len(idx):
-                out.append((idx, msg))
-
-        if self.min is not None:
-            bad(vals < self.min, f"Input should be greater than or equal to {self.min}")
-        if self.exclusive_min is not None:
-            bad(vals <= self.exclusive_min, f"Input should be greater than {self.exclusive_min}")
-        if self.max is not None:
-            bad(vals > self.max, f"Input should be less than or equal to {self.max}")
-        if self.exclusive_max is not None:
-            bad(vals >= self.exclusive_max, f"Input should be less than {self.exclusive_max}")
-        if self.multiple_of is not None:
-            m = self.multiple_of
-            if np.issubdtype(vals.dtype, np.integer) and float(m).is_integer():
-                rem_bad = (vals % int(m)) != 0
-            else:
-                q = vals / m
-                rem_bad = np.abs(q - np.round(q)) > 1e-9
-            bad(rem_bad, f"Input should be a multiple of {m}")
-        return out
+    def value_errors(self, value: Any) -> list[str]:
+        return _bound_errors(self, _NUMERIC_BOUNDS, value)
 
 
 @dataclass
 class IntSpec(NumericSpec):
     def type_ok(self, dtype: pa.DataType) -> bool:
         return pa.types.is_integer(dtype)
+
+    def value_ok(self, value: Any) -> bool:
+        return isinstance(value, int) and not isinstance(value, bool)
 
     def type_message(self) -> str:
         return "Input should be a valid integer"
@@ -158,6 +249,9 @@ class FloatSpec(NumericSpec):
     def type_ok(self, dtype: pa.DataType) -> bool:
         return pa.types.is_floating(dtype) or pa.types.is_decimal(dtype)
 
+    def value_ok(self, value: Any) -> bool:
+        return isinstance(value, float)
+
     def type_message(self) -> str:
         return "Input should be a valid number"
 
@@ -167,6 +261,9 @@ class BoolSpec(Spec):
     def type_ok(self, dtype: pa.DataType) -> bool:
         return pa.types.is_boolean(dtype)
 
+    def value_ok(self, value: Any) -> bool:
+        return isinstance(value, bool)
+
     def type_message(self) -> str:
         return "Input should be a valid boolean"
 
@@ -174,8 +271,8 @@ class BoolSpec(Spec):
 @dataclass
 class StrSpec(Spec):
     """String constraints (reference ``json.py:105-126``). ``regex`` uses
-    *search* semantics (pydantic ``pattern=``) via RE2
-    ``pc.match_substring_regex``; anchor with ``^...$`` for full match."""
+    *search* semantics (pydantic ``pattern=``); anchor with ``^...$`` for
+    a full match."""
 
     min_length: Optional[int] = None
     max_length: Optional[int] = None
@@ -184,27 +281,29 @@ class StrSpec(Spec):
     def type_ok(self, dtype: pa.DataType) -> bool:
         return pa.types.is_string(dtype) or pa.types.is_large_string(dtype)
 
+    def value_ok(self, value: Any) -> bool:
+        return isinstance(value, str)
+
     def type_message(self) -> str:
         return "Input should be a valid string"
 
+    def regex_message(self) -> str:
+        return f"String should match pattern '{self.regex}'"
+
     def value_findings(self, arr: pa.Array, valid: np.ndarray) -> list[Finding]:
         out: list[Finding] = []
-        lengths = None
         if self.min_length is not None or self.max_length is not None:
             lengths = np.asarray(pc.fill_null(pc.utf8_length(arr), 0))
-        if self.min_length is not None:
-            idx = np.flatnonzero((lengths < self.min_length) & valid)
-            if len(idx):
-                out.append((idx, f"String should have at least {self.min_length} characters"))
-        if self.max_length is not None:
-            idx = np.flatnonzero((lengths > self.max_length) & valid)
-            if len(idx):
-                out.append((idx, f"String should have at most {self.max_length} characters"))
+            out += _bound_findings(self, _LENGTH_BOUNDS, lengths, valid)
         if self.regex is not None:
             hit = _bool_np(pc.match_substring_regex(arr, self.regex))
-            idx = np.flatnonzero(~hit & valid)
-            if len(idx):
-                out.append((idx, f"String should match pattern '{self.regex}'"))
+            out += _rows(~hit & valid, self.regex_message())
+        return out
+
+    def value_errors(self, value: Any) -> list[str]:
+        out = _bound_errors(self, _LENGTH_BOUNDS, len(value))
+        if self.regex is not None and re.search(self.regex, value) is None:
+            out.append(self.regex_message())
         return out
 
 
@@ -212,7 +311,8 @@ class StrSpec(Spec):
 class BinarySpec(Spec):
     """Binary-payload byte constraints — the columnar analogue of the
     reference's ``FileSchema`` empty-file check (``schemas/file.py:19-29``).
-    ``allow_empty=False`` emits the reference's "cannot be empty" reason."""
+    ``allow_empty=False`` emits the reference's "cannot be empty" reason.
+    JSON has no bytes, so a decoded value is only type-checked."""
 
     min_bytes: Optional[int] = None
     max_bytes: Optional[int] = None
@@ -221,30 +321,22 @@ class BinarySpec(Spec):
     def type_ok(self, dtype: pa.DataType) -> bool:
         return pa.types.is_binary(dtype) or pa.types.is_large_binary(dtype)
 
+    def value_ok(self, value: Any) -> bool:
+        return isinstance(value, (bytes, bytearray))
+
     def type_message(self) -> str:
         return "Input should be a valid binary payload"
 
     def value_findings(self, arr: pa.Array, valid: np.ndarray) -> list[Finding]:
-        out: list[Finding] = []
         sizes = np.asarray(pc.fill_null(pc.binary_length(arr), 0))
-        if not self.allow_empty:
-            idx = np.flatnonzero((sizes == 0) & valid)
-            if len(idx):
-                out.append((idx, "cannot be empty"))
-        if self.min_bytes is not None:
-            idx = np.flatnonzero((sizes < self.min_bytes) & valid)
-            if len(idx):
-                out.append((idx, f"Payload should have at least {self.min_bytes} bytes"))
-        if self.max_bytes is not None:
-            idx = np.flatnonzero((sizes > self.max_bytes) & valid)
-            if len(idx):
-                out.append((idx, f"Payload should have at most {self.max_bytes} bytes"))
-        return out
+        out = [] if self.allow_empty else _rows((sizes == 0) & valid, "cannot be empty")
+        return out + _bound_findings(self, _BYTE_BOUNDS, sizes, valid)
 
 
 @dataclass
 class LiteralSpec(Spec):
-    """Exact scalar value (reference ``json.py:209-215``)."""
+    """Exact scalar value (reference ``json.py:209-215``). A JSON value
+    must equal it with the same bool-ness (``True`` is not ``1``)."""
 
     value: Any = None
 
@@ -259,41 +351,15 @@ class LiteralSpec(Spec):
             return pa.types.is_string(dtype) or pa.types.is_large_string(dtype)
         return False
 
+    def value_ok(self, value: Any) -> bool:
+        return isinstance(value, bool) == isinstance(self.value, bool) and value == self.value
+
     def type_message(self) -> str:
         return f"Input should be {self.value!r}"
 
     def value_findings(self, arr: pa.Array, valid: np.ndarray) -> list[Finding]:
         eq = _bool_np(pc.equal(arr, pa.scalar(self.value)))
-        idx = np.flatnonzero(~eq & valid)
-        if len(idx):
-            return [(idx, f"Input should be {self.value!r}")]
-        return []
-
-
-@dataclass
-class ValueEnumSpec(Spec):
-    """Set membership over scalar values — the flat, vectorizable fast path
-    for the common "enum of literals" pattern (YAML ``allowed: [..]``).
-    Evaluated with one ``pc.is_in`` instead of N variant passes."""
-
-    allowed: tuple = ()
-
-    def type_ok(self, dtype: pa.DataType) -> bool:
-        return True
-
-    def type_message(self) -> str:  # pragma: no cover - type_ok always True
-        return "unreachable"
-
-    def value_findings(self, arr: pa.Array, valid: np.ndarray) -> list[Finding]:
-        try:
-            hit = _bool_np(pc.is_in(arr, value_set=pa.array(list(self.allowed))))
-        except (pa.ArrowInvalid, pa.ArrowNotImplementedError, pa.ArrowTypeError):
-            hit = np.zeros(len(arr), dtype=bool)
-        idx = np.flatnonzero(~hit & valid)
-        if len(idx):
-            shown = " or ".join(repr(v) for v in self.allowed)
-            return [(idx, f"Input should be {shown}")]
-        return []
+        return _rows(~eq & valid, self.type_message())
 
 
 @dataclass
@@ -307,39 +373,24 @@ class EnumSpec(Spec):
         if not self.variants:
             raise SpecError("enum spec requires at least one variant")
 
-    def type_ok(self, dtype: pa.DataType) -> bool:
-        return True
+    def no_match_message(self) -> str:
+        return f"Input does not match any of {len(self.variants)} allowed variants"
 
-    def type_message(self) -> str:  # pragma: no cover
-        return "unreachable"
-
-    def findings(self, arr: Union[pa.Array, pa.ChunkedArray]) -> list[Finding]:
-        arr = _as_array(arr)
-        nulls = _null_mask(arr)
-        out: list[Finding] = []
-        if not self.nullable and nulls.any():
-            out.append((np.flatnonzero(nulls), "Input should not be null"))
+    def value_findings(self, arr: pa.Array, valid: np.ndarray) -> list[Finding]:
         ok = np.zeros(len(arr), dtype=bool)
         for variant in self.variants:
-            v = variant
-            ok |= v.passes(arr)
-        bad = ~ok & ~nulls
-        idx = np.flatnonzero(bad)
-        if len(idx):
-            out.append((idx, f"Input does not match any of {len(self.variants)} allowed variants"))
-        return out
+            ok |= variant.passes(arr)
+        return _rows(~ok & valid, self.no_match_message())
+
+    def value_errors(self, value: Any) -> list[str]:
+        if any(not variant.check(value) for variant in self.variants):
+            return []
+        return [self.no_match_message()]
 
 
 @dataclass
-class ArraySpec(Spec):
-    """Homogeneous list column (reference ``json.py:129-149``): recursive
-    ``items`` spec + min/max_items. Child violations are mapped back to the
-    parent row with an ``column.i`` json-path, built only for the violating
-    children."""
-
-    items: Optional[Spec] = None
-    min_items: Optional[int] = None
-    max_items: Optional[int] = None
+class _ListSpec(Spec):
+    """Typing shared by the two list nodes."""
 
     def type_ok(self, dtype: pa.DataType) -> bool:
         return (
@@ -348,32 +399,27 @@ class ArraySpec(Spec):
             or pa.types.is_fixed_size_list(dtype)
         )
 
+    def value_ok(self, value: Any) -> bool:
+        return isinstance(value, list)
+
     def type_message(self) -> str:
         return "Input should be a valid list"
 
-    def findings(self, arr: Union[pa.Array, pa.ChunkedArray]) -> list[Finding]:
-        arr = _as_array(arr)
-        nulls = _null_mask(arr)
-        valid = ~nulls
-        out: list[Finding] = []
-        if not self.nullable and nulls.any():
-            out.append((np.flatnonzero(nulls), "Input should not be null"))
-        if not self.type_ok(arr.type):
-            idx = np.flatnonzero(valid)
-            if len(idx):
-                out.append((idx, self.type_message()))
-            return out
 
+@dataclass
+class ArraySpec(_ListSpec):
+    """Homogeneous list (reference ``json.py:129-149``): recursive ``items``
+    spec + min/max_items. In a column, child violations are mapped back to
+    the parent row with an ``@i`` path, built only for the violating
+    children."""
+
+    items: Optional[Spec] = None
+    min_items: Optional[int] = None
+    max_items: Optional[int] = None
+
+    def value_findings(self, arr: pa.Array, valid: np.ndarray) -> list[Finding]:
         lengths = np.asarray(pc.fill_null(pc.list_value_length(arr), 0))
-        if self.min_items is not None:
-            idx = np.flatnonzero((lengths < self.min_items) & valid)
-            if len(idx):
-                out.append((idx, f"List should have at least {self.min_items} items"))
-        if self.max_items is not None:
-            idx = np.flatnonzero((lengths > self.max_items) & valid)
-            if len(idx):
-                out.append((idx, f"List should have at most {self.max_items} items"))
-
+        out = _bound_findings(self, _ITEM_BOUNDS, lengths, valid)
         if self.items is not None and len(arr):
             flat = pc.list_flatten(arr)
             if len(flat):
@@ -389,9 +435,16 @@ class ArraySpec(Spec):
                         out.append((np.array([r], dtype=np.int64), f"@{p}: {msg}"))
         return out
 
+    def value_errors(self, value: Any) -> list[str]:
+        out = _bound_errors(self, _ITEM_BOUNDS, len(value))
+        if self.items is not None:
+            for i, item in enumerate(value):
+                out += _nested(i, self.items.check(item))
+        return out
+
 
 @dataclass
-class FixedArraySpec(Spec):
+class FixedArraySpec(_ListSpec):
     """Heterogeneous positional tuple (reference ``json.py:152-161``):
     exact length + one spec per position."""
 
@@ -401,33 +454,13 @@ class FixedArraySpec(Spec):
         if not self.items:
             raise SpecError("fixed_array spec requires at least one item")
 
-    def type_ok(self, dtype: pa.DataType) -> bool:
-        return (
-            pa.types.is_list(dtype)
-            or pa.types.is_large_list(dtype)
-            or pa.types.is_fixed_size_list(dtype)
-        )
+    def length_message(self) -> str:
+        return f"Tuple should have exactly {len(self.items)} items"
 
-    def type_message(self) -> str:
-        return "Input should be a valid list"
-
-    def findings(self, arr: Union[pa.Array, pa.ChunkedArray]) -> list[Finding]:
-        arr = _as_array(arr)
-        nulls = _null_mask(arr)
-        valid = ~nulls
-        out: list[Finding] = []
-        if not self.nullable and nulls.any():
-            out.append((np.flatnonzero(nulls), "Input should not be null"))
-        if not self.type_ok(arr.type):
-            idx = np.flatnonzero(valid)
-            if len(idx):
-                out.append((idx, self.type_message()))
-            return out
+    def value_findings(self, arr: pa.Array, valid: np.ndarray) -> list[Finding]:
         n = len(self.items)
         lengths = np.asarray(pc.fill_null(pc.list_value_length(arr), 0))
-        wrong = np.flatnonzero((lengths != n) & valid)
-        if len(wrong):
-            out.append((wrong, f"Tuple should have exactly {n} items"))
+        out = _rows((lengths != n) & valid, self.length_message())
         ok_rows = np.flatnonzero((lengths == n) & valid)
         if len(ok_rows):
             if pa.types.is_fixed_size_list(arr.type):
@@ -438,56 +471,62 @@ class FixedArraySpec(Spec):
             for pos, spec in enumerate(self.items):
                 elem = values.take(pa.array(starts[ok_rows] + pos))
                 for idx, msg in spec.findings(elem):
-                    if len(idx):
-                        out.append((ok_rows[idx], f"@{pos}: {msg}"))
+                    out.append((ok_rows[idx], f"@{pos}: {msg}"))
+        return out
+
+    def value_errors(self, value: Any) -> list[str]:
+        if len(value) != len(self.items):
+            return [self.length_message()]
+        out: list[str] = []
+        for i, (item, spec) in enumerate(zip(value, self.items)):
+            out += _nested(i, spec.check(item))
         return out
 
 
 @dataclass
 class ObjectSpec(Spec):
-    """Struct column with fixed attributes (reference ``json.py:164-177``).
-    Attr specs recurse via ``pc.struct_field``; reasons carry the dotted
-    json-path (``json.py:250-254``)."""
+    """Object with fixed attributes (reference ``json.py:164-177``): a
+    struct column, whose attr specs recurse via ``pc.struct_field``, or a
+    JSON object. Reasons carry the ``name:`` path (``json.py:250-254``)."""
 
     attrs: dict = field(default_factory=dict)  # dict[str, Spec]
 
     def type_ok(self, dtype: pa.DataType) -> bool:
         return pa.types.is_struct(dtype)
 
+    def value_ok(self, value: Any) -> bool:
+        return isinstance(value, dict)
+
     def type_message(self) -> str:
         return "Input should be a valid object"
 
-    def findings(self, arr: Union[pa.Array, pa.ChunkedArray]) -> list[Finding]:
-        arr = _as_array(arr)
-        nulls = _null_mask(arr)
-        valid = ~nulls
+    def value_findings(self, arr: pa.Array, valid: np.ndarray) -> list[Finding]:
         out: list[Finding] = []
-        if not self.nullable and nulls.any():
-            out.append((np.flatnonzero(nulls), "Input should not be null"))
-        if not self.type_ok(arr.type):
-            idx = np.flatnonzero(valid)
-            if len(idx):
-                out.append((idx, self.type_message()))
-            return out
         present = {f.name for f in arr.type}
         for name, spec in self.attrs.items():
             if name not in present:
                 if not spec.nullable:
-                    idx = np.flatnonzero(valid)
-                    if len(idx):
-                        out.append((idx, f"{name}: Field required"))
+                    out += _rows(valid, f"{name}: Field required")
                 continue
-            child = pc.struct_field(arr, name)
-            for idx, msg in spec.findings(child):
+            for idx, msg in spec.findings(pc.struct_field(arr, name)):
                 keep = idx[valid[idx]]
                 if len(keep):
                     out.append((keep, f"{name}: {msg}"))
         return out
 
+    def value_errors(self, value: Any) -> list[str]:
+        out: list[str] = []
+        for name, spec in self.attrs.items():
+            if name in value:
+                out += _nested(name, spec.check(value[name]))
+            elif not spec.nullable:
+                out.append(f"{name}: Field required")
+        return out
+
 
 @dataclass
 class DictSpec(Spec):
-    """Uniform key/value map column (reference ``json.py:180-194``)."""
+    """Uniform key/value map (reference ``json.py:180-194``)."""
 
     keys: Optional[Spec] = None
     values: Optional[Spec] = None
@@ -495,25 +534,17 @@ class DictSpec(Spec):
     def type_ok(self, dtype: pa.DataType) -> bool:
         return pa.types.is_map(dtype)
 
+    def value_ok(self, value: Any) -> bool:
+        return isinstance(value, dict)
+
     def type_message(self) -> str:
         return "Input should be a valid mapping"
 
-    def findings(self, arr: Union[pa.Array, pa.ChunkedArray]) -> list[Finding]:
-        arr = _as_array(arr)
-        nulls = _null_mask(arr)
-        valid = ~nulls
+    def value_findings(self, arr: pa.Array, valid: np.ndarray) -> list[Finding]:
         out: list[Finding] = []
-        if not self.nullable and nulls.any():
-            out.append((np.flatnonzero(nulls), "Input should not be null"))
-        if not self.type_ok(arr.type):
-            idx = np.flatnonzero(valid)
-            if len(idx):
-                out.append((idx, self.type_message()))
-            return out
         offsets = np.asarray(arr.offsets).astype(np.int64)
         base, end = int(offsets[0]), int(offsets[-1])
-        lengths = np.diff(offsets)
-        parent = np.repeat(np.arange(len(arr), dtype=np.int64), lengths)
+        parent = np.repeat(np.arange(len(arr), dtype=np.int64), np.diff(offsets))
         for sub, label in ((self.keys, "keys"), (self.values, "values")):
             if sub is None:
                 continue
@@ -523,6 +554,15 @@ class DictSpec(Spec):
                 keep = rows[valid[rows]]
                 if len(keep):
                     out.append((keep, f"{label}: {msg}"))
+        return out
+
+    def value_errors(self, value: Any) -> list[str]:
+        out: list[str] = []
+        for k, v in value.items():
+            if self.keys is not None:
+                out += _nested("keys", self.keys.check(k))
+            if self.values is not None:
+                out += _nested("values", self.values.check(v))
         return out
 
 
@@ -565,10 +605,7 @@ def parse_spec(d: Any) -> Spec:
         extra = set(d) - known
         if extra:
             raise SpecError(f"unknown fields {sorted(extra)} for `{t}` spec")
-        spec = cls(nullable=nullable, **d)
-        if allowed is not None:
-            return _with_allowed(spec, allowed, nullable)
-        return spec
+        return cls(nullable=nullable, allowed=None if allowed is None else tuple(allowed), **d)
     if allowed is not None:
         raise SpecError(f"`allowed` is only supported on scalar specs, not `{t}`")
     if t == "literal":
@@ -605,46 +642,3 @@ def parse_spec(d: Any) -> Spec:
             values=parse_spec(d["values"]) if "values" in d else None,
         )
     raise SpecError(f"unknown constraint type `{t}`")
-
-
-class _AllowedWrapper(Spec):
-    """Scalar spec + flat value-enum membership, evaluated together."""
-
-    def __init__(self, base: Spec, allowed: tuple, nullable: bool) -> None:
-        super().__init__(nullable=nullable)
-        self.base = base
-        self.enum = ValueEnumSpec(nullable=True, allowed=allowed)
-
-    def type_ok(self, dtype: pa.DataType) -> bool:
-        return self.base.type_ok(dtype)
-
-    def type_message(self) -> str:
-        return self.base.type_message()
-
-    def findings(self, arr: Union[pa.Array, pa.ChunkedArray]) -> list[Finding]:
-        arr = _as_array(arr)
-        out = self.base.findings(arr)
-        nulls = _null_mask(arr)
-        valid = ~nulls
-        out.extend(
-            (idx[valid[idx]], msg)
-            for idx, msg in self.enum.value_findings(arr, valid)
-            if len(idx[valid[idx]])
-        )
-        return out
-
-    def __repr__(self) -> str:
-        # every field: a resumed run keys its manifests on the rule's repr
-        return f"_AllowedWrapper({self.base!r}, {self.enum.allowed!r}, nullable={self.nullable!r})"
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, _AllowedWrapper)
-            and self.base == other.base
-            and self.enum == other.enum
-        )
-
-
-def _with_allowed(spec: Spec, allowed: Any, nullable: bool) -> Spec:
-    spec.nullable = nullable
-    return _AllowedWrapper(spec, tuple(allowed), nullable)

@@ -381,6 +381,12 @@ _SCALAR_TYPES = {
 }
 
 
+def _reject_unknown(rid: str, left) -> None:
+    """``left``: the keys of a rule mapping that its type did not consume."""
+    if left:
+        raise RuleSetError(f"rule `{rid}`: unknown fields {sorted(left)}")
+
+
 def _build_rule(d: dict, index: int) -> Rule:
     d = dict(d)
     t = d.pop("type", None)
@@ -411,8 +417,7 @@ def _build_rule(d: dict, index: int) -> Rule:
             spec = parse_spec(payload)
         except SpecError as ex:
             raise RuleSetError(f"rule `{rid}`: {ex}") from ex
-        if d:
-            raise RuleSetError(f"rule `{rid}`: unknown fields {sorted(d)}")
+        _reject_unknown(rid, d)
         return JsonRule(rule_id=rid, column=column, spec=spec)
 
     if t == "audio":
@@ -422,9 +427,7 @@ def _build_rule(d: dict, index: int) -> Rule:
             "transcript_column", "check_codec", "check_duration", "check_snr",
             "min_snr_db", "check_transcript", "duration_tolerance_ms",
         }
-        extra = set(d) - known
-        if extra:
-            raise RuleSetError(f"rule `{rid}`: unknown fields {sorted(extra)}")
+        _reject_unknown(rid, set(d) - known)
         return AudioRule(rule_id=rid, **d)
 
     if t in ("asset", "gltf", "zip"):
@@ -446,8 +449,7 @@ def _build_rule(d: dict, index: int) -> Rule:
                 f"rule #{index} of type `asset` requires `format` or `format_column`"
             )
         rid = rule_id or f"{t}_{bytes_column}"
-        if d:
-            raise RuleSetError(f"rule `{rid}`: unknown fields {sorted(d)}")
+        _reject_unknown(rid, d)
         return AssetRule(
             rule_id=rid,
             bytes_column=bytes_column,
@@ -463,20 +465,23 @@ def _build_rule(d: dict, index: int) -> Rule:
             column = columns[0]
         rid = rule_id or f"{t}_" + "_".join(columns or (column,))
         if t == "unique":
-            return UniqueRule(rule_id=rid, column=column, columns=columns)
-        return ReferentialRule(
-            rule_id=rid,
-            column=column,
-            manifest=d.pop("manifest", "manifest"),
-            use_bloom=bool(d.pop("use_bloom", False)),
-            bloom_fpp=float(d.pop("bloom_fpp", 1e-4)),
-            columns=columns,
-        )
+            rule = UniqueRule(rule_id=rid, column=column, columns=columns)
+        else:
+            rule = ReferentialRule(
+                rule_id=rid,
+                column=column,
+                manifest=d.pop("manifest", "manifest"),
+                use_bloom=bool(d.pop("use_bloom", False)),
+                bloom_fpp=float(d.pop("bloom_fpp", 1e-4)),
+                columns=columns,
+            )
+        _reject_unknown(rid, d)
+        return rule
 
     if t == "drift":
         column = d.pop("column", "dur_ms")
         rid = rule_id or f"drift_{column}"
-        return DriftRule(
+        rule = DriftRule(
             rule_id=rid,
             column=column,
             lo=float(d.pop("lo", 0.0)),
@@ -487,5 +492,7 @@ def _build_rule(d: dict, index: int) -> Rule:
             categorical=bool(d.pop("categorical", False)),
             top_k=int(d.pop("top_k", 64)),
         )
+        _reject_unknown(rid, d)
+        return rule
 
     raise RuleSetError(f"rule #{index}: unknown rule type `{t}`")

@@ -131,24 +131,11 @@ def _word_table(ds, text_column: str, min_count: int):
     return wc
 
 
-def _distributed_train(
-    words_ds,
-    n_merges: int,
-    *,
-    init_state=None,
-    init_merges: list[tuple[str, str]] | None = None,
-    checkpoint_cb=None,
-    checkpoint_every: int = 0,
-) -> list[tuple[str, str]]:
+def _distributed_train(words_ds, n_merges: int) -> list[tuple[str, str]]:
     """Merge loop over a word-table Dataset that must not land on the
     driver. Per iteration: per-block pre-aggregated pair counts → small
     groupby sum → per-block argmax → driver merge of block winners →
-    broadcast rewrite + materialize of the (small) word table.
-
-    Resume hooks (``pipelines/resume.py::bpe_train_resumable``):
-    ``init_state`` (a ``(syms, cnt)`` Dataset from a checkpoint) +
-    ``init_merges`` continue the loop mid-way; ``checkpoint_cb(merges,
-    cur_ds)`` fires after every ``checkpoint_every`` completed merges."""
+    broadcast rewrite + materialize of the (small) word table."""
 
     def explode(batch: pa.Table) -> pa.Table:
         toks = batch.column("token").to_pylist()
@@ -159,11 +146,8 @@ def _distributed_train(
             }
         )
 
-    if init_state is not None:
-        cur = init_state.materialize()
-    else:
-        cur = words_ds.map_batches(explode, batch_format="pyarrow").materialize()
-    merges: list[tuple[str, str]] = list(init_merges or [])
+    cur = words_ds.map_batches(explode, batch_format="pyarrow").materialize()
+    merges: list[tuple[str, str]] = []
 
     def pair_partial(batch: pa.Table) -> pa.Table:
         counts: dict[tuple[str, str], int] = {}
@@ -238,13 +222,6 @@ def _distributed_train(
             )
 
         cur = cur.map_batches(rewrite, batch_format="pyarrow").materialize()
-        if (
-            checkpoint_cb is not None
-            and checkpoint_every
-            and len(merges) % checkpoint_every == 0
-            and len(merges) < n_merges
-        ):
-            checkpoint_cb(list(merges), cur)
     return merges
 
 

@@ -438,23 +438,15 @@ def kmeans_centroids(
     sample_size: int = 10_000,
     vec_column: str = "embedding",
     seed: int = 11,
-    init_centroids: np.ndarray | None = None,
 ) -> np.ndarray:
     """The centroid-fit half of :func:`kmeans_cluster` (init from a
     bounded driver sample, then ``iters`` streaming partial-sum passes);
     returns the unit-normalized (k × dim) centroid matrix so callers can
-    run their own assignment pass (``kmeans_cluster``, ``semdedup``).
-    ``init_centroids`` skips the sample init and continues the Lloyd
-    iteration from a given matrix — the resume hook used by
-    ``pipelines/resume.py::semdedup_resumable`` (per-pass centroid
-    checkpoints)."""
+    run their own assignment pass (``kmeans_cluster``, ``semdedup``)."""
     import ray
 
-    if init_centroids is not None:
-        cent = np.asarray(init_centroids, np.float64)
-    else:
-        sample = ds.limit(sample_size)
-        cent = kmeans_fit(collect_matrix(sample, vec_column), n_clusters, seed=seed)
+    sample = ds.limit(sample_size)
+    cent = kmeans_fit(collect_matrix(sample, vec_column), n_clusters, seed=seed)
     vecs = ds.select_columns([vec_column])  # iteration passes never need ids
     for _ in range(iters):
         cent_ref = ray.put(cent)

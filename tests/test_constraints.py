@@ -142,6 +142,17 @@ def test_allowed_value_enum():
     }
 
 
+def test_allowed_on_a_wrong_typed_column_reports_only_the_type():
+    # `allowed` is checked on rows of the right type only: an int column
+    # under a str rule gets one reason per row, not the type and the enum
+    spec = parse_spec({"type": "str", "allowed": ["a", "b"]})
+    got = [(idx.tolist(), msg) for idx, msg in spec.findings(pa.array([1, 2, None]))]
+    assert got == [
+        ([2], "Input should not be null"),
+        ([0, 1], "Input should be a valid string"),
+    ]
+
+
 def test_enum_of_variant_specs():
     spec = EnumSpec(variants=(LiteralSpec(value="a"), LiteralSpec(value="b")))
     assert findings_as_set(spec, pa.array(["a", "b", "c"])) == {

@@ -1,4 +1,4 @@
-"""JSON payload validation — walker parity with the reference's strict
+"""JSON payload validation — ``Spec.check`` parity with the reference's strict
 pydantic semantics (``/root/reference/tests/test_json.py:155-206``
 golden-message pattern over decoded values)."""
 
@@ -6,61 +6,80 @@ import pyarrow as pa
 import pytest
 
 from fs_schema_validator_ray.functions.constraints import parse_spec
-from fs_schema_validator_ray.functions.json_payload import (
-    JsonPayloadStage,
-    validate_json_value,
-)
+from fs_schema_validator_ray.functions.json_payload import JsonPayloadStage
 from fs_schema_validator_ray.rules import JsonRule, RuleSet
 
 
-V = validate_json_value
+def V(value, spec):
+    return spec.check(value)
+
+
+GOLDEN = [
+    ({"type": "int"}, 1, []),
+    ({"type": "int"}, "1", ["Input should be a valid integer"]),  # strict
+    ({"type": "int"}, True, ["Input should be a valid integer"]),
+    ({"type": "int", "min": 2}, 1, ["Input should be greater than or equal to 2"]),
+    ({"type": "int", "multiple_of": 3}, 7, ["Input should be a multiple of 3"]),
+    ({"type": "float"}, 1.5, []),
+    ({"type": "float"}, 1, ["Input should be a valid number"]),  # strict
+    ({"type": "bool"}, True, []),
+    ({"type": "bool"}, 1, ["Input should be a valid boolean"]),
+    ({"type": "str", "regex": "^a+$"}, "aaa", []),
+    ({"type": "str", "regex": "^a+$"}, "b", ["String should match pattern '^a+$'"]),
+    ({"type": "str", "min_length": 2}, "x", ["String should have at least 2 characters"]),
+    ({"type": "str"}, None, ["Input should not be null"]),
+    ({"type": "str", "nullable": True}, None, []),
+    ({"type": "literal", "value": 5}, 5, []),
+    ({"type": "literal", "value": 5}, 6, ["Input should be 5"]),
+    ({"type": "str", "allowed": ["a", "b"]}, "c", ["Input should be 'a' or 'b'"]),
+    ({"type": "array", "items": {"type": "int"}, "min_items": 2}, [1],
+     ["List should have at least 2 items"]),
+    ({"type": "array", "items": {"type": "int"}}, [1, "x"],
+     ["1: Input should be a valid integer"]),
+    ({"type": "array"}, {"a": 1}, ["Input should be a valid list"]),
+    ({"type": "tuple", "items": [{"type": "int"}, {"type": "str"}]}, [1, "a"], []),
+    ({"type": "tuple", "items": [{"type": "int"}, {"type": "str"}]}, [1],
+     ["Tuple should have exactly 2 items"]),
+    ({"type": "object", "attrs": {"k": {"type": "int"}}}, {"k": 1}, []),
+    ({"type": "object", "attrs": {"k": {"type": "int"}}}, {},
+     ["k: Field required"]),
+    ({"type": "object", "attrs": {"k": {"type": "int", "nullable": True}}}, {}, []),
+    ({"type": "object", "attrs": {"k": {"type": "int"}}}, [1],
+     ["Input should be a valid object"]),
+    ({"type": "object", "attrs": {"a": {"type": "object", "attrs": {"b": {"type": "int"}}}}},
+     {"a": {"b": "x"}}, ["a: b: Input should be a valid integer"]),
+    ({"type": "dict", "values": {"type": "int", "max": 3}}, {"x": 9},
+     ["values: Input should be less than or equal to 3"]),
+    ({"type": "enum", "variants": [{"type": "int"}, {"type": "str"}]}, 1.5,
+     ["Input does not match any of 2 allowed variants"]),
+    ({"type": "enum", "variants": [{"type": "int"}, {"type": "str"}]}, "ok", []),
+]
+
+
+@pytest.mark.parametrize("spec,value,expected", GOLDEN)
+def test_walker_golden(spec, value, expected):
+    assert V(value, parse_spec(spec)) == expected
 
 
 @pytest.mark.parametrize(
     "spec,value,expected",
-    [
-        ({"type": "int"}, 1, []),
-        ({"type": "int"}, "1", ["Input should be a valid integer"]),  # strict
-        ({"type": "int"}, True, ["Input should be a valid integer"]),
-        ({"type": "int", "min": 2}, 1, ["Input should be greater than or equal to 2"]),
-        ({"type": "int", "multiple_of": 3}, 7, ["Input should be a multiple of 3"]),
-        ({"type": "float"}, 1.5, []),
-        ({"type": "float"}, 1, ["Input should be a valid number"]),  # strict
-        ({"type": "bool"}, True, []),
-        ({"type": "bool"}, 1, ["Input should be a valid boolean"]),
-        ({"type": "str", "regex": "^a+$"}, "aaa", []),
-        ({"type": "str", "regex": "^a+$"}, "b", ["String should match pattern '^a+$'"]),
-        ({"type": "str", "min_length": 2}, "x", ["String should have at least 2 characters"]),
-        ({"type": "str"}, None, ["Input should not be null"]),
-        ({"type": "str", "nullable": True}, None, []),
-        ({"type": "literal", "value": 5}, 5, []),
-        ({"type": "literal", "value": 5}, 6, ["Input should be 5"]),
-        ({"type": "str", "allowed": ["a", "b"]}, "c", ["Input should be 'a' or 'b'"]),
-        ({"type": "array", "items": {"type": "int"}, "min_items": 2}, [1],
-         ["List should have at least 2 items"]),
-        ({"type": "array", "items": {"type": "int"}}, [1, "x"],
-         ["1: Input should be a valid integer"]),
-        ({"type": "array"}, {"a": 1}, ["Input should be a valid list"]),
-        ({"type": "tuple", "items": [{"type": "int"}, {"type": "str"}]}, [1, "a"], []),
-        ({"type": "tuple", "items": [{"type": "int"}, {"type": "str"}]}, [1],
-         ["Tuple should have exactly 2 items"]),
-        ({"type": "object", "attrs": {"k": {"type": "int"}}}, {"k": 1}, []),
-        ({"type": "object", "attrs": {"k": {"type": "int"}}}, {},
-         ["k: Field required"]),
-        ({"type": "object", "attrs": {"k": {"type": "int", "nullable": True}}}, {}, []),
-        ({"type": "object", "attrs": {"k": {"type": "int"}}}, [1],
-         ["Input should be a valid object"]),
-        ({"type": "object", "attrs": {"a": {"type": "object", "attrs": {"b": {"type": "int"}}}}},
-         {"a": {"b": "x"}}, ["a: b: Input should be a valid integer"]),
-        ({"type": "dict", "values": {"type": "int", "max": 3}}, {"x": 9},
-         ["values: Input should be less than or equal to 3"]),
-        ({"type": "enum", "variants": [{"type": "int"}, {"type": "str"}]}, 1.5,
-         ["Input does not match any of 2 allowed variants"]),
-        ({"type": "enum", "variants": [{"type": "int"}, {"type": "str"}]}, "ok", []),
+    [case for case in GOLDEN if not isinstance(case[1], (list, dict))]
+    + [
+        # `allowed` is reported alongside the node's other value messages
+        ({"type": "str", "min_length": 2, "allowed": ["ab", "cd"]}, "x",
+         ["String should have at least 2 characters", "Input should be 'ab' or 'cd'"]),
+        ({"type": "int", "max": 3, "allowed": [1, 2]}, 5,
+         ["Input should be less than or equal to 3", "Input should be 1 or 2"]),
+        # a float multiple_of is tested on the quotient, in both evaluators
+        ({"type": "float", "multiple_of": 1e-12}, 1.5e-12,
+         ["Input should be a multiple of 1e-12"]),
+        ({"type": "float", "multiple_of": 0.1}, 0.3, []),
     ],
 )
-def test_walker_golden(spec, value, expected):
-    assert V(value, parse_spec(spec)) == expected
+def test_json_value_and_column_report_the_same(spec, value, expected):
+    spec = parse_spec(spec)
+    assert spec.check(value) == expected
+    assert [msg for _, msg in spec.findings(pa.array([value]))] == expected
 
 
 def test_json_payload_stage():

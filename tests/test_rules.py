@@ -180,6 +180,21 @@ def test_invalid_rulesets():
         )
 
 
+@pytest.mark.parametrize(
+    "rule,unknown",
+    [
+        ({"type": "unique", "column": "v", "colums": ["a", "b"]}, "colums"),
+        ({"type": "unique", "column": "v", "exact": True}, "exact"),
+        ({"type": "referential", "use_blom": True}, "use_blom"),
+        ({"type": "drift", "max_kss": 0.01}, "max_kss"),
+    ],
+)
+def test_global_rules_reject_unknown_fields(rule, unknown):
+    # a misspelt key must not leave the rule on its defaults
+    with pytest.raises(RuleSetError, match=rf"unknown fields \['{unknown}'\]"):
+        RuleSet.from_yaml({"rules": [rule]})
+
+
 # --- scalar stage over an Arrow batch -------------------------------------
 
 
