@@ -68,28 +68,6 @@ def decode_bmp(data: bytes) -> np.ndarray:
     return palette[idx]
 
 
-def encode_bmp(rgb: np.ndarray, top_down: bool = False) -> bytes:
-    """24-bit uncompressed BMP from an ``(h, w, 3)`` uint8 RGB array."""
-    px = np.asarray(rgb, np.uint8)
-    if px.ndim != 3 or px.shape[2] != 3:
-        raise ValueError("expected (h, w, 3) RGB")
-    h, w = px.shape[:2]
-    row_bytes = (w * 3 + 3) & ~3
-    body = np.zeros((h, row_bytes), np.uint8)
-    bgr = px[..., ::-1]
-    rows = bgr if top_down else bgr[::-1]
-    body[:, : w * 3] = rows.reshape(h, w * 3)
-    pix = body.tobytes()
-    dib = struct.pack(
-        "<IiiHHIIiiII", 40, w, -h if top_down else h, 1, 24, 0, len(pix), 2835, 2835, 0, 0
-    )
-    hdr = b"BM" + struct.pack("<IHHI", 14 + 40 + len(pix), 0, 0, 14 + 40)
-    return hdr + dib + pix
-
-
-# --- baseline TIFF (kept with BMP: the two trivial uncompressed formats) -----
-
-
 class TiffError(ValueError):
     """Malformed / unsupported TIFF payload."""
 
@@ -186,43 +164,3 @@ def decode_tiff(data: bytes) -> np.ndarray:
     if spp == 1:
         return np.repeat(px, 3, axis=2)
     return px[..., :3].copy()  # drop alpha if present
-
-
-def encode_tiff(rgb: np.ndarray, big_endian: bool = False) -> bytes:
-    """Single-strip uncompressed RGB TIFF for tests/corpus."""
-    px = np.asarray(rgb, np.uint8)
-    if px.ndim != 3 or px.shape[2] != 3:
-        raise ValueError("expected (h, w, 3) RGB")
-    h, w = px.shape[:2]
-    endian = ">" if big_endian else "<"
-    pix = px.tobytes()
-    # layout: header(8) + pixel data + IFD
-    pix_off = 8
-    ifd_off = pix_off + len(pix)
-    entries = [
-        (256, 4, 1, w),          # width
-        (257, 4, 1, h),          # height
-        (258, 3, 3, None),       # bits per sample (offset value)
-        (259, 3, 1, 1),          # compression: none
-        (262, 3, 1, 2),          # photometric: RGB
-        (273, 4, 1, pix_off),    # strip offset
-        (277, 3, 1, 3),          # samples per pixel
-        (278, 4, 1, h),          # rows per strip
-        (279, 4, 1, len(pix)),   # strip byte count
-    ]
-    bps_off = ifd_off + 2 + 12 * len(entries) + 4
-    out = bytearray()
-    out += (b"II" if not big_endian else b"MM") + struct.pack(endian + "HI", 42, ifd_off)
-    out += pix
-    out += struct.pack(endian + "H", len(entries))
-    for tag, typ, n, val in entries:
-        if tag == 258:
-            raw = struct.pack(endian + "I", bps_off)
-        elif typ == 3:
-            raw = struct.pack(endian + "HH", val, 0)
-        else:
-            raw = struct.pack(endian + "I", val)
-        out += struct.pack(endian + "HHI", tag, typ, n) + raw
-    out += struct.pack(endian + "I", 0)  # next IFD
-    out += struct.pack(endian + "HHH", 8, 8, 8)
-    return bytes(out)

@@ -335,18 +335,18 @@ class BinarySpec(Spec):
 
 @dataclass
 class LiteralSpec(Spec):
-    """Exact scalar value (reference ``json.py:209-215``). A JSON value
-    must equal it with the same bool-ness (``True`` is not ``1``)."""
+    """Exact scalar value (reference ``json.py:209-215``). A value must
+    equal it with the same bool-ness (``True`` is not ``1``); an int or
+    float literal is compared by value, so ``5`` accepts ``5.0`` and an
+    integer column meets ``5.0``, as pydantic's ``Literal`` does."""
 
     value: Any = None
 
     def type_ok(self, dtype: pa.DataType) -> bool:
         if isinstance(self.value, bool):
             return pa.types.is_boolean(dtype)
-        if isinstance(self.value, int):
-            return pa.types.is_integer(dtype)
-        if isinstance(self.value, float):
-            return pa.types.is_floating(dtype)
+        if isinstance(self.value, (int, float)):
+            return pa.types.is_integer(dtype) or pa.types.is_floating(dtype)
         if isinstance(self.value, str):
             return pa.types.is_string(dtype) or pa.types.is_large_string(dtype)
         return False

@@ -294,34 +294,3 @@ def decode_y4m_frame(data: bytes, info: Y4mInfo, index: int) -> np.ndarray:
         u = np.frombuffer(data, np.uint8, cw * ch, off + ysz).reshape(ch, cw)
         v = np.frombuffer(data, np.uint8, cw * ch, off + ysz + cw * ch).reshape(ch, cw)
     return _full_range_yuv_to_rgb(y, u, v)
-
-
-def encode_y4m(frames, fps: int = 10, colorspace: str = "444") -> bytes:
-    """Minimal Y4M writer for tests/corpus (RGB → full-range BT.601;
-    C444 round-trips pixel-near-exact, C420 subsamples 2×2 box)."""
-    frames = [np.asarray(f, np.uint8) for f in frames]
-    if not frames:
-        raise ValueError("need at least one frame")
-    h, w = frames[0].shape[:2]
-    if colorspace not in ("444", "420", "mono"):
-        raise ValueError("colorspace must be 444, 420 or mono")
-    tag = {"444": "444", "420": "420jpeg", "mono": "mono"}[colorspace]
-    out = bytearray(f"YUV4MPEG2 W{w} H{h} F{max(fps,1)}:1 Ip A1:1 C{tag}\n".encode())
-    for f in frames:
-        if f.shape != frames[0].shape:
-            raise ValueError("all frames must share one shape")
-        r, g, b = (f[..., i].astype(np.float64) for i in range(3))
-        y = np.clip(np.round(0.299 * r + 0.587 * g + 0.114 * b), 0, 255)
-        out += b"FRAME\n"
-        out += y.astype(np.uint8).tobytes()
-        if colorspace == "mono":
-            continue
-        u = np.clip(np.round(-0.168736 * r - 0.331264 * g + 0.5 * b + 128.0), 0, 255)
-        v = np.clip(np.round(0.5 * r - 0.418688 * g - 0.081312 * b + 128.0), 0, 255)
-        if colorspace == "420":
-            u = u.reshape(h // 2, 2, w // 2, 2).mean(axis=(1, 3))
-            v = v.reshape(h // 2, 2, w // 2, 2).mean(axis=(1, 3))
-            u, v = np.round(u), np.round(v)
-        out += u.astype(np.uint8).tobytes()
-        out += v.astype(np.uint8).tobytes()
-    return bytes(out)

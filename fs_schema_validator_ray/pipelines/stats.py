@@ -13,11 +13,14 @@ category counts for a categorical rule), folded on the driver by
 a baseline with KS / PSI (north_rule) — partitions whose statistic
 exceeds the rule threshold produce partition-level violation rows.
 
-The validation run's global pass (:func:`global_partials`) is the same
-partial/final pattern over every pending ``unique`` and ``drift`` rule
-at once: one keys-only scan, per batch one partial per rule — the drift partial,
-or the sparse cell counts of a ``unique`` rule's counting filter (the
-cells come from ``stages/unique.py``) — merged on the driver.
+The validation run's global rules use the same partial/final pattern
+over every pending ``unique`` and ``drift`` rule at once, inside the
+tasks that already read their columns (the row pass, and a keys-only
+scan of partitions a resumed run skips): :class:`GlobalPartial` folds
+each batch into one partial per rule per task — a drift rule's
+per-partition counts, or the sparse cell counts of a ``unique`` rule's
+counting filter (the cells come from ``stages/unique.py``) — and
+:func:`fold_partials` merges them on the driver as the tasks finish.
 """
 
 from __future__ import annotations
@@ -250,61 +253,79 @@ def _ipc(t: pa.Table) -> bytes:
     return sink.getvalue().to_pybytes()
 
 
+def _drift_table(rule: DriftRule, merged: dict) -> pa.Table:
+    """A :func:`merge_drift_partial` state as one :func:`drift_partial`
+    table (a row per partition, or per partition and category)."""
+    if rule.categorical:
+        rows = [(pid, c, n) for pid, d in merged.items() for c, n in d.items()]
+        pids, cats, ns = zip(*rows) if rows else ((), (), ())
+        return pa.table({"partition_id": pa.array(pids, pa.int32()),
+                         "category": pa.array(cats, pa.string()),
+                         "n": pa.array(ns, pa.int64())})
+    return pa.table(
+        {"partition_id": pa.array(list(merged), pa.int32()),
+         "counts": pa.array([h.counts.tolist() for h in merged.values()],
+                            pa.list_(pa.int64()))}
+    )
+
+
 class GlobalPartial:
-    """Aggregating half of the validation run's global pass: ONE map UDF
-    for every pending ``unique`` and ``drift`` rule, after
-    ``stages.unique.with_key_cells``. Per batch it emits one row per
-    rule, the rule's index (unique rules first) and its partial as an
-    Arrow IPC blob: the sparse ``(cell, min(n, 2))`` pairs of the ``i``-th
-    unique rule's ``__cell<i>`` column, the :func:`drift_partial` table
-    of a drift rule."""
+    """The partial of every pending ``unique`` and ``drift`` rule over the
+    batches of a task: :meth:`add` folds a batch (with ``partition_id``)
+    in; :meth:`blobs` gives one row per rule, its index (unique rules
+    first) and an Arrow IPC blob: the sparse ``(cell, min(n, 255))`` pairs
+    of a unique rule's filter of ``2**bits`` cells
+    (``stages.unique.key_cells``), a drift rule's :func:`drift_partial`
+    table. Called on a batch, it is a ``map_batches`` UDF."""
 
-    def __init__(self, n_unique: int, drift_rules: list) -> None:
-        self.n_unique, self.drift_rules = n_unique, drift_rules
+    def __init__(self, unique_rules: list, drift_rules: list, bits: int) -> None:
+        self.unique_rules, self.drift_rules, self.bits = unique_rules, drift_rules, bits
+        self.cells: list = [[] for _ in unique_rules]
+        self.drift: list = [{} for _ in drift_rules]
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def add(self, batch: pa.Table) -> None:
+        for cells, rule in zip(self.cells, self.unique_rules):
+            cells.append(unique_stage.key_cells(batch, rule, self.bits).astype(np.int32))
+        for merged, rule in zip(self.drift, self.drift_rules):
+            merge_drift_partial(merged, rule, drift_partial(rule)(batch))
+
+    def blobs(self) -> pa.Table:
         blobs = []
-        for i in range(self.n_unique):
-            cells, n = np.unique(np.asarray(batch.column(f"__cell{i}")), return_counts=True)
-            # the filter saturates at 2: five bytes a pair
-            n = np.minimum(n, 2).astype(np.uint8)
-            blobs.append(_ipc(pa.table({"cell": cells, "n": n})))
-        for rule in self.drift_rules:
-            blobs.append(_ipc(drift_partial(rule)(batch)))
+        for cells in self.cells:
+            cells, n = np.unique(np.concatenate(cells or [np.empty(0, np.int32)]),
+                                 return_counts=True)
+            # a byte a count: five bytes a pair
+            blobs.append(_ipc(pa.table({"cell": cells, "n": np.minimum(n, 255).astype(np.uint8)})))
+        for merged, rule in zip(self.drift, self.drift_rules):
+            blobs.append(_ipc(_drift_table(rule, merged)))
         return pa.table(
             {"rule": pa.array(range(len(blobs)), pa.int32()),
              "blob": pa.array(blobs, pa.binary())}
         )
 
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        partial = GlobalPartial(self.unique_rules, self.drift_rules, self.bits)
+        partial.add(batch)
+        return partial.blobs()
 
-def global_partials(ds, unique_rules: list, drift_rules: list, rows: Optional[int] = None):
-    """The global pass over ``ds``, a corpus of ``rows`` rows (``None``:
-    the largest filter): ONE ``map_batches`` chain —
-    ``stages.unique.with_key_cells`` (skipped without unique rules) then
-    :class:`GlobalPartial` — merged on the driver as the blocks arrive.
-    Returns ``(filters, drift_states)``: per unique rule a count for each
-    of its ``2**stages.unique.filter_bits(rows)`` cells, saturated at 2
-    (a byte a cell), and per drift rule its :func:`merge_drift_partial`
-    state. Driver memory is the filters plus partitions × bins; each
-    block sends at most one pair per distinct cell it holds."""
-    bits = unique_stage.filter_bits(rows)
-    if unique_rules:
-        keep = {PARTITION_COLUMN, *(c for r in drift_rules for c in r.input_columns())}
-        ds = unique_stage.with_key_cells(ds, unique_rules, bits, sorted(keep))
-    filters = [np.zeros(1 << bits, np.uint8) for _ in unique_rules]
-    drift_states: list = [{} for _ in drift_rules]
-    out = ds.map_batches(GlobalPartial(len(unique_rules), drift_rules), batch_format="pyarrow")
-    for b in out.iter_batches(batch_format="pyarrow", batch_size=None):
-        for i, blob in zip(b.column("rule").to_pylist(), b.column("blob").to_pylist()):
-            part = pa.ipc.open_stream(blob).read_all()
-            if i < len(unique_rules):
-                # cells are distinct within one partial
-                cells = np.asarray(part.column("cell"))
-                filters[i][cells] = np.minimum(filters[i][cells] + np.asarray(part.column("n")), 2)
-            else:
-                j = i - len(unique_rules)
-                merge_drift_partial(drift_states[j], drift_rules[j], part)
-    return filters, drift_states
+
+def fold_partials(filters: list, drift_states: list, drift_rules: list, blobs: pa.Table) -> None:
+    """Fold :class:`GlobalPartial` rows (``rule``, ``blob``; a null blob is
+    skipped) in place into ``filters[i]``, a byte a cell of the ``i``-th
+    unique rule's filter saturated at 255, and ``drift_states[j]``, the
+    :func:`merge_drift_partial` state of ``drift_rules[j]``."""
+    for i, blob in zip(blobs.column("rule").to_pylist(), blobs.column("blob").to_pylist()):
+        if blob is None:
+            continue
+        part = pa.ipc.open_stream(blob).read_all()
+        if i < len(filters):
+            # cells are distinct within one partial
+            cells = np.asarray(part.column("cell"))
+            filters[i][cells] = np.minimum(
+                filters[i][cells] + np.asarray(part.column("n"), np.uint16), 255)
+        else:
+            j = i - len(filters)
+            merge_drift_partial(drift_states[j], drift_rules[j], part)
 
 
 def drift_verdicts(merged: dict, rule: DriftRule, baseline=None):

@@ -11,23 +11,27 @@ Ray-Data-first rebuild of the reference's one-shot serial run
   pruned columns (from the footers), one task per run
   (:func:`plan_tasks`); each task reads its partitions' files itself
   (:func:`scan_partition`, the run's one reader),
-* globally-scoped rules — every pending ``unique`` and ``drift`` rule —
-  run first as ONE global pass: one keys-only scan
-  (:class:`ScanPartitions`) whose fused ``map_batches`` chain emits each
-  unique rule's counting-filter cells and each drift rule's
-  per-partition partials, merged on the driver
-  (``pipelines/stats.py::global_partials``). Drift verdicts need nothing
-  more. Keys can repeat only in cells counted twice: with none there is
-  no second read and no shuffle; otherwise one more keys-only scan keeps
-  just those rows and the exact keyed exchange runs over them
-  (``stages/unique.py``) — never payloads,
 * the row pass is ONE Ray execution over every pending partition: a
   task reads each of its partitions in ``decode_batch_size`` batches,
   runs every per-row rule (scalar + audio decode + JSON + assets +
   referential broadcast probe) as one fused stage, and **commits** the
   partition the moment its last row is checked: its violations file,
   then its manifest ``part-N.json`` (lineage, row/violation counts,
-  wall time).
+  wall time),
+* globally-scoped rules — every pending ``unique`` and ``drift`` rule —
+  come out of the same read: the row pass reads their columns too, and
+  each task returns one mergeable partial per rule beside its docs
+  (``pipelines/stats.py::GlobalPartial``): each unique rule's
+  counting-filter cells, each drift rule's per-partition histograms.
+  The driver folds them as the tasks finish (``fold_partials``), then
+  writes the drift verdicts. Keys can repeat only in cells counted
+  twice: with none there is no second read and no shuffle; otherwise ONE
+  keys-only scan keeps just those rows of every rule and merges them in
+  one exchange (``stages/unique.py::candidate_violations``) — never
+  payloads. A fresh run is thus at most two Ray executions. A finished
+  partition keeps no partials: a resumed run that still owes a global
+  verdict scans the keys of the partitions it skips
+  (:class:`ScanPartitions`).
 
 Every manifest doc (``part-N``, ``plan``, ``global``, ``drift-<id>``)
 records ``key``, a digest of the inputs it was computed from (:func:`_key`).
@@ -45,6 +49,7 @@ file.
 
 from __future__ import annotations
 
+import collections
 import glob
 import hashlib
 import json
@@ -58,7 +63,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from fs_schema_validator_ray.pipelines.stats import drift_verdicts, global_partials
+from fs_schema_validator_ray.pipelines.stats import GlobalPartial, drift_verdicts, fold_partials
 from fs_schema_validator_ray.report import (
     PARTITION_COLUMN,
     VIOLATION_SCHEMA,
@@ -333,17 +338,23 @@ class CommitPartitions:
     Input: one row per partition holding its manifest doc as planned
     (key, lineage, footer row count). Per partition:
     clear its violations directory, stream its files in ``batch_size``
-    batches through the fused stage and the sketch columns into their
-    sketches, check that the rows read equal the footer count,
-    ``os.replace`` the violations file into place, then write
-    ``part-N.json``. Output: the written docs, one row per
-    partition (the receipts)."""
+    batches through the fused stage, the sketch columns into their
+    sketches and the global rules' columns into the task's
+    :class:`GlobalPartial`, check that the rows read equal the footer
+    count, ``os.replace`` the violations file into place, then write
+    ``part-N.json``. Output: the written docs, one ``doc`` row per
+    partition (the receipts), then the task's partials, one ``rule`` /
+    ``blob`` row per pending global rule (``global_rules``: the unique
+    rules, the drift rules and the filter bits). The partials are not
+    checkpointed: a resumed run reads the keys of finished partitions
+    again."""
 
     def __init__(
         self,
         stage: Optional[CombinedValidateStage],
         stage_columns: list[str],
         sketch_columns: list[str],
+        global_rules: tuple,
         file_schema: Optional[pa.Schema],
         batch_size: int,
         output_dir: str,
@@ -351,25 +362,30 @@ class CommitPartitions:
         self.stage = stage
         self.stage_columns = stage_columns
         self.sketch_columns = sketch_columns
+        self.global_rules = global_rules
         self.columns = sorted(
             set(sketch_columns) | (set(stage_columns) if stage is not None else set())
+            | {c for r in [*global_rules[0], *global_rules[1]] for c in r.input_columns()}
         )
         self.file_schema = file_schema
         self.batch_size = batch_size
         self.output_dir = output_dir
 
     def __call__(self, items: pa.Table) -> pa.Table:
-        docs = [self.commit(json.loads(d)) for d in items.column("doc").to_pylist()]
-        return pa.table({"doc": pa.array([json.dumps(d) for d in docs], pa.string())})
+        partial = GlobalPartial(*self.global_rules)
+        docs = [json.dumps(self.commit(json.loads(d), partial))
+                for d in items.column("doc").to_pylist()]
+        return pa.concat_tables([pa.table({"doc": pa.array(docs, pa.string())}),
+                                 partial.blobs()], promote_options="default")
 
-    def commit(self, doc: dict) -> dict:
+    def commit(self, doc: dict, partial: GlobalPartial) -> dict:
         t0 = time.perf_counter()
         out_dir = doc["violations_path"]
         shutil.rmtree(out_dir, ignore_errors=True)
         tmp = os.path.join(out_dir, "violations.tmp")
         rows, found, sketches = doc["rows"], 0, {}
         if self.columns:
-            rows, found, sketches = self.check(doc["partition_id"], doc["files"], tmp)
+            rows, found, sketches = self.check(doc["partition_id"], doc["files"], tmp, partial)
         if rows != doc["rows"]:
             raise ValueError(
                 f"partition {doc['partition_id']}: read {rows} rows, "
@@ -387,10 +403,11 @@ class CommitPartitions:
         _write_manifest(self.output_dir, doc)
         return doc
 
-    def check(self, pid: int, files: list[str], tmp: str):
-        """Stream one partition's files through the stage and the
-        sketches; violation rows go to ``tmp`` (not named ``*.parquet``
-        until committed). Returns ``(rows read, violations, sketches)``."""
+    def check(self, pid: int, files: list[str], tmp: str, partial: GlobalPartial):
+        """Stream one partition's files through the stage, the sketches
+        and ``partial``; violation rows go to ``tmp`` (not named
+        ``*.parquet`` until committed). Returns ``(rows read, violations,
+        sketches)``."""
         from fs_schema_validator_ray.state.sketches import HyperLogLog, TDigest
 
         scan = scan_partition(files, self.columns, self.file_schema, self.batch_size)
@@ -408,9 +425,13 @@ class CommitPartitions:
                     values = rb.column(c).drop_null()
                     if len(values):
                         sk.add(values.to_numpy(zero_copy_only=False))
-                if self.stage is None or not rb.num_rows:
+                if not rb.num_rows:
                     continue
-                v = self.stage(_with_partition(rb.select(self.stage_columns), pid))
+                batch = _with_partition(rb, pid)
+                partial.add(batch)
+                if self.stage is None:
+                    continue
+                v = self.stage(batch.select([*self.stage_columns, PARTITION_COLUMN]))
                 if v.num_rows:
                     if writer is None:
                         os.makedirs(os.path.dirname(tmp), exist_ok=True)
@@ -457,14 +478,6 @@ def _column_bytes(md: pq.FileMetaData) -> dict[str, int]:
             name = c.path_in_schema.split(".", 1)[0]
             out[name] = out.get(name, 0) + c.total_uncompressed_size
     return out
-
-
-def _footer_row_count(directory: str) -> int:
-    """Row count from parquet footers — no data read, no Ray job."""
-    return sum(
-        pq.ParquetFile(f).metadata.num_rows
-        for f in glob.glob(os.path.join(directory, "**", "*.parquet"), recursive=True)
-    )
 
 
 def run_validation(cfg: ValidationRunConfig) -> RunResult:
@@ -595,46 +608,27 @@ def run_validation(cfg: ValidationRunConfig) -> RunResult:
         (set(rules.required_columns(cfg.key_column)) & input_columns) - {PARTITION_COLUMN}
     )
 
-    # --- global pass: every pending unique and drift rule from ONE read --
-    # One keys-only pass emits each unique rule's counting-filter cells and
-    # each drift rule's per-partition partials; the driver merges both.
-    # Only keys in a cell counted twice can repeat: none → no further
-    # read; else one more read keeps those rows for the exchange.
-    global_metrics: dict[str, Any] = done.get("global", {}).get("metrics", {})
+    # --- global rules: partials from the tasks that read their columns ---
+    # (the row pass; a keys-only scan of the partitions it skips)
     unique_rules = [] if "global" in done else rules.unique_rules()
     drift_rules = [r for r in rules.drift_rules() if f"drift-{r.rule_id}" not in done]
+    global_rules = (unique_rules, drift_rules,
+                    unique.filter_bits(sum(rows for rows, _ in footers.values())))
+    global_columns = {c for r in [*unique_rules, *drift_rules] for c in r.input_columns()}
+    filters = [np.zeros(1 << global_rules[2], np.uint8) for _ in unique_rules]
+    drift_states: list = [{} for _ in drift_rules]
+    pending = [(pid, grp) for pid, grp in groups if f"part-{pid}" not in done]
+    executions = 0  # Ray executions this run started
 
-    def read_keys(columns):
+    def read_keys(columns, parts=groups):
         # keys only: pyarrow's default batch size
         columns = sorted(columns)
         return _task_items(
-            groups, columns, footers, cfg.wave_size,
+            parts, columns, footers, cfg.wave_size,
             lambda pid, files: {"partition_id": pid, "files": files},
         ).map_batches(
             ScanPartitions(columns, unified_schema), batch_format="pyarrow", batch_size=None
         )
-
-    t0 = time.perf_counter()
-    filters, drift_states = (
-        global_partials(
-            read_keys({c for r in [*unique_rules, *drift_rules] for c in r.input_columns()}),
-            unique_rules, drift_rules, sum(rows for rows, _ in footers.values()),
-        )
-        if unique_rules or drift_rules
-        else ([], [])
-    )
-    if unique_rules:
-        out_dir = _violations_dir(cfg.output_dir, "global")
-        vds = unique.candidate_violations(read_keys, unique_rules, filters)
-        if vds is not None:
-            vds.write_parquet(out_dir)
-        # footer sum (zero violations → no files → 0)
-        n = _footer_row_count(out_dir)
-        global_metrics = {"wall_s": time.perf_counter() - t0, "violations": n}
-        write({"id": "global", "status": "done", "violations": n, "metrics": global_metrics})
-
-    _mark("unique")
-    pending = [(pid, grp) for pid, grp in groups if f"part-{pid}" not in done]
 
     # --- referential membership (built once, broadcast via ray.put) ------
     membership_refs = {}
@@ -659,33 +653,6 @@ def run_validation(cfg: ValidationRunConfig) -> RunResult:
             membership_refs[rule.rule_id] = ray.put(membership)
 
     _mark("membership")
-    # --- drift: verdicts over the partials the global pass merged ---------
-    # Per-partition histograms and the (self-)baseline come out of the same
-    # read; nothing about drift touches the payload-bearing row pass.
-    for rule, state in zip(drift_rules, drift_states):
-        doc_id = f"drift-{rule.rule_id}"
-        dviol, dmetrics, dsketches = drift_verdicts(
-            state, rule, cfg.baselines.get(rule.rule_id)
-        )
-        if dviol.num_rows:
-            drift_out = _violations_dir(cfg.output_dir, doc_id)
-            os.makedirs(drift_out)
-            pq.write_table(dviol, os.path.join(drift_out, "drift-violations.parquet"))
-        vb: dict[str, int] = {}
-        for pid in dviol.column("partition_id").to_pylist():
-            vb[str(pid)] = vb.get(str(pid), 0) + 1
-        write(
-            {"id": doc_id, "status": "done", "violations": dviol.num_rows,
-             "metrics": {str(k): v for k, v in dmetrics.items()},
-             "violations_by_pid": vb,
-             # mergeable sketch state per partition (hex histogram blobs):
-             # a resumed/extended run can re-derive the global baseline by
-             # merging these without re-reading finished partitions
-             "sketches_hex": {str(k): v.hex() for k, v in dsketches.items()},
-             "wall_s": time.perf_counter() - t0},
-        )
-
-    _mark("drift")
     # --- row pass: ONE Ray execution over every pending partition --------
     # Every per-row rule (scalar + audio decode + JSON + assets +
     # referential probe) runs as one fused stage inside a task that owns
@@ -699,8 +666,8 @@ def run_validation(cfg: ValidationRunConfig) -> RunResult:
                 rules.column_rules(), rules.audio_rules(), ref_pairs,
                 cfg.key_column, rules.json_rules(), rules.asset_rules(),
             ) if any(row_rules) else None,
-            row_columns, sketch_columns, unified_schema, cfg.decode_batch_size,
-            cfg.output_dir,
+            row_columns, sketch_columns, global_rules, unified_schema,
+            cfg.decode_batch_size, cfg.output_dir,
         )
         # violations are laid out ONE DIRECTORY PER PARTITION (the
         # checkpoint unit): a resumed run clears and rewrites exactly the
@@ -718,13 +685,64 @@ def run_validation(cfg: ValidationRunConfig) -> RunResult:
                 "violations_path": _violations_dir(cfg.output_dir, f"part-{pid}"),
             })},
         )
-        for row in items.map_batches(
-            commit, batch_format="pyarrow", batch_size=None
-        ).take_all():
-            doc = json.loads(row["doc"])
-            docs[doc["id"]] = doc
+        executions += 1
+        for b in items.map_batches(commit, batch_format="pyarrow", batch_size=None).iter_batches(
+            batch_format="pyarrow", batch_size=None
+        ):
+            for d in b.column("doc").to_pylist():
+                if d is not None:
+                    doc = json.loads(d)
+                    docs[doc["id"]] = doc
+            fold_partials(filters, drift_states, drift_rules, b)
 
     _mark("waves")
+    t0 = time.perf_counter()
+    # a finished partition kept no partials: read its keys again
+    skipped = [(pid, grp) for pid, grp in groups if f"part-{pid}" in done]
+    if global_columns and skipped:
+        executions += 1
+        for b in read_keys(global_columns, skipped).map_batches(
+            GlobalPartial(*global_rules), batch_format="pyarrow", batch_size=None
+        ).iter_batches(batch_format="pyarrow", batch_size=None):
+            fold_partials(filters, drift_states, drift_rules, b)
+        _mark("unique")
+
+    # --- drift: verdicts over the folded partials -------------------------
+    for rule, state in zip(drift_rules, drift_states):
+        doc_id = f"drift-{rule.rule_id}"
+        dviol, dmetrics, dsketches = drift_verdicts(
+            state, rule, cfg.baselines.get(rule.rule_id)
+        )
+        if dviol.num_rows:
+            drift_out = _violations_dir(cfg.output_dir, doc_id)
+            os.makedirs(drift_out)
+            pq.write_table(dviol, os.path.join(drift_out, "drift-violations.parquet"))
+        vb = collections.Counter(str(pid) for pid in dviol.column("partition_id").to_pylist())
+        write(
+            {"id": doc_id, "status": "done", "violations": dviol.num_rows,
+             "metrics": {str(k): v for k, v in dmetrics.items()},
+             "violations_by_pid": vb,
+             # mergeable sketch state per partition (hex histogram blobs):
+             # a resumed/extended run can re-derive the global baseline by
+             # merging these without re-reading finished partitions
+             "sketches_hex": {str(k): v.hex() for k, v in dsketches.items()},
+             "wall_s": time.perf_counter() - t0},
+        )
+
+    _mark("drift")
+    # --- unique: one candidate exchange for every rule --------------------
+    if unique_rules:
+        n, metrics, ran = unique.candidate_violations(
+            read_keys, unique_rules, filters, _violations_dir(cfg.output_dir, "global"),
+            lambda columns: sum(footers[f][1].get(c, 0) for f in files for c in columns),
+        )
+        executions += ran
+        write({"id": "global", "status": "done", "violations": n,
+               "metrics": {"wall_s": time.perf_counter() - t0, "violations": n, **metrics}})
+
+    _mark("unique")
+    global_metrics: dict[str, Any] = dict(docs.get("global", {}).get("metrics", {}))
+    global_metrics["ray_executions"] = executions
     global_metrics["phase_wall"] = phase_wall
     # a partition's drift metrics come from the run's current drift docs
     partition_metrics = {d["partition_id"]: d for d in docs.values() if "partition_id" in d}

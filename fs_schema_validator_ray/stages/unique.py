@@ -1,20 +1,23 @@
 """Key-uniqueness check (north_rule: HLL uniqueness / exact duplicates).
 
 Validation run (``pipelines/validate.py``): a counting filter first.
-The run's global pass (one keys-only scan shared with the drift rules)
-maps every ``unique`` rule's key to one of ``2**filter_bits(rows)``
-cells (``rows`` from the footers) by the top bits of its stable hash
-(:func:`with_key_cells`; a composite key is hashed as its canonical
-tuple string), and ``pipelines/stats.py::GlobalPartial`` counts the
-cells. Equal keys share a cell, so only rows in a cell counted twice can
-be duplicates. No such cell: the rule is done, with no further read.
+The tasks that read a ``unique`` rule's columns anyway (the row pass;
+on resume, a keys-only scan of the finished partitions) map every key
+to one of ``2**filter_bits(rows)`` cells (``rows`` from the footers) by
+the top bits of its stable hash (:func:`key_cells`; a composite key is
+hashed as its canonical tuple string), and
+``pipelines/stats.py::GlobalPartial`` counts the cells per task. Equal
+keys share a cell, so only rows in a cell counted twice can be
+duplicates. No such cell: the rule is done, with no further read.
 Otherwise :func:`candidate_violations` scans the keys once more, keeps
-just the candidate rows (:class:`CandidateRows`) and runs the exact
-exchange below over them, one per rule. A saturated filter makes every
-row a candidate: the exchange then sees what it would have seen without
-the filter.
+each rule's candidate rows (:class:`CandidateRows`) and merges them all
+in ONE exchange, each rule's rows grouped on its native key
+(:func:`_duplicates`); the merge task writes the violations itself. A
+saturated filter makes every row a candidate: the exchange then sees
+what it would have seen without the filter.
 
-Exact path (:func:`uniqueness_violations`, also used by queries): kept
+Exact path for a Dataset (:func:`uniqueness_violations`, used by
+queries): kept
 cheap by (a) projecting to the key column before anything moves, (b)
 pre-aggregating counts per batch inside ``map_batches`` (classic
 partial/combiner), so the ``groupby`` shuffles at most one row per
@@ -28,9 +31,12 @@ used at 10^12-key scale where even the key shuffle is a budget item.
 
 from __future__ import annotations
 
+import hashlib
+import os
+
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.parquet as pq
 
 from fs_schema_validator_ray.report import (
     PARTITION_COLUMN,
@@ -39,6 +45,7 @@ from fs_schema_validator_ray.report import (
 )
 from fs_schema_validator_ray.rules import UniqueRule
 from fs_schema_validator_ray.stages.exchange import (
+    BUCKET,
     DEFAULT_TARGET_BUCKET_BYTES,
     bucketed,
     default_n_buckets,
@@ -50,6 +57,7 @@ from fs_schema_validator_ray.state import HyperLogLog
 from fs_schema_validator_ray.state.sketches import (
     canonical_tuple_strings,
     hash64,
+    mix_to_buckets,
     stable_key_array,
 )
 
@@ -83,74 +91,140 @@ def _keys(batch: pa.Table, rule: UniqueRule):
     return batch.column(rule.column)
 
 
+def _key_hashes(batch: pa.Table, rule: UniqueRule) -> np.ndarray:
+    """The stable uint64 hash of every row's key."""
+    return hash64(stable_key_array(_keys(batch, rule)))
+
+
 def key_cells(batch: pa.Table, rule: UniqueRule, bits: int) -> np.ndarray:
     """Counting-filter cell of every row: the top ``bits`` of the key's
     stable hash. Equal keys always share a cell; so do a null int and
     ``0`` (``stable_key_array``), which only costs a candidate row."""
-    h = hash64(stable_key_array(_keys(batch, rule)))
-    return (h >> np.uint64(64 - bits)).astype(np.int64)
+    return (_key_hashes(batch, rule) >> np.uint64(64 - bits)).astype(np.int64)
 
 
-def _with_cells(batch: pa.Table, rules: list, bits: int, keep: list) -> pa.Table:
-    out = {c: batch.column(c) for c in keep if c in batch.column_names}
-    for i, rule in enumerate(rules):
-        out[f"__cell{i}"] = key_cells(batch, rule, bits).astype(np.int32)
-    return pa.table(out)
-
-
-def with_key_cells(ds, rules: list, bits: int, keep: list):
-    """Map half of the validation run's global pass: every row's filter
-    cell of each rule ``rules[i]`` as the int32 column ``__cell<i>``,
-    beside the ``keep`` columns the batch has; the keys themselves go no
-    further. ``pipelines.stats.GlobalPartial`` counts the cells per batch."""
-    return ds.map_batches(lambda t: _with_cells(t, rules, bits, keep), batch_format="pyarrow")
+#: the rule index and the key hash of a candidate row
+RULE, HASH = "__rule", "__hash"
 
 
 class CandidateRows:
-    """Map UDF: keeps the rows whose key lands in a candidate cell of at
-    least one rule. ``masks[i]`` is rule ``i``'s filter of ``2**bits``
-    cells as one bit a cell (``np.packbits(..., bitorder="little")``),
-    set where the cell was counted twice or more."""
+    """Map UDF: each rule's candidate rows, the rows whose key lands in a
+    candidate cell of the rule, tagged with the rule's index (``__rule``)
+    and the key's hash mixed with it (``__hash``, what a bucketed exchange
+    routes on). A row that is a candidate of two rules comes out twice.
+    ``masks[i]`` is rule ``i``'s filter of ``2**bits`` cells as one bit a
+    cell (``np.packbits(..., bitorder="little")``), set where the cell was
+    counted twice or more."""
 
     def __init__(self, rules: list, masks: list, bits: int) -> None:
         self.rules, self.masks, self.bits = rules, masks, bits
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        keep = np.zeros(batch.num_rows, bool)
-        for rule, mask in zip(self.rules, self.masks):
-            cells = key_cells(batch, rule, self.bits)
-            keep |= (mask[cells >> 3] >> (cells & 7).astype(np.uint8)) & 1 == 1
-        return batch.filter(pa.array(keep))
+        out = []
+        for i, (rule, mask) in enumerate(zip(self.rules, self.masks)):
+            h = _key_hashes(batch, rule)
+            cells = h >> np.uint64(64 - self.bits)
+            keep = np.flatnonzero((mask[cells >> 3] >> (cells & 7)) & 1)
+            out.append(batch.take(keep)
+                       .append_column(RULE, pa.array(np.full(len(keep), i, np.int32)))
+                       .append_column(HASH, pa.array(h[keep] ^ np.uint64(i))))
+        return pa.concat_tables(out)
 
 
-def candidate_violations(read, rules: list, filters: list):
-    """Exact duplicates of every ``unique`` rule from its merged counting
-    filter (``filters[i]``: a count per cell) → violations Dataset, or
-    ``None`` when no cell of any rule was counted twice. ``read(columns)``
-    returns a keys-only Dataset of the corpus; it is read once, the
-    candidate rows of every rule are kept (``materialize``: the exchanges
-    of several rules then share that one read), and each rule with
-    candidates runs :func:`uniqueness_violations` over them, with one
-    bucket per ``DEFAULT_TARGET_BUCKET_BYTES`` of candidates. A row kept
-    for another rule cannot make a false duplicate: a key outside the
-    rule's candidate cells occurs once in the corpus."""
-    pending = [(r, f >= 2) for r, f in zip(rules, filters)]
-    pending = [(r, np.packbits(m, bitorder="little")) for r, m in pending if m.any()]
-    if not pending:
-        return None
-    columns = sorted({c for r, _ in pending for c in r.input_columns()})
+def _commit(violations: pa.Table, out_dir: str) -> None:
+    """Write one merge task's violation rows into ``out_dir`` under a name
+    its rows decide, so a retried task replaces its own file."""
+    first = min(zip(violations.column("rule_id").to_pylist(),
+                    violations.column("key").to_pylist()))
+    name = hashlib.sha256(repr(first).encode()).hexdigest()[:16]
+    os.makedirs(out_dir, exist_ok=True)
+    tmp = os.path.join(out_dir, f"{name}.tmp")
+    pq.write_table(violations, tmp)
+    os.replace(tmp, os.path.join(out_dir, f"{name}.parquet"))
+
+
+def candidate_violations(read, rules: list, filters: list, out_dir: str, footer_bytes):
+    """Exact duplicates of every ``unique`` rule from its counting filter
+    (``filters[i]``: a count per cell, saturated at 255), written into
+    ``out_dir`` by the merge tasks → ``(violations, receipts, Ray
+    executions)``. ``read(columns)`` is a keys-only Dataset of the corpus,
+    holding ``footer_bytes(columns)`` bytes. Every rule shares ONE
+    execution, ``read → CandidateRows → repartition(1) → merge_bucket``,
+    unless those bytes exceed ``DEFAULT_TARGET_BUCKET_BYTES``: then the
+    candidates are materialized, sized into buckets of that many bytes
+    and routed on ``(rule index, key hash)``. The candidate rows of a
+    rule are exact while no cell saturates."""
     bits = len(filters[0]).bit_length() - 1
-    cands = read(columns).map_batches(
-        CandidateRows(*map(list, zip(*pending)), bits), batch_format="pyarrow"
-    ).materialize()
-    # the exchange's own per-bucket budget over the candidates' exact
-    # size: below it, one bucket and no shuffle
-    n_buckets = -(-cands.size_bytes() // DEFAULT_TARGET_BUCKET_BYTES) or 1
-    parts = [uniqueness_violations(cands, r, n_buckets=n_buckets) for r, _ in pending]
-    return parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
+    marked = [f >= 2 for f in filters]
+    metrics = {"filter_bits": bits, "buckets": 0, "shuffled": False,
+               "candidate_cells": {r.rule_id: int(m.sum()) for r, m in zip(rules, marked)},
+               "candidate_rows": {r.rule_id: int(f[m].sum(dtype=np.int64))
+                                  for r, f, m in zip(rules, filters, marked)}}
+    pending = [(r, np.packbits(m, bitorder="little")) for r, m in zip(rules, marked) if m.any()]
+    if not pending:
+        return 0, metrics, 0
+    rules, masks = map(list, zip(*pending))
+
+    def merge_bucket(group: pa.Table) -> pa.Table:
+        # a key outside a rule's candidate cells occurs once in the corpus,
+        # so each rule's rows here hold every copy of its repeated keys
+        of_rule = np.asarray(group.column(RULE))
+        out = []
+        for i, rule in enumerate(rules):
+            rows = group.filter(pa.array(of_rule == i))
+            out.append(_duplicates(_keys(rows, rule), np.ones(rows.num_rows, np.int64),
+                                   partition_ids(rows), rule.rule_id))
+        violations = pa.concat_tables(out)
+        if violations.num_rows:
+            _commit(violations, out_dir)
+        return violations
+
+    columns = sorted({c for r in rules for c in r.input_columns()})
+    cands = read(columns).map_batches(CandidateRows(rules, masks, bits), batch_format="pyarrow")
+    executions, n_buckets = 1, 1
+    if footer_bytes(columns) > DEFAULT_TARGET_BUCKET_BYTES:
+        cands = cands.materialize()
+        executions += 1
+        n_buckets = -(-cands.size_bytes() // DEFAULT_TARGET_BUCKET_BYTES) or 1
+    metrics.update(buckets=n_buckets, shuffled=n_buckets > 1)
+    if n_buckets == 1:
+        out = cands.repartition(1).map_batches(
+            merge_bucket, batch_format="pyarrow", batch_size=None)
+    else:
+        def add_bucket(t: pa.Table) -> pa.Table:
+            return t.append_column(
+                BUCKET, pa.array(mix_to_buckets(np.asarray(t.column(HASH)), n_buckets)))
+
+        # coalesce before the sort shuffle, as uniqueness_violations does
+        routed = cands.map_batches(add_bucket, batch_format="pyarrow")
+        out = map_buckets(routed.repartition(max(4, n_buckets // 8)), merge_bucket)
+    n = sum(b.num_rows for b in out.iter_batches(batch_format="pyarrow", batch_size=None))
+    return n, metrics, executions
 
 
-def _partial_counts(batch: pa.Table, column: str) -> pa.Table:
+def _duplicates(keys, n, parts, rule_id: str) -> pa.Table:
+    """Violation rows of every key counted more than once: ``n`` counts
+    of each ``keys`` entry, seen first in partition ``parts``. The key
+    keeps its native type until it is rendered: ``str`` of its Python
+    value, the first partition it was seen in, its total count."""
+    g = pa.TableGroupBy(pa.table({"key": keys, "n": n, "part": parts}), "key").aggregate(
+        [("n", "sum"), ("part", "min")]
+    )
+    counts = np.asarray(g.column("n_sum"))
+    dup = np.flatnonzero(counts > 1)
+    # to_pylist, not np.asarray: a null elsewhere in the bucket would
+    # promote the whole int column to float64 and render "5.0"
+    keys_np = np.empty(g.num_rows, dtype=object)
+    keys_np[:] = g.column("key").to_pylist()
+    return violations_table(
+        [str(k) for k in keys_np[dup]],
+        rule_id,
+        [f"duplicate key (appears {int(c)} times)" for c in counts[dup]],
+        np.asarray(g.column("part_min"))[dup],
+    )
+
+
+def _partial_counts(batch: pa.Table, rule: UniqueRule) -> pa.Table:
     """Per-batch combiner: one output row per distinct key in the batch
     (pure Arrow ``group_by`` — no pandas round-trip in the hot path).
 
@@ -162,7 +236,7 @@ def _partial_counts(batch: pa.Table, column: str) -> pa.Table:
     million rows."""
     import pyarrow.compute as pc
 
-    tbl = pa.table({"key": batch.column(column), "part": partition_ids(batch)})
+    tbl = pa.table({"key": _keys(batch, rule), "part": partition_ids(batch)})
     # count on the (never-null) partition column so null keys count too
     g = pa.TableGroupBy(tbl, "key").aggregate([("part", "count"), ("part", "min")])
     # keys keep their NATIVE type through the shuffle — casting ints to
@@ -177,9 +251,7 @@ def _partial_counts(batch: pa.Table, column: str) -> pa.Table:
     )
 
 
-def uniqueness_violations(
-    ds, rule: UniqueRule, key_column: str | None = None, n_buckets: int | None = None
-):
+def uniqueness_violations(ds, rule: UniqueRule, n_buckets: int | None = None):
     """Exact duplicate detection → violations Dataset.
 
     ``read → project(key) → map_batches(partial counts + bucket) →
@@ -188,56 +260,22 @@ def uniqueness_violations(
     the per-bucket merge is one Arrow ``group_by`` call — no per-row
     Python anywhere.
     """
-    composite = rule.columns
-    column = key_column or rule.column
     if n_buckets is None:
         n_buckets = default_n_buckets(ds)
     part_cols = [PARTITION_COLUMN] if PARTITION_COLUMN in ds.schema().names else []
-    if composite:
-        # composite-key mode: canonicalize the tuple to one string key
-        # (the injective tuple encoding shared with referential rules) and
-        # reuse the single-key machinery
-        keys = ds.select_columns([*composite, *part_cols])
-
-        def canonize(t: pa.Table) -> pa.Table:
-            out = {"__ckey": _keys(t, rule)}
-            for c in part_cols:
-                out[c] = t.column(c)
-            return pa.table(out)
-
-        keys = keys.map_batches(canonize, batch_format="pyarrow")
-        column = "__ckey"
-    else:
-        keys = ds.select_columns([column, *part_cols])
-    partials = route(keys, ["key"], n_buckets, lambda t: _partial_counts(t, column))
+    keys = ds.select_columns([*rule.input_columns(), *part_cols])
+    partials = route(keys, ["key"], n_buckets, lambda t: _partial_counts(t, rule))
     # decouple SCAN parallelism from SHUFFLE fan-out: the sort-shuffle
     # moves blocks_in × blocks_out objects, and the partials are a small
     # fraction of the input (one narrow row per distinct key per block) —
     # coalesce them (metadata-level, no shuffle) so the groupby exchanges
     # a few consolidated blocks instead of scan-width² tiny ones
-    partials = partials.repartition(1 if n_buckets == 1 else max(4, n_buckets // 8))
+    partials = partials.repartition(max(4, n_buckets // 8))
 
     def merge_bucket(group: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(group.select(["key", "n", "part"]), "key").aggregate(
-            [("n", "sum"), ("part", "min")]
-        )
-        counts = np.asarray(g.column("n_sum"))
-        dup = np.flatnonzero(counts > 1)
-        # to_pylist, not np.asarray: a null elsewhere in the bucket would
-        # promote the whole int column to float64 and render "5.0"
-        keys_np = np.empty(g.num_rows, dtype=object)
-        keys_np[:] = g.column("key").to_pylist()
-        return violations_table(
-            [str(k) for k in keys_np[dup]],
-            rule.rule_id,
-            [f"duplicate key (appears {int(c)} times)" for c in counts[dup]],
-            np.asarray(g.column("part_min"))[dup],
-        )
+        return _duplicates(group.column("key"), group.column("n"), group.column("part"),
+                           rule.rule_id)
 
-    if n_buckets == 1:
-        # one bucket is one group: merge the one coalesced block where it
-        # is instead of sort-shuffling it to itself
-        return partials.map_batches(merge_bucket, batch_format="pyarrow", batch_size=None)
     return map_buckets(partials, merge_bucket)
 
 

@@ -84,7 +84,7 @@ def test_gif_min_code_size_above_8_rejected():
 def _deflate_tiff_with_garbage_strip() -> bytes:
     """encode_tiff output with the compression tag patched 1 -> 8 so the
     raw pixel bytes are treated as (invalid) zlib data."""
-    from fs_schema_validator_ray.functions.bmp import encode_tiff
+    from fixture_encode import encode_tiff
 
     px = np.arange(4 * 4 * 3, dtype=np.uint8).reshape(4, 4, 3)
     data = bytearray(encode_tiff(px))

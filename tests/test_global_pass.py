@@ -1,7 +1,8 @@
-"""The global pass of a validation run: every pending ``unique`` and
-``drift`` rule from one read, duplicates found by a counting filter and
-verified exactly by the exchange over the candidate rows
-(``pipelines/stats.py``, ``stages/unique.py``, ``pipelines/validate.py``)."""
+"""The global rules of a validation run: every pending ``unique`` and
+``drift`` rule folded from partials of the row pass's own read,
+duplicates found by a counting filter and verified exactly by one
+exchange over the candidate rows of every rule (``pipelines/stats.py``,
+``stages/unique.py``, ``pipelines/validate.py``)."""
 
 import json
 import os
@@ -185,7 +186,12 @@ def test_duplicate_free_corpus_is_one_read_and_no_shuffle(
     ray_session, clean_corpus, tmp_path, counted
 ):
     res = run_validation(_cfg(clean_corpus, tmp_path / "out", RULES_YAML + DRIFT_CAT_YAML))
-    assert counted == {"scans": 1, "groupby": 0, "uniqueness_violations": 0}
+    # the row pass's read is the only one
+    assert counted == {"scans": 0, "groupby": 0, "uniqueness_violations": 0}
+    assert res.global_metrics["ray_executions"] == 1
+    assert res.global_metrics["candidate_cells"] == {r: 0 for r in (
+        "unique_id", "unique_name", "unique_id_name", "unique_n")}
+    assert res.global_metrics["buckets"] == 0
     assert _global_rows(str(tmp_path / "out")) == []
     with open(tmp_path / "out" / "manifest" / "global.json") as f:
         assert json.load(f)["violations"] == 0
@@ -199,10 +205,16 @@ def test_duplicate_free_corpus_is_one_read_and_no_shuffle(
 def test_planted_duplicates_match_the_exchange(ray_session, dup_corpus, tmp_path, counted):
     out = str(tmp_path / "out")
     res = run_validation(_cfg(dup_corpus, out))
-    # one pass for the filters, one keys-only read for the candidates of
-    # all four rules, then one exchange per rule over those rows: one
-    # bucket each, so no shuffle
-    assert counted == {"scans": 2, "groupby": 0, "uniqueness_violations": 4}
+    # the row pass folds the filters, then one keys-only read of the
+    # candidates of all four rules merges them in one bucket: no shuffle
+    assert counted == {"scans": 1, "groupby": 0, "uniqueness_violations": 0}
+    assert res.global_metrics["ray_executions"] == 2
+    m = res.global_metrics
+    assert m["filter_bits"] == unique.filter_bits(18) and m["buckets"] == 1
+    assert not m["shuffled"]
+    # a candidate cell holds at least the two copies of a repeated key
+    assert all(m["candidate_rows"][r] >= 2 * m["candidate_cells"][r] > 0
+               for r in m["candidate_cells"])
     got = _global_rows(out)
     assert got == _exchange_rows(dup_corpus)
     by_rule = {}
@@ -224,11 +236,13 @@ def test_planted_duplicates_match_the_exchange(ray_session, dup_corpus, tmp_path
 def test_bucketed_exchange_gives_the_same_rows(
     ray_session, dup_corpus, tmp_path, counted, monkeypatch
 ):
-    # a byte of candidates per bucket: every rule's check shuffles
+    # a byte of candidates per bucket: the one exchange of all four rules
+    # is sized on the materialized candidates and shuffles
     monkeypatch.setattr(unique, "DEFAULT_TARGET_BUCKET_BYTES", 1)
     out = str(tmp_path / "out")
-    run_validation(_cfg(dup_corpus, out))
-    assert counted["uniqueness_violations"] == 4 and counted["groupby"] == 4
+    res = run_validation(_cfg(dup_corpus, out))
+    assert counted["uniqueness_violations"] == 0 and counted["groupby"] == 1
+    assert res.global_metrics["shuffled"] and res.global_metrics["ray_executions"] == 3
     assert _global_rows(out) == _exchange_rows(dup_corpus)
 
 
@@ -266,6 +280,37 @@ def test_resume_with_a_new_drift_rule_reads_once(
     assert written == ["drift-drift_name"]
     assert res.partitions_skipped == 3 and res.waves_run == 0
     assert res.global_metrics["violations"] == 10
+    assert res.global_metrics["ray_executions"] == 1
+
+
+def test_resume_with_a_new_unique_rule_reads_only_keys(
+    ray_session, dup_corpus, tmp_path, counted, monkeypatch
+):
+    """A unique rule added on resume keeps every partition: the finished
+    partitions' keys are read once for the filters and once more for
+    the candidates, and only the global doc is written."""
+    out = str(tmp_path / "out")
+    without_n = RULES_YAML.replace("""  - rule: unique_n
+    type: unique
+    column: n
+""", "")
+    run_validation(_cfg(dup_corpus, out, without_n))
+    written, scanned = [], []
+    write = validate._write_manifest
+    monkeypatch.setattr(
+        validate, "_write_manifest", lambda d, doc: (written.append(doc["id"]), write(d, doc))
+    )
+    scan = validate.ScanPartitions
+    monkeypatch.setattr(validate, "ScanPartitions",
+                        lambda columns, schema: (scanned.append(sorted(columns)),
+                                                 scan(columns, schema))[1])
+    res = run_validation(_cfg(dup_corpus, out))
+    assert written == ["global"]
+    assert res.partitions_skipped == 3 and res.waves_run == 0
+    # the filters of every unique rule, then the candidates' keys: never `v`
+    assert scanned == [["id", "n", "name"], ["id", "n", "name"]]
+    assert res.global_metrics["ray_executions"] == 2
+    assert _global_rows(out) == _exchange_rows(dup_corpus)
 
 
 def test_uniqueness_bucket_hash_dtype_stable(ray_session):

@@ -74,6 +74,11 @@ def test_walker_golden(spec, value, expected):
         ({"type": "float", "multiple_of": 1e-12}, 1.5e-12,
          ["Input should be a multiple of 1e-12"]),
         ({"type": "float", "multiple_of": 0.1}, 0.3, []),
+        # an int or float literal is compared by value, a bool one is not
+        ({"type": "literal", "value": 5}, 5.0, []),
+        ({"type": "literal", "value": 5.0}, 5, []),
+        ({"type": "literal", "value": 5}, True, ["Input should be 5"]),
+        ({"type": "literal", "value": 5}, 5.5, ["Input should be 5"]),
     ],
 )
 def test_json_value_and_column_report_the_same(spec, value, expected):

@@ -211,7 +211,7 @@ def test_image_validate_stage_svg_tiff_avif_tristate():
     the reference's exact reason strings (image.py:47-52, 64-69)."""
     import numpy as np
 
-    from fs_schema_validator_ray.functions.bmp import encode_tiff
+    from fixture_encode import encode_tiff
     from fs_schema_validator_ray.stages.multimodal import ImageValidateStage
 
     # tiff_ok must carry real pixel data: deep_decode now gates tiff strips

@@ -181,12 +181,12 @@ def test_full_run_and_resume(ray_session, corpus, tmp_path):
     assert res3.total_rows == CFG.n_rows
 
 
-def test_drifted_partition_detected(ray_session, corpus, tmp_path):
+def test_drifted_partition_detected(drift_state, corpus, tmp_path):
     """A shifted dur_ms distribution in one partition must trip the KS rule
     when validated against the clean corpus baseline."""
     import pyarrow as pa
 
-    from fs_schema_validator_ray.pipelines.stats import drift_verdicts, global_partials
+    from fs_schema_validator_ray.pipelines.stats import drift_verdicts
     from fs_schema_validator_ray.rules import DriftRule
     import ray.data
 
@@ -199,10 +199,10 @@ def test_drifted_partition_detected(ray_session, corpus, tmp_path):
     drifted = pa.table(
         {"dur_ms": rng.integers(260, 440, 20_000), "partition_id": np.ones(20_000, np.int32)}
     )
-    (clean_hists,) = global_partials(ray.data.from_arrow(clean), [], [rule])[1]
+    clean_hists = drift_state(ray.data.from_arrow(clean), rule)
     baseline = clean_hists[0]
     ds = ray.data.from_arrow(pa.concat_tables([clean, drifted]))
-    viol, metrics, _ = drift_verdicts(global_partials(ds, [], [rule])[1][0], rule, baseline)
+    viol, metrics, _ = drift_verdicts(drift_state(ds, rule), rule, baseline)
     rows = viol.to_pylist()
     assert [r["partition_id"] for r in rows] == [1]
     assert "ks=" in rows[0]["reason"]
@@ -447,13 +447,13 @@ rules:
     assert len(out3) == 0
 
 
-def test_categorical_drift_rule(ray_session):
+def test_categorical_drift_rule(drift_state):
     """Categorical drift: a partition whose codec mix flips must gate
     PSI; balanced partitions must not."""
     import pyarrow as pa
     import ray.data
 
-    from fs_schema_validator_ray.pipelines.stats import drift_verdicts, global_partials
+    from fs_schema_validator_ray.pipelines.stats import drift_verdicts
     from fs_schema_validator_ray.rules import RuleSet
     from fs_schema_validator_ray.stages.scalar import PARTITION_COLUMN
 
@@ -487,7 +487,7 @@ rules:
         }
     )
     def categorical_drift_self_check(ds):
-        return drift_verdicts(global_partials(ds, [], [rule])[1][0], rule)
+        return drift_verdicts(drift_state(ds, rule), rule)
 
     viol, metrics, sketches = categorical_drift_self_check(
         ray.data.from_arrow(t).repartition(4)

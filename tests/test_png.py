@@ -203,7 +203,8 @@ def test_invalid_header_fields():
 
 
 def test_bmp_roundtrip_and_orders():
-    from fs_schema_validator_ray.functions.bmp import decode_bmp, encode_bmp
+    from fixture_encode import encode_bmp
+    from fs_schema_validator_ray.functions.bmp import decode_bmp
 
     rng = np.random.default_rng(8)
     for h, w in [(1, 1), (5, 7), (13, 16), (9, 3)]:  # odd widths hit padding
@@ -213,7 +214,8 @@ def test_bmp_roundtrip_and_orders():
 
 
 def test_bmp_malformed():
-    from fs_schema_validator_ray.functions.bmp import BmpError, decode_bmp, encode_bmp
+    from fixture_encode import encode_bmp
+    from fs_schema_validator_ray.functions.bmp import BmpError, decode_bmp
 
     px = np.zeros((4, 4, 3), np.uint8)
     good = encode_bmp(px)
@@ -234,11 +236,8 @@ def test_bmp_malformed():
 def test_tiff_roundtrip_and_real_fixture():
     import os
 
-    from fs_schema_validator_ray.functions.bmp import (
-        TiffError,
-        decode_tiff,
-        encode_tiff,
-    )
+    from fixture_encode import encode_tiff
+    from fs_schema_validator_ray.functions.bmp import TiffError, decode_tiff
 
     rng = np.random.default_rng(4)
     for h, w in [(1, 1), (6, 9), (13, 5)]:

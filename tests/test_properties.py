@@ -372,11 +372,8 @@ def test_y4m_parse_totality_random(data):
 @settings(max_examples=150, deadline=None)
 def test_y4m_parse_totality_mutated(cut, junk):
     """Truncations and splices of a VALID stream stay typed too."""
-    from fs_schema_validator_ray.functions.video import (
-        VideoError,
-        encode_y4m,
-        parse_y4m,
-    )
+    from fixture_encode import encode_y4m
+    from fs_schema_validator_ray.functions.video import VideoError, parse_y4m
 
     base = encode_y4m([np.zeros((8, 8, 3), np.uint8)] * 2, colorspace="420")
     mutated = base[: cut % (len(base) + 1)] + junk

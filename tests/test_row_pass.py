@@ -42,6 +42,13 @@ rules:
   - rule: unique_k
     type: unique
     column: k
+  - rule: v_drift
+    type: drift
+    column: v
+    lo: 0
+    hi: 40
+    bins: 4
+    max_ks: 0.017
 """
 
 N_PARTS = 8
@@ -49,8 +56,9 @@ ROWS = 40
 
 
 def _corpus(root):
-    """``N_PARTS`` files; every partition has a few row-rule violations and
-    partitions 0 and 5 share one key (a unique violation)."""
+    """``N_PARTS`` files; every partition has a few row-rule violations,
+    partitions 0 and 5 share one key (a unique violation), and
+    partitions 0 and 1 drift (``v_drift``)."""
     d = os.path.join(root, "in")
     os.makedirs(d)
     for i in range(N_PARTS):
@@ -281,10 +289,15 @@ def test_killed_run_resumes_to_the_uninterrupted_violations(ray_session, tmp_pat
     want = _digest(str(tmp_path / "full"))
     assert want[1] == full.total_violations > N_PARTS
 
+    with open(os.path.join(str(tmp_path / "full"), "manifest", "drift-v_drift.json")) as f:
+        assert json.load(f)["violations_by_pid"] == {"0": 1, "1": 1}
+
     out = str(tmp_path / "killed")
     _kill_after(src, out, 3)
     landed = _manifests(out)
     assert 3 <= len(landed) < N_PARTS
+    # the global rules' docs land after the row pass
+    assert not glob.glob(os.path.join(out, "manifest", "[dg]*.json"))
 
     # a partition killed between its violations file and its manifest:
     # the file is committed, the manifest is not

@@ -124,7 +124,7 @@ def test_histogram_ks_psi():
     assert ks_statistic(rt, shifted) == 0.0
 
 
-def test_ks_psi_closed_form_distributed(ray_session):
+def test_ks_psi_closed_form_distributed(drift_state):
     """CLOSED-FORM drift fixtures through the DISTRIBUTED histogram path
     (VERDICT r2 item 8): deterministic uniform samples aligned to bin
     edges make binned KS exact (0.5) and PSI analytically derivable from
@@ -135,13 +135,11 @@ def test_ks_psi_closed_form_distributed(ray_session):
     import ray.data
 
     from fs_schema_validator_ray.rules import DriftRule
-    from fs_schema_validator_ray.pipelines.stats import global_partials
 
     def compute_histogram(ds, column, lo, hi, bins):
         # the validation run's drift partials; no partition column → pid -1
         rule = DriftRule(rule_id="baseline", column=column, lo=lo, hi=hi, bins=bins)
-        _, (merged,) = global_partials(ds, [], [rule])
-        return merged[-1]
+        return drift_state(ds, rule)[-1]
 
     n = 1000
     a_vals = (np.arange(n) + 0.5) / n          # uniform [0, 1)
@@ -175,7 +173,7 @@ def test_ks_psi_closed_form_distributed(ray_session):
     assert ks_statistic(hc, hd) == 1.0
 
 
-def test_drift_self_check_planted_partition(ray_session):
+def test_drift_self_check_planted_partition(drift_state):
     """End-to-end drift gate: identical partitions drift 0 from the
     merged baseline; one planted shifted partition is the ONLY
     violation, with exact KS vs the closed-form mixture value."""
@@ -183,11 +181,7 @@ def test_drift_self_check_planted_partition(ray_session):
     import pytest
     import ray.data
 
-    from fs_schema_validator_ray.pipelines.stats import (
-        DriftRule,
-        drift_verdicts,
-        global_partials,
-    )
+    from fs_schema_validator_ray.pipelines.stats import DriftRule, drift_verdicts
 
     n = 1200  # per partition
     base = (np.arange(n) + 0.5) / n            # uniform [0, 1)
@@ -207,7 +201,7 @@ def test_drift_self_check_planted_partition(ray_session):
         rule_id="drift_v", column="v", lo=0.0, hi=2.0, bins=4,
         max_ks=0.5, max_psi=10.0,
     )
-    violations, metrics, _ = drift_verdicts(global_partials(ds, [], [rule])[1][0], rule)
+    violations, metrics, _ = drift_verdicts(drift_state(ds, rule), rule)
     # baseline = merge = 3 parts uniform[0,1) + 1 part uniform[1,2):
     # CDF gap for an unshifted partition peaks at x=1: 1 - 3/4 = 0.25;
     # for the shifted one: 3/4 - 0 = 0.75

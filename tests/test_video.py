@@ -136,12 +136,8 @@ def test_y4m_roundtrip_and_totality():
     headers/truncation raise VideoError."""
     import pytest
 
-    from fs_schema_validator_ray.functions.video import (
-        VideoError,
-        decode_y4m_frame,
-        encode_y4m,
-        parse_y4m,
-    )
+    from fixture_encode import encode_y4m
+    from fs_schema_validator_ray.functions.video import VideoError, decode_y4m_frame, parse_y4m
 
     rng = np.random.default_rng(5)
     frames = [rng.integers(0, 256, (24, 32, 3), dtype=np.uint8) for _ in range(3)]
@@ -183,7 +179,7 @@ def test_y4m_roundtrip_and_totality():
 def test_frame_sample_stage_y4m(ray_session):
     import pyarrow as pa
 
-    from fs_schema_validator_ray.functions.video import encode_y4m
+    from fixture_encode import encode_y4m
     from fs_schema_validator_ray.stages.multimodal import FrameSampleStage
 
     rng = np.random.default_rng(9)

@@ -6,12 +6,20 @@ compares row count + schema + an order-insensitive value hash (columns
 sorted by name, rows sorted, values stringified). Queries without an
 oracle get a rows-only smoke check.
 
+The queries run in a child process (``--child``), which prints each
+query's name before running it. A child that dies before its
+``failures:`` line (a Ray-internal abort kills the whole driver) fails
+the query it was running, and a new child goes on with the queries
+after it; no query is retried.
+
 Usage: python tools/check_oracles.py [sf_dir] [query ...]
 """
 
 from __future__ import annotations
 
 import os
+import signal
+import subprocess
 import sys
 
 import duckdb
@@ -57,10 +65,13 @@ def canonical(df: pd.DataFrame) -> tuple:
     return len(rows), list(df.columns), h
 
 
-def main() -> int:
-    sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
-    only = set(sys.argv[2:])
+#: what a child prints before it runs a query
+RUN = "RUN "
 
+
+def child(sf_dir: str, names: list[str]) -> int:
+    """Run the queries ``names`` in order, printing ``RUN <name>`` before
+    each, then ``failures: <n>``."""
     import ray
 
     if not ray.is_initialized():
@@ -77,15 +88,10 @@ def main() -> int:
 
     qs, oracles = e.queries(), e.oracle_sql()
     failures = 0
-    unknown = only - set(qs)
-    if unknown:
-        print(f"FAIL  unknown query name(s): {sorted(unknown)}")
-        failures += len(unknown)
-    for name, fn in qs.items():
-        if only and name not in only:
-            continue
+    for name in names:
+        print(RUN + name, flush=True)
         try:
-            mine = to_pandas(fn(sf_dir))
+            mine = to_pandas(qs[name](sf_dir))
         except Exception as ex:  # noqa: BLE001
             print(f"FAIL  {name}: query raised {type(ex).__name__}: {ex}")
             failures += 1
@@ -115,6 +121,65 @@ def main() -> int:
                 only_t = set(t_) - set(m)
                 print(f"      only-mine({len(only_m)}): {list(only_m)[:3]}")
                 print(f"      only-oracle({len(only_t)}): {list(only_t)[:3]}")
+    print("failures:", failures)
+    return 1 if failures else 0
+
+
+def _death(code: int) -> str:
+    return f"signal {signal.Signals(-code).name}" if code < 0 else f"exit code {code}"
+
+
+def sweep(names: list[str], start, echo=print) -> int:
+    """Run ``names`` in child processes and return the failure count.
+    ``start(names)`` starts a child over ``names``: an object with a
+    ``stdout`` of text lines and ``wait()`` for its exit code. A child
+    that dies before its ``failures:`` line fails the query it had
+    started; a new child runs the queries after that one."""
+    failures, rest = 0, list(names)
+    while rest:
+        proc = start(rest)
+        running, finished = None, False
+        for line in proc.stdout:
+            line = line.rstrip("\n")
+            if line.startswith(RUN):
+                running = line[len(RUN):]
+            elif line.startswith("failures:"):
+                finished = True
+            else:
+                echo(line)
+                failures += line.startswith("FAIL")
+        code = proc.wait()
+        if finished:
+            break
+        failures += 1
+        if running is None:
+            echo(f"FAIL  sweep: process died before its first query ({_death(code)})")
+            break
+        echo(f"FAIL  {running}: sweep process died ({_death(code)})")
+        rest = rest[rest.index(running) + 1:]
+    return failures
+
+
+def main() -> int:
+    if sys.argv[1:2] == ["--child"]:
+        return child(sys.argv[2], sys.argv[3:])
+    sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
+    only = set(sys.argv[2:])
+
+    import __ray_entry__ as e
+
+    failures = 0
+    unknown = only - set(e.queries())
+    if unknown:
+        print(f"FAIL  unknown query name(s): {sorted(unknown)}")
+        failures += len(unknown)
+    names = [name for name in e.queries() if not only or name in only]
+
+    def start(names):
+        return subprocess.Popen([sys.executable, "-u", __file__, "--child", sf_dir, *names],
+                                stdout=subprocess.PIPE, text=True)
+
+    failures += sweep(names, start)
     print("failures:", failures)
     return 1 if failures else 0
 
