@@ -379,4 +379,4 @@ def nb_classify_copartitioned(
             }
         )
 
-    return map_buckets(parts, merge_docs)
+    return map_buckets(parts, merge_docs, n_buckets)

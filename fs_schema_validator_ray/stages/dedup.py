@@ -122,14 +122,16 @@ def exact_dedup_keep_min(
         ds.select_columns([id_column, text_column]), ["fp1"], n_buckets, partial
     )
     # decouple scan parallelism from shuffle fan-out (blocks_in × blocks_out
-    # objects): the partials are narrow — coalesce before the exchange
-    partials = partials.repartition(max(4, n_buckets // 8))
+    # objects): the partials are narrow — coalesce before the exchange (one
+    # bucket has no shuffle to coalesce for)
+    if n_buckets > 1:
+        partials = partials.repartition(max(4, n_buckets // 8))
 
     def merge_bucket(group: pa.Table) -> pa.Table:
         g = pa.TableGroupBy(group, ["fp1", "fp2"]).aggregate([(id_column, "min")])
         return pa.table({id_column: g.column(f"{id_column}_min")})
 
-    return map_buckets(partials, merge_bucket)
+    return map_buckets(partials, merge_bucket, n_buckets)
 
 
 # --- paragraph-window dedup (C4 / CCNet-style sub-document dedup) ----------
@@ -284,7 +286,8 @@ def dedup_paragraphs_keep_first(
     partials = route(
         ds.select_columns([id_column, text_column]), ["fp1"], n_buckets, partial
     )
-    partials = partials.repartition(max(4, n_buckets // 8))
+    if n_buckets > 1:
+        partials = partials.repartition(max(4, n_buckets // 8))
 
     def merge_bucket(group: pa.Table) -> pa.Table:
         fp1 = np.asarray(group.column("fp1"), dtype=np.int64)
@@ -302,7 +305,7 @@ def dedup_paragraphs_keep_first(
             }
         )
 
-    return map_buckets(partials, merge_bucket)
+    return map_buckets(partials, merge_bucket, n_buckets)
 
 
 # --- shingles + minhash ----------------------------------------------------
@@ -680,7 +683,7 @@ def minhash_verify_join(
     def attach(group: pa.Table) -> pa.Table:
         return _attach_payload(group, "blob", n_buckets)
 
-    per_pair = map_buckets(tagged, attach)
+    per_pair = map_buckets(tagged, attach, n_buckets)
 
     def verify(group: pa.Table) -> pa.Table:
         a = np.asarray(group.column("a"), dtype=np.int64)
@@ -710,7 +713,7 @@ def minhash_verify_join(
             }
         )
 
-    return map_buckets(per_pair, verify)
+    return map_buckets(per_pair, verify, n_buckets)
 
 
 def minhash_near_dup_pairs(
@@ -1940,7 +1943,7 @@ def substring_verify_join(
     def attach(group: pa.Table) -> pa.Table:
         return _attach_payload(group, "text", n_buckets)
 
-    per_pair = map_buckets(role_rows.union(text_rows), attach)
+    per_pair = map_buckets(role_rows.union(text_rows), attach, n_buckets)
 
     out_schema = pa.schema(
         [
@@ -1998,7 +2001,7 @@ def substring_verify_join(
             schema=out_schema,
         )
 
-    return map_buckets(per_pair, verify)
+    return map_buckets(per_pair, verify, n_buckets)
 
 
 def substring_dup_pairs(

@@ -5,19 +5,24 @@ stable hash of its key, ``groupby`` the bucket id, then run one
 vectorized body per bucket over ALL of its keys (a segment scan after a
 lexsort — never one Python call per key). This module owns each piece:
 
-* sizing — :func:`default_n_buckets` and the metadata-only
-  ``estimate_dataset_*`` lineage walks;
+* sizing — :func:`default_n_buckets`: the inputs' known bytes over a
+  per-bucket target, so a small input is ONE bucket; the metadata-only
+  ``estimate_dataset_*`` lineage walk;
 * routing — :func:`bucket_ids`;
 * the shuffle — :func:`bucketed`, i.e. :func:`route` (``map_batches``:
   optional per-batch prepare/combiner, then append ``__bucket``)
-  followed by :func:`map_buckets` (``groupby("__bucket")`` →
-  ``map_groups``). The halves are callable on their own so a caller can
-  coalesce between them, or route by bucket ids of its own;
+  followed by :func:`map_buckets`: ``groupby("__bucket")`` →
+  ``map_groups`` for several buckets, and for one bucket no shuffle at
+  all, ``repartition(1)`` → ``map_batches(batch_size=None)``. The halves
+  are callable on their own so a caller can coalesce between them, or
+  route by bucket ids of its own (a caller that cannot bound how many
+  ids its routing makes passes no count and always groups);
 * the scan — :func:`segments`.
 
-Ray never calls a ``map_groups`` body with a 0-row group (a 0-row block
-has no group boundaries), so bodies need no empty-group branch; ``map_batches``
-functions do still see empty blocks.
+A body is never called with 0 rows: Ray's ``map_groups`` has no group
+in a 0-row block, and the one-bucket path answers an empty block itself,
+so bodies need no empty-group branch; ``map_batches`` functions do still
+see empty blocks.
 """
 
 from __future__ import annotations
@@ -32,100 +37,81 @@ from fs_schema_validator_ray.state.sketches import hash64, mix_to_buckets, stabl
 
 BUCKET = "__bucket"
 
-# Target input bytes per bucket group. Each bucket is one map_groups task
-# that materializes its whole group, so the bucket count must scale with
-# DATA size, not CPU count: on a fixed 64-core cluster at 100 TB, 2×CPUs
-# buckets would make each group ~800 GB. 256 MiB per group keeps any
-# single task's materialization comfortably inside a worker heap while
-# still amortizing per-task overhead.
+# Target input bytes per bucket group. Each bucket is one body call that
+# materializes its whole group, so the bucket count scales with DATA size,
+# not CPU count: on a fixed 64-core cluster at 100 TB, 2×CPUs buckets
+# would make each group ~800 GB. 256 MiB per group keeps any single
+# task's materialization comfortably inside a worker heap while still
+# amortizing per-task overhead.
 DEFAULT_TARGET_BUCKET_BYTES = 256 * 2**20
+
+# Fewest input bytes each bucket must hold before the count is raised
+# toward 2×CPUs for parallelism: below it Ray's sort shuffle costs more
+# than the spread buys (one CPU: ~4 MB through 16 ``groupby`` buckets took
+# 0.36-0.38 s, through one ``repartition(1)`` block 0.16 s).
+MIN_BUCKET_BYTES = 16 * 2**20
 
 _MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
 def estimate_dataset_bytes(ds) -> int | None:
-    """Metadata-only input-size estimate for a (lazy) Dataset: walk the
-    logical DAG upward until an operator reports a known ``size_bytes``
-    (the column-pruned parquet read does). Never triggers execution;
-    returns ``None`` when nothing in the lineage knows. Transforms
-    usually shrink data, so this is a conservative upper bound."""
-    try:
-        node = ds._logical_plan.dag
-        while node is not None:
-            md = node.infer_metadata()
-            if md.size_bytes is not None:
-                return md.size_bytes
-            deps = node.input_dependencies
-            if not deps:
-                return None
-            if len(deps) > 1:  # union / zip: sum whatever inputs know
-                parts = []
-                for dep in deps:
-                    sub = _estimate_node_bytes(dep)
-                    if sub is not None:
-                        parts.append(sub)
-                return sum(parts) if parts else None
-            node = deps[0]
-    except Exception:  # noqa: BLE001 — sizing is best-effort, never fatal
-        return None
-    return None
+    """Metadata-only input-size estimate for a (lazy) Dataset (see
+    :func:`_estimate`); transforms usually shrink data, so this is a
+    conservative upper bound."""
+    return _estimate(ds, "size_bytes")
 
 
 def estimate_dataset_rows(ds) -> int | None:
-    """Metadata-only row-count estimate (same lineage walk as
-    :func:`estimate_dataset_bytes`); ``None`` when unknown."""
-    try:
-        node = ds._logical_plan.dag
-        while node is not None:
-            md = node.infer_metadata()
-            if md.num_rows is not None:
-                return md.num_rows
+    """Metadata-only row-count estimate (see :func:`_estimate`)."""
+    return _estimate(ds, "num_rows")
+
+
+def _estimate(ds, field: str) -> int | None:
+    """The one lineage walk behind both estimates: walk the logical DAG
+    upward until an operator's metadata knows ``field`` (the
+    column-pruned parquet read does); a node with several inputs (union,
+    zip) sums whatever its inputs know, so a zip's rows are overstated.
+    Never triggers execution; ``None`` when nothing in the lineage
+    knows."""
+
+    def walk(node) -> int | None:
+        while True:
+            known = getattr(node.infer_metadata(), field)
+            if known is not None:
+                return known
             deps = node.input_dependencies
-            if not deps:
-                return None
+            if len(deps) != 1:
+                parts = [p for p in map(walk, deps) if p is not None]
+                return sum(parts) if parts else None
             node = deps[0]
-    except Exception:  # noqa: BLE001
+
+    try:
+        return walk(ds._logical_plan.dag)
+    except Exception:  # noqa: BLE001 — sizing is best-effort, never fatal
         return None
-    return None
-
-
-def _estimate_node_bytes(node) -> int | None:
-    while node is not None:
-        md = node.infer_metadata()
-        if md.size_bytes is not None:
-            return md.size_bytes
-        deps = node.input_dependencies
-        if not deps:
-            return None
-        node = deps[0]
-    return None
 
 
 def default_n_buckets(*datasets, target_bucket_bytes: int | None = None) -> int:
-    """Shuffle-bucket default, DATA-AWARE when the exchange's input
-    dataset(s) are passed: ``max(2×CPUs, ceil(input_bytes / 256 MiB))``
-    so per-bucket groups stay bounded as data grows (a CPU-derived count
-    alone would make each group scale linearly with corpus size). Falls
-    back to ``max(16, 2×CPUs)`` when no lineage size is known."""
+    """Bucket count for an exchange over ``datasets``, sized by their
+    known input bytes: ``ceil(bytes / target)`` (default
+    :data:`DEFAULT_TARGET_BUCKET_BYTES`), raised toward ``2×CPUs`` only
+    while every bucket still holds :data:`MIN_BUCKET_BYTES`, and never
+    below 1 — a few MB is one bucket, which :func:`map_buckets` runs
+    without a shuffle. When no input's size is known the count falls
+    back to ``max(16, 2×CPUs)``."""
     import ray
 
     try:
-        floor = max(16, 2 * int(ray.cluster_resources().get("CPU", 8)))
+        cpus = int(ray.cluster_resources().get("CPU", 8))
     except Exception:  # noqa: BLE001
-        floor = 16
+        cpus = 8
+    sizes = [estimate_dataset_bytes(ds) for ds in datasets if ds is not None]
+    known = [b for b in sizes if b is not None]
+    if not known:
+        return max(16, 2 * cpus)
+    total = sum(known)
     target = target_bucket_bytes or DEFAULT_TARGET_BUCKET_BYTES
-    total = 0
-    known = False
-    for ds in datasets:
-        if ds is None:
-            continue
-        est = estimate_dataset_bytes(ds)
-        if est is not None:
-            total += est
-            known = True
-    if known and total > 0:
-        return max(floor, -(-total // target))
-    return floor
+    return max(1, -(-total // target), min(2 * cpus, total // MIN_BUCKET_BYTES))
 
 
 def key_hash(table: pa.Table, key_columns: list[str], key: str = "0123456789abcdef") -> np.ndarray:
@@ -142,7 +128,9 @@ def key_hash(table: pa.Table, key_columns: list[str], key: str = "0123456789abcd
 
 def bucket_ids(table: pa.Table, key_columns: list[str], n_buckets: int) -> np.ndarray:
     """int32 bucket id in ``[0, n_buckets)`` per row of ``table``:
-    :func:`key_hash` mixed to a bucket."""
+    :func:`key_hash` mixed to a bucket (one bucket needs no hash)."""
+    if n_buckets == 1:
+        return np.zeros(table.num_rows, np.int32)
     return mix_to_buckets(key_hash(table, key_columns), n_buckets)
 
 
@@ -165,15 +153,25 @@ def _route(ds, key_columns, n_buckets, prepare, named_after):
     return ds.map_batches(add_bucket, batch_format="pyarrow")
 
 
-def map_buckets(ds, body):
-    """Group half of the exchange: ``groupby("__bucket")`` →
-    ``map_groups(body)``. ``body`` gets one whole bucket (never 0 rows)
-    with ``__bucket`` dropped; the UDF carries ``body``'s name."""
+def map_buckets(ds, body, n_buckets: int | None = None):
+    """Group half of the exchange: ``body`` gets one whole bucket (never
+    0 rows) with ``__bucket`` dropped; the UDF carries ``body``'s name.
+    ``n_buckets`` is how many bucket ids the routing can produce (``None``
+    when the caller does not know). Several go through Ray's sort shuffle,
+    ``groupby("__bucket")`` → ``map_groups``; one needs no shuffle, nor a
+    ``__bucket`` column: ``repartition(1)`` → ``map_batches(batch_size=None)``
+    hands the body the whole dataset as one block."""
 
     @functools.wraps(body)
     def per_bucket(group: pa.Table) -> pa.Table:
-        return body(group.drop_columns([BUCKET]))
+        if not group.num_rows:  # an empty dataset's one block
+            return pa.table({})
+        if BUCKET in group.column_names:
+            group = group.drop_columns([BUCKET])
+        return body(group)
 
+    if n_buckets == 1:
+        return ds.repartition(1).map_batches(per_bucket, batch_format="pyarrow", batch_size=None)
     return ds.groupby(BUCKET).map_groups(per_bucket, batch_format="pyarrow")
 
 
@@ -181,7 +179,7 @@ def bucketed(ds, key_columns: list[str], n_buckets: int, body, prepare=None):
     """The whole exchange: :func:`route` then :func:`map_buckets`. With no
     ``prepare`` the map UDF carries ``body``'s name."""
     routed = _route(ds, key_columns, n_buckets, prepare, prepare or body)
-    return map_buckets(routed, body)
+    return map_buckets(routed, body, n_buckets)
 
 
 class Segments(NamedTuple):

@@ -804,15 +804,24 @@ def _code_counts_by_bucket(buckets: np.ndarray, codes: np.ndarray):
         yield int(b_s[s]), (u, cnt.astype(np.int64))
 
 
-def _deg_scatter(tab: pa.Table, nb: int) -> tuple:
+def _slots(out: list):
+    """Return value of a ``num_returns=len(out)`` task: one object per
+    slot; with one slot Ray stores the return value itself, so it is the
+    slot, not a 1-tuple."""
+    return out[0] if len(out) == 1 else tuple(out)
+
+
+def _deg_scatter(tab: pa.Table, nb: int):
     """Source-degree partials of one pinned coded edge block, one output
-    slot per source bucket."""
+    slot per source bucket (:func:`_slots`)."""
     out = [None] * nb
+    if not tab.num_rows:  # a grouped exchange's empty block has no columns
+        return _slots(out)
     sb = np.asarray(tab.column("sb"), np.int64)
     sc = np.asarray(tab.column("scode"), np.int64)
     for b, counts in _code_counts_by_bucket(sb, sc):
         out[b] = counts
-    return tuple(out)
+    return _slots(out)
 
 
 def _build_node_shards(edges, src_column, dst_column, n_buckets):
@@ -982,7 +991,7 @@ def pagerank_copartitioned(
     def _scatter(tab: pa.Table, nb: int, state_refs: list):
         out: list = [None] * nb
         if not tab.num_rows:
-            return tuple(out)
+            return _slots(out)
         sb = np.asarray(tab.column("sb"), np.int64)
         db = np.asarray(tab.column("db"), np.int64)
         sc = np.asarray(tab.column("scode"), np.int64)
@@ -1008,7 +1017,7 @@ def pagerank_copartitioned(
         for i in range(nb):
             if acc[i]:
                 out[i] = acc[i]
-        return tuple(out)
+        return _slots(out)
 
     @ray.remote(num_returns=2)
     def _gather(
@@ -1192,7 +1201,7 @@ def kcore_copartitioned(
     def _kc_scatter(tab: pa.Table, nb: int, drop_refs: list):
         out: list = [None] * nb
         if not tab.num_rows:
-            return tuple(out)
+            return _slots(out)
         import ray as _ray
 
         sb = np.asarray(tab.column("sb"), np.int64)
@@ -1221,7 +1230,7 @@ def kcore_copartitioned(
         for i in range(nb):
             if acc[i]:
                 out[i] = acc[i]
-        return tuple(out)
+        return _slots(out)
 
     @ray.remote
     def _kc_apply(state, *partials):

@@ -241,7 +241,7 @@ def asof_join(
             out_cols[f"r_{c}"] = group.column(f"r_{c}").take(r_match)
         return pa.table(out_cols)
 
-    return map_buckets(tagged, merge_bucket)
+    return map_buckets(tagged, merge_bucket, n_buckets)
 
 
 def interval_overlap_join(
@@ -387,7 +387,7 @@ def interval_overlap_join(
             }
         )
 
-    return map_buckets(tagged, merge_bucket)
+    return map_buckets(tagged, merge_bucket, n_buckets)
 
 
 def range_join(
@@ -525,7 +525,7 @@ def range_join(
             out_cols[f"r_{c}"] = group.column(f"r_{c}").take(r_match)
         return pa.table(out_cols)
 
-    return map_buckets(tagged, merge_bucket)
+    return map_buckets(tagged, merge_bucket, n_buckets)
 
 
 def hash_join(
@@ -864,7 +864,9 @@ def hash_join(
             right_only[c] = group.column(c).take(rtake)
         return pa.concat_tables([left_tbl, pa.table(right_only)])
 
-    return map_buckets(tagged, merge_bucket)
+    # count the sub-buckets: a replicated right row must never meet itself
+    # in one merged group, so a salted join never takes the one-bucket path
+    return map_buckets(tagged, merge_bucket, int(splits.sum()))
 
 
 def semi_anti_join(
@@ -982,7 +984,7 @@ def semi_anti_join(
             out[c] = group.column(c).take(take)
         return pa.table(out)
 
-    return map_buckets(tagged, merge_bucket)
+    return map_buckets(tagged, merge_bucket, int(splits.sum()))
 
 
 _ALT_HASH = "fedcba9876543210"  # second hash family for the Bloom prefilter

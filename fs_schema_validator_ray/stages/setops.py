@@ -78,7 +78,7 @@ def set_op_distinct(left, right, columns: list[str], op: str, n_buckets: int | N
         take = pa.array(order[starts[keep]], pa.int64())
         return group.select(columns).take(take)
 
-    return map_buckets(_tagged(left, right, columns, n_buckets, tag), merge_bucket)
+    return map_buckets(_tagged(left, right, columns, n_buckets, tag), merge_bucket, n_buckets)
 
 
 def set_op_bag(left, right, columns: list[str], op: str, n_buckets: int | None = None):
@@ -134,7 +134,7 @@ def set_op_bag(left, right, columns: list[str], op: str, n_buckets: int | None =
         take = pa.array(np.repeat(order[starts], k), pa.int64())
         return group.select(columns).take(take)
 
-    return map_buckets(_tagged(left, right, columns, n_buckets, tag), merge_bucket)
+    return map_buckets(_tagged(left, right, columns, n_buckets, tag), merge_bucket, n_buckets)
 
 
 def table_diff(
@@ -241,4 +241,4 @@ def table_diff(
         out["change"] = pa.array(labels, pa.string())
         return pa.table(out)
 
-    return map_buckets(unioned, per_bucket)
+    return map_buckets(unioned, per_bucket, n_buckets)

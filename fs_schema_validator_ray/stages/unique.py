@@ -149,10 +149,10 @@ def candidate_violations(read, rules: list, filters: list, out_dir: str, footer_
     ``out_dir`` by the merge tasks → ``(violations, receipts, Ray
     executions)``. ``read(columns)`` is a keys-only Dataset of the corpus,
     holding ``footer_bytes(columns)`` bytes. Every rule shares ONE
-    execution, ``read → CandidateRows → repartition(1) → merge_bucket``,
-    unless those bytes exceed ``DEFAULT_TARGET_BUCKET_BYTES``: then the
-    candidates are materialized, sized into buckets of that many bytes
-    and routed on ``(rule index, key hash)``. The candidate rows of a
+    execution, ``read → CandidateRows → exchange.map_buckets`` over one
+    bucket, unless those bytes exceed ``DEFAULT_TARGET_BUCKET_BYTES``:
+    then the candidates are materialized, sized into buckets of that many
+    bytes and routed on ``(rule index, key hash)``. The candidate rows of a
     rule are exact while no cell saturates."""
     bits = len(filters[0]).bit_length() - 1
     marked = [f >= 2 for f in filters]
@@ -187,17 +187,15 @@ def candidate_violations(read, rules: list, filters: list, out_dir: str, footer_
         executions += 1
         n_buckets = -(-cands.size_bytes() // DEFAULT_TARGET_BUCKET_BYTES) or 1
     metrics.update(buckets=n_buckets, shuffled=n_buckets > 1)
-    if n_buckets == 1:
-        out = cands.repartition(1).map_batches(
-            merge_bucket, batch_format="pyarrow", batch_size=None)
-    else:
+    if n_buckets > 1:
         def add_bucket(t: pa.Table) -> pa.Table:
             return t.append_column(
                 BUCKET, pa.array(mix_to_buckets(np.asarray(t.column(HASH)), n_buckets)))
 
         # coalesce before the sort shuffle, as uniqueness_violations does
-        routed = cands.map_batches(add_bucket, batch_format="pyarrow")
-        out = map_buckets(routed.repartition(max(4, n_buckets // 8)), merge_bucket)
+        cands = cands.map_batches(add_bucket, batch_format="pyarrow")
+        cands = cands.repartition(max(4, n_buckets // 8))
+    out = map_buckets(cands, merge_bucket, n_buckets)
     n = sum(b.num_rows for b in out.iter_batches(batch_format="pyarrow", batch_size=None))
     return n, metrics, executions
 
@@ -270,13 +268,14 @@ def uniqueness_violations(ds, rule: UniqueRule, n_buckets: int | None = None):
     # fraction of the input (one narrow row per distinct key per block) —
     # coalesce them (metadata-level, no shuffle) so the groupby exchanges
     # a few consolidated blocks instead of scan-width² tiny ones
-    partials = partials.repartition(max(4, n_buckets // 8))
+    if n_buckets > 1:
+        partials = partials.repartition(max(4, n_buckets // 8))
 
     def merge_bucket(group: pa.Table) -> pa.Table:
         return _duplicates(group.column("key"), group.column("n"), group.column("part"),
                            rule.rule_id)
 
-    return map_buckets(partials, merge_bucket)
+    return map_buckets(partials, merge_bucket, n_buckets)
 
 
 def estimate_duplicates(ds, column: str) -> dict:

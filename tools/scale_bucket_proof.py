@@ -1,8 +1,8 @@
-"""Round-5 scale proof: data-aware bucketing engages above the CPU floor.
+"""Scale proof: data-aware bucketing engages above the 2xCPU count.
 
-The sf0.1 suite resolves every exchange to the 2xCPU bucket floor, so the
-data-aware branch of ``exchange.default_n_buckets`` (ceil(bytes/256MiB)) only
-had a shrunk-target unit test. This script generates a multi-GiB synthetic
+The sf0.1 suite sizes every exchange to one or a few buckets, so the
+``ceil(bytes/256MiB)`` branch of ``exchange.default_n_buckets`` past 2xCPUs
+only has a shrunk-target unit test. This script generates a multi-GiB synthetic
 high-cardinality grouped-sum input (64-char STRING keys — the wide-key
 shape where a raw-key shuffle hurts most; ~76 B/row in memory, so the
 exchange input is ~9 GiB at the default 120M rows regardless of on-disk
