@@ -30,6 +30,7 @@ from fs_schema_validator_ray.stages.exchange import (
     BUCKET,
     bucket_ids,
     bucketed,
+    coalesce,
     default_n_buckets,
     map_buckets,
     route,
@@ -121,11 +122,8 @@ def exact_dedup_keep_min(
     partials = route(
         ds.select_columns([id_column, text_column]), ["fp1"], n_buckets, partial
     )
-    # decouple scan parallelism from shuffle fan-out (blocks_in × blocks_out
-    # objects): the partials are narrow — coalesce before the exchange (one
-    # bucket has no shuffle to coalesce for)
-    if n_buckets > 1:
-        partials = partials.repartition(max(4, n_buckets // 8))
+    # decouple scan parallelism from shuffle fan-out: the partials are narrow
+    partials = coalesce(partials, n_buckets)
 
     def merge_bucket(group: pa.Table) -> pa.Table:
         g = pa.TableGroupBy(group, ["fp1", "fp2"]).aggregate([(id_column, "min")])
@@ -286,8 +284,7 @@ def dedup_paragraphs_keep_first(
     partials = route(
         ds.select_columns([id_column, text_column]), ["fp1"], n_buckets, partial
     )
-    if n_buckets > 1:
-        partials = partials.repartition(max(4, n_buckets // 8))
+    partials = coalesce(partials, n_buckets)
 
     def merge_bucket(group: pa.Table) -> pa.Table:
         fp1 = np.asarray(group.column("fp1"), dtype=np.int64)

@@ -14,9 +14,10 @@ lexsort — never one Python call per key). This module owns each piece:
   followed by :func:`map_buckets`: ``groupby("__bucket")`` →
   ``map_groups`` for several buckets, and for one bucket no shuffle at
   all, ``repartition(1)`` → ``map_batches(batch_size=None)``. The halves
-  are callable on their own so a caller can coalesce between them, or
-  route by bucket ids of its own (a caller that cannot bound how many
-  ids its routing makes passes no count and always groups);
+  are callable on their own so a caller can coalesce between them
+  (:func:`coalesce`), or route by bucket ids of its own (a caller that
+  cannot bound how many ids its routing makes passes no count and
+  always groups);
 * the scan — :func:`segments`.
 
 A body is never called with 0 rows: Ray's ``map_groups`` has no group
@@ -46,9 +47,13 @@ BUCKET = "__bucket"
 DEFAULT_TARGET_BUCKET_BYTES = 256 * 2**20
 
 # Fewest input bytes each bucket must hold before the count is raised
-# toward 2×CPUs for parallelism: below it Ray's sort shuffle costs more
-# than the spread buys (one CPU: ~4 MB through 16 ``groupby`` buckets took
-# 0.36-0.38 s, through one ``repartition(1)`` block 0.16 s).
+# toward the CPU count for parallelism, so a few MB never pays for a sort
+# shuffle (one CPU: ~4 MB through 16 ``groupby`` buckets took 0.36-0.38 s,
+# through one ``repartition(1)`` block 0.16 s). The raise stops at one
+# bucket per CPU: with no second CPU to run on, a second bucket is pure
+# shuffle cost (one CPU, a keyed exchange of 48 / 128 / 224 MiB took
+# 0.8 / 2.2 / 4.2 s at one bucket, 1.3 / 3.1 / 5.4 s at two). Where on
+# N CPUs the spread starts to pay is not measured.
 MIN_BUCKET_BYTES = 16 * 2**20
 
 _MIX = np.uint64(0x9E3779B97F4A7C15)
@@ -94,9 +99,9 @@ def _estimate(ds, field: str) -> int | None:
 def default_n_buckets(*datasets, target_bucket_bytes: int | None = None) -> int:
     """Bucket count for an exchange over ``datasets``, sized by their
     known input bytes: ``ceil(bytes / target)`` (default
-    :data:`DEFAULT_TARGET_BUCKET_BYTES`), raised toward ``2×CPUs`` only
-    while every bucket still holds :data:`MIN_BUCKET_BYTES`, and never
-    below 1 — a few MB is one bucket, which :func:`map_buckets` runs
+    :data:`DEFAULT_TARGET_BUCKET_BYTES`), raised toward one bucket per
+    CPU only while every bucket still holds :data:`MIN_BUCKET_BYTES`, and
+    never below 1 — a few MB is one bucket, which :func:`map_buckets` runs
     without a shuffle. When no input's size is known the count falls
     back to ``max(16, 2×CPUs)``."""
     import ray
@@ -111,7 +116,7 @@ def default_n_buckets(*datasets, target_bucket_bytes: int | None = None) -> int:
         return max(16, 2 * cpus)
     total = sum(known)
     target = target_bucket_bytes or DEFAULT_TARGET_BUCKET_BYTES
-    return max(1, -(-total // target), min(2 * cpus, total // MIN_BUCKET_BYTES))
+    return max(1, -(-total // target), min(cpus, total // MIN_BUCKET_BYTES))
 
 
 def key_hash(table: pa.Table, key_columns: list[str], key: str = "0123456789abcdef") -> np.ndarray:
@@ -151,6 +156,15 @@ def _route(ds, key_columns, n_buckets, prepare, named_after):
         return t.append_column(BUCKET, pa.array(bucket_ids(t, key_columns, n_buckets)))
 
     return ds.map_batches(add_bucket, batch_format="pyarrow")
+
+
+def coalesce(ds, n_buckets: int):
+    """Coalesce narrow map output before a sort shuffle over ``n_buckets``
+    groups: the shuffle moves blocks_in × blocks_out objects, so a few
+    consolidated blocks (metadata-level, no shuffle) beat scan-width² tiny
+    ones. One bucket has no shuffle, and :func:`map_buckets` makes its one
+    block itself."""
+    return ds.repartition(max(4, n_buckets // 8)) if n_buckets > 1 else ds
 
 
 def map_buckets(ds, body, n_buckets: int | None = None):

@@ -579,9 +579,10 @@ def hash_join(
     **Adaptive hot-bucket splitting** (``adaptive_skew``, inner/left
     with ``salt == 1``): one cheap pre-pass over the PRUNED left key
     column counts rows per bucket (vectorized bincount partials, driver
-    holds one int array of ``n_buckets``); any bucket whose count
-    exceeds ``max(skew_split_cap_rows, 4×median)`` is split into
-    ``ceil(count / cap)`` sub-buckets (≤64) — its left rows round-robin
+    holds one int array) at no fewer than ``SKEW_DETECT_BUCKETS``
+    buckets, the layout the join then takes if any is hot; any bucket
+    whose count exceeds ``max(skew_split_cap_rows, 4×median)`` is split
+    into ``ceil(count / cap)`` sub-buckets (≤64) — its left rows round-robin
     across them and its right rows replicate into each, the same
     correctness argument as uniform ``salt`` but applied only where the
     data is actually hot, so no single merge task materializes a whole
@@ -686,7 +687,7 @@ def hash_join(
     # occupies s contiguous final-bucket slots; left rows round-robin
     # into them, right rows replicate into all s (identical correctness
     # argument to uniform salting, applied only where hot).
-    splits = _split_factors(
+    n_buckets, splits = _split_factors(
         left, l_keys, n_buckets, salt,
         adaptive_skew if salt == 1 and how in ("inner", "left") else False,
         skew_split_cap_rows, "hash_join",
@@ -901,8 +902,9 @@ def semi_anti_join(
     cheaply than in ``hash_join`` — left rows round-robin across
     sub-buckets and only the bucket's DISTINCT right keys replicate into
     each. Same pre-pass (vectorized bincount partials over the pruned
-    left key column), same split policy (``ceil(count / cap)`` ≤64
-    sub-buckets, cap = ``max(skew_split_cap_rows, 4×median)``), logged
+    left key column, at ≥``SKEW_DETECT_BUCKETS`` buckets), same split
+    policy (``ceil(count / cap)`` ≤64 sub-buckets, cap =
+    ``max(skew_split_cap_rows, 4×median)``), logged
     (no-silent-caps). ``None`` auto-enables at ≥1M estimated left rows.
     """
     if how not in ("semi", "anti"):
@@ -921,7 +923,7 @@ def semi_anti_join(
     # hash_join): one cheap pre-pass counts left rows per bucket; hot
     # buckets widen into sub-buckets. Left rows round-robin, the right
     # side's distinct keys replicate into every sub-bucket.
-    splits = _split_factors(
+    n_buckets, splits = _split_factors(
         left, l_keys, n_buckets, 1, adaptive_skew, skew_split_cap_rows, "semi_anti_join"
     )
     if _skew_report is not None:
@@ -989,6 +991,12 @@ def semi_anti_join(
 
 _ALT_HASH = "fedcba9876543210"  # second hash family for the Bloom prefilter
 
+#: Fewest buckets the adaptive-skew pre-pass counts at. A bucket is hot
+#: against the median bucket, which one or two buckets cannot show (a lone
+#: bucket IS the median), yet a data-sized exchange is often that small: a
+#: hot key is found at this resolution, and the join then runs on it.
+SKEW_DETECT_BUCKETS = 16
+
 
 def _all_valid(t: pa.Table, names: list[str]):
     v = pc.is_valid(t.column(names[0]))
@@ -1018,23 +1026,26 @@ def _match_keys(group: pa.Table, kcols: list[str]) -> tuple[np.ndarray, np.ndarr
 
 def _split_factors(
     left, l_keys: list[str], n_buckets: int, base: int, adaptive_skew, cap_rows: int, op: str
-) -> np.ndarray:
-    """Per-bucket split factor: ``base`` everywhere, widened where the
-    left side is hot. With ``adaptive_skew`` (``None`` = auto at ≥1M
-    estimated left rows) one cheap pre-pass over the pruned left key
-    columns counts rows per bucket (vectorized bincount partials, the
-    driver holds one int array of ``n_buckets``); a bucket whose count
-    exceeds ``max(cap_rows, 4×median)`` splits into ``ceil(count / cap)``
-    sub-buckets (≤64). Splits are logged (no-silent-caps)."""
-    splits = np.full(n_buckets, base, dtype=np.int64)
+) -> tuple[int, np.ndarray]:
+    """``(n_buckets, per-bucket split factor)``: ``base`` everywhere,
+    widened where the left side is hot. With ``adaptive_skew`` (``None`` =
+    auto at ≥1M estimated left rows) one cheap pre-pass over the pruned
+    left key columns counts rows per bucket (vectorized bincount partials,
+    the driver holds one int array) at no fewer than
+    :data:`SKEW_DETECT_BUCKETS` buckets; a bucket whose count exceeds
+    ``max(cap_rows, 4×median)`` splits into ``ceil(count / cap)``
+    sub-buckets (≤64), and the exchange then takes the counted layout. With
+    no hot bucket ``n_buckets`` stays as given. Splits are logged
+    (no-silent-caps)."""
     if adaptive_skew is None:
         est_rows = estimate_dataset_rows(left)
         adaptive_skew = est_rows is not None and est_rows >= 1_000_000
     if not adaptive_skew:
-        return splits
+        return n_buckets, np.full(n_buckets, base, dtype=np.int64)
+    n_count = max(n_buckets, SKEW_DETECT_BUCKETS)
 
     def count_partial(t: pa.Table) -> pa.Table:
-        c = np.bincount(bucket_ids(t, l_keys, n_buckets), minlength=n_buckets)
+        c = np.bincount(bucket_ids(t, l_keys, n_count), minlength=n_count)
         nz = np.flatnonzero(c)
         return pa.table(
             {
@@ -1048,7 +1059,7 @@ def _split_factors(
         .map_batches(count_partial, batch_format="pyarrow")
         .to_pandas()
     )
-    counts = np.zeros(n_buckets, np.int64)
+    counts = np.zeros(n_count, np.int64)
     if len(parts):
         np.add.at(
             counts,
@@ -1065,13 +1076,13 @@ def _split_factors(
 
             hot = np.flatnonzero(need > 1)
             logging.getLogger(__name__).warning(
-                "%s adaptive skew: splitting %d hot bucket(s) "
+                "%s adaptive skew: splitting %d hot bucket(s) of %d "
                 "(max %d rows, median %d, cap %d) into up to %d "
                 "sub-buckets",
-                op, len(hot), int(counts.max()), med, cap, int(need.max()),
+                op, len(hot), n_count, int(counts.max()), med, cap, int(need.max()),
             )
-            splits = np.maximum(splits, need)
-    return splits
+            return n_count, np.maximum(base, need)
+    return n_buckets, np.full(n_buckets, base, dtype=np.int64)
 
 
 def _offsets(splits: np.ndarray) -> np.ndarray:

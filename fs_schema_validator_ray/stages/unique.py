@@ -48,6 +48,7 @@ from fs_schema_validator_ray.stages.exchange import (
     BUCKET,
     DEFAULT_TARGET_BUCKET_BYTES,
     bucketed,
+    coalesce,
     default_n_buckets,
     map_buckets,
     route,
@@ -192,9 +193,7 @@ def candidate_violations(read, rules: list, filters: list, out_dir: str, footer_
             return t.append_column(
                 BUCKET, pa.array(mix_to_buckets(np.asarray(t.column(HASH)), n_buckets)))
 
-        # coalesce before the sort shuffle, as uniqueness_violations does
-        cands = cands.map_batches(add_bucket, batch_format="pyarrow")
-        cands = cands.repartition(max(4, n_buckets // 8))
+        cands = coalesce(cands.map_batches(add_bucket, batch_format="pyarrow"), n_buckets)
     out = map_buckets(cands, merge_bucket, n_buckets)
     n = sum(b.num_rows for b in out.iter_batches(batch_format="pyarrow", batch_size=None))
     return n, metrics, executions
@@ -263,13 +262,9 @@ def uniqueness_violations(ds, rule: UniqueRule, n_buckets: int | None = None):
     part_cols = [PARTITION_COLUMN] if PARTITION_COLUMN in ds.schema().names else []
     keys = ds.select_columns([*rule.input_columns(), *part_cols])
     partials = route(keys, ["key"], n_buckets, lambda t: _partial_counts(t, rule))
-    # decouple SCAN parallelism from SHUFFLE fan-out: the sort-shuffle
-    # moves blocks_in × blocks_out objects, and the partials are a small
-    # fraction of the input (one narrow row per distinct key per block) —
-    # coalesce them (metadata-level, no shuffle) so the groupby exchanges
-    # a few consolidated blocks instead of scan-width² tiny ones
-    if n_buckets > 1:
-        partials = partials.repartition(max(4, n_buckets // 8))
+    # decouple SCAN parallelism from SHUFFLE fan-out: the partials are a
+    # small fraction of the input (one narrow row per distinct key per block)
+    partials = coalesce(partials, n_buckets)
 
     def merge_bucket(group: pa.Table) -> pa.Table:
         return _duplicates(group.column("key"), group.column("n"), group.column("part"),

@@ -206,16 +206,18 @@ def test_bucket_count_scales_with_data(ray_session, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "mib, want",
+    "cpus, mib, want",
     [
-        (20, 1),  # two buckets would hold under 16 MiB each: no raise
-        (100, 6),  # ceil(100/256) = 1, raised to 100 // 16 = 6
-        (1024, 8),  # ceil(1024/256) = 4, raised to 2×CPUs = 8
-        (10 * 1024, 40),  # ceil(10240/256) = 40 is past 2×CPUs
+        (4, 20, 1),  # two buckets would hold under 16 MiB each: no raise
+        (4, 48, 3),  # ceil(48/256) = 1, raised to 48 // 16 = 3
+        (4, 100, 4),  # raised to 100 // 16 = 6, stopped at one per CPU
+        (1, 200, 1),  # one CPU: nothing to spread over, one bucket
+        (1, 300, 2),  # past the 256 MiB target: ceil(300/256) = 2
+        (4, 10 * 1024, 40),  # ceil(10240/256) = 40 is past the CPU count
     ],
 )
-def test_min_bucket_bytes_raises_toward_twice_the_cpus(monkeypatch, mib, want):
-    _four_cpus(monkeypatch)
+def test_min_bucket_bytes_raises_toward_the_cpus(monkeypatch, cpus, mib, want):
+    monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": cpus})
     monkeypatch.setattr(exchange, "estimate_dataset_bytes", lambda ds: mib * 2**20)
     assert MIN_BUCKET_BYTES == 16 * 2**20
     assert default_n_buckets(object()) == want

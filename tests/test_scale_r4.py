@@ -5,12 +5,6 @@ bucket-sizing tests live in ``test_exchange.py``.)"""
 import pyarrow as pa
 import ray.data
 
-#: The split policy finds a hot bucket against the median bucket, so it
-#: needs several buckets to compare. The planted inputs here are 16 MB or
-#: less, which the data-sized default makes ONE bucket (never split: the whole
-#: input is one merge task anyway); the tests pin the count they were
-#: written for.
-SKEW_BUCKETS = 16
 
 # --- adaptive hot-bucket splitting in hash_join (VERDICT r3 item 6) ---------
 
@@ -43,7 +37,7 @@ def test_hash_join_adaptive_skew_planted_hot_key(ray_session):
     out = hash_join(
         left, right, "k", "rk", ["lv"], ["rv"],
         how="inner", adaptive_skew=True, skew_split_cap_rows=50_000,
-        n_buckets=SKEW_BUCKETS, _skew_report=report,
+        _skew_report=report,
     ).to_pandas()
 
     assert report["n_hot"] >= 1
@@ -78,6 +72,30 @@ def test_hash_join_adaptive_off_for_small_inputs(ray_session):
     assert sorted(out["lv"].tolist()) == [20, 30]
 
 
+def test_hash_join_adaptive_keeps_one_bucket_when_nothing_is_hot(ray_session):
+    """The pre-pass counts a one-bucket join at SKEW_DETECT_BUCKETS
+    buckets; a uniform left side has no hot bucket there, so the join
+    keeps its one bucket (no split, no shuffle) and stays exact."""
+    import numpy as np
+
+    from fs_schema_validator_ray.stages.joins import hash_join
+
+    n = 200_000
+    keys = np.arange(n, dtype=np.int64) % 10_000
+    left = ray.data.from_arrow(pa.table({"k": keys, "lv": np.arange(n)}))
+    rkeys = np.arange(0, 10_000, 2, dtype=np.int64)
+    right = ray.data.from_arrow(pa.table({"rk": rkeys, "rv": rkeys * 10}))
+    report: dict = {}
+    out = hash_join(
+        left, right, "k", "rk", ["lv"], ["rv"], n_buckets=1,
+        adaptive_skew=True, skew_split_cap_rows=5_000, _skew_report=report,
+    ).to_pandas()
+    assert report["n_hot"] == 0
+    assert report["splits"].tolist() == [1]
+    assert len(out) == n // 2
+    assert (out["rv"] == out["k"] * 10).all()
+
+
 def test_hash_join_adaptive_left_join_with_nulls(ray_session):
     """Splitting must preserve left-join semantics: unmatched and
     null-key left rows emit exactly once with null right columns."""
@@ -99,7 +117,7 @@ def test_hash_join_adaptive_left_join_with_nulls(ray_session):
     out = hash_join(
         left, right, "k", "rk", ["lv"], ["rv"],
         how="left", adaptive_skew=True, skew_split_cap_rows=5_000,
-        n_buckets=SKEW_BUCKETS, _skew_report=report,
+        _skew_report=report,
     ).to_pandas()
     assert report["n_hot"] >= 1
     assert len(out) == n + 2
@@ -139,7 +157,7 @@ def test_semi_anti_join_adaptive_skew_planted_hot_key(ray_session):
         out = semi_anti_join(
             left, right, "k", "rk", ["lv"], how=how,
             adaptive_skew=True, skew_split_cap_rows=50_000,
-            n_buckets=SKEW_BUCKETS, _skew_report=report,
+            _skew_report=report,
         ).to_pandas()
         assert report["n_hot"] >= 1
         assert report["splits"].max() >= 3
@@ -168,14 +186,13 @@ def test_semi_anti_join_adaptive_null_keys_kept_by_anti(ray_session):
     report: dict = {}
     semi = semi_anti_join(
         left, right, "k", "rk", ["lv"], how="semi",
-        adaptive_skew=True, skew_split_cap_rows=5_000, n_buckets=SKEW_BUCKETS,
-        _skew_report=report,
+        adaptive_skew=True, skew_split_cap_rows=5_000, _skew_report=report,
     ).to_pandas()
     assert report["n_hot"] >= 1
     assert len(semi) == n and set(semi["k"]) == {5}
     anti = semi_anti_join(
         left, right, "k", "rk", ["lv"], how="anti",
-        adaptive_skew=True, skew_split_cap_rows=5_000, n_buckets=SKEW_BUCKETS,
+        adaptive_skew=True, skew_split_cap_rows=5_000,
     ).to_pandas()
     assert sorted(anti["lv"].tolist()) == [n, n + 1]
 
