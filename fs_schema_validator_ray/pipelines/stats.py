@@ -18,8 +18,9 @@ over every pending ``unique`` and ``drift`` rule at once, inside the
 tasks that already read their columns (the row pass, and a keys-only
 scan of partitions a resumed run skips): :class:`GlobalPartial` folds
 each batch into one partial per rule per task — a drift rule's
-per-partition counts, or the sparse cell counts of a ``unique`` rule's
-counting filter (the cells come from ``stages/unique.py``) — and
+per-partition counts, a ``unique`` rule's exact key counts or the
+sparse cell counts of its counting filter (both from
+``stages/unique.py``, which says when each is used) — and
 :func:`fold_partials` merges them on the driver as the tasks finish.
 """
 
@@ -273,29 +274,42 @@ class GlobalPartial:
     """The partial of every pending ``unique`` and ``drift`` rule over the
     batches of a task: :meth:`add` folds a batch (with ``partition_id``)
     in; :meth:`blobs` gives one row per rule, its index (unique rules
-    first) and an Arrow IPC blob: the sparse ``(cell, min(n, 255))`` pairs
-    of a unique rule's filter of ``2**bits`` cells
-    (``stages.unique.key_cells``), a drift rule's :func:`drift_partial`
-    table. Called on a batch, it is a ``map_batches`` UDF."""
+    first) and an Arrow IPC blob: a unique rule's key counts
+    (``stages.unique._partial_counts``; null when the task read no rows)
+    if ``bits`` is ``None``, else the sparse ``(cell, min(n, 255))`` pairs
+    of its filter of ``2**bits`` cells (``stages.unique.key_cells``); a
+    drift rule's :func:`drift_partial` table. Called on a batch, it is a
+    ``map_batches`` UDF."""
 
-    def __init__(self, unique_rules: list, drift_rules: list, bits: int) -> None:
+    def __init__(self, unique_rules: list, drift_rules: list, bits: Optional[int]) -> None:
         self.unique_rules, self.drift_rules, self.bits = unique_rules, drift_rules, bits
-        self.cells: list = [[] for _ in unique_rules]
+        # per unique rule: its key batches (exact) or its cells (filter)
+        self.keys: list = [[] for _ in unique_rules]
         self.drift: list = [{} for _ in drift_rules]
 
     def add(self, batch: pa.Table) -> None:
-        for cells, rule in zip(self.cells, self.unique_rules):
-            cells.append(unique_stage.key_cells(batch, rule, self.bits).astype(np.int32))
+        for keys, rule in zip(self.keys, self.unique_rules):
+            if self.bits is None:
+                keys.append(batch.select([*rule.input_columns(), PARTITION_COLUMN]))
+            else:
+                keys.append(unique_stage.key_cells(batch, rule, self.bits).astype(np.int32))
         for merged, rule in zip(self.drift, self.drift_rules):
             merge_drift_partial(merged, rule, drift_partial(rule)(batch))
 
     def blobs(self) -> pa.Table:
         blobs = []
-        for cells in self.cells:
-            cells, n = np.unique(np.concatenate(cells or [np.empty(0, np.int32)]),
-                                 return_counts=True)
-            # a byte a count: five bytes a pair
-            blobs.append(_ipc(pa.table({"cell": cells, "n": np.minimum(n, 255).astype(np.uint8)})))
+        for keys, rule in zip(self.keys, self.unique_rules):
+            if self.bits is None and not keys:
+                blobs.append(None)  # the task read no rows
+            elif self.bits is None:
+                t = pa.concat_tables(keys, promote_options="permissive")
+                blobs.append(_ipc(unique_stage._partial_counts(t, rule)))
+            else:
+                cells, n = np.unique(np.concatenate(keys or [np.empty(0, np.int32)]),
+                                     return_counts=True)
+                # a byte a count: five bytes a pair
+                blobs.append(_ipc(pa.table({"cell": cells,
+                                            "n": np.minimum(n, 255).astype(np.uint8)})))
         for merged, rule in zip(self.drift, self.drift_rules):
             blobs.append(_ipc(_drift_table(rule, merged)))
         return pa.table(
@@ -309,23 +323,28 @@ class GlobalPartial:
         return partial.blobs()
 
 
-def fold_partials(filters: list, drift_states: list, drift_rules: list, blobs: pa.Table) -> None:
+def fold_partials(unique_states: list, drift_states: list, drift_rules: list,
+                  blobs: pa.Table) -> None:
     """Fold :class:`GlobalPartial` rows (``rule``, ``blob``; a null blob is
-    skipped) in place into ``filters[i]``, a byte a cell of the ``i``-th
-    unique rule's filter saturated at 255, and ``drift_states[j]``, the
-    :func:`merge_drift_partial` state of ``drift_rules[j]``."""
+    skipped) in place into ``unique_states[i]``, the state of the ``i``-th
+    unique rule, and ``drift_states[j]``, the :func:`merge_drift_partial`
+    state of ``drift_rules[j]``. A unique rule's state is a list of its
+    tasks' key-count tables (exact), or its filter: a byte a cell,
+    saturated at 255."""
     for i, blob in zip(blobs.column("rule").to_pylist(), blobs.column("blob").to_pylist()):
         if blob is None:
             continue
         part = pa.ipc.open_stream(blob).read_all()
-        if i < len(filters):
+        if i >= len(unique_states):
+            j = i - len(unique_states)
+            merge_drift_partial(drift_states[j], drift_rules[j], part)
+        elif isinstance(unique_states[i], list):
+            unique_states[i].append(part)
+        else:
             # cells are distinct within one partial
             cells = np.asarray(part.column("cell"))
-            filters[i][cells] = np.minimum(
-                filters[i][cells] + np.asarray(part.column("n"), np.uint16), 255)
-        else:
-            j = i - len(filters)
-            merge_drift_partial(drift_states[j], drift_rules[j], part)
+            unique_states[i][cells] = np.minimum(
+                unique_states[i][cells] + np.asarray(part.column("n"), np.uint16), 255)
 
 
 def drift_verdicts(merged: dict, rule: DriftRule, baseline=None):
@@ -517,38 +536,29 @@ def psi_by_group(
 
 class _CatDriftPartial:
     """Per-batch per-partition CATEGORY counts for one categorical drift
-    rule (Arrow value_counts per partition — no per-row Python)."""
+    rule: one Arrow ``value_counts`` per partition in the batch (a
+    validation run's batches hold one) — no per-row Python."""
 
     def __init__(self, rule: DriftRule) -> None:
         self.rule = rule
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         r = self.rule
-        empty = pa.table(
-            {
-                "partition_id": pa.array([], pa.int32()),
-                "category": pa.array([], pa.string()),
-                "n": pa.array([], pa.int64()),
-            }
-        )
+        empty = pa.table({"partition_id": pa.array([], pa.int32()),
+                          "category": pa.array([], pa.string()),
+                          "n": pa.array([], pa.int64())})
         if r.column not in batch.column_names:
             return empty
         cats = pc.cast(batch.column(r.column).combine_chunks(), pa.string())
         cats = pc.fill_null(cats, "__null")
         parts = partition_ids(batch)
-        tbl = pa.table(
-            {"partition_id": pa.array(parts), "category": cats}
-        )
-        g = pa.TableGroupBy(tbl, ["partition_id", "category"]).aggregate(
-            [([], "count_all")]
-        )
-        return pa.table(
-            {
-                "partition_id": g.column("partition_id"),
-                "category": g.column("category"),
-                "n": pc.cast(g.column("count_all"), pa.int64()),
-            }
-        )
+        pids, out = np.unique(parts), [empty]
+        for pid in pids:
+            vc = pc.value_counts(cats if len(pids) == 1 else cats.filter(pa.array(parts == pid)))
+            out.append(pa.table({"partition_id": pa.array(np.full(len(vc), pid, np.int32)),
+                                 "category": vc.field("values"),
+                                 "n": vc.field("counts")}))
+        return pa.concat_tables(out)
 
 
 def _categorical_verdicts(per_pid: dict, rule: DriftRule, baseline=None):

@@ -21,16 +21,19 @@ Ray-Data-first rebuild of the reference's one-shot serial run
 * globally-scoped rules — every pending ``unique`` and ``drift`` rule —
   come out of the same read: the row pass reads their columns too, and
   each task returns one mergeable partial per rule beside its docs
-  (``pipelines/stats.py::GlobalPartial``): each unique rule's
-  counting-filter cells, each drift rule's per-partition histograms.
+  (``pipelines/stats.py::GlobalPartial``): each drift rule's
+  per-partition histograms, and each unique rule's exact key counts
+  while the footers put the rules' key bytes at or below
+  ``exchange.MIN_BUCKET_BYTES``, its counting-filter cells above that.
   The driver folds them as the tasks finish (``fold_partials``), then
-  writes the drift verdicts. Keys can repeat only in cells counted
-  twice: with none there is no second read and no shuffle; otherwise ONE
-  keys-only scan keeps just those rows of every rule and merges them in
-  one exchange (``stages/unique.py::candidate_violations``) — never
-  payloads. A fresh run is thus at most two Ray executions. A finished
-  partition keeps no partials: a resumed run that still owes a global
-  verdict scans the keys of the partitions it skips
+  writes the drift verdicts and, from exact counts, the duplicates.
+  From a filter, keys can repeat only in cells counted twice: with none
+  there is no second read and no shuffle; otherwise ONE keys-only scan
+  keeps just those rows of every rule and merges them in one exchange
+  (``stages/unique.py::candidate_violations``) — never payloads. A
+  fresh run is thus one Ray execution when the keys fit, and at most two
+  otherwise. A finished partition keeps no partials: a resumed run that
+  still owes a global verdict scans the keys of the partitions it skips
   (:class:`ScanPartitions`).
 
 Every manifest doc (``part-N``, ``plan``, ``global``, ``drift-<id>``)
@@ -72,7 +75,8 @@ from fs_schema_validator_ray.report import (
 from fs_schema_validator_ray.rules import RuleSet
 from fs_schema_validator_ray.sinks import write_json_atomic
 from fs_schema_validator_ray.stages.combined import CombinedValidateStage
-from fs_schema_validator_ray.stages.referential import build_membership
+from fs_schema_validator_ray.stages.exchange import MIN_BUCKET_BYTES
+from fs_schema_validator_ray.stages.referential import build_membership, match_key_types
 from fs_schema_validator_ray.stages import unique
 from fs_schema_validator_ray.state.sketches import Histogram, canonical_tuple_strings
 
@@ -345,7 +349,8 @@ class CommitPartitions:
     ``part-N.json``. Output: the written docs, one ``doc`` row per
     partition (the receipts), then the task's partials, one ``rule`` /
     ``blob`` row per pending global rule (``global_rules``: the unique
-    rules, the drift rules and the filter bits). The partials are not
+    rules, the drift rules and the filter bits, ``None`` for exact key
+    counts). The partials are not
     checkpointed: a resumed run reads the keys of finished partitions
     again."""
 
@@ -608,14 +613,21 @@ def run_validation(cfg: ValidationRunConfig) -> RunResult:
         (set(rules.required_columns(cfg.key_column)) & input_columns) - {PARTITION_COLUMN}
     )
 
+    def footer_bytes(columns) -> int:
+        return sum(footers[f][1].get(c, 0) for f in files for c in columns)
+
     # --- global rules: partials from the tasks that read their columns ---
     # (the row pass; a keys-only scan of the partitions it skips)
     unique_rules = [] if "global" in done else rules.unique_rules()
     drift_rules = [r for r in rules.drift_rules() if f"drift-{r.rule_id}" not in done]
-    global_rules = (unique_rules, drift_rules,
+    # exact key counts while every rule's keys fit on the driver together
+    key_bytes = sum(footer_bytes(r.input_columns()) for r in unique_rules)
+    exact = key_bytes <= MIN_BUCKET_BYTES
+    global_rules = (unique_rules, drift_rules, None if exact else
                     unique.filter_bits(sum(rows for rows, _ in footers.values())))
     global_columns = {c for r in [*unique_rules, *drift_rules] for c in r.input_columns()}
-    filters = [np.zeros(1 << global_rules[2], np.uint8) for _ in unique_rules]
+    unique_states = [[] if exact else np.zeros(1 << global_rules[2], np.uint8)
+                     for _ in unique_rules]
     drift_states: list = [{} for _ in drift_rules]
     pending = [(pid, grp) for pid, grp in groups if f"part-{pid}" not in done]
     executions = 0  # Ray executions this run started
@@ -637,14 +649,17 @@ def run_validation(cfg: ValidationRunConfig) -> RunResult:
             raise ValueError("ruleset has referential rules but no manifest_path configured")
 
         for rule in rules.referential_rules():
+            columns = list(rule.columns or [rule.column])
+            manifest_columns = columns if rule.columns else [cfg.manifest_key_column or rule.column]
+            # numeric keys match by value, not by type (int64 1 is float64 1.0)
+            mt = match_key_types(
+                pq.read_table(cfg.manifest_path, columns=manifest_columns),
+                [unified_schema.field(c).type if unified_schema else None for c in columns],
+            )
             if rule.columns:
-                mt = pq.read_table(cfg.manifest_path, columns=list(rule.columns))
                 keys = canonical_tuple_strings(mt, rule.columns)
             else:
-                mcol = cfg.manifest_key_column or rule.column
-                keys = pq.read_table(cfg.manifest_path, columns=[mcol]).column(
-                    mcol
-                )
+                keys = mt.column(0)
             # pass the Arrow column: build_membership canonicalizes it the
             # same way the probe side does (dtype-stable under nulls)
             membership = build_membership(
@@ -693,7 +708,7 @@ def run_validation(cfg: ValidationRunConfig) -> RunResult:
                 if d is not None:
                     doc = json.loads(d)
                     docs[doc["id"]] = doc
-            fold_partials(filters, drift_states, drift_rules, b)
+            fold_partials(unique_states, drift_states, drift_rules, b)
 
     _mark("waves")
     t0 = time.perf_counter()
@@ -704,7 +719,7 @@ def run_validation(cfg: ValidationRunConfig) -> RunResult:
         for b in read_keys(global_columns, skipped).map_batches(
             GlobalPartial(*global_rules), batch_format="pyarrow", batch_size=None
         ).iter_batches(batch_format="pyarrow", batch_size=None):
-            fold_partials(filters, drift_states, drift_rules, b)
+            fold_partials(unique_states, drift_states, drift_rules, b)
         _mark("unique")
 
     # --- drift: verdicts over the folded partials -------------------------
@@ -730,15 +745,19 @@ def run_validation(cfg: ValidationRunConfig) -> RunResult:
         )
 
     _mark("drift")
-    # --- unique: one candidate exchange for every rule --------------------
+    # --- unique: the exact counts, or one candidate exchange for every rule
     if unique_rules:
-        n, metrics, ran = unique.candidate_violations(
-            read_keys, unique_rules, filters, _violations_dir(cfg.output_dir, "global"),
-            lambda columns: sum(footers[f][1].get(c, 0) for f in files for c in columns),
-        )
-        executions += ran
+        global_dir = _violations_dir(cfg.output_dir, "global")
+        if exact:
+            n, metrics = unique.counted_violations(unique_rules, unique_states, global_dir), {}
+        else:
+            n, metrics, ran = unique.candidate_violations(
+                read_keys, unique_rules, unique_states, global_dir, footer_bytes)
+            executions += ran
         write({"id": "global", "status": "done", "violations": n,
-               "metrics": {"wall_s": time.perf_counter() - t0, "violations": n, **metrics}})
+               "metrics": {"wall_s": time.perf_counter() - t0, "violations": n,
+                           "path": "exact" if exact else "filter", "key_bytes": key_bytes,
+                           **metrics}})
 
     _mark("unique")
     global_metrics: dict[str, Any] = dict(docs.get("global", {}).get("metrics", {}))

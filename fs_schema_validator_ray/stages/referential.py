@@ -10,8 +10,10 @@ of the big side, ever.
 
 Two membership structures:
 
-* exact: sorted uint64 key-hash array (8 B/key; fine into the hundreds of
-  millions of keys),
+* "exact": a sorted array of the keys' 64-bit hashes (8 B/key; fine into
+  the hundreds of millions of keys). A missing key whose hash equals a
+  manifest key's reads as present, with probability about
+  (manifest keys) / 2^64 per probe,
 * Bloom filter (north_star): ~1.2 GiB per 10^9 keys at fpp=1e-4, for
   manifests that outgrow the exact array. A Bloom false positive can only
   *suppress* a violation (rate ≤ fpp), never invent one.
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from fs_schema_validator_ray.report import partition_ids, violations_table
 from fs_schema_validator_ray.rules import ReferentialRule
@@ -31,8 +34,35 @@ from fs_schema_validator_ray.state.sketches import (
 )
 
 
+def _numeric(t: pa.DataType) -> bool:
+    return pa.types.is_integer(t) or pa.types.is_floating(t)
+
+
+def match_key_types(manifest: pa.Table, corpus_types: list) -> pa.Table:
+    """``manifest``'s key columns in the types of the corpus key columns
+    (``corpus_types[i]`` for column ``i``; ``None`` if unknown) where both
+    are numeric, so that keys match by value: a float64 ``1.0`` probes as
+    the int64 ``1``, alone or in a composite key. A row whose value the
+    cast changes (``1.5``, ``NaN``, out of range) can equal no corpus key
+    and is dropped; nulls are kept."""
+    keep, cols = None, []
+    for col, t in zip(manifest.columns, corpus_types):
+        if t is not None and t != col.type and _numeric(t) and _numeric(col.type):
+            cast = pc.cast(col, t, safe=False)
+            same = pc.fill_null(pc.equal(pc.cast(cast, col.type, safe=False), col), True)
+            keep = same if keep is None else pc.and_(keep, same)
+            col = cast
+        cols.append(col)
+    out = pa.table(cols, names=manifest.column_names)
+    return out if keep is None else out.filter(keep)
+
+
 def build_membership(keys, use_bloom: bool = False, fpp: float = 1e-4):
-    """Build the broadcastable membership structure from manifest keys.
+    """Build the broadcastable membership structure from manifest keys:
+    a Bloom filter, or the "exact" set, a sorted array of the keys' 64-bit
+    hashes. A missing key whose hash collides with a manifest key's reads
+    as present in that set, with probability about (manifest keys) / 2^64
+    per probe.
 
     Keys canonicalize through ``stable_key_array`` so the hash matches the
     probe side regardless of null presence in either batch (to_numpy's

@@ -1,28 +1,41 @@
 """Key-uniqueness check (north_rule: HLL uniqueness / exact duplicates).
 
-Validation run (``pipelines/validate.py``): a counting filter first.
-The tasks that read a ``unique`` rule's columns anyway (the row pass;
-on resume, a keys-only scan of the finished partitions) map every key
-to one of ``2**filter_bits(rows)`` cells (``rows`` from the footers) by
-the top bits of its stable hash (:func:`key_cells`; a composite key is
-hashed as its canonical tuple string), and
-``pipelines/stats.py::GlobalPartial`` counts the cells per task. Equal
-keys share a cell, so only rows in a cell counted twice can be
-duplicates. No such cell: the rule is done, with no further read.
-Otherwise :func:`candidate_violations` scans the keys once more, keeps
-each rule's candidate rows (:class:`CandidateRows`) and merges them all
-in ONE exchange, each rule's rows grouped on its native key
-(:func:`_duplicates`); the merge task writes the violations itself. A
-saturated filter makes every row a candidate: the exchange then sees
-what it would have seen without the filter.
+Validation run (``pipelines/validate.py``): the tasks that read a
+``unique`` rule's columns anyway (the row pass; on resume, a keys-only
+scan of the finished partitions) fold each rule's keys into one partial
+per task (``pipelines/stats.py::GlobalPartial``). The driver picks one
+of two partials per run from the footers, before any task starts:
 
-Exact path for a Dataset (:func:`uniqueness_violations`, used by
-queries): kept
-cheap by (a) projecting to the key column before anything moves, (b)
-pre-aggregating counts per batch inside ``map_batches`` (classic
-partial/combiner), so the ``groupby`` shuffles at most one row per
-distinct key per block instead of one per input row, and (c) shuffling
-only ``(key, n, partition_id)`` — never payload bytes.
+* **Exact** (the footer bytes of the rules' key columns, summed over the
+  rules, are at most ``exchange.MIN_BUCKET_BYTES``, 16 MiB): a task
+  returns each rule's key counts, ``(key, n, first partition)`` per
+  distinct key of its rows (:func:`_partial_counts`), and the driver
+  counts their concatenation once per rule and writes the violations
+  itself (:func:`counted_violations`). The driver then holds at most
+  those key bytes plus a count and a partition per key and task, and
+  the run needs no Ray execution beyond the one that read the keys.
+* **Filter** (above that bound): a counting filter. A task maps every
+  key to one of ``2**filter_bits(rows)`` cells (``rows`` from the
+  footers) by the top bits of its stable hash (:func:`key_cells`; a
+  composite key is hashed as its canonical tuple string) and counts the
+  cells. Equal keys share a cell, so only rows in a cell counted twice
+  can be duplicates. No such cell: the rule is done, with no further
+  read. Otherwise :func:`candidate_violations` scans the keys once
+  more, keeps each rule's candidate rows (:class:`CandidateRows`) and
+  merges them all in ONE exchange; the merge task writes the violations
+  itself. A saturated filter makes every row a candidate: the exchange
+  then sees what it would have seen without the filter.
+
+Both paths count keys with the same :func:`_duplicates`, each rule's rows
+grouped on its native key, so their violation rows are the same.
+
+Exact duplicates of a Dataset (:func:`uniqueness_violations`, used by
+queries): kept cheap by (a) projecting to the key column before
+anything moves, (b) pre-aggregating counts per batch inside
+``map_batches`` (classic partial/combiner), so the ``groupby`` shuffles
+at most one row per distinct key per block instead of one per input
+row, and (c) shuffling only ``(key, n, partition_id)`` — never payload
+bytes.
 
 Approximate path: per-batch HyperLogLog partials merged on the driver —
 no shuffle at all; reports an estimated duplicate count (global metric),
@@ -133,8 +146,9 @@ class CandidateRows:
 
 
 def _commit(violations: pa.Table, out_dir: str) -> None:
-    """Write one merge task's violation rows into ``out_dir`` under a name
-    its rows decide, so a retried task replaces its own file."""
+    """Write the violation rows of one merge task (or of the driver) into
+    ``out_dir`` under a name its rows decide, so a retried task replaces
+    its own file."""
     first = min(zip(violations.column("rule_id").to_pylist(),
                     violations.column("key").to_pylist()))
     name = hashlib.sha256(repr(first).encode()).hexdigest()[:16]
@@ -199,6 +213,22 @@ def candidate_violations(read, rules: list, filters: list, out_dir: str, footer_
     return n, metrics, executions
 
 
+def counted_violations(rules: list, counts: list, out_dir: str) -> int:
+    """Exact duplicates of every ``unique`` rule from its tasks' key
+    counts (``counts[i]``: the :func:`_partial_counts` tables of rule
+    ``i``), written into ``out_dir`` as one file → the violation count."""
+    out = []
+    for rule, tables in zip(rules, counts):
+        if tables:
+            t = pa.concat_tables(tables, promote_options="permissive")
+            out.append(_duplicates(t.column("key"), t.column("n"), t.column("part"),
+                                   rule.rule_id))
+    violations = pa.concat_tables(out) if out else violations_table([], "", [])
+    if violations.num_rows:
+        _commit(violations, out_dir)
+    return violations.num_rows
+
+
 def _duplicates(keys, n, parts, rule_id: str) -> pa.Table:
     """Violation rows of every key counted more than once: ``n`` counts
     of each ``keys`` entry, seen first in partition ``parts``. The key
@@ -224,13 +254,16 @@ def _duplicates(keys, n, parts, rule_id: str) -> pa.Table:
 def _partial_counts(batch: pa.Table, rule: UniqueRule) -> pa.Table:
     """Per-batch combiner: one output row per distinct key in the batch
     (pure Arrow ``group_by`` — no pandas round-trip in the hot path).
+    On a validation run's exact path a task returns one per rule, over
+    all of its rows, and the driver merges them
+    (:func:`counted_violations`).
 
-    The global merge routes these rows on ``key`` to small-int buckets
-    and merges each bucket VECTORIZED (``map_groups`` with an Arrow
-    group_by inside) — Ray's built-in ``aggregate()`` combines grouped
-    rows in per-row Python, which at ~1 row/key (nearly-unique key
-    columns, the worst-case combiner shape) costs minutes of CPU per
-    million rows."""
+    For a Dataset, the global merge routes these rows on ``key`` to
+    small-int buckets and merges each bucket VECTORIZED (``map_groups``
+    with an Arrow group_by inside) — Ray's built-in ``aggregate()``
+    combines grouped rows in per-row Python, which at ~1 row/key
+    (nearly-unique key columns, the worst-case combiner shape) costs
+    minutes of CPU per million rows."""
     import pyarrow.compute as pc
 
     tbl = pa.table({"key": _keys(batch, rule), "part": partition_ids(batch)})

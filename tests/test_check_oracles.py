@@ -1,6 +1,7 @@
 """The oracle sweep's parent loop (``tools/check_oracles.py::sweep``),
 driven by fake children: a child that dies fails the query it was
-running, and a new child goes on after it. No Ray, no query runs."""
+running, the tail of its standard error is echoed, and a new child goes
+on after it. No Ray, no query runs."""
 
 import importlib.util
 import os
@@ -13,16 +14,19 @@ _spec.loader.exec_module(check_oracles)
 
 
 class FakeChild:
-    """Prints what ``check_oracles.child`` prints for ``names``; a query
-    whose outcome is an int kills the child with that exit code."""
+    """Prints what ``check_oracles.child`` prints for ``names``, and a
+    line of standard error per query; a query whose outcome is an int
+    kills the child with that exit code."""
 
-    def __init__(self, names, outcomes):
+    def __init__(self, names, outcomes, stderr):
         self.lines, self.code = [], 0
         failures = 0
         for name in names:
             self.lines.append(f"RUN {name}\n")
+            stderr.write(f"log {name}\n")
             outcome = outcomes.get(name, "ok")
             if isinstance(outcome, int):
+                stderr.write("".join(f"trace {i}\n" for i in range(25)))
                 self.code = outcome
                 return
             if outcome == "fail":
@@ -45,9 +49,9 @@ class FakeChild:
 def _sweep(names, outcomes):
     started, printed = [], []
 
-    def start(rest):
+    def start(rest, stderr):
         started.append(list(rest))
-        return FakeChild(rest, outcomes)
+        return FakeChild(rest, outcomes, stderr)
 
     failures = check_oracles.sweep(names, start, printed.append)
     return failures, started, printed
@@ -66,8 +70,20 @@ def test_a_dead_child_fails_its_query_and_the_sweep_goes_on():
     assert started == [["a", "b", "c", "d", "e"], ["c", "d", "e"]]
     assert failures == 3
     assert "FAIL  b: sweep process died (signal SIGABRT)" in printed
-    assert printed[-1] == "FAIL  e: sweep process died (exit code 3)"
+    # e's FAIL line, then the 20 lines of its stderr tail end the output
+    assert printed[-21:-19] == ["FAIL  e: sweep process died (exit code 3)",
+                                "      stderr: trace 5"]
     assert printed.count("ok   d: mine=(1 rows)") == 1
+
+
+def test_a_dead_child_shows_the_tail_of_its_stderr(capsys):
+    failures, started, printed = _sweep(["a", "b", "c"], {"b": -6})
+    died = printed.index("FAIL  b: sweep process died (signal SIGABRT)")
+    # the last 20 of its 27 lines: its log lines and the first 7 trace lines are cut
+    assert printed[died + 1:died + 21] == [f"      stderr: trace {i}" for i in range(5, 25)]
+    assert printed[died + 21:] == ["ok   c: mine=(1 rows)"]
+    # a child that finishes passes its standard error through
+    assert capsys.readouterr().err == "log c\n"
 
 
 def test_a_child_dead_before_its_first_query_stops_the_sweep():
@@ -77,9 +93,14 @@ def test_a_child_dead_before_its_first_query_stops_the_sweep():
         def wait(self):
             return -9
 
+    def start(rest, stderr):
+        started.append(rest)
+        stderr.write("raylet failed to start\n")
+        return Dead()
+
     started = []
     printed = []
-    failures = check_oracles.sweep(["a", "b"], lambda rest: started.append(rest) or Dead(),
-                                   printed.append)
+    failures = check_oracles.sweep(["a", "b"], start, printed.append)
     assert failures == 1 and len(started) == 1
-    assert printed[-1] == "FAIL  sweep: process died before its first query (signal SIGKILL)"
+    assert printed[-2:] == ["FAIL  sweep: process died before its first query (signal SIGKILL)",
+                            "      stderr: raylet failed to start"]

@@ -1,8 +1,11 @@
 """The global rules of a validation run: every pending ``unique`` and
-``drift`` rule folded from partials of the row pass's own read,
-duplicates found by a counting filter and verified exactly by one
-exchange over the candidate rows of every rule (``pipelines/stats.py``,
-``stages/unique.py``, ``pipelines/validate.py``)."""
+``drift`` rule folded from partials of the row pass's own read. The
+duplicates come from exact key counts while the keys fit under
+``MIN_BUCKET_BYTES`` (the default on these corpora), otherwise from a
+counting filter verified exactly by one exchange over the candidate rows
+of every rule; each filter test forces that path (``filter_path``)
+and each path must give the per-rule exchange's rows
+(``pipelines/stats.py``, ``stages/unique.py``, ``pipelines/validate.py``)."""
 
 import json
 import os
@@ -122,6 +125,13 @@ def _cfg(corpus, out, yaml=RULES_YAML):
 
 
 @pytest.fixture
+def filter_path(monkeypatch):
+    """The counting filter and the candidate exchange: no key bytes fit
+    the exact path's bound."""
+    monkeypatch.setattr(validate, "MIN_BUCKET_BYTES", 0)
+
+
+@pytest.fixture
 def counted(monkeypatch):
     """Counts keys-only scans (``ScanPartitions`` built on the driver),
     groupby calls and exchange runs."""
@@ -182,8 +192,13 @@ def test_filter_size_follows_the_row_count():
     assert unique.filter_bits(10**9) == unique.filter_bits(None) == unique.FILTER_BITS
 
 
+def _global_doc(out):
+    with open(os.path.join(out, "manifest", "global.json")) as f:
+        return json.load(f)
+
+
 def test_duplicate_free_corpus_is_one_read_and_no_shuffle(
-    ray_session, clean_corpus, tmp_path, counted
+    ray_session, clean_corpus, tmp_path, counted, filter_path
 ):
     res = run_validation(_cfg(clean_corpus, tmp_path / "out", RULES_YAML + DRIFT_CAT_YAML))
     # the row pass's read is the only one
@@ -202,7 +217,9 @@ def test_duplicate_free_corpus_is_one_read_and_no_shuffle(
     assert res.total_rows == 150
 
 
-def test_planted_duplicates_match_the_exchange(ray_session, dup_corpus, tmp_path, counted):
+def test_planted_duplicates_match_the_exchange(
+    ray_session, dup_corpus, tmp_path, counted, filter_path
+):
     out = str(tmp_path / "out")
     res = run_validation(_cfg(dup_corpus, out))
     # the row pass folds the filters, then one keys-only read of the
@@ -210,6 +227,7 @@ def test_planted_duplicates_match_the_exchange(ray_session, dup_corpus, tmp_path
     assert counted == {"scans": 1, "groupby": 0, "uniqueness_violations": 0}
     assert res.global_metrics["ray_executions"] == 2
     m = res.global_metrics
+    assert m["path"] == "filter"
     assert m["filter_bits"] == unique.filter_bits(18) and m["buckets"] == 1
     assert not m["shuffled"]
     # a candidate cell holds at least the two copies of a repeated key
@@ -234,7 +252,7 @@ def test_planted_duplicates_match_the_exchange(ray_session, dup_corpus, tmp_path
 
 
 def test_bucketed_exchange_gives_the_same_rows(
-    ray_session, dup_corpus, tmp_path, counted, monkeypatch
+    ray_session, dup_corpus, tmp_path, counted, monkeypatch, filter_path
 ):
     # a byte of candidates per bucket: the one exchange of all four rules
     # is sized on the materialized candidates and shuffles
@@ -246,12 +264,71 @@ def test_bucketed_exchange_gives_the_same_rows(
     assert _global_rows(out) == _exchange_rows(dup_corpus)
 
 
-def test_saturated_filter_gives_the_same_rows(ray_session, dup_corpus, tmp_path, monkeypatch):
+def test_saturated_filter_gives_the_same_rows(
+    ray_session, dup_corpus, tmp_path, monkeypatch, filter_path
+):
     # two cells per rule: every key shares a cell, every row is a candidate
     monkeypatch.setattr(unique, "FILTER_BITS", 1)
     out = str(tmp_path / "out")
     run_validation(_cfg(dup_corpus, out))
     assert _global_rows(out) == _exchange_rows(dup_corpus)
+
+
+@pytest.mark.parametrize("corpus, knob", [
+    ("dup_corpus", None),
+    # the filter path's knobs leave the exact path as it is
+    ("dup_corpus", "FILTER_BITS"),
+    ("dup_corpus", "DEFAULT_TARGET_BUCKET_BYTES"),
+    ("clean_corpus", None),
+])
+def test_exact_counts_match_the_exchange_in_one_execution(
+    ray_session, request, tmp_path, counted, monkeypatch, corpus, knob
+):
+    if knob:
+        monkeypatch.setattr(unique, knob, 1)
+    corpus = request.getfixturevalue(corpus)
+    out = str(tmp_path / "out")
+    res = run_validation(_cfg(corpus, out))
+    # the row pass returns each task's key counts: no second read
+    assert counted == {"scans": 0, "groupby": 0, "uniqueness_violations": 0}
+    assert res.global_metrics["ray_executions"] == 1
+    assert res.global_metrics["path"] == _global_doc(out)["metrics"]["path"] == "exact"
+    assert 0 < res.global_metrics["key_bytes"] <= validate.MIN_BUCKET_BYTES
+    got = _global_rows(out)
+    assert got == _exchange_rows(corpus)
+    assert res.global_metrics["violations"] == len(got) == _global_doc(out)["violations"]
+
+
+def test_categorical_drift_partial_counts_like_a_group_by():
+    """``value_counts`` per partition gives the counts of one Arrow
+    group-by on ``(partition_id, category)``, nulls as ``__null``, on a
+    batch of several partitions and on a batch of one."""
+    import pyarrow.compute as pc
+
+    from fs_schema_validator_ray.pipelines.stats import drift_partial
+
+    def group_by(batch):
+        cats = pc.fill_null(pc.cast(batch.column("name"), pa.string()), "__null")
+        g = pa.TableGroupBy(
+            pa.table({"partition_id": batch.column("partition_id"), "category": cats}),
+            ["partition_id", "category"],
+        ).aggregate([([], "count_all")])
+        return sorted(zip(*(g.column(c).to_pylist()
+                            for c in ("partition_id", "category", "count_all"))))
+
+    rule = RuleSet.from_yaml("rules:" + DRIFT_CAT_YAML).drift_rules()[0]
+    mixed = pa.table({
+        "name": pa.array(["a", None, "b", "a", None, "c", "a", "b"]),
+        "partition_id": pa.array([1, 1, 0, 0, 1, 2, 1, 0], pa.int32()),
+    })
+    one = mixed.filter(pa.array([p == 1 for p in mixed.column("partition_id").to_pylist()]))
+    for batch in (mixed, one):
+        got = drift_partial(rule)(batch)
+        assert got.schema == pa.schema([("partition_id", pa.int32()),
+                                        ("category", pa.string()), ("n", pa.int64())])
+        assert sorted(zip(*(got.column(c).to_pylist()
+                            for c in ("partition_id", "category", "n")))) == group_by(batch)
+    assert group_by(one) == [(1, "__null", 2), (1, "a", 2)]
 
 
 def test_candidate_rows_keep_exactly_the_marked_cells():
@@ -264,9 +341,7 @@ def test_candidate_rows_keep_exactly_the_marked_cells():
     assert kept.column("id").to_pylist() == [i for i, c in enumerate(cells) if c in (3, 9)]
 
 
-def test_resume_with_a_new_drift_rule_reads_once(
-    ray_session, dup_corpus, tmp_path, counted, monkeypatch
-):
+def _resume_with_a_new_drift_rule(dup_corpus, tmp_path, counted, monkeypatch):
     out = str(tmp_path / "out")
     run_validation(_cfg(dup_corpus, out))
     written = []
@@ -283,12 +358,21 @@ def test_resume_with_a_new_drift_rule_reads_once(
     assert res.global_metrics["ray_executions"] == 1
 
 
-def test_resume_with_a_new_unique_rule_reads_only_keys(
+def test_resume_with_a_new_drift_rule_reads_once(
+    ray_session, dup_corpus, tmp_path, counted, monkeypatch, filter_path
+):
+    _resume_with_a_new_drift_rule(dup_corpus, tmp_path, counted, monkeypatch)
+
+
+def test_exact_resume_with_a_new_drift_rule_reads_once(
     ray_session, dup_corpus, tmp_path, counted, monkeypatch
 ):
-    """A unique rule added on resume keeps every partition: the finished
-    partitions' keys are read once for the filters and once more for
-    the candidates, and only the global doc is written."""
+    _resume_with_a_new_drift_rule(dup_corpus, tmp_path, counted, monkeypatch)
+
+
+def _resume_with_a_new_unique_rule(dup_corpus, tmp_path, monkeypatch):
+    """Run without ``unique_n``, then resume with it → ``(result, the
+    columns of each keys-only scan)``."""
     out = str(tmp_path / "out")
     without_n = RULES_YAML.replace("""  - rule: unique_n
     type: unique
@@ -305,12 +389,33 @@ def test_resume_with_a_new_unique_rule_reads_only_keys(
                         lambda columns, schema: (scanned.append(sorted(columns)),
                                                  scan(columns, schema))[1])
     res = run_validation(_cfg(dup_corpus, out))
+    # every partition is kept: only the global doc is written
     assert written == ["global"]
     assert res.partitions_skipped == 3 and res.waves_run == 0
+    assert _global_rows(out) == _exchange_rows(dup_corpus)
+    return res, scanned
+
+
+def test_resume_with_a_new_unique_rule_reads_only_keys(
+    ray_session, dup_corpus, tmp_path, monkeypatch, filter_path
+):
+    """A unique rule added on resume keeps every partition: the finished
+    partitions' keys are read once for the filters and once more for
+    the candidates."""
+    res, scanned = _resume_with_a_new_unique_rule(dup_corpus, tmp_path, monkeypatch)
     # the filters of every unique rule, then the candidates' keys: never `v`
     assert scanned == [["id", "n", "name"], ["id", "n", "name"]]
     assert res.global_metrics["ray_executions"] == 2
-    assert _global_rows(out) == _exchange_rows(dup_corpus)
+
+
+def test_exact_resume_with_a_new_unique_rule_reads_keys_once(
+    ray_session, dup_corpus, tmp_path, monkeypatch
+):
+    res, scanned = _resume_with_a_new_unique_rule(dup_corpus, tmp_path, monkeypatch)
+    # the key counts of every unique rule, and no candidate read after them
+    assert scanned == [["id", "n", "name"]]
+    assert res.global_metrics["ray_executions"] == 1
+    assert res.global_metrics["path"] == "exact"
 
 
 def test_uniqueness_bucket_hash_dtype_stable(ray_session):

@@ -643,6 +643,54 @@ def test_run_validation_composite_referential(ray_session, tmp_path):
     ]
 
 
+def _referential_run(tmp_path, corpus_files, manifest, rule_yaml):
+    clips_dir = tmp_path / "clips"
+    clips_dir.mkdir()
+    for pid, t in enumerate(corpus_files):
+        pq.write_table(t, str(clips_dir / f"part-{pid}.parquet"))
+    pq.write_table(manifest, str(tmp_path / "manifest.parquet"))
+    res = run_validation(
+        ValidationRunConfig(
+            input_path=str(clips_dir),
+            rules=RuleSet.from_yaml("rules:\n  - rule: ref\n    type: referential\n" + rule_yaml),
+            output_dir=str(tmp_path / "out"),
+            manifest_path=str(tmp_path / "manifest.parquet"),
+        )
+    )
+    v = res.violations_dataset().to_pandas()
+    return sorted(zip(v["partition_id"], v["key"]))
+
+
+def test_run_validation_referential_numeric_keys_match_by_value(ray_session, tmp_path):
+    """An int64 corpus key against a float64 manifest column (what pandas
+    writes for an int column with nulls) matches by value; a manifest
+    value no int equals (2.5) whitelists nothing."""
+    got = _referential_run(
+        tmp_path,
+        [pa.table({"clip_id": pa.array([1, 2, 3], pa.int64())}),
+         pa.table({"clip_id": pa.array([4, 5], pa.int64())})],
+        pa.table({"clip_id": pa.array([1.0, 2.0, 4.0, 5.5, None], pa.float64())}),
+        "    column: clip_id\n",
+    )
+    assert got == [(0, "3"), (1, "5")]
+
+
+def test_run_validation_composite_referential_numeric_keys_match_by_value(
+    ray_session, tmp_path
+):
+    """The same by-value match inside a composite key: the float64 ``1.0``
+    component is the int64 ``1``, not the string ``"1.0"``."""
+    got = _referential_run(
+        tmp_path,
+        [pa.table({"clip_id": pa.array([1, 2, 3], pa.int64()),
+                   "codec": ["pcm", "ulaw", "pcm"]})],
+        pa.table({"clip_id": pa.array([1.0, 2.0, 3.0, 2.5], pa.float64()),
+                  "codec": ["pcm", "pcm", "pcm", "ulaw"]}),
+        "    columns: [clip_id, codec]\n",
+    )
+    assert got == [(0, "2\x1fulaw")]
+
+
 def test_run_validation_composite_unique_absent_column(ray_session, tmp_path):
     """A composite unique rule naming an absent column is ONE plan-time
     violation (and is dropped from the data plane), not a crashed read."""

@@ -10,7 +10,10 @@ The queries run in a child process (``--child``), which prints each
 query's name before running it. A child that dies before its
 ``failures:`` line (a Ray-internal abort kills the whole driver) fails
 the query it was running, and a new child goes on with the queries
-after it; no query is retried.
+after it; no query is retried. A child's standard error goes to a
+temporary file: the last ``STDERR_TAIL`` lines of a dead child's are
+printed under its ``FAIL`` line, a finished child's is copied to this
+process's standard error.
 
 Usage: python tools/check_oracles.py [sf_dir] [query ...]
 """
@@ -21,6 +24,7 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 
 import duckdb
 import pandas as pd
@@ -67,6 +71,9 @@ def canonical(df: pd.DataFrame) -> tuple:
 
 #: what a child prints before it runs a query
 RUN = "RUN "
+
+#: lines of a dead child's standard error printed after its FAIL line
+STDERR_TAIL = 20
 
 
 def child(sf_dir: str, names: list[str]) -> int:
@@ -131,32 +138,41 @@ def _death(code: int) -> str:
 
 def sweep(names: list[str], start, echo=print) -> int:
     """Run ``names`` in child processes and return the failure count.
-    ``start(names)`` starts a child over ``names``: an object with a
+    ``start(names, stderr)`` starts a child over ``names`` that writes its
+    standard error to the text file ``stderr``: an object with a
     ``stdout`` of text lines and ``wait()`` for its exit code. A child
     that dies before its ``failures:`` line fails the query it had
-    started; a new child runs the queries after that one."""
+    started, and the tail of its standard error is echoed; a new child
+    runs the queries after that one."""
     failures, rest = 0, list(names)
     while rest:
-        proc = start(rest)
-        running, finished = None, False
-        for line in proc.stdout:
-            line = line.rstrip("\n")
-            if line.startswith(RUN):
-                running = line[len(RUN):]
-            elif line.startswith("failures:"):
-                finished = True
+        with tempfile.TemporaryFile("w+") as err:
+            proc = start(rest, err)
+            running, finished = None, False
+            for line in proc.stdout:
+                line = line.rstrip("\n")
+                if line.startswith(RUN):
+                    running = line[len(RUN):]
+                elif line.startswith("failures:"):
+                    finished = True
+                else:
+                    echo(line)
+                    failures += line.startswith("FAIL")
+            code = proc.wait()
+            err.seek(0)
+            if finished:
+                sys.stderr.write(err.read())
+                break
+            failures += 1
+            if running is None:
+                echo(f"FAIL  sweep: process died before its first query ({_death(code)})")
             else:
-                echo(line)
-                failures += line.startswith("FAIL")
-        code = proc.wait()
-        if finished:
-            break
-        failures += 1
-        if running is None:
-            echo(f"FAIL  sweep: process died before its first query ({_death(code)})")
-            break
-        echo(f"FAIL  {running}: sweep process died ({_death(code)})")
-        rest = rest[rest.index(running) + 1:]
+                echo(f"FAIL  {running}: sweep process died ({_death(code)})")
+            for line in err.read().splitlines()[-STDERR_TAIL:]:
+                echo(f"      stderr: {line}")
+            if running is None:
+                break
+            rest = rest[rest.index(running) + 1:]
     return failures
 
 
@@ -175,9 +191,9 @@ def main() -> int:
         failures += len(unknown)
     names = [name for name in e.queries() if not only or name in only]
 
-    def start(names):
+    def start(names, stderr):
         return subprocess.Popen([sys.executable, "-u", __file__, "--child", sf_dir, *names],
-                                stdout=subprocess.PIPE, text=True)
+                                stdout=subprocess.PIPE, stderr=stderr, text=True)
 
     failures += sweep(names, start)
     print("failures:", failures)
