@@ -476,18 +476,40 @@ def _seed_for(clip_id: str) -> int:
 _SM_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _SM_M1 = np.uint64(0xBF58476D1CE4E5B9)
 _SM_M2 = np.uint64(0x94D049BB133111EB)
+_SH30, _SH27, _SH31 = np.uint64(30), np.uint64(27), np.uint64(31)
+
+
+#: reference signals of up to this many samples slice two cached index
+#: prefixes, 256 KiB each (the clips corpus's longest signal is under 16k
+#: samples): the sample positions ``0..n-1`` as float64, and splitmix64's
+#: counter steps ``i * GAMMA`` for ``i = 1..n``
+_PREFIX_SAMPLES = 1 << 15
+_POSITIONS = np.arange(_PREFIX_SAMPLES, dtype=np.float64)
+_STEPS = np.arange(1, _PREFIX_SAMPLES + 1, dtype=np.uint64) * _SM_GAMMA
+_POSITIONS.setflags(write=False)
+_STEPS.setflags(write=False)
 
 
 def _splitmix_uniform(seed: int, n: int) -> np.ndarray:
     """n deterministic uniforms in [0,1): counter-based splitmix64,
     fully vectorized over positions (~ns/elem; no generator object to
-    initialize — RNG-object setup was ~40% of the per-row decode cost)."""
-    with np.errstate(over="ignore"):
-        z = (np.uint64(seed) + np.arange(1, n + 1, dtype=np.uint64) * _SM_GAMMA)
-        z = (z ^ (z >> np.uint64(30))) * _SM_M1
-        z = (z ^ (z >> np.uint64(27))) * _SM_M2
-        z = z ^ (z >> np.uint64(31))
-    return z.astype(np.float64) / 18446744073709551616.0  # 2**64
+    initialize — RNG-object setup was ~40% of the per-row decode cost).
+    uint64 array arithmetic wraps without a warning."""
+    steps = (_STEPS[:n] if n <= _PREFIX_SAMPLES
+             else np.arange(1, n + 1, dtype=np.uint64) * _SM_GAMMA)
+    z = steps + np.uint64(seed)
+    tmp = np.empty_like(z)
+    np.right_shift(z, _SH30, out=tmp)
+    z ^= tmp
+    z *= _SM_M1
+    np.right_shift(z, _SH27, out=tmp)
+    z ^= tmp
+    z *= _SM_M2
+    np.right_shift(z, _SH31, out=tmp)
+    z ^= tmp
+    out = z.astype(np.float64)
+    out *= 2.0**-64  # exact: a power of two
+    return out
 
 
 def reference_signal(clip_id: str, sr_hz: int, dur_ms: int) -> np.ndarray:
@@ -508,8 +530,7 @@ def reference_signal(clip_id: str, sr_hz: int, dur_ms: int) -> np.ndarray:
     p1 = u[2] * 2 * np.pi
     p2 = (u[2] * 7919.0) % 1.0 * 2 * np.pi
     # in-place: 0.45*sin(2πf1·t+p1) + 0.25*sin(2πf2·t+p2) + 0.04*noise
-    t = np.arange(n, dtype=np.float64)
-    t /= sr_hz
+    t = (_POSITIONS[:n] if n <= _PREFIX_SAMPLES else np.arange(n, dtype=np.float64)) / sr_hz
     x = t * (2 * np.pi * f1)
     x += p1
     np.sin(x, out=x)
@@ -523,7 +544,7 @@ def reference_signal(clip_id: str, sr_hz: int, dur_ms: int) -> np.ndarray:
     noise -= 0.5
     noise *= 0.08  # uniform ±0.04
     x += noise
-    return np.clip(x, -1.0, 1.0, out=x)
+    return np.core.umath.clip(x, -1.0, 1.0, out=x)
 
 
 _VOCAB = (

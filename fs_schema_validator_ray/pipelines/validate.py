@@ -12,12 +12,18 @@ Ray-Data-first rebuild of the reference's one-shot serial run
   (:func:`plan_tasks`); each task reads its partitions' files itself
   (:func:`scan_partition`, the run's one reader),
 * the row pass is ONE Ray execution over every pending partition: a
-  task reads each of its partitions in ``decode_batch_size`` batches,
-  runs every per-row rule (scalar + audio decode + JSON + assets +
-  referential broadcast probe) as one fused stage, and **commits** the
-  partition the moment its last row is checked: its violations file,
-  then its manifest ``part-N.json`` (lineage, row/violation counts,
-  wall time),
+  task packs consecutive partitions into groups of whole partitions
+  whose footer rows add up to at most ``decode_batch_size`` and footer
+  bytes to at most ``PACK_MAX_BYTES`` (:func:`pack_partitions`; a larger
+  partition is a group of its own),
+  reads each group in one scan, runs every per-row rule (scalar + audio
+  decode + JSON + assets + referential broadcast probe) as one fused
+  stage call per group, or per ``decode_batch_size`` batch of a large
+  partition — so it never holds more than ``decode_batch_size`` rows —
+  and **commits** the group's partitions, in plan order, the moment its
+  last row is checked: each one's violations file, then its manifest
+  ``part-N.json`` (lineage, row/violation counts, footer bytes read,
+  violations per rule, wall time),
 * globally-scoped rules — every pending ``unique`` and ``drift`` rule —
   come out of the same read: the row pass reads their columns too, and
   each task returns one mergeable partial per rule beside its docs
@@ -64,6 +70,7 @@ from typing import Any, Optional
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from fs_schema_validator_ray.pipelines.stats import GlobalPartial, drift_verdicts, fold_partials
@@ -96,6 +103,10 @@ class ValidationRunConfig:
     partitions: Optional[int] = None     # group files into this many partitions
     #: max partitions per row-pass task (see :func:`plan_tasks`)
     wave_size: int = 16
+    #: rows of one row-pass batch: a task packs consecutive small
+    #: partitions whose footer rows add up to at most this into one batch,
+    #: and reads a larger partition in batches of this many rows (see
+    #: :class:`CommitPartitions`)
     decode_batch_size: int = 512
     #: columns to snapshot per-partition mergeable sketch state for in
     #: the checkpoint manifest (north_rule: checkpoints record sketch
@@ -282,7 +293,8 @@ def _task_items(groups, columns: list[str], footers: dict, max_per_task: int, it
     """The task plan every pass of a run shares: the partitions ``groups``
     (``[(pid, files)]``) cut by :func:`plan_tasks` on the footer bytes of
     ``columns``, as a Dataset of one block (one ``map_batches(...,
-    batch_size=None)`` call) per task; a partition's row is ``item(pid, files)``."""
+    batch_size=None)`` call) per task; a partition's row is ``item(pid,
+    files, nbytes)``, ``nbytes`` its footer bytes of ``columns``."""
     import ray.data
 
     files_of = dict(groups)
@@ -290,8 +302,10 @@ def _task_items(groups, columns: list[str], footers: dict, max_per_task: int, it
              for pid, files in groups]
     target = ray.data.DataContext.get_current().target_min_block_size
     runs = plan_tasks(sizes, _cluster_cpus(), target, max(1, max_per_task))
+    size_of = dict(sizes)
     return ray.data.from_arrow(
-        [pa.Table.from_pylist([item(pid, files_of[pid]) for pid in run]) for run in runs]
+        [pa.Table.from_pylist([item(pid, files_of[pid], size_of[pid]) for pid in run])
+         for run in runs]
     )
 
 
@@ -335,22 +349,75 @@ class ScanPartitions:
                     yield _with_partition(rb, pid)
 
 
+#: the most footer bytes of the columns the row pass reads that a packed
+#: group holds. Packing saves a fixed cost of about 4 ms CPU a partition
+#: (1 vCPU: 64 key-only rows, ~5 KB, took 6.7 ms unpacked and 2.6 ms
+#: packed), while 64 rows with audio payloads, ~360 KB, take ~40 ms: past
+#: this many bytes the rows' own work dwarfs what packing saves, and
+#: packing would only delay the group's checkpoints.
+PACK_MAX_BYTES = 64 << 10
+
+
+def pack_partitions(docs: list[dict], max_rows: int) -> list[list[dict]]:
+    """Cut a task's planned partition docs (plan order) into the groups it
+    validates as one batch: consecutive whole partitions while their footer
+    row counts (``doc["rows"]``) add up to at most ``max_rows``, their
+    footer bytes (``doc["read_bytes"]``) to at most :data:`PACK_MAX_BYTES`,
+    and no file is in two of them. A partition past either bound is a
+    group of its own."""
+    groups: list[list[dict]] = []
+    rows, nbytes, files = 0, 0, set()
+    for doc in docs:
+        if (groups and rows + doc["rows"] <= max_rows
+                and nbytes + doc["read_bytes"] <= PACK_MAX_BYTES
+                and files.isdisjoint(doc["files"])):
+            groups[-1].append(doc)
+            rows, nbytes = rows + doc["rows"], nbytes + doc["read_bytes"]
+        else:
+            groups.append([doc])
+            rows, nbytes, files = doc["rows"], doc["read_bytes"], set()
+        files.update(doc["files"])
+    return groups
+
+
+def split_by_partition(v: pa.Table, pids: list[int]) -> list[pa.Table]:
+    """The rows of ``v`` of each partition of ``pids``, in ``v``'s order;
+    a row of any other partition is an error."""
+    col = np.asarray(v.column(PARTITION_COLUMN))
+    order = np.argsort(col, kind="stable")
+    keys = col[order]
+    lo, hi = np.searchsorted(keys, pids, "left"), np.searchsorted(keys, pids, "right")
+    if int((hi - lo).sum()) != v.num_rows:
+        raise ValueError(f"{v.num_rows - int((hi - lo).sum())} violation rows "
+                         f"name no partition of {pids}")
+    v = v.take(order)
+    return [v.slice(a, b - a) for a, b in zip(lo, hi)]
+
+
 class CommitPartitions:
     """The row-pass task: validates whole partitions and commits each one
     as soon as its last row is checked.
 
     Input: one row per partition holding its manifest doc as planned
-    (key, lineage, footer row count). Per partition:
-    clear its violations directory, stream its files in ``batch_size``
-    batches through the fused stage, the sketch columns into their
-    sketches and the global rules' columns into the task's
-    :class:`GlobalPartial`, check that the rows read equal the footer
-    count, ``os.replace`` the violations file into place, then write
-    ``part-N.json``. Output: the written docs, one ``doc`` row per
-    partition (the receipts), then the task's partials, one ``rule`` /
-    ``blob`` row per pending global rule (``global_rules``: the unique
-    rules, the drift rules and the filter bits, ``None`` for exact key
-    counts). The partials are not
+    (key, lineage, footer row count). The task packs consecutive
+    partitions into groups (:func:`pack_partitions`): whole partitions
+    whose footer rows add up to at most ``batch_size``, so a group holds
+    no more rows than one batch, and whose footer bytes add up to at most
+    :data:`PACK_MAX_BYTES`; a larger partition is a group of its own.
+    Per group: clear each partition's violations directory, read the
+    group's files in one scan, fold each scanned batch into its
+    partition's sketches; then a packed group goes through the fused stage
+    and into the task's :class:`GlobalPartial` as ONE batch, while a large
+    partition streams through them in ``batch_size`` batches. Every stage
+    emits its rows in input order and a group never splits a small
+    partition, so a partition's violations are the same whatever it was
+    packed with. Then, per partition in plan order: check that the rows
+    read equal the footer count, ``os.replace`` the violations file into
+    place, then write ``part-N.json`` with its ``violations_by_rule``.
+    Output: the written docs, one ``doc`` row per partition (the receipts),
+    then the task's partials, one ``rule`` / ``blob`` row per pending
+    global rule (``global_rules``: the unique rules, the drift rules and
+    the filter bits, ``None`` for exact key counts). The partials are not
     checkpointed: a resumed run reads the keys of finished partitions
     again."""
 
@@ -378,77 +445,118 @@ class CommitPartitions:
 
     def __call__(self, items: pa.Table) -> pa.Table:
         partial = GlobalPartial(*self.global_rules)
-        docs = [json.dumps(self.commit(json.loads(d), partial))
-                for d in items.column("doc").to_pylist()]
+        planned = [json.loads(d) for d in items.column("doc").to_pylist()]
+        # without one schema for every file, each partition reads its own
+        max_rows = self.batch_size if self.file_schema is not None else -1
+        docs = [json.dumps(doc) for group in pack_partitions(planned, max_rows)
+                for doc in self.commit(group, partial)]
         return pa.concat_tables([pa.table({"doc": pa.array(docs, pa.string())}),
                                  partial.blobs()], promote_options="default")
 
-    def commit(self, doc: dict, partial: GlobalPartial) -> dict:
+    def commit(self, docs: list[dict], partial: GlobalPartial) -> list[dict]:
+        """Validate and commit one group; a doc's ``wall_s`` is the time
+        from the group's start to that partition's commit."""
         t0 = time.perf_counter()
-        out_dir = doc["violations_path"]
-        shutil.rmtree(out_dir, ignore_errors=True)
-        tmp = os.path.join(out_dir, "violations.tmp")
-        rows, found, sketches = doc["rows"], 0, {}
+        for doc in docs:
+            shutil.rmtree(doc["violations_path"], ignore_errors=True)
+        found = {doc["partition_id"]: collections.Counter() for doc in docs}
+        rows, sketches = {doc["partition_id"]: doc["rows"] for doc in docs}, {}
         if self.columns:
-            rows, found, sketches = self.check(doc["partition_id"], doc["files"], tmp, partial)
-        if rows != doc["rows"]:
-            raise ValueError(
-                f"partition {doc['partition_id']}: read {rows} rows, "
-                f"its footers say {doc['rows']}"
-            )
-        if found:
-            os.replace(tmp, os.path.join(out_dir, "violations.parquet"))
-        doc["violations"] = found
-        if rows and sketches:
-            doc["stats_sketches_hex"] = {
-                c: {"kind": kind, "blob": sk.to_bytes().hex()}
-                for c, (kind, sk) in sketches.items()
-            }
-        doc["wall_s"] = time.perf_counter() - t0
-        _write_manifest(self.output_dir, doc)
-        return doc
+            rows, sketches = self.check(docs, partial, found)
+        for doc in docs:
+            pid = doc["partition_id"]
+            if rows[pid] != doc["rows"]:
+                raise ValueError(
+                    f"partition {pid}: read {rows[pid]} rows, its footers say {doc['rows']}"
+                )
+            if found[pid]:
+                os.replace(_tmp_file(doc), os.path.join(doc["violations_path"],
+                                                        "violations.parquet"))
+            doc["violations"] = sum(found[pid].values())
+            doc["violations_by_rule"] = dict(sorted(found[pid].items()))
+            if rows[pid] and sketches.get(pid):
+                doc["stats_sketches_hex"] = {
+                    c: {"kind": kind, "blob": sk.to_bytes().hex()}
+                    for c, (kind, sk) in sketches[pid].items()
+                }
+            doc["wall_s"] = time.perf_counter() - t0
+            _write_manifest(self.output_dir, doc)
+        return docs
 
-    def check(self, pid: int, files: list[str], tmp: str, partial: GlobalPartial):
-        """Stream one partition's files through the stage, the sketches
-        and ``partial``; violation rows go to ``tmp`` (not named
-        ``*.parquet`` until committed). Returns ``(rows read, violations,
-        sketches)``."""
+    def check(self, docs: list[dict], partial: GlobalPartial, found: dict):
+        """Read one group's files in one scan through the sketches, the
+        stage and ``partial``; each partition's violation rows go to its
+        tmp file (not named ``*.parquet`` until committed) and are counted
+        per rule into ``found[pid]``. Returns ``({pid: rows read},
+        {pid: sketches})``."""
         from fs_schema_validator_ray.state.sketches import HyperLogLog, TDigest
 
-        scan = scan_partition(files, self.columns, self.file_schema, self.batch_size)
+        owner = {f: doc["partition_id"] for doc in docs for f in doc["files"]}
+        scan = scan_partition([f for doc in docs for f in doc["files"]], self.columns,
+                              self.file_schema, self.batch_size)
         # a t-digest for numeric columns, an HLL for everything else
-        sketches = {}
-        for c in self.sketch_columns:
-            t = scan.projected_schema.field(c).type
-            numeric = pa.types.is_integer(t) or pa.types.is_floating(t)
-            sketches[c] = ("tdigest", TDigest()) if numeric else ("hll", HyperLogLog())
-        rows, found, writer = 0, 0, None
+        types = {c: scan.projected_schema.field(c).type for c in self.sketch_columns}
+        sketches = {pid: {c: ("tdigest", TDigest())
+                          if pa.types.is_integer(t) or pa.types.is_floating(t)
+                          else ("hll", HyperLogLog()) for c, t in types.items()}
+                    for pid in found}
+        rows = dict.fromkeys(found, 0)
+        # one batch for a packed group; a large partition streams
+        packed = sum(doc["rows"] for doc in docs) <= self.batch_size
+        held: list[tuple[int, pa.Table]] = []  # (pid, batch)
+        writers: dict = {}
+        by_pid = {doc["partition_id"]: doc for doc in docs}
         try:
-            for rb in scan.to_batches():
-                rows += rb.num_rows
-                for c, (_, sk) in sketches.items():
+            for tagged in scan.scan_batches():
+                rb, pid = tagged.record_batch, owner[tagged.fragment.path]
+                rows[pid] += rb.num_rows
+                for c, (_, sk) in sketches[pid].items():
                     values = rb.column(c).drop_null()
                     if len(values):
                         sk.add(values.to_numpy(zero_copy_only=False))
-                if not rb.num_rows:
-                    continue
-                batch = _with_partition(rb, pid)
-                partial.add(batch)
-                if self.stage is None:
-                    continue
-                v = self.stage(batch.select([*self.stage_columns, PARTITION_COLUMN]))
-                if v.num_rows:
-                    if writer is None:
-                        os.makedirs(os.path.dirname(tmp), exist_ok=True)
-                        writer = pq.ParquetWriter(tmp, PART_FILE_SCHEMA)
-                    writer.write_table(
-                        v.select(PART_FILE_SCHEMA.names).cast(PART_FILE_SCHEMA)
-                    )
-                    found += v.num_rows
+                if rb.num_rows:
+                    held.append((pid, _with_partition(rb, pid)))
+                if held and not packed:
+                    self.validate(held, partial, found, by_pid, writers)
+                    held = []
+            if held:
+                self.validate(held, partial, found, by_pid, writers)
         finally:
-            if writer is not None:
-                writer.close()
-        return rows, found, sketches
+            for w in writers.values():
+                w.close()
+        return rows, sketches
+
+    def validate(self, held: list, partial: GlobalPartial, found: dict,
+                 by_pid: dict, writers: dict) -> None:
+        """One batch (the ``(pid, batch)`` pairs ``held``, concatenated)
+        through ``partial`` and the stage; its violation rows are split by
+        partition into each one's tmp file (``writers``) and ``found``."""
+        batch = held[0][1] if len(held) == 1 else pa.concat_tables([t for _, t in held])
+        partial.add(batch)
+        if self.stage is None:
+            return
+        v = self.stage(batch.select([*self.stage_columns, PARTITION_COLUMN]))
+        if not v.num_rows:
+            return
+        pids = list(dict.fromkeys(pid for pid, _ in held))
+        last = pids[-1]
+        for pid, part in zip(pids, split_by_partition(v, pids)):
+            if part.num_rows:
+                if pid not in writers:
+                    os.makedirs(by_pid[pid]["violations_path"], exist_ok=True)
+                    writers[pid] = pq.ParquetWriter(_tmp_file(by_pid[pid]), PART_FILE_SCHEMA)
+                writers[pid].write_table(part.select(PART_FILE_SCHEMA.names)
+                                         .cast(PART_FILE_SCHEMA))
+                counts = pc.value_counts(part.column("rule_id"))
+                found[pid].update(dict(zip(counts.field("values").to_pylist(),
+                                           counts.field("counts").to_pylist())))
+            # only the last partition of a batch can have rows still to come
+            if pid != last and pid in writers:
+                writers.pop(pid).close()
+
+
+def _tmp_file(doc: dict) -> str:
+    return os.path.join(doc["violations_path"], "violations.tmp")
 
 
 def merged_stats_sketches(output_dir: str) -> dict[str, Any]:
@@ -637,7 +745,7 @@ def run_validation(cfg: ValidationRunConfig) -> RunResult:
         columns = sorted(columns)
         return _task_items(
             parts, columns, footers, cfg.wave_size,
-            lambda pid, files: {"partition_id": pid, "files": files},
+            lambda pid, files, _: {"partition_id": pid, "files": files},
         ).map_batches(
             ScanPartitions(columns, unified_schema), batch_format="pyarrow", batch_size=None
         )
@@ -690,13 +798,14 @@ def run_validation(cfg: ValidationRunConfig) -> RunResult:
         # a stale or duplicated copy
         items = _task_items(
             pending, commit.columns, footers, cfg.wave_size,
-            lambda pid, files: {"doc": json.dumps({
+            lambda pid, files, nbytes: {"doc": json.dumps({
                 "id": f"part-{pid}",
                 "key": doc_keys[f"part-{pid}"],
                 "partition_id": pid,
                 "status": "done",
                 "files": files,
                 "rows": sum(footers[f][0] for f in files),
+                "read_bytes": nbytes,
                 "violations_path": _violations_dir(cfg.output_dir, f"part-{pid}"),
             })},
         )

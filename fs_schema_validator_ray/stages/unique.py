@@ -69,7 +69,7 @@ from fs_schema_validator_ray.stages.exchange import (
 )
 from fs_schema_validator_ray.state import HyperLogLog
 from fs_schema_validator_ray.state.sketches import (
-    canonical_tuple_strings,
+    canonical_tuple_array,
     hash64,
     mix_to_buckets,
     stable_key_array,
@@ -101,7 +101,7 @@ def _keys(batch: pa.Table, rule: UniqueRule):
     """The rule's key per row: the native column, or the canonical tuple
     string of a composite key."""
     if rule.columns:
-        return pa.array(canonical_tuple_strings(batch, rule.columns), pa.string())
+        return canonical_tuple_array(batch, rule.columns)
     return batch.column(rule.column)
 
 

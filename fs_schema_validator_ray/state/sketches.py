@@ -58,6 +58,33 @@ def _tuple_component(v) -> str:
     return str(v).replace("\x00", "\x00\x00").replace("\x1f", "\x00\x1f")
 
 
+def _tuple_components(col):
+    """:func:`_tuple_component` of every value of an Arrow column, as an
+    Arrow string array: with Arrow kernels for string and integer columns
+    (their cast to string is ``str(v)``), per row for every other type
+    (``str(1.0)`` is not Arrow's float cast)."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    t = col.type
+    if not (pa.types.is_string(t) or pa.types.is_large_string(t) or pa.types.is_integer(t)):
+        return pa.array([_tuple_component(v) for v in col.to_pylist()], pa.string())
+    s = pc.cast(col, pa.string())
+    s = pc.replace_substring(s, "\x00", "\x00\x00")
+    s = pc.replace_substring(s, "\x1f", "\x00\x1f")
+    return pc.fill_null(s, "\x00null")
+
+
+def canonical_tuple_array(batch, columns):
+    """:func:`canonical_tuple_strings` as an Arrow string array."""
+    import pyarrow.compute as pc
+
+    parts = [_tuple_components(batch.column(c)) for c in columns]
+    return pc.binary_join_element_wise(*parts, "\x1f")
+
+
 def canonical_tuple_strings(batch, columns) -> np.ndarray:
     """One canonical string per row for the composite key ``columns`` —
     the single encoding composite ``unique`` and ``referential`` rules
@@ -71,11 +98,7 @@ def canonical_tuple_strings(batch, columns) -> np.ndarray:
     becomes ``\\x00\\x1f``, so ``('a\\x1fb', 'c')`` and ``('a', 'b\\x1fc')``,
     or a literal ``'\\x00null'`` and a real null, never collide. Values
     containing neither character encode exactly as the plain join."""
-    cols = [batch.column(c).to_pylist() for c in columns]
-    out = np.empty(batch.num_rows, dtype=object)
-    for i, row in enumerate(zip(*cols)):
-        out[i] = "\x1f".join(map(_tuple_component, row))
-    return out
+    return canonical_tuple_array(batch, columns).to_numpy(zero_copy_only=False)
 
 
 def key_codes(col) -> np.ndarray:

@@ -8,12 +8,14 @@ tests (`/root/reference/tests/test_image.py:33-48`,
 import numpy as np
 import pyarrow as pa
 
+from fs_schema_validator_ray import audio
 from fs_schema_validator_ray.rules import AudioRule
 from fs_schema_validator_ray.sources.clips import (
     PLANTS,
     ClipsConfig,
     build_clips_table,
     build_manifest_table,
+    _row_params,
     generate_row,
 )
 from fs_schema_validator_ray.stages.decode import AudioValidateStage
@@ -179,3 +181,53 @@ def test_wav_header_stage_verdicts():
     assert out["unknown"]["declared_match"] == 0
     assert out["junk"] == {"clip_id": "junk", "header_ok": False,
                            "declared_match": None, "rate_ok": None}
+
+
+def _reference_signal_before_trim(clip_id, sr_hz, dur_ms):
+    """``audio.reference_signal`` before its index prefixes were cached
+    and splitmix ran in place, frozen: every signal must equal it bit for
+    bit."""
+    import hashlib
+
+    n = max(0, round(dur_ms * sr_hz / 1000))
+    if n == 0:
+        return np.zeros(0)
+    d = hashlib.blake2s(clip_id.encode(), digest_size=32).digest()
+    u = [int.from_bytes(d[i : i + 8], "little") / 2**64 for i in (8, 16, 24)]
+    f1 = 80.0 + u[0] * (800.0 - 80.0)
+    f2 = 800.0 + u[1] * (min(3800.0, sr_hz / 2.2) - 800.0)
+    p1 = u[2] * 2 * np.pi
+    p2 = (u[2] * 7919.0) % 1.0 * 2 * np.pi
+    t = np.arange(n, dtype=np.float64)
+    t /= sr_hz
+    x = t * (2 * np.pi * f1)
+    x += p1
+    np.sin(x, out=x)
+    x *= 0.45
+    t *= 2 * np.pi * f2
+    t += p2
+    np.sin(t, out=t)
+    t *= 0.25
+    x += t
+    with np.errstate(over="ignore"):
+        z = np.uint64(audio._seed_for(clip_id)) + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(
+            0x9E3779B97F4A7C15)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        z = z ^ (z >> np.uint64(31))
+    noise = z.astype(np.float64) / 18446744073709551616.0
+    noise -= 0.5
+    noise *= 0.08
+    x += noise
+    return np.clip(x, -1.0, 1.0, out=x)
+
+
+def test_reference_signal_is_bit_identical_to_the_untrimmed_one():
+    """Every corpus row's signal, plus the edges: no samples, one sample,
+    and signals longer than the cached index prefixes."""
+    cases = [(CFG.clip_id(i), *_row_params(CFG, i)[:2]) for i in range(CFG.n_rows)]
+    cases += [("edge", sr, dur) for sr in (3000, 48000) for dur in (0, 1, 683, 684, 30000)]
+    for case in cases:
+        got, want = audio.reference_signal(*case), _reference_signal_before_trim(*case)
+        assert got.dtype == want.dtype == np.float64
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), case

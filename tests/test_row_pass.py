@@ -19,6 +19,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
+from fs_schema_validator_ray.pipelines import validate
 from fs_schema_validator_ray.pipelines.validate import (
     ValidationRunConfig,
     plan_tasks,
@@ -134,6 +135,29 @@ def test_plan_of_the_benchmark_shapes_at_one_cpu():
     assert len(plan_tasks([(i, 4_800_000) for i in range(4)], 1, target, 128)) == 4
 
 
+def test_pack_partitions_bounds():
+    """Groups are runs of whole partitions within the row and the byte
+    bound; a partition past either bound, or sharing a file with the
+    group, starts a group of its own."""
+    def doc(pid, rows, nbytes=100, files=None):
+        return {"partition_id": pid, "rows": rows, "read_bytes": nbytes,
+                "files": files or [f"f{pid}"]}
+
+    def groups(docs, max_rows=64):
+        return [[d["partition_id"] for d in g] for g in validate.pack_partitions(docs, max_rows)]
+
+    assert groups([doc(0, 30), doc(1, 34), doc(2, 1), doc(3, 100), doc(4, 0), doc(5, 64)]) == [
+        [0, 1], [2], [3], [4, 5]]
+    big = validate.PACK_MAX_BYTES // 2 + 1
+    assert groups([doc(0, 1, big), doc(1, 1, big), doc(2, 1), doc(3, 1, 2 * big)]) == [
+        [0], [1, 2], [3]]
+    assert groups([doc(0, 1, files=["a", "b"]), doc(1, 1, files=["b"]), doc(2, 1)]) == [
+        [0], [1, 2]]
+    # without one schema for the corpus, nothing packs
+    assert groups([doc(0, 0), doc(1, 1)], -1) == [[0], [1]]
+    assert groups([]) == []
+
+
 # --- committed output ----------------------------------------------------------
 
 
@@ -204,6 +228,136 @@ def test_task_reads_schema_evolved_files_and_commits_sketches(ray_session, tmp_p
                       ("None", "unique_v", "duplicate key (appears 2 times)")]
     run(one, tmp_path / "one-out")
     assert got == verdicts(tmp_path / "one-out")
+
+
+def _receipts_add_up(output_dir, res):
+    """Each ``part-N`` doc's ``violations_by_rule`` sums to its
+    ``violations``; over the docs, the per-rule counts equal the committed
+    rows of each rule, and every doc's count sums to the run's total."""
+    docs = []
+    for path in glob.glob(os.path.join(output_dir, "manifest", "*.json")):
+        with open(path) as f:
+            docs.append(json.load(f))
+    by_rule = {}
+    for doc in docs:
+        if doc["id"].startswith("part-"):
+            assert sum(doc["violations_by_rule"].values()) == doc["violations"]
+            for rule, n in doc["violations_by_rule"].items():
+                by_rule[rule] = by_rule.get(rule, 0) + n
+    assert sum(doc["violations"] for doc in docs) == res.total_violations
+    rows = {}
+    for f in glob.glob(os.path.join(output_dir, "violations", "parts", "*", "*.parquet")):
+        for rule in pq.read_table(f).column("rule_id").to_pylist():
+            rows[rule] = rows.get(rule, 0) + 1
+    assert by_rule == rows
+
+
+def _counting_stage(monkeypatch, log):
+    """Swap the run's fused stage for one that appends each call's rows
+    and partition ids to the file ``log`` (a line a call, any process)."""
+
+    class Counting(validate.CombinedValidateStage):
+        def __call__(self, batch):
+            pids = sorted(set(batch.column("partition_id").to_pylist()))
+            with open(log, "a") as f:
+                f.write(json.dumps([batch.num_rows, pids]) + "\n")
+            return super().__call__(batch)
+
+    monkeypatch.setattr(validate, "CombinedValidateStage", Counting)
+
+    def calls():
+        with open(log) as f:
+            return [json.loads(line) for line in f]
+    return calls
+
+
+#: rows per file of the packing corpus, at ``decode_batch_size`` 64: a
+#: 100-row partition among small ones, partitions adding up to exactly 64
+#: rows, and a zero-row file
+PACK_ROWS = [10, 20, 100, 30, 34, 0, 5, 64, 7, 50, 13, 40, 24, 3]
+
+
+def _packing_corpus(root):
+    d = os.path.join(root, "in")
+    os.makedirs(d)
+    for i, n in enumerate(PACK_ROWS):
+        # both row rules fire, interleaved, in every partition of 3+ rows
+        keys = [f"{'abcdefgh'[i % 8]}-{i}{j}" if j % 3 else f"bad {i} {j}" for j in range(n)]
+        v = [200 if j % 4 == 1 else j for j in range(n)]
+        pq.write_table(pa.table({"k": pa.array(keys, pa.string()),
+                                 "v": pa.array(v, pa.int64())}),
+                       os.path.join(d, f"f-{i:02d}.parquet"))
+    return d
+
+
+def _partition_outputs(output_dir):
+    """Each partition's violation rows in file order, and its doc without
+    ``wall_s`` and ``violations_path`` (the output directories differ)."""
+    out = {}
+    for path in glob.glob(os.path.join(output_dir, "manifest", "part-*.json")):
+        with open(path) as f:
+            doc = json.load(f)
+        doc.pop("wall_s")
+        doc.pop("violations_path")
+        vfile = os.path.join(output_dir, "violations", "parts",
+                             f"partition_id={doc['partition_id']}", "violations.parquet")
+        rows = pq.read_table(vfile).to_pylist() if os.path.exists(vfile) else None
+        out[doc["id"]] = (doc, rows)
+    return out
+
+
+@pytest.mark.parametrize("partitions", [None, 7])
+def test_packed_partitions_commit_what_unpacked_ones_do(ray_session, tmp_path, monkeypatch,
+                                                        partitions):
+    """A task packs consecutive small partitions into one batch of at most
+    ``decode_batch_size`` rows; each partition's violations file, rows
+    and order, and its doc (sketch blobs and receipts included) are those
+    of a run that never packs (``wave_size=1``: a task of one partition)."""
+    src = _packing_corpus(str(tmp_path))
+    runs = {}
+    for name, kw in (("alone", {"wave_size": 1}), ("packed", {})):
+        calls = _counting_stage(monkeypatch, str(tmp_path / f"{name}.log"))
+        out = tmp_path / name
+        res = run_validation(_cfg(src, out, partitions=partitions, decode_batch_size=64,
+                                  stats_sketch_columns=["v", "k"], **kw))
+        _receipts_add_up(str(out), res)
+        runs[name] = (_partition_outputs(str(out)), calls(), res)
+    (alone, alone_calls, res), (packed, packed_calls, _) = runs["alone"], runs["packed"]
+    n_parts = len(PACK_ROWS) if partitions is None else partitions
+    assert len(alone) == n_parts and sorted(packed) == sorted(alone)
+    assert res.total_rows == sum(PACK_ROWS)
+    for doc_id, (doc, rows) in alone.items():
+        assert packed[doc_id] == (doc, rows), doc_id
+        assert rows is None or (doc["violations"] == len(rows) and
+                                {r["rule_id"] for r in rows} == {"v_range", "k_shape"})
+        if doc["rows"]:
+            assert set(doc["stats_sketches_hex"]) == {"v", "k"}
+    # no batch over 64 rows; the 100-row partition streams on its own
+    assert max(n for n, _ in packed_calls) <= 64
+    assert [c for c in alone_calls if len(c[1]) > 1] == []
+    assert len(packed_calls) < len(alone_calls)
+    if partitions is None:
+        assert [64, [2]] in packed_calls and [36, [2]] in packed_calls
+        # a packed group that fits exactly: 30 + 34 rows
+        assert [64, [3, 4]] in packed_calls
+    else:
+        # two-file partitions, one of them with the zero-row file
+        assert [32, [5, 6]] in packed_calls
+
+
+def test_stage_calls_per_packed_batch(ray_session, tmp_path, monkeypatch):
+    """32 partitions of 64 rows at batch 512: one stage call per group of
+    eight partitions, not one per partition."""
+    d = tmp_path / "in"
+    d.mkdir()
+    for i in range(32):
+        pq.write_table(pa.table({"k": [f"{'abcdefgh'[i % 8]}-{i}{j}" for j in range(64)],
+                                 "v": pa.array(range(64), pa.int64())}),
+                       d / f"f-{i:02d}.parquet")
+    calls = _counting_stage(monkeypatch, str(tmp_path / "calls.log"))
+    res = run_validation(_cfg(str(d), tmp_path / "out", decode_batch_size=512))
+    assert res.total_rows == 32 * 64
+    assert [n for n, _ in calls()] == [512] * 4
 
 
 # --- kill and resume -----------------------------------------------------------
@@ -315,6 +469,7 @@ def test_killed_run_resumes_to_the_uninterrupted_violations(ray_session, tmp_pat
     assert res.total_violations == full.total_violations
     assert res.total_rows == full.total_rows == N_PARTS * ROWS
     assert res.violations_dataset().count() == full.total_violations
+    _receipts_add_up(out, res)
     # rewritten, not kept: the resumed run committed the file again
     assert os.path.getmtime(old_file) > 0
     assert len(_manifests(out)) == N_PARTS

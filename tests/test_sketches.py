@@ -427,6 +427,49 @@ def test_canonical_tuple_strings_injective_and_stable():
     assert list(canonical_tuple_strings(t, ["n", "b"]))[4:] == ["\x00null\x1fy", "6\x1f\x00null"]
 
 
+def _per_row_tuple_strings(batch, columns):
+    """The per-row composite-key encoder ``canonical_tuple_strings`` had
+    before it used Arrow kernels: the reference it must equal."""
+    from fs_schema_validator_ray.state.sketches import _tuple_component
+
+    cols = [batch.column(c).to_pylist() for c in columns]
+    return ["\x1f".join(map(_tuple_component, row)) for row in zip(*cols)]
+
+
+_TUPLE_TABLE = pa.table({
+    "s": pa.array(["a", None, "\x00", "\x1f", "\x00null", "", "a\x1fb", "\x00\x1f"]),
+    "ls": pa.array(["q", "\x1f\x00", None, "", "null", "y", "x", "w"], pa.large_string()),
+    "i": pa.array([1, None, -5, 2**62, 0, -(2**63), 7, None], pa.int64()),
+    "u8": pa.array([255, 0, None, 3, 4, 5, 6, 7], pa.uint8()),
+    "u64": pa.array([2**64 - 1, 0, None, 3, 4, 5, 6, 7], pa.uint64()),
+    "f": pa.array([1.0, None, 2.5, float("nan"), -0.0, 1e20, 3.0, 4.0]),
+    "b": pa.array([True, False, None, True, True, False, False, True]),
+})
+
+
+@pytest.mark.parametrize("columns", [
+    ["s", "i"], ["i", "s", "u64"], ["ls", "u8"], ["s"], ["s", "f"], ["f", "b"], ["b", "i"],
+])
+def test_canonical_tuple_strings_equal_the_per_row_encoder(columns):
+    """String and integer columns are encoded with Arrow kernels, every
+    other type per row; either way the keys, and so both sides of a
+    composite referential membership, are the per-row encoder's."""
+    from fs_schema_validator_ray.stages.referential import _probe, build_membership
+    from fs_schema_validator_ray.state.sketches import canonical_tuple_strings
+
+    for t in (_TUPLE_TABLE, _TUPLE_TABLE.slice(0, 0),
+              pa.Table.from_batches(_TUPLE_TABLE.to_batches(max_chunksize=3))):
+        got = canonical_tuple_strings(t, columns)
+        want = _per_row_tuple_strings(t, columns)
+        assert got.dtype == object and list(got) == want
+        if t.num_rows:
+            old = np.array(want, dtype=object)
+            assert np.array_equal(build_membership(got), build_membership(old))
+            probe = _per_row_tuple_strings(_TUPLE_TABLE.slice(2), columns) + ["absent"]
+            assert list(_probe(build_membership(got), np.array(probe, dtype=object))) == (
+                [True] * (len(probe) - 1) + [False])
+
+
 def test_std_zero_for_constant_column(ray_session):
     import ray.data
 
