@@ -160,7 +160,7 @@ def ensure_corpus(rows: int, partitions: int = 64) -> tuple[str, str]:
     return clips, manifest
 
 
-def run_clips_bench(rows: int, partitions: int = 64, wave_size: int = 64) -> dict:
+def run_clips_bench(rows: int, partitions: int = 64) -> dict:
     from fs_schema_validator_ray.pipelines.queries import CLIPS_RULES_YAML
     from fs_schema_validator_ray.pipelines.validate import (
         ValidationRunConfig,
@@ -189,7 +189,6 @@ def run_clips_bench(rows: int, partitions: int = 64, wave_size: int = 64) -> dic
             output_dir=out_dir,
             manifest_path=manifest,
             partitions=partitions,
-            wave_size=wave_size,
         )
         t0 = time.perf_counter()
         res = run_validation(cfg)

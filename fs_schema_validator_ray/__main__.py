@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--key-column", default="clip_id")
     p.add_argument("--partitions", type=int, default=None)
     p.add_argument("--wave-size", type=int, default=16,
-                   help="max partitions per row-pass task (default 16)")
+                   help="ignored: the task planner sizes tasks by CPUs and bytes")
     p.add_argument("--sketch-columns", default=None, metavar="COL[,COL...]",
                    help="checkpoint per-partition mergeable sketch state for "
                         "these columns (t-digest for numeric, HLL otherwise)")

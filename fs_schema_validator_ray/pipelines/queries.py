@@ -7817,7 +7817,6 @@ def clips_validation(sf_dir: str, n_rows: int = 1500):
         rules=rules,
         output_dir=out_dir,
         manifest_path=manifest_path,
-        wave_size=4,
     )
     res = run_validation(run_cfg)
     return res.violations_dataset().select_columns(["key", "rule_id", "reason"])

@@ -9,8 +9,11 @@ Ray-Data-first rebuild of the reference's one-shot serial run
 * every pass plans its tasks the same way (:func:`_task_items`): the
   partitions it needs, in contiguous runs of near-equal bytes of its
   pruned columns (from the footers), one task per run
-  (:func:`plan_tasks`); each task reads its partitions' files itself
-  (:func:`scan_partition`, the run's one reader),
+  (:func:`plan_tasks`): one task per CPU, and more only where a task
+  would read over ``DataContext.target_max_block_size`` (128 MiB),
+  since each task costs ~15 ms of driver CPU; each task reads its
+  partitions' files itself (:func:`scan_partition`, the run's one
+  reader),
 * the row pass is ONE Ray execution over every pending partition: a
   task packs consecutive partitions into groups of whole partitions
   whose footer rows add up to at most ``decode_batch_size`` and footer
@@ -101,7 +104,8 @@ class ValidationRunConfig:
     manifest_key_column: Optional[str] = None
     baselines: dict = field(default_factory=dict)  # rule_id -> Histogram
     partitions: Optional[int] = None     # group files into this many partitions
-    #: max partitions per row-pass task (see :func:`plan_tasks`)
+    #: ignored: the task planner (:func:`plan_tasks`) sizes tasks by CPUs
+    #: and bytes. Kept because ``perfbench/workloads.py`` still passes it.
     wave_size: int = 16
     #: rows of one row-pass batch: a task packs consecutive small
     #: partitions whose footer rows add up to at most this into one batch,
@@ -258,22 +262,26 @@ def _cluster_cpus() -> int:
         return 8
 
 
-def plan_tasks(
-    sizes: list[tuple[int, int]], cpus: int, target_bytes: int, max_per_task: int
-) -> list[list[int]]:
+def plan_tasks(sizes: list[tuple[int, int]], cpus: int, target_bytes: int) -> list[list[int]]:
     """Split partitions ``[(pid, bytes), ...]`` into the tasks of a pass:
-    contiguous runs of near-equal bytes, at most ``max_per_task``
-    partitions each. The task count is
-    ``min(P, max(cpus, ceil(bytes / target_bytes), ceil(P / max_per_task)))``:
-    every CPU gets work, a task reads about ``target_bytes`` or less, and
-    none holds more than ``max_per_task`` partitions."""
+    ``min(P, max(cpus, ceil(bytes / target_bytes)))`` contiguous runs of
+    near-equal bytes. Every CPU gets work, and a task reads about
+    ``target_bytes`` or less; past that, a run is as long as the bytes
+    allow, because each task of a Ray execution has a fixed cost (1 vCPU:
+    ``from_arrow → map_batches → iter_batches`` took 47 ms of driver CPU
+    with one block and 104 ms with five, ~15 ms a task).
+
+    Tasks are balanced on bytes, not on work: a μ-law, A-law or u8 row
+    carries twice the samples per byte of a ``pcm_s16le`` row, so under
+    codec skew the tasks of a pass on N CPUs can differ about 2× in decode
+    work (unmeasured: only 1-CPU runs were timed)."""
     p = len(sizes)
     if not p:
         return []
     total = sum(b for _, b in sizes)
-    n = min(p, max(cpus, -(-total // max(target_bytes, 1)), -(-p // max_per_task)))
+    n = min(p, max(cpus, -(-total // max(target_bytes, 1))))
     # cut i goes where the byte prefix is closest to i/n of the total,
-    # clamped so that every run is non-empty and within the cap
+    # clamped so that every run is non-empty
     weights = [b for _, b in sizes] if total else [1] * p
     cum = np.concatenate([[0], np.cumsum(weights, dtype=np.float64)])
     cuts = [0]
@@ -282,26 +290,44 @@ def plan_tasks(
         j = int(np.searchsorted(cum, goal))
         if j > 0 and goal - cum[j - 1] <= cum[j] - goal:
             j -= 1
-        lo = max(cuts[-1] + 1, p - (n - i) * max_per_task)
-        hi = min(cuts[-1] + max_per_task, p - (n - i))
-        cuts.append(min(max(j, lo), hi))
+        cuts.append(min(max(j, cuts[-1] + 1), p - (n - i)))
     cuts.append(p)
     return [[pid for pid, _ in sizes[a:b]] for a, b in zip(cuts, cuts[1:])]
 
 
-def _task_items(groups, columns: list[str], footers: dict, max_per_task: int, item):
+def _start_autoscaling_requester() -> None:
+    """Get or start Ray Data's detached autoscaling-requester actor before
+    a pass's execution starts. Ray Data starts it itself only when an
+    execution queues more tasks than there are CPUs, or else when an
+    execution ends. With one task per CPU no execution queues, so a
+    session's first run would return while that actor's process is still
+    starting (~0.9 s of CPU), and the start-up would fall into
+    whatever the caller does next. Started here, it overlaps the pass that
+    asks for it; once it exists this is a cached lookup (~0.06 ms)."""
+    try:
+        from ray.data._internal.execution.autoscaling_requester import (
+            get_or_create_autoscaling_requester_actor,
+        )
+    except ImportError:  # a Ray Data without it starts nothing late
+        return
+    get_or_create_autoscaling_requester_actor()
+
+
+def _task_items(groups, columns: list[str], footers: dict, item):
     """The task plan every pass of a run shares: the partitions ``groups``
     (``[(pid, files)]``) cut by :func:`plan_tasks` on the footer bytes of
-    ``columns``, as a Dataset of one block (one ``map_batches(...,
-    batch_size=None)`` call) per task; a partition's row is ``item(pid,
-    files, nbytes)``, ``nbytes`` its footer bytes of ``columns``."""
+    ``columns`` at ``DataContext.target_max_block_size``, as a Dataset of
+    one block (one ``map_batches(..., batch_size=None)`` call) per task; a
+    partition's row is ``item(pid, files, nbytes)``, ``nbytes`` its footer
+    bytes of ``columns``."""
     import ray.data
 
     files_of = dict(groups)
     sizes = [(pid, sum(footers[f][1].get(c, 0) for f in files for c in columns))
              for pid, files in groups]
-    target = ray.data.DataContext.get_current().target_min_block_size
-    runs = plan_tasks(sizes, _cluster_cpus(), target, max(1, max_per_task))
+    target = ray.data.DataContext.get_current().target_max_block_size
+    runs = plan_tasks(sizes, _cluster_cpus(), target)
+    _start_autoscaling_requester()
     size_of = dict(sizes)
     return ray.data.from_arrow(
         [pa.Table.from_pylist([item(pid, files_of[pid], size_of[pid]) for pid in run])
@@ -358,18 +384,18 @@ class ScanPartitions:
 PACK_MAX_BYTES = 64 << 10
 
 
-def pack_partitions(docs: list[dict], max_rows: int) -> list[list[dict]]:
+def pack_partitions(docs: list[dict], max_rows: int, max_bytes: int) -> list[list[dict]]:
     """Cut a task's planned partition docs (plan order) into the groups it
     validates as one batch: consecutive whole partitions while their footer
     row counts (``doc["rows"]``) add up to at most ``max_rows``, their
-    footer bytes (``doc["read_bytes"]``) to at most :data:`PACK_MAX_BYTES`,
-    and no file is in two of them. A partition past either bound is a
-    group of its own."""
+    footer bytes (``doc["read_bytes"]``) to at most ``max_bytes``
+    (:data:`PACK_MAX_BYTES`), and no file is in two of them. A partition
+    past either bound is a group of its own."""
     groups: list[list[dict]] = []
     rows, nbytes, files = 0, 0, set()
     for doc in docs:
         if (groups and rows + doc["rows"] <= max_rows
-                and nbytes + doc["read_bytes"] <= PACK_MAX_BYTES
+                and nbytes + doc["read_bytes"] <= max_bytes
                 and files.isdisjoint(doc["files"])):
             groups[-1].append(doc)
             rows, nbytes = rows + doc["rows"], nbytes + doc["read_bytes"]
@@ -441,6 +467,8 @@ class CommitPartitions:
         )
         self.file_schema = file_schema
         self.batch_size = batch_size
+        # read where the run is planned, not in the worker
+        self.pack_max_bytes = PACK_MAX_BYTES
         self.output_dir = output_dir
 
     def __call__(self, items: pa.Table) -> pa.Table:
@@ -448,8 +476,8 @@ class CommitPartitions:
         planned = [json.loads(d) for d in items.column("doc").to_pylist()]
         # without one schema for every file, each partition reads its own
         max_rows = self.batch_size if self.file_schema is not None else -1
-        docs = [json.dumps(doc) for group in pack_partitions(planned, max_rows)
-                for doc in self.commit(group, partial)]
+        groups = pack_partitions(planned, max_rows, self.pack_max_bytes)
+        docs = [json.dumps(doc) for group in groups for doc in self.commit(group, partial)]
         return pa.concat_tables([pa.table({"doc": pa.array(docs, pa.string())}),
                                  partial.blobs()], promote_options="default")
 
@@ -739,12 +767,13 @@ def run_validation(cfg: ValidationRunConfig) -> RunResult:
     drift_states: list = [{} for _ in drift_rules]
     pending = [(pid, grp) for pid, grp in groups if f"part-{pid}" not in done]
     executions = 0  # Ray executions this run started
+    row_pass_tasks = 0  # the receipt of the row pass's plan
 
     def read_keys(columns, parts=groups):
         # keys only: pyarrow's default batch size
         columns = sorted(columns)
         return _task_items(
-            parts, columns, footers, cfg.wave_size,
+            parts, columns, footers,
             lambda pid, files, _: {"partition_id": pid, "files": files},
         ).map_batches(
             ScanPartitions(columns, unified_schema), batch_format="pyarrow", batch_size=None
@@ -797,7 +826,7 @@ def run_validation(cfg: ValidationRunConfig) -> RunResult:
         # partitions it reprocesses, so `violations_dataset()` never sees
         # a stale or duplicated copy
         items = _task_items(
-            pending, commit.columns, footers, cfg.wave_size,
+            pending, commit.columns, footers,
             lambda pid, files, nbytes: {"doc": json.dumps({
                 "id": f"part-{pid}",
                 "key": doc_keys[f"part-{pid}"],
@@ -810,6 +839,7 @@ def run_validation(cfg: ValidationRunConfig) -> RunResult:
             })},
         )
         executions += 1
+        row_pass_tasks = items.num_blocks()
         for b in items.map_batches(commit, batch_format="pyarrow", batch_size=None).iter_batches(
             batch_format="pyarrow", batch_size=None
         ):
@@ -871,6 +901,7 @@ def run_validation(cfg: ValidationRunConfig) -> RunResult:
     _mark("unique")
     global_metrics: dict[str, Any] = dict(docs.get("global", {}).get("metrics", {}))
     global_metrics["ray_executions"] = executions
+    global_metrics["row_pass_tasks"] = row_pass_tasks
     global_metrics["phase_wall"] = phase_wall
     # a partition's drift metrics come from the run's current drift docs
     partition_metrics = {d["partition_id"]: d for d in docs.values() if "partition_id" in d}

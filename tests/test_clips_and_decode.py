@@ -231,3 +231,174 @@ def test_reference_signal_is_bit_identical_to_the_untrimmed_one():
         got, want = audio.reference_signal(*case), _reference_signal_before_trim(*case)
         assert got.dtype == want.dtype == np.float64
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), case
+
+
+def _parse_header_before_unpack(payload):
+    """``audio._parse_header`` before its chunk ids were unpacked with
+    ``struct``, frozen."""
+    import struct
+
+    if len(payload) < 44:
+        raise audio.AudioDecodeError(
+            f"payload too short for a wave header ({len(payload)} bytes)")
+    if payload[0:4] != b"RIFF" or payload[8:12] != b"WAVE":
+        raise audio.AudioDecodeError("payload is not a RIFF/WAVE container")
+    pos = 12
+    fmt_tag = bits = channels = sr_hz = None
+    block_align = 0
+    fact_samples = None
+    data = None
+    n = len(payload)
+    while pos + 8 <= n:
+        cid = payload[pos : pos + 4]
+        (size,) = struct.unpack_from("<I", payload, pos + 4)
+        body_start = pos + 8
+        if cid == b"fmt ":
+            if size < 16 or body_start + 16 > n:
+                raise audio.AudioDecodeError("truncated fmt chunk")
+            fmt_tag, channels, sr_hz, _, block_align, bits = struct.unpack_from(
+                "<HHIIHH", payload, body_start)
+        elif cid == b"fact":
+            if size >= 4 and body_start + 4 <= n:
+                (fact_samples,) = struct.unpack_from("<I", payload, body_start)
+        elif cid == b"data":
+            if body_start + size > n:
+                raise audio.AudioDecodeError("truncated data chunk")
+            data = payload[body_start : body_start + size]
+        pos = body_start + size + (size & 1)
+    if fmt_tag is None:
+        raise audio.AudioDecodeError("missing fmt chunk")
+    if data is None:
+        raise audio.AudioDecodeError("missing data chunk")
+    if channels != 1:
+        raise audio.AudioDecodeError(f"only mono supported, got {channels} channels")
+    return sr_hz, fmt_tag, bits, channels, data, block_align, fact_samples
+
+
+def _decode_before_tables(payload):
+    """``audio.decode`` before the 8-bit codecs decoded through lookup
+    tables, frozen (FLAC and IMA ADPCM decode unchanged)."""
+    if payload[:4] == b"fLaC":
+        from fs_schema_validator_ray.functions.flac import FlacError, decode_flac
+
+        try:
+            pcm, sr_hz = decode_flac(payload)
+        except FlacError as exc:
+            raise audio.AudioDecodeError(f"bad flac payload: {exc}") from exc
+        if pcm.ndim != 1:
+            raise audio.AudioDecodeError("only mono supported")
+        return pcm.astype(np.float64) / 32767.0, sr_hz, "flac"
+    sr_hz, fmt, bits, _, data, block_align, fact_samples = _parse_header_before_unpack(payload)
+    codec = audio._codec_name(fmt, bits)
+    if codec == "pcm_s16le":
+        if len(data) % 2:
+            raise audio.AudioDecodeError("pcm_s16le data length is odd")
+        x = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32767.0
+    elif codec == "pcm_u8":
+        x = np.frombuffer(data, dtype=np.uint8).astype(np.float64) / 127.5 - 1.0
+    elif codec == "ulaw":
+        x = audio._ulaw_expand(np.frombuffer(data, dtype=np.uint8))
+    elif codec == "adpcm_ima":
+        x = audio._ima_decode(data, block_align, fact_samples) if data else np.zeros(0)
+    else:
+        x = audio._alaw_expand(np.frombuffer(data, dtype=np.uint8))
+    return x, sr_hz, codec
+
+
+def _malformed_payloads():
+    """``(payload, error message or None)``: each error ``audio.decode``
+    raises (all but a multi-channel FLAC stream, which the encoder cannot
+    write), and two valid layouts (an odd-sized chunk's pad byte, an empty
+    data chunk)."""
+    import struct
+
+    sig = audio.reference_signal("malformed", 8000, 40)
+    s16 = audio.encode(sig, 8000, "pcm_s16le")
+    ulaw = audio.encode(sig, 8000, "ulaw")
+    adpcm = audio.encode(sig, 8000, "adpcm_ima")
+    flac = audio.encode(sig, 8000, "flac")
+    fmt = s16[12:36]
+
+    def wave(*chunks):
+        body = b"WAVE" + b"".join(chunks)
+        return b"RIFF" + struct.pack("<I", len(body)) + body
+
+    def chunk(cid, body, size=None):
+        return cid + struct.pack("<I", len(body) if size is None else size) + body
+
+    def fmt_chunk(tag, channels, bits, block_align=2):
+        return chunk(b"fmt ", struct.pack("<HHIIHH", tag, channels, 8000, 16000,
+                                          block_align, bits))
+
+    pcm = chunk(b"data", s16[44:])
+    adpcm_fmt = fmt_chunk(17, 1, 4, block_align=256)
+    return [
+        (b"", "payload too short for a wave header (0 bytes)"),
+        (b"fLa", "payload too short for a wave header (3 bytes)"),
+        (b"fLaC", "bad flac payload: truncated metadata block header"),
+        (flac[:60], "bad flac payload: bitstream exhausted"),
+        (b"fLaC" + b"\0" * 50, "bad flac payload: first metadata block is not STREAMINFO"),
+        (s16[:43], "payload too short for a wave header (43 bytes)"),
+        (b"RIFX" + s16[4:], "payload is not a RIFF/WAVE container"),
+        (s16[:8] + b"WAVX" + s16[12:], "payload is not a RIFF/WAVE container"),
+        (wave(chunk(b"fmt ", b"\0" * 8), pcm), "truncated fmt chunk"),
+        (wave(fmt, chunk(b"data", s16[44:100], size=4000)), "truncated data chunk"),
+        (s16[:-200], "truncated data chunk"),
+        (wave(chunk(b"LIST", b"x" * 40), pcm), "missing fmt chunk"),
+        (wave(fmt, chunk(b"LIST", b"x" * 40)), "missing data chunk"),
+        (wave(fmt_chunk(1, 2, 16), pcm), "only mono supported, got 2 channels"),
+        (wave(fmt_chunk(3, 1, 32), pcm), "unknown wave format tag 3 (32 bits)"),
+        (wave(fmt_chunk(1, 1, 12), pcm), "unknown wave format tag 1 (12 bits)"),
+        (wave(fmt, chunk(b"data", s16[44:101])), "pcm_s16le data length is odd"),
+        (wave(fmt_chunk(17, 1, 4, block_align=4), chunk(b"data", adpcm[56:64])),
+         "invalid adpcm block align 4"),
+        (wave(adpcm_fmt, chunk(b"data", adpcm[56:59])), "truncated adpcm block"),
+        (wave(adpcm_fmt, chunk(b"data", b"\0\0\xc8" + adpcm[59:312])),
+         "invalid adpcm step index 200"),
+        (wave(adpcm_fmt, chunk(b"fact", struct.pack("<I", 10 ** 6)),
+              chunk(b"data", adpcm[56:312])), "fact chunk claims more samples than data"),
+        # valid: an odd-sized chunk and its pad byte, an empty data chunk
+        (wave(fmt, chunk(b"junk", b"abc") + b"\0", pcm), None),
+        (wave(ulaw[12:36], chunk(b"data", b"")), None),
+    ]
+
+
+def _outcome(decode, payload):
+    try:
+        x, sr_hz, codec = decode(payload)
+    except audio.AudioDecodeError as exc:
+        return ("error", str(exc))
+    return (x.dtype, x.view(np.uint64).tobytes(), sr_hz, codec)
+
+
+def test_decode_is_bit_identical_to_the_untabled_one():
+    """Every corpus row (each codec and planted class), every codec of
+    :data:`audio.CODECS` including empty signals, and every error class:
+    as bytes and as the memoryviews the decode stage hands over, the same
+    samples bit for bit, or the same error message."""
+    t = table_for(range(CFG.n_rows))
+    payloads = [p for p in t.column("bytes").to_pylist() if p is not None]
+    assert {audio.decode(p)[2] for p in payloads if _outcome(audio.decode, p)[0] != "error"} == {
+        "pcm_s16le", "ulaw", "alaw", "pcm_u8"}
+    sig = audio.reference_signal("every-codec", 16000, 300)
+    payloads += [audio.encode(x, 16000, c) for c in audio.CODECS for x in (sig, sig[:1], sig[:0])]
+    malformed = _malformed_payloads()
+    for payload in payloads + [p for p, _ in malformed]:
+        for p in (payload, memoryview(payload)):
+            assert _outcome(audio.decode, p) == _outcome(_decode_before_tables, p), bytes(p[:64])
+    for payload, message in malformed:
+        got = _outcome(audio.decode, memoryview(payload))
+        assert (got[1] if got[0] == "error" else None) == message
+
+
+def test_code_tables_equal_their_formulas():
+    """Each 8-bit codec's table holds its expansion formula's value for
+    every one of the 256 codes, each computed on its own."""
+    for table, expand in ((audio._ULAW_TABLE, audio._ulaw_expand),
+                          (audio._ALAW_TABLE, audio._alaw_expand),
+                          (audio._U8_TABLE, audio._u8_expand)):
+        assert table.dtype == np.float64 and table.shape == (256,)
+        assert not table.flags.writeable
+        for code in range(256):
+            want = expand(np.array([code], np.uint8))
+            assert table[code].view(np.uint64) == want.view(np.uint64)[0], code

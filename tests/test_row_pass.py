@@ -95,9 +95,8 @@ def _digest(output_dir):
 # --- the task planner ----------------------------------------------------------
 
 
-def _n_tasks(sizes, cpus, target, cap):
-    p = len(sizes)
-    return min(p, max(cpus, math.ceil(sum(b for _, b in sizes) / target), math.ceil(p / cap)))
+def _n_tasks(sizes, cpus, target):
+    return min(len(sizes), max(cpus, math.ceil(sum(b for _, b in sizes) / target)))
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -106,33 +105,39 @@ def test_plan_covers_every_partition_once_in_order(seed):
     p = int(rng.integers(1, 60))
     pids = sorted(rng.choice(1000, p, replace=False).tolist())
     sizes = [(pid, int(b)) for pid, b in zip(pids, rng.integers(0, 5 << 20, p))]
-    cpus, target, cap = int(rng.integers(1, 9)), int(rng.integers(1, 8) << 20), int(rng.integers(1, 20))
-    runs = plan_tasks(sizes, cpus, target, cap)
+    cpus, target = int(rng.integers(1, 9)), int(rng.integers(1, 8) << 20)
+    runs = plan_tasks(sizes, cpus, target)
     assert [pid for run in runs for pid in run] == pids
-    assert len(runs) == _n_tasks(sizes, cpus, target, cap)
-    assert all(1 <= len(run) <= cap for run in runs)
+    assert len(runs) == _n_tasks(sizes, cpus, target)
+    assert all(run for run in runs)
 
 
 def test_plan_balances_bytes():
     sizes = [(i, 1000) for i in range(12)]
-    assert plan_tasks(sizes, 4, 1 << 20, 16) == [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]]
+    assert plan_tasks(sizes, 4, 1 << 20) == [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]]
     # one big partition gets a task of its own
     sizes = [(0, 9000)] + [(i, 1000) for i in range(1, 10)]
-    assert plan_tasks(sizes, 2, 1 << 20, 16) == [[0], list(range(1, 10))]
+    assert plan_tasks(sizes, 2, 1 << 20) == [[0], list(range(1, 10))]
     # no bytes at all (nothing to read): runs of near-equal counts
-    assert plan_tasks([(i, 0) for i in range(8)], 4, 1 << 20, 16) == [
+    assert plan_tasks([(i, 0) for i in range(8)], 4, 1 << 20) == [
         [0, 1], [2, 3], [4, 5], [6, 7]]
-    assert plan_tasks([], 4, 1 << 20, 16) == []
+    assert plan_tasks([], 4, 1 << 20) == []
 
 
 def test_plan_of_the_benchmark_shapes_at_one_cpu():
-    target = 1 << 20  # Ray's default DataContext.target_min_block_size
-    # metadata-only rules over 32 small files
-    assert len(plan_tasks([(i, 2_000) for i in range(32)], 1, target, 128)) == 1
-    # a resumed half of 32 payload partitions, at most 4 per task
-    assert len(plan_tasks([(i, 363_000) for i in range(16, 32)], 1, target, 4)) == 6
-    # 4 large payload partitions
-    assert len(plan_tasks([(i, 4_800_000) for i in range(4)], 1, target, 128)) == 4
+    """Each benchmark shape is one task at one CPU and one task per CPU
+    at four; a large corpus still splits into tasks of about the target."""
+    target = 128 << 20  # Ray's default DataContext.target_max_block_size
+    shapes = [
+        [(i, 2_000) for i in range(32)],           # metadata-only rules, 32 small files
+        [(i, 363_000) for i in range(16, 32)],     # a resumed half of 32 payload partitions
+        [(i, 4_800_000) for i in range(4)],        # 4 large payload partitions
+    ]
+    for sizes in shapes:
+        assert plan_tasks(sizes, 1, target) == [[pid for pid, _ in sizes]]
+        assert len(plan_tasks(sizes, 4, target)) == 4
+    runs = plan_tasks([(i, 1 << 20) for i in range(1000)], 1, target)
+    assert len(runs) == 8 and all(len(run) << 20 <= target for run in runs)
 
 
 def test_pack_partitions_bounds():
@@ -144,7 +149,8 @@ def test_pack_partitions_bounds():
                 "files": files or [f"f{pid}"]}
 
     def groups(docs, max_rows=64):
-        return [[d["partition_id"] for d in g] for g in validate.pack_partitions(docs, max_rows)]
+        return [[d["partition_id"] for d in g] for g in validate.pack_partitions(
+            docs, max_rows, validate.PACK_MAX_BYTES)]
 
     assert groups([doc(0, 30), doc(1, 34), doc(2, 1), doc(3, 100), doc(4, 0), doc(5, 64)]) == [
         [0, 1], [2], [3], [4, 5]]
@@ -156,6 +162,27 @@ def test_pack_partitions_bounds():
     # without one schema for the corpus, nothing packs
     assert groups([doc(0, 0), doc(1, 1)], -1) == [[0], [1]]
     assert groups([]) == []
+
+
+def test_every_pass_starts_the_autoscaling_requester_first(ray_session, monkeypatch):
+    """Ray Data starts its autoscaling-requester actor when an execution
+    ends unless an execution queued more tasks than CPUs. A pass's plan
+    gets or starts it before the pass's dataset exists, so a one-task run
+    does not return while that actor's process is still starting."""
+    import ray.data
+    from ray.data._internal.execution import autoscaling_requester
+
+    calls = []
+    get_requester = autoscaling_requester.get_or_create_autoscaling_requester_actor
+    from_arrow = ray.data.from_arrow
+    monkeypatch.setattr(autoscaling_requester, "get_or_create_autoscaling_requester_actor",
+                        lambda: calls.append("requester") or get_requester())
+    monkeypatch.setattr(ray.data, "from_arrow",
+                        lambda tables: calls.append("plan") or from_arrow(tables))
+    footers = {"a": (1, {"v": 8}), "b": (1, {"v": 8})}
+    validate._task_items([(0, ["a"]), (1, ["b"])], ["v"], footers,
+                         lambda pid, files, nbytes: {"partition_id": pid})
+    assert calls == ["requester", "plan"]
 
 
 # --- committed output ----------------------------------------------------------
@@ -312,14 +339,16 @@ def test_packed_partitions_commit_what_unpacked_ones_do(ray_session, tmp_path, m
     """A task packs consecutive small partitions into one batch of at most
     ``decode_batch_size`` rows; each partition's violations file, rows
     and order, and its doc (sketch blobs and receipts included) are those
-    of a run that never packs (``wave_size=1``: a task of one partition)."""
+    of a run that never packs (``PACK_MAX_BYTES`` 0: a group of one
+    partition)."""
     src = _packing_corpus(str(tmp_path))
     runs = {}
-    for name, kw in (("alone", {"wave_size": 1}), ("packed", {})):
+    for name, pack_max_bytes in (("alone", 0), ("packed", validate.PACK_MAX_BYTES)):
+        monkeypatch.setattr(validate, "PACK_MAX_BYTES", pack_max_bytes)
         calls = _counting_stage(monkeypatch, str(tmp_path / f"{name}.log"))
         out = tmp_path / name
         res = run_validation(_cfg(src, out, partitions=partitions, decode_batch_size=64,
-                                  stats_sketch_columns=["v", "k"], **kw))
+                                  stats_sketch_columns=["v", "k"]))
         _receipts_add_up(str(out), res)
         runs[name] = (_partition_outputs(str(out)), calls(), res)
     (alone, alone_calls, res), (packed, packed_calls, _) = runs["alone"], runs["packed"]
@@ -358,6 +387,47 @@ def test_stage_calls_per_packed_batch(ray_session, tmp_path, monkeypatch):
     res = run_validation(_cfg(str(d), tmp_path / "out", decode_batch_size=512))
     assert res.total_rows == 32 * 64
     assert [n for n, _ in calls()] == [512] * 4
+
+
+def _run_outputs(output_dir):
+    """Every manifest doc without its timings and output paths, and every
+    committed violations file's rows in file order, by relative path."""
+    docs, files = {}, {}
+    for path in glob.glob(os.path.join(output_dir, "manifest", "*.json")):
+        with open(path) as f:
+            doc = json.load(f)
+        doc.pop("wall_s", None)
+        doc.pop("violations_path", None)
+        doc.get("metrics", {}).pop("wall_s", None)
+        docs[doc["id"]] = doc
+    for path in glob.glob(os.path.join(output_dir, "violations", "**", "*.parquet"),
+                          recursive=True):
+        files[os.path.relpath(path, output_dir)] = pq.read_table(path).to_pylist()
+    return docs, files
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+def test_outputs_do_not_depend_on_the_task_plan(ray_session, tmp_path, monkeypatch, cpus):
+    """A fresh run, and a run resumed with half its partitions and its
+    whole-run docs gone (so it also scans the finished partitions' keys),
+    commit the same docs and violation files with one task a pass as
+    with four."""
+    src = _corpus(str(tmp_path))
+    monkeypatch.setattr(validate, "_cluster_cpus", lambda: {1: 4, 4: 1}[cpus])
+    want = run_validation(_cfg(src, tmp_path / "want", stats_sketch_columns=["v"]))
+    monkeypatch.setattr(validate, "_cluster_cpus", lambda: cpus)
+    out = tmp_path / "out"
+    res = run_validation(_cfg(src, out, stats_sketch_columns=["v"]))
+    assert res.global_metrics["row_pass_tasks"] == cpus
+    assert _run_outputs(str(out)) == _run_outputs(str(tmp_path / "want"))
+    for doc_id in ["global", "drift-v_drift"] + [f"part-{i}" for i in range(N_PARTS // 2, N_PARTS)]:
+        os.remove(out / "manifest" / f"{doc_id}.json")
+    res = run_validation(_cfg(src, out, stats_sketch_columns=["v"]))
+    assert res.partitions_skipped == N_PARTS // 2
+    assert res.global_metrics["row_pass_tasks"] == min(cpus, N_PARTS // 2)
+    assert res.global_metrics["ray_executions"] == 2
+    assert res.total_violations == want.total_violations
+    assert _run_outputs(str(out)) == _run_outputs(str(tmp_path / "want"))
 
 
 # --- kill and resume -----------------------------------------------------------
