@@ -298,12 +298,12 @@ def agg_events_by_user(sf_dir: str):
     """Grouped aggregation over a HIGH-cardinality key (user_id ≈ one
     group per few rows — the shape where the per-batch combiner barely
     reduces): bucketed shuffle + one Arrow group_by per coarse bucket
-    (``group_sum_bucketed``), never a global sort of raw keys."""
-    from fs_schema_validator_ray.stages.agg import group_sum_bucketed
+    (``group_sum``), never a global sort of raw keys."""
+    from fs_schema_validator_ray.stages.agg import group_sum
 
     ds = _read(sf_dir, "events", ["user_id", "value"])
     ds = ds.map_batches(_with_value_cents, batch_format="pyarrow")
-    return group_sum_bucketed(ds, "user_id", ["value_cents"]).select_columns(
+    return group_sum(ds, ["user_id"], ["value_cents"]).select_columns(
         ["user_id", "n", "value_cents"]
     )
 
@@ -508,20 +508,15 @@ def upsert_orders_snapshot(sf_dir: str):
 
 
 def count_distinct_user_type(sf_dir: str):
-    """Global ``COUNT(DISTINCT user_id, event_type)`` scalar: per-batch
-    composite dedup (Arrow group_by) → one distinct shuffle → per-block
-    counts → driver sum of a handful of int64 partials — the composite
-    row never leaves as raw data — oracle-checked."""
-    import pyarrow.compute as pc
+    """Global ``COUNT(DISTINCT user_id, event_type)`` scalar: one
+    composite-key ``group_sum`` (per-batch dedup, then one distinct
+    exchange) → per-block counts → driver sum of a handful of int64
+    partials — the composite row never leaves as raw data —
+    oracle-checked."""
+    from fs_schema_validator_ray.stages.agg import group_sum
 
     ds = _read(sf_dir, "events", ["user_id", "event_type"])
-    partials = ds.map_batches(
-        lambda t: pa.TableGroupBy(
-            t.select(["user_id", "event_type"]), ["user_id", "event_type"]
-        ).aggregate([]),
-        batch_format="pyarrow",
-    )
-    distinct = partials.groupby(["user_id", "event_type"]).count()
+    distinct = group_sum(ds, ["user_id", "event_type"], [])
     counts = distinct.map_batches(
         lambda t: pa.table({"c": pa.array([t.num_rows], pa.int64())}),
         batch_format="pyarrow",
@@ -1150,14 +1145,14 @@ def embedding_validate_contract(sf_dir: str):
 def schema_drift_orders(sf_dir: str):
     """Schema + null-profile drift between two snapshots of orders — the
     table-level validation the reference runs per-file against its YAML
-    schema, lifted to dataset snapshots (``pipelines/stats.py::
+    schema, lifted to dataset snapshots (``stages/agg.py::
     schema_drift``). Snapshot B is derived deterministically: the
     priority column dropped (removed), a channel column added, totals
     re-typed to int64 cents (type_changed) and every
     ``o_orderkey % 211 == 5`` status nulled (null drift). Oracle
     recomputes the same derivation's counts in SQL; the schema rows are
     literal."""
-    from fs_schema_validator_ray.pipelines.stats import schema_drift
+    from fs_schema_validator_ray.stages.agg import schema_drift
 
     ds_a = _read(
         sf_dir,
@@ -1316,12 +1311,12 @@ def cms_user_counts_events(sf_dir: str):
     """Count-Min frequency estimates per user — the mergeable-sketch
     path for when exact per-key truth is too wide to carry
     (``state/sketches.py::CountMinSketch``): one CMS partial per block
-    (KBs), elementwise-add merge on the driver, estimates for the
-    distinct-user set. Rows-only by nature (ε-bounded, one-sided);
-    the ``est ≥ true`` / ``est ≤ true + ε·N`` guarantees are
-    pytest-gated against exact counts."""
-    import ray.data
-
+    (KBs), elementwise-add merge on the driver, then the distinct users
+    from one ``group_sum`` estimated per batch against the merged
+    sketch (the users never reach the driver). Rows-only by nature
+    (ε-bounded, one-sided); the ``est ≥ true`` / ``est ≤ true + ε·N``
+    guarantees are pytest-gated against exact counts."""
+    from fs_schema_validator_ray.stages.agg import group_sum
     from fs_schema_validator_ray.state.sketches import CountMinSketch
 
     ds = _read(sf_dir, "events", ["user_id"])
@@ -1335,17 +1330,18 @@ def cms_user_counts_events(sf_dir: str):
     for row in ds.map_batches(partial, batch_format="pyarrow").take_all():
         part = CountMinSketch.from_bytes(row["blob"])
         merged = part if merged is None else merged.merge(part)
-    users = np.asarray(sorted(ds.unique("user_id") or []), np.int64)
-    if merged is None or len(users) == 0:
+    if merged is None:
         return pa.table(
             {"user_id": pa.array([], pa.int64()), "est": pa.array([], pa.int64())}
         )
-    return pa.table(
-        {
-            "user_id": pa.array(users, pa.int64()),
-            "est": pa.array(merged.estimate(users), pa.int64()),
-        }
-    )
+
+    def estimate(t: pa.Table) -> pa.Table:
+        users = np.asarray(t.column("user_id"), np.int64)
+        return pa.table(
+            {"user_id": pa.array(users), "est": pa.array(merged.estimate(users), pa.int64())}
+        )
+
+    return group_sum(ds, ["user_id"], []).map_batches(estimate, batch_format="pyarrow")
 
 
 def histogram_orders_totalprice(sf_dir: str):
@@ -1442,6 +1438,7 @@ def bool_agg_orders(sf_dir: str):
             }
         )
 
+    # native groupby: Min/Max, which group_sum does not merge
     return (
         ds.map_batches(partial, batch_format="pyarrow")
         .groupby("o_orderpriority")
@@ -2548,6 +2545,7 @@ def dense_rank_orders(sf_dir: str):
             }
         )
 
+    # native groupby: a per-key map_groups body, not yet on bucketed + segments
     return ds.groupby("o_custkey").map_groups(per_group, batch_format="pyarrow")
 
 
@@ -2589,6 +2587,7 @@ def cume_dist_orders(sf_dir: str):
             }
         )
 
+    # native groupby: a per-key map_groups body, not yet on bucketed + segments
     return ds.groupby("o_custkey").map_groups(per_group, batch_format="pyarrow")
 
 
@@ -2888,7 +2887,7 @@ def dedup_report_documents(sf_dir: str):
     counted with ONE bucketed distinct pass over (source, fp) and a tiny
     per-source roll-up; ``dup_rate6`` divides identical integers
     (round-even 6)."""
-    from fs_schema_validator_ray.stages.agg import group_sum, group_sum_bucketed
+    from fs_schema_validator_ray.stages.agg import group_sum
     from fs_schema_validator_ray.state.sketches import hash64, stable_key_array
 
     ds = _read(sf_dir, "documents", ["source", "text"])
@@ -2906,8 +2905,8 @@ def dedup_report_documents(sf_dir: str):
             }
         )
 
-    distinct = group_sum_bucketed(
-        ds.map_batches(fp, batch_format="pyarrow"), "pk", []
+    distinct = group_sum(
+        ds.map_batches(fp, batch_format="pyarrow"), ["pk"], []
     ).map_batches(
         lambda t: pa.table(
             {
@@ -3046,6 +3045,7 @@ def gini_orders_by_priority(sf_dir: str):
             }
         )
 
+    # native groupby: a per-key map_groups body, not yet on bucketed + segments
     return ds.groupby("k").map_groups(gini, batch_format="pyarrow")
 
 
@@ -3545,13 +3545,13 @@ def tpch_q13_customer_distribution(sf_dir: str):
     """TPC-H Q13 customer-order-distribution plan shape (the comment
     LIKE-filter adapted to an order-priority filter — this corpus's
     orders carry no comment column): per-customer order counts from the
-    high-cardinality combiner (``group_sum_bucketed`` — never raw-key
+    high-cardinality combiner (``group_sum`` — never raw-key
     shuffles), customers WITHOUT orders kept by a distributed LEFT hash
     join (count null → 0), then the tiny second-level distribution
     group-count ``(c_count, custdist)``."""
     import pyarrow.compute as pc
 
-    from fs_schema_validator_ray.stages.agg import group_sum, group_sum_bucketed
+    from fs_schema_validator_ray.stages.agg import group_sum
     from fs_schema_validator_ray.stages.joins import hash_join
 
     orders = _read(sf_dir, "orders", ["o_custkey", "o_orderpriority"]).map_batches(
@@ -3560,7 +3560,7 @@ def tpch_q13_customer_distribution(sf_dir: str):
         ).select(["o_custkey"]),
         batch_format="pyarrow",
     )
-    counts = group_sum_bucketed(orders, "o_custkey", [])
+    counts = group_sum(orders, ["o_custkey"], [])
     cust = _read(sf_dir, "customer", ["c_custkey"])
     joined = hash_join(
         cust, counts, "c_custkey", "o_custkey", [], ["n"], how="left"
@@ -3589,7 +3589,7 @@ def tpch_q13_customer_distribution(sf_dir: str):
 def tpch_q15_top_supplier(sf_dir: str):
     """TPC-H Q15 top-supplier plan shape: per-supplier revenue over the
     quarter window via the high-cardinality combiner
-    (``group_sum_bucketed`` on ``l_suppkey`` — the view in the original
+    (``group_sum`` on ``l_suppkey`` — the view in the original
     query), the |suppliers|-sized result reduced on the driver (max +
     ties), supplier names attached from the driver-side dim read.
     Revenue integer-exact micros."""
@@ -3597,7 +3597,7 @@ def tpch_q15_top_supplier(sf_dir: str):
     import pyarrow.dataset as pds
     import pyarrow.parquet as pq
 
-    from fs_schema_validator_ray.stages.agg import group_sum_bucketed
+    from fs_schema_validator_ray.stages.agg import group_sum
 
     lo = np.datetime64("1997-01-01").item()
     hi = np.datetime64("1997-04-01").item()
@@ -3624,7 +3624,7 @@ def tpch_q15_top_supplier(sf_dir: str):
         ["l_suppkey", "l_extendedprice", "l_discount", "l_shipdate"],
         filter=((pds.field("l_shipdate") >= lo) & (pds.field("l_shipdate") < hi)),
     ).map_batches(rev, batch_format="pyarrow")
-    per_supp = group_sum_bucketed(lineitem, "l_suppkey", ["rev_micros"])
+    per_supp = group_sum(lineitem, ["l_suppkey"], ["rev_micros"])
 
     parts = [
         b for b in per_supp.iter_batches(batch_format="pyarrow") if b.num_rows
@@ -3778,7 +3778,7 @@ def tpch_q21_waiting_supplier(sf_dir: str):
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
-    from fs_schema_validator_ray.stages.agg import group_sum_bucketed
+    from fs_schema_validator_ray.stages.agg import group_sum
     from fs_schema_validator_ray.stages.joins import semi_anti_join
 
     nation = pq.read_table(
@@ -3838,8 +3838,8 @@ def tpch_q21_waiting_supplier(sf_dir: str):
             }
         )
 
-    pairs = group_sum_bucketed(
-        li.map_batches(pack, batch_format="pyarrow"), "pair", ["is_r"]
+    pairs = group_sum(
+        li.map_batches(pack, batch_format="pyarrow"), ["pair"], ["is_r"]
     )
 
     def per_order(t: pa.Table) -> pa.Table:
@@ -3856,9 +3856,9 @@ def tpch_q21_waiting_supplier(sf_dir: str):
             }
         )
 
-    per_o = group_sum_bucketed(
+    per_o = group_sum(
         pairs.map_batches(per_order, batch_format="pyarrow"),
-        "o",
+        ["o"],
         ["n_supp", "n_late", "late_sk_sum"],
     )
 
@@ -4470,15 +4470,15 @@ def key_skew_audit_lineitem(sf_dir: str):
     ``quantile_disc``). This is the pre-flight check that decides
     salting / adaptive splitting before a 100-TB exchange. Scale shape:
     per-key counts come from the coarse-bucket combiner
-    (``group_sum_bucketed`` — raw keys never shuffle), then only the
+    (``group_sum`` — raw keys never shuffle), then only the
     COUNT-OF-COUNTS histogram (≤ max-multiplicity rows) leaves the
     cluster; quantiles read off the cumulative histogram exactly."""
     import pyarrow.compute as pc
 
-    from fs_schema_validator_ray.stages.agg import group_sum_bucketed
+    from fs_schema_validator_ray.stages.agg import group_sum
 
     ds = _read(sf_dir, "lineitem", ["l_orderkey"])
-    per_key = group_sum_bucketed(ds, "l_orderkey", [])
+    per_key = group_sum(ds, ["l_orderkey"], [])
 
     def count_hist(t: pa.Table) -> pa.Table:
         vc = t.column("n").value_counts()
@@ -4901,6 +4901,7 @@ def shard_export_documents(sf_dir: str, n_shards: int = 16):
     import ray.data
 
     assigned = ds.map_batches(assign, batch_format="pyarrow")
+    # native groupby: Min/Max, which group_sum does not merge
     return assigned.groupby("shard").aggregate(
         ray.data.aggregate.Count(alias_name="n_docs"),
         ray.data.aggregate.Min("doc_id", alias_name="min_id"),
@@ -5986,14 +5987,14 @@ def tpch_q5_local_supplier_volume(sf_dir: str):
 def tpch_q18_large_volume_customers(sf_dir: str):
     """The TPC-H Q18 large-volume-customer plan shape: a
     high-cardinality combiner group-sum of quantity per order
-    (``group_sum_bucketed`` — partials shuffle on a coarse int bucket,
+    (``group_sum`` — partials shuffle on a coarse int bucket,
     never raw near-unique keys), a vectorized HAVING filter, ONE
     distributed hash join back to orders, and a broadcast of customer
     names. Quantities are whole-number doubles → summed as int64
     (INTEGER-exact); order totals emit as cents."""
     import pyarrow.compute as pc
 
-    from fs_schema_validator_ray.stages.agg import group_sum_bucketed
+    from fs_schema_validator_ray.stages.agg import group_sum
     from fs_schema_validator_ray.stages.joins import broadcast_join, hash_join
 
     def qty(t: pa.Table) -> pa.Table:
@@ -6007,7 +6008,7 @@ def tpch_q18_large_volume_customers(sf_dir: str):
     lineitem = _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"]).map_batches(
         qty, batch_format="pyarrow"
     )
-    per_order = group_sum_bucketed(lineitem, "l_orderkey", ["qty"]).map_batches(
+    per_order = group_sum(lineitem, ["l_orderkey"], ["qty"]).map_batches(
         lambda t: t.filter(pc.greater(t.column("qty"), 150)).select(
             ["l_orderkey", "qty"]
         ),
@@ -6607,21 +6608,13 @@ def broadcast_join_events_customer(sf_dir: str):
 
 
 def distinct_part_brands(sf_dir: str):
-    """Distinct values of a column: per-batch Arrow dedup partial, then a
-    tiny groupby over the (already-unique-per-block) survivors."""
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Count
+    """Distinct values of a column: one ``group_sum`` (per-batch Arrow
+    dedup, then one exchange of the per-block survivors), counts
+    dropped."""
+    from fs_schema_validator_ray.stages.agg import group_sum
 
     ds = _read(sf_dir, "part", ["p_brand"])
-    partials = ds.map_batches(
-        lambda t: pa.table({"p_brand": pc.unique(t.column("p_brand"))}),
-        batch_format="pyarrow",
-    )
-    return (
-        partials.groupby("p_brand")
-        .aggregate(Count(alias_name="_n"))
-        .drop_columns(["_n"])
-    )
+    return group_sum(ds, ["p_brand"], []).drop_columns(["n"])
 
 
 def sample_orders_mod(sf_dir: str):
@@ -8115,7 +8108,7 @@ def audio_chunk_contract(sf_dir: str, n_rows: int = 1500):
     import pyarrow.compute as pc
     import ray.data
 
-    from fs_schema_validator_ray.stages.agg import group_sum_bucketed
+    from fs_schema_validator_ray.stages.agg import group_sum
     from fs_schema_validator_ray.stages.audio_features import AudioChunkStage
     from fs_schema_validator_ray.stages.joins import hash_join
 
@@ -8127,11 +8120,11 @@ def audio_chunk_contract(sf_dir: str, n_rows: int = 1500):
         batch_format="pyarrow",
         batch_size=256,
     )
-    counts = group_sum_bucketed(
+    counts = group_sum(
         windows.map_batches(
             lambda t: t.select(["clip_id"]), batch_format="pyarrow"
         ),
-        "clip_id",
+        ["clip_id"],
         [],
     )
     meta = ray.data.read_parquet(
@@ -8463,10 +8456,10 @@ def psi_nchars_by_source(sf_dir: str):
     """Per-source PSI of the document-length distribution vs the global
     corpus (64-char bins, 10 bins, the drift family's eps=1e-6 floor)
     — the oracle-checkable closed form of the per-partition drift gate
-    (``pipelines/stats.py::psi_by_group``); the sketch-based
+    (``stages/agg.py::psi_by_group``); the sketch-based
     ``drift_nchars_by_source`` stays as the streaming-histogram
     variant. Hash-exact (ROUND(·,6))."""
-    from fs_schema_validator_ray.pipelines.stats import psi_by_group
+    from fs_schema_validator_ray.stages.agg import psi_by_group
 
     ds = _read(sf_dir, "documents", ["source", "n_chars"])
     return psi_by_group(ds, "source", "n_chars", width=64, n_bins=10)

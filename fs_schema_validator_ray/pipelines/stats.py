@@ -381,156 +381,6 @@ def drift_verdicts(merged: dict, rule: DriftRule, baseline=None):
     return violations, metrics, {pid: h.to_bytes() for pid, h in merged.items()}
 
 
-def schema_drift(ds_a, ds_b):
-    """Schema + null-profile drift between two dataset snapshots — the
-    table-level companion to the per-value drift gates (KS/PSI above)
-    and the reference's declared-schema check (a column that vanished or
-    changed type is a schema violation BEFORE any row rule runs).
-
-    Per column of either schema, one row: ``(column, status, dtype_a,
-    dtype_b, n_a, n_b, nulls_a, nulls_b)`` with status ∈ ``added``
-    (B only) / ``removed`` (A only) / ``type_changed`` / ``common``.
-    Schemas are driver metadata (no data pass); counts come from ONE
-    pre-aggregated pass per side: each block emits a tiny (column, n,
-    nulls) partial via Arrow's O(1) ``null_count``, reduced by a
-    KB-size ``groupby().sum()`` — never a full-column shuffle. The
-    final join runs on the driver over ≤|schema| rows."""
-    import ray.data
-
-    def side_counts(ds):
-        schema = ds.schema()
-        names = list(schema.names)
-        types = {n: str(t) for n, t in zip(schema.names, schema.types)}
-
-        def partial(t: pa.Table) -> pa.Table:
-            return pa.table(
-                {
-                    "column": pa.array(names, pa.string()),
-                    "n": pa.array([t.num_rows] * len(names), pa.int64()),
-                    "nulls": pa.array(
-                        [t.column(c).null_count for c in names], pa.int64()
-                    ),
-                }
-            )
-
-        agg = (
-            ds.map_batches(partial, batch_format="pyarrow")
-            .groupby("column")
-            .sum(["n", "nulls"])
-            .to_pandas()
-        )
-        out = {
-            r["column"]: (int(r["sum(n)"]), int(r["sum(nulls)"]))
-            for _, r in agg.iterrows()
-        }
-        # empty dataset: no blocks → no partials; report 0s
-        return types, {n: out.get(n, (0, 0)) for n in names}
-
-    types_a, counts_a = side_counts(ds_a)
-    types_b, counts_b = side_counts(ds_b)
-
-    rows = []
-    for col in sorted(set(types_a) | set(types_b)):
-        in_a, in_b = col in types_a, col in types_b
-        if in_a and in_b:
-            status = "common" if types_a[col] == types_b[col] else "type_changed"
-        else:
-            status = "removed" if in_a else "added"
-        na, za = counts_a.get(col, (None, None))
-        nb, zb = counts_b.get(col, (None, None))
-        rows.append(
-            {
-                "column": col,
-                "status": status,
-                "dtype_a": types_a.get(col),
-                "dtype_b": types_b.get(col),
-                "n_a": na,
-                "n_b": nb,
-                "nulls_a": za,
-                "nulls_b": zb,
-            }
-        )
-    schema = pa.schema(
-        [
-            ("column", pa.string()),
-            ("status", pa.string()),
-            ("dtype_a", pa.string()),
-            ("dtype_b", pa.string()),
-            ("n_a", pa.int64()),
-            ("n_b", pa.int64()),
-            ("nulls_a", pa.int64()),
-            ("nulls_b", pa.int64()),
-        ]
-    )
-    return ray.data.from_arrow(pa.Table.from_pylist(rows, schema=schema))
-
-
-def psi_by_group(
-    ds,
-    group_column: str,
-    value_column: str,
-    width: int,
-    n_bins: int,
-    eps: float = 1e-6,
-):
-    """Population Stability Index of each group's value distribution vs
-    the GLOBAL distribution, over fixed-width integer bins
-    ``bin = min(value // width, n_bins - 1)`` — the oracle-checkable
-    closed form of the per-partition drift gate
-    (``drift_verdicts`` / ``state.sketches.psi``; same ``eps`` floor
-    on both ratios so empty bins contribute finitely).
-
-    Plan: one combiner ``group_sum`` to the tiny ``(group, bin)`` count
-    grid, the global n_bins distribution folded on the driver (KBs) and
-    broadcast in the closure, then per-group PSI vectorized inside one
-    ``map_groups`` over the grid. Output: ``group, psi6`` (ROUND(·,6)).
-    """
-    import pyarrow.compute as pc
-
-    from fs_schema_validator_ray.stages.agg import group_sum
-
-    def binned(t: pa.Table) -> pa.Table:
-        b = pc.min_element_wise(
-            pc.divide(pc.cast(t.column(value_column), pa.int64()), width),
-            n_bins - 1,
-        )
-        return pa.table({group_column: t.column(group_column), "bin": b})
-
-    counts = group_sum(
-        ds.select_columns([group_column, value_column]).map_batches(
-            binned, batch_format="pyarrow"
-        ),
-        [group_column, "bin"],
-        [],
-    )
-
-    # fold the global per-bin distribution on the driver (n_bins ints)
-    g = np.zeros(n_bins, np.int64)
-    for b in counts.iter_batches(batch_format="pyarrow"):
-        np.add.at(
-            g,
-            np.asarray(b.column("bin"), dtype=np.int64),
-            np.asarray(b.column("n"), dtype=np.int64),
-        )
-    q = np.maximum(g / max(int(g.sum()), 1), eps)
-
-    def per_group(grp: pa.Table) -> pa.Table:
-        cnt = np.zeros(n_bins, np.int64)
-        cnt[np.asarray(grp.column("bin"), dtype=np.int64)] = np.asarray(
-            grp.column("n"), dtype=np.int64
-        )
-        p = np.maximum(cnt / max(int(cnt.sum()), 1), eps)
-        val = float(np.sum((p - q) * np.log(p / q)))
-        return pa.table(
-            {
-                group_column: grp.column(group_column).slice(0, 1),
-                "psi6": pa.array([round(val, 6)], pa.float64()),
-            }
-        )
-
-    return counts.groupby(group_column).map_groups(per_group, batch_format="pyarrow")
-
-
 # --- categorical drift (round 5) ---------------------------------------------
 
 

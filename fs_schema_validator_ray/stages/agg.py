@@ -1,11 +1,14 @@
-"""Pre-aggregated (combiner) grouped aggregation + windowing.
+"""Grouped aggregation over the keyed bucket exchange, plus windowing.
 
-``groupby`` is an all-to-all exchange; with few hot keys (e.g. 5 event
-types over 10^12 rows) a naive groupby funnels everything into 5 reducer
-partitions. The combiner pattern — Arrow ``group_by`` inside each
-``map_batches`` task, THEN a groupby over the tiny partials — shuffles at
-most ``distinct_keys × num_blocks`` rows and no reducer ever sees raw
-rows. (This generalizes the reference's mergeable-report monoid,
+:func:`group_sum` is the package's one grouped integer sum. Each
+``map_batches`` task first combines its batch with one Arrow group-by
+(one row per key per batch), so with few hot keys (5 event types over
+10^12 rows) the exchange moves ``distinct_keys × num_blocks`` rows, not
+raw rows; the partials then go through ``exchange.bucketed`` on the keys
+(data-sized bucket count; one bucket skips the shuffle), and each bucket
+is summed by ONE Arrow group-by over all of its keys. Counts, rollups,
+grouping sets, moments and distinct counts are all this one call. (This
+generalizes the reference's mergeable-report monoid,
 ``/root/reference/fs_schema_validator/report.py:44-48``.)
 
 ``tumbling_window`` derives a window key from a timestamp column, turning
@@ -26,61 +29,46 @@ from fs_schema_validator_ray.stages.exchange import (
 from fs_schema_validator_ray.state.sketches import key_codes, stable_key_array
 
 
-def _partial(keys: list[str], sum_cols: list[str]):
-    def fn(batch: pa.Table) -> pa.Table:
+def _summed(keys: list[str], cols: list[str]):
+    """One Arrow group-by sum of ``cols`` per ``keys``, cast to int64.
+    ``n`` is the row count per key, unless ``cols`` already holds an
+    ``n`` (an earlier count), which is then summed like the rest."""
+    count = "n" not in cols
+
+    def group_sums(batch: pa.Table) -> pa.Table:
         # fail fast on a genuinely missing column (clear error at select)
-        tbl = batch.select([*keys, *sum_cols])
+        tbl = batch.select([*keys, *cols])
         # count_all (not a column count): groups whose KEY is null must
         # still report their row count (cf. stages/unique.py)
-        aggs = [(c, "sum") for c in sum_cols] + [([], "count_all")]
+        aggs = [(c, "sum") for c in cols] + ([([], "count_all")] if count else [])
         g = pa.TableGroupBy(tbl, keys).aggregate(aggs)
         out = {k: g.column(k) for k in keys}
-        for c in sum_cols:
+        for c in cols:
             out[c] = pc.cast(g.column(f"{c}_sum"), pa.int64())
-        out["n"] = pc.cast(g.column("count_all"), pa.int64())
+        if count:
+            out["n"] = pc.cast(g.column("count_all"), pa.int64())
         return pa.table(out)
 
-    return fn
+    return group_sums
 
 
-def group_sum(ds, keys: list[str], sum_cols: list[str]):
-    """Grouped count + integer sums with per-batch combining.
+def group_sum(ds, keys: list[str], sum_cols: list[str], n_buckets: int | None = None):
+    """Grouped count + integer sums: a Dataset of ``keys + sum_cols +
+    ['n']``, one row per distinct key (null keys are a group).
 
-    Returns a Dataset with columns ``keys + sum_cols + ['n']``.
-    """
-    from ray.data.aggregate import Sum
-
-    partials = ds.map_batches(_partial(keys, sum_cols), batch_format="pyarrow")
-    aggs = [Sum(c, alias_name=c) for c in sum_cols] + [Sum("n", alias_name="n")]
-    return partials.groupby(keys).aggregate(*aggs)
-
-
-def group_sum_bucketed(
-    ds, key_column: str, sum_cols: list[str], n_buckets: int | None = None
-):
-    """Grouped count + integer sums for HIGH-cardinality keys: the
-    per-batch combiner barely reduces when keys are near-unique, so
-    ``group_sum``'s builtin aggregate would sort-shuffle ~rows of raw
-    (possibly wide string) keys. Here partials shuffle keyed by the
-    usual 256-way coarse bucket of the key's hash, and each bucket's
-    final merge is ONE Arrow ``TableGroupBy`` over all of its keys —
-    narrow int32 exchange key, no per-key Python, no global sort.
-
-    Single key column (the high-cardinality shape); composite
-    low-cardinality groupings should use ``group_sum``."""
-    if n_buckets is None:
+    Each batch is combined first (:func:`_summed`), the partials go
+    through ``exchange.bucketed`` on ``keys`` (``n_buckets``, default
+    sized by the data), and each bucket is summed by the same one Arrow
+    group-by over all of its keys — no per-key Python, no global sort.
+    ``keys`` may be composite; ``[]`` is the grand total, one bucket.
+    An ``n`` among ``sum_cols`` is re-summed, so a ``group_sum`` output
+    re-aggregates to coarser keys (rollups, grouping sets)."""
+    if not keys:
+        n_buckets = 1
+    elif n_buckets is None:
         n_buckets = default_n_buckets(ds)
-    partial = _partial([key_column], sum_cols)
-
-    def merge_bucket(group: pa.Table) -> pa.Table:
-        aggs = [(c, "sum") for c in [*sum_cols, "n"]]
-        g = pa.TableGroupBy(group, [key_column]).aggregate(aggs)
-        out = {key_column: g.column(key_column)}
-        for c in [*sum_cols, "n"]:
-            out[c] = pc.cast(g.column(f"{c}_sum"), pa.int64())
-        return pa.table(out)
-
-    return bucketed(ds, [key_column], n_buckets, merge_bucket, partial)
+    merge = _summed(keys, sum_cols if "n" in sum_cols else [*sum_cols, "n"])
+    return bucketed(ds, keys, n_buckets, merge, _summed(keys, sum_cols))
 
 
 def heavy_hitters(
@@ -99,14 +87,16 @@ def heavy_hitters(
     SQL ``COUNT(col)`` semantics). Returns ``[key_column, cnt]`` with
     EXACT counts.
 
-    Shape (why this beats ``group_sum`` on a near-unique key):
+    Shape (why this beats one :func:`group_sum` over every key of a
+    near-unique column):
 
     1. **Candidate pass** — per batch, exact Arrow ``value_counts``
        truncated to the ``k_per_batch`` most frequent keys; a sentinel
        row carries the batch's row total and the largest DROPPED count
        (``dmax ≤ batch_n/(k+1)``, the (k+1)-th largest count bound).
        Partials are materialized: ≤ ``k+1`` narrow rows per batch, so
-       the input is never re-read for the bookkeeping below.
+       the input is never re-read for the bookkeeping below; one
+       ``group_sum`` of the truncated counts gives ``cnt_lower``.
     2. **Bound** — global ``err = Σ dmax ≤ n/(k+1)``. A key's true count
        is within ``[cnt_lower, cnt_lower + err]``, so keys with
        ``cnt_lower ≥ threshold − err`` form a guaranteed SUPERSET of the
@@ -114,12 +104,12 @@ def heavy_hitters(
        ≤ ``n/(threshold − err)`` keys — because the threshold is
        relative; requires ``phi > 1/(k_per_batch+1)`` (asserted).
     3. **Verify pass** — broadcast the candidate keys once (``ray.put``),
-       count ONLY them per batch (vectorized ``pc.is_in``), tiny final
-       groupby, filter ``cnt ≥ threshold``. Exact.
+       count ONLY them per batch (vectorized ``pc.is_in``), a
+       ``group_sum`` of those counts, filter ``cnt ≥ threshold``. Exact.
 
     The input dataset is consumed twice (candidate + verify) — at scale
     that is two pruned single-column scans, vs. one all-to-all shuffle
-    of every row for the naive groupby. Integer threshold arithmetic
+    of every row for a plain ``group_sum``. Integer threshold arithmetic
     (``(n·num + den−1) // den``) keeps the cutoff bit-exact vs a SQL
     oracle (float ``0.008·n`` would be rounding-dependent at the edge).
 
@@ -198,14 +188,14 @@ def heavy_hitters(
     threshold = (n_total * phi_num + phi_den - 1) // phi_den
     lower_cut = threshold - err
 
-    merged = group_sum_bucketed(
+    merged = group_sum(
         partials.map_batches(
             lambda t: t.filter(pc.is_valid(t.column(key_column))).select(
                 [key_column, "cnt"]
             ),
             batch_format="pyarrow",
         ),
-        key_column,
+        [key_column],
         ["cnt"],
     )
     # Ray can emit schemaless zero-column empty blocks — drop them before
@@ -261,8 +251,8 @@ def heavy_hitters(
             pc.greater_equal(t.column("cnt"), pa.scalar(threshold, pa.int64()))
         ).select([key_column, "cnt"])
 
-    exact = group_sum_bucketed(
-        ds.map_batches(verify_partial, batch_format="pyarrow"), key_column, ["cnt"]
+    exact = group_sum(
+        ds.map_batches(verify_partial, batch_format="pyarrow"), [key_column], ["cnt"]
     )
     return exact.map_batches(above_threshold, batch_format="pyarrow")
 
@@ -292,7 +282,7 @@ def pivot_wide(
     partials (≤ distinct-keys-per-batch rows, ``2 + len(pivot_values)``
     int64 columns) → one Arrow group_by per bucket. Never shuffles raw
     rows, never sorts raw keys — same discipline as
-    ``group_sum_bucketed``, with the wide schema fixed at plan time.
+    ``group_sum``, with the wide schema fixed at plan time.
     """
 
     if names is None:
@@ -472,6 +462,7 @@ def stratified_sample(ds, group_column: str, order_column: str, k: int):
         take = pa.array(order[::k], pa.int64())  # rows 1, k+1, 2k+1, ...
         return group.select([group_column, order_column]).take(take)
 
+    # native groupby: a per-key map_groups body, not yet on bucketed + segments
     return (
         ds.select_columns([group_column, order_column])
         .groupby(group_column)
@@ -723,127 +714,73 @@ def rollup_sum(ds, keys: list[str], sum_cols: list[str]):
     """``GROUP BY ROLLUP(keys)``: subtotals at every key prefix plus the
     grand total, rolled-up key columns emitted as typed nulls.
 
-    Single pass over the raw data: the finest level runs the usual
-    combiner ``group_sum``; every coarser level CASCADES from the
-    one-step-finer AGGREGATE (distinct-combos-sized, materialized once)
-    — int64 sums re-aggregate exactly, so no level re-reads the corpus.
+    Single pass over the raw data: the finest level is one
+    ``group_sum``; every coarser level CASCADES from the one-step-finer
+    AGGREGATE (distinct-combos-sized, materialized once) by a
+    ``group_sum`` that re-sums ``n`` — int64 sums re-aggregate exactly,
+    so no level re-reads the corpus.
     Assumes no null data keys (SQL ROLLUP's GROUPING() disambiguation
     between data null and rollup null is not modeled — document or
     pre-filter if your keys are nullable)."""
-    from ray.data.aggregate import Sum
-
     if not keys:
         raise ValueError("rollup_sum needs at least one key")
-    types = {k: ds.schema().base_schema.field(k).type for k in keys}
     meas = [*sum_cols, "n"]
-
-    def with_null_keys(level_keys: list[str]):
-        def fn(t: pa.Table) -> pa.Table:
-            cols = {}
-            for k in keys:
-                cols[k] = (
-                    t.column(k) if k in level_keys else pa.nulls(t.num_rows, types[k])
-                )
-            for c in meas:
-                cols[c] = pc.cast(t.column(c), pa.int64())
-            return pa.table(cols)
-
-        return fn
-
-    finest = group_sum(ds, keys, sum_cols).materialize()
-    parts = [finest.map_batches(with_null_keys(keys), batch_format="pyarrow")]
-    prev = finest
-    for i in range(len(keys) - 1, -1, -1):
-        prefix = list(keys[:i])
-        aggs = [Sum(c, alias_name=c) for c in meas]
-        if prefix:
-            lvl = prev.groupby(prefix).aggregate(*aggs)
-        else:
-            lvl = (
-                prev.map_batches(
-                    lambda t: t.append_column(
-                        "__all", pa.array(np.zeros(t.num_rows, np.int8))
-                    ),
-                    batch_format="pyarrow",
-                )
-                .groupby("__all")
-                .aggregate(*aggs)
-                .drop_columns(["__all"])
-            )
-        parts.append(lvl.map_batches(with_null_keys(prefix), batch_format="pyarrow"))
-        prev = lvl
-
-    out = parts[0]
-    for p in parts[1:]:
-        out = out.union(p)
-    return out
+    levels = [list(keys[:i]) for i in range(len(keys), -1, -1)]
+    parts = [group_sum(ds, keys, sum_cols).materialize()]
+    for level_keys in levels[1:]:
+        parts.append(group_sum(parts[-1], level_keys, meas))
+    return _union_levels(ds, keys, meas, parts, levels)
 
 
 def grouping_sets_sum(ds, keys: list[str], sets: list[list[str]], sum_cols: list[str]):
     """``GROUP BY GROUPING SETS(sets)`` generalization of ``rollup_sum``:
-    one combiner pass over the raw data at the FINEST grouping (the union
+    one ``group_sum`` over the raw data at the FINEST grouping (the union
     of all requested keys), materialized once; every requested set then
-    re-aggregates from that distinct-combos-sized table — int64 sums
-    re-aggregate exactly, so no set re-reads the corpus. Same null-key
-    caveat as ``rollup_sum`` (set-null vs data-null not disambiguated)."""
-    from ray.data.aggregate import Sum
-
+    re-aggregates from that distinct-combos-sized table by a
+    ``group_sum`` that re-sums ``n`` — int64 sums re-aggregate exactly,
+    so no set re-reads the corpus. Same null-key caveat as
+    ``rollup_sum`` (set-null vs data-null not disambiguated)."""
     if not sets:
         raise ValueError("grouping_sets_sum needs at least one set")
     for s in sets:
         unknown = [k for k in s if k not in keys]
         if unknown:
             raise ValueError(f"set keys {unknown} not in keys {keys}")
-    types = {k: ds.schema().base_schema.field(k).type for k in keys}
     meas = [*sum_cols, "n"]
+    finest = group_sum(ds, keys, sum_cols).materialize()
+    parts = [
+        finest if sorted(s) == sorted(keys) else group_sum(finest, list(s), meas)
+        for s in sets
+    ]
+    return _union_levels(ds, keys, meas, parts, sets)
 
-    def with_null_keys(level_keys: list[str]):
+
+def _union_levels(ds, keys, meas, parts, level_keys):
+    """Union of the grouping levels ``parts``, each widened to the full
+    ``keys`` schema: its keys not in its ``level_keys`` become typed
+    nulls."""
+    types = {k: ds.schema().base_schema.field(k).type for k in keys}
+
+    def widen(lk: list[str]):
         def fn(t: pa.Table) -> pa.Table:
-            cols = {}
-            for k in keys:
-                cols[k] = (
-                    t.column(k) if k in level_keys else pa.nulls(t.num_rows, types[k])
-                )
-            for c in meas:
-                cols[c] = pc.cast(t.column(c), pa.int64())
-            return pa.table(cols)
+            cols = {k: t.column(k) if k in lk else pa.nulls(t.num_rows, types[k]) for k in keys}
+            return pa.table({**cols, **{c: t.column(c) for c in meas}})
 
         return fn
 
-    finest = group_sum(ds, keys, sum_cols).materialize()
-    parts = []
-    for s in sets:
-        aggs = [Sum(c, alias_name=c) for c in meas]
-        if sorted(s) == sorted(keys):
-            lvl = finest
-        elif s:
-            lvl = finest.groupby(list(s)).aggregate(*aggs)
-        else:
-            lvl = (
-                finest.map_batches(
-                    lambda t: t.append_column(
-                        "__all", pa.array(np.zeros(t.num_rows, np.int8))
-                    ),
-                    batch_format="pyarrow",
-                )
-                .groupby("__all")
-                .aggregate(*aggs)
-                .drop_columns(["__all"])
-            )
-        parts.append(lvl.map_batches(with_null_keys(list(s)), batch_format="pyarrow"))
-
-    out = parts[0]
-    for p in parts[1:]:
-        out = out.union(p)
+    out = None
+    for part, lk in zip(parts, level_keys):
+        lvl = part.map_batches(widen(list(lk)), batch_format="pyarrow")
+        out = lvl if out is None else out.union(lvl)
     return out
 
 
 def group_moments(ds, keys: list[str], x_col: str, y_col: str, include_slope=False):
     """Grouped second-moment statistics via the exact-integer combiner:
-    per-batch Arrow group-by sums of ``x, y, x², (y²,) x·y`` (inputs must
-    already be int64, e.g. cents), one tiny groupby-Sum over the
-    partials, then the finals computed from the exact sums with the
-    identical expression a SQL oracle spells out (hash-exact).
+    one ``group_sum`` of ``x, y, x², (y²,) x·y`` per row (inputs must
+    already be int64, e.g. cents), then the finals computed from the
+    exact sums with the identical expression a SQL oracle spells out
+    (hash-exact).
 
     ``include_slope=False`` (default — covariance/correlation): output
     ``keys + [n, sum_x, sum_y, sum_xy, cov_num, corr6]`` where
@@ -862,11 +799,8 @@ def group_moments(ds, keys: list[str], x_col: str, y_col: str, include_slope=Fal
     Caller owns overflow headroom for the SUMS themselves: |x|,|y| small
     enough that per-group Σx², Σxy (and Σy², n·Σxy in corr mode) fit
     int64 — document per use."""
-    from ray.data.aggregate import Sum
 
-    sq_cols = ["sxx", "sum_xy"] if include_slope else ["sxx", "syy", "sum_xy"]
-
-    def partial(batch: pa.Table) -> pa.Table:
+    def products(batch: pa.Table) -> pa.Table:
         x = pc.cast(batch.column(x_col), pa.int64())
         y = pc.cast(batch.column(y_col), pa.int64())
         data = {
@@ -878,22 +812,10 @@ def group_moments(ds, keys: list[str], x_col: str, y_col: str, include_slope=Fal
         }
         if not include_slope:
             data["syy"] = pc.multiply_checked(y, y)
-        tbl = pa.table(data)
-        cols = ["sum_x", "sum_y", *sq_cols]
-        aggs = [(c, "sum") for c in cols] + [([], "count_all")]
-        g = pa.TableGroupBy(tbl, keys).aggregate(aggs)
-        out = {k: g.column(k) for k in keys}
-        for c in cols:
-            out[c] = pc.cast(g.column(f"{c}_sum"), pa.int64())
-        out["n"] = pc.cast(g.column("count_all"), pa.int64())
-        return pa.table(out)
+        return pa.table(data)
 
-    cols = ["sum_x", "sum_y", *sq_cols, "n"]
-    merged = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(keys)
-        .aggregate(*[Sum(c, alias_name=c) for c in cols])
-    )
+    sums = ["sum_x", "sum_y", "sxx", "sum_xy", *([] if include_slope else ["syy"])]
+    merged = group_sum(ds.map_batches(products, batch_format="pyarrow"), keys, sums)
 
     def finish(t: pa.Table) -> pa.Table:
         n = np.asarray(t.column("n"), dtype=np.int64)
@@ -935,23 +857,20 @@ def group_moments(ds, keys: list[str], x_col: str, y_col: str, include_slope=Fal
 
 def grouped_skew_kurtosis(ds, keys: list[str], x_col: str):
     """Grouped POPULATION skewness + excess kurtosis via the exact
-    integer power-sum combiner (Σx..Σx⁴ per batch Arrow group-by, one
-    tiny groupby-Sum merge), finals computed from the exact sums with
-    the identical float64 expression a SQL oracle spells out
-    (``ROUND(·,6)`` protocol — the same move as ``corr6``/``slope6``).
+    integer power sums (one ``group_sum`` of x..x⁴ per row), finals
+    computed from the exact sums with the identical float64 expression
+    a SQL oracle spells out (``ROUND(·,6)`` protocol — the same move as
+    ``corr6``/``slope6``).
 
     Caller owns overflow headroom: |x| small enough that per-group Σx⁴
     fits int64 (e.g. TPC-H ``l_quantity`` ≤ 50 → x⁴ ≤ 6.25e6; exact up
     to ~1.5e12 rows per group). Output:
     ``keys + [n, skew6, kurt6]`` (NaN for degenerate groups)."""
-    from ray.data.aggregate import Sum
 
-    pow_cols = ["sx", "sxx", "sxxx", "sxxxx"]
-
-    def partial(batch: pa.Table) -> pa.Table:
+    def powers(batch: pa.Table) -> pa.Table:
         x = pc.cast(batch.column(x_col), pa.int64())
         x2 = pc.multiply_checked(x, x)
-        tbl = pa.table(
+        return pa.table(
             {
                 **{k: batch.column(k) for k in keys},
                 "sx": x,
@@ -960,18 +879,9 @@ def grouped_skew_kurtosis(ds, keys: list[str], x_col: str):
                 "sxxxx": pc.multiply_checked(x2, x2),
             }
         )
-        aggs = [(c, "sum") for c in pow_cols] + [([], "count_all")]
-        g = pa.TableGroupBy(tbl, keys).aggregate(aggs)
-        out = {k: g.column(k) for k in keys}
-        for c in pow_cols:
-            out[c] = pc.cast(g.column(f"{c}_sum"), pa.int64())
-        out["n"] = pc.cast(g.column("count_all"), pa.int64())
-        return pa.table(out)
 
-    merged = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(keys)
-        .aggregate(*[Sum(c, alias_name=c) for c in [*pow_cols, "n"]])
+    merged = group_sum(
+        ds.map_batches(powers, batch_format="pyarrow"), keys, ["sx", "sxx", "sxxx", "sxxxx"]
     )
 
     def finish(t: pa.Table) -> pa.Table:
@@ -1164,6 +1074,7 @@ def histogram_fixed_width(ds, value_column: str, width: int):
         )
 
     partials = ds.map_batches(partial, batch_format="pyarrow")
+    # native groupby: Min/Max, which group_sum does not merge
     out = partials.groupby("bin").aggregate(
         Sum("n", alias_name="n"),
         Min("min_v", alias_name="min_v"),
@@ -1637,54 +1548,34 @@ def grouped_mannwhitney(
         2·U_A = 2·R_A − n_a·(n_a + 1),   2·U_B = 2·n_a·n_b − 2·U_A
 
     — every term an integer. Only the pre-aggregated
-    ``(key, value, cnt, cnt_a)`` rows shuffle (one combiner pass +
-    a small composite groupby), never raw rows; the per-key finisher
-    is a vectorized cumsum over the key's distinct values.
+    ``(key, value, cnt_a, n)`` rows shuffle (one composite-key
+    ``group_sum``), never raw rows; the per-key finisher is a
+    vectorized cumsum over the key's distinct values.
 
     SQL semantics: null values drop (rank pairs); a null sample tag
     counts as sample B. Output
     ``(key, n_a, n_b, u2_a, u2_b)`` with ``u2_* = 2·U_*`` (kept doubled
     so ties never force a float)."""
-    from ray.data.aggregate import Sum
 
-    def partial(t: pa.Table) -> pa.Table:
-        t = t.select([key_column, value_column, sample_column])
+    def tagged(t: pa.Table) -> pa.Table:
         t = t.filter(pc.is_valid(t.column(value_column)))
-        is_a = pc.cast(
-            pc.fill_null(
-                pc.equal(t.column(sample_column), sample_a_value), False
-            ),
-            pa.int64(),
-        )
-        t = pa.table(
+        is_a = pc.fill_null(pc.equal(t.column(sample_column), sample_a_value), False)
+        return pa.table(
             {
                 key_column: t.column(key_column),
                 value_column: t.column(value_column),
-                "cnt_a": is_a,
-            }
-        )
-        g = pa.TableGroupBy(t, [key_column, value_column]).aggregate(
-            [("cnt_a", "sum"), ([], "count_all")]
-        )
-        return pa.table(
-            {
-                key_column: g.column(key_column),
-                value_column: g.column(value_column),
-                "cnt_a": pc.cast(g.column("cnt_a_sum"), pa.int64()),
-                "cnt": pc.cast(g.column("count_all"), pa.int64()),
+                "cnt_a": pc.cast(is_a, pa.int64()),
             }
         )
 
-    counts = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby([key_column, value_column])
-        .aggregate(Sum("cnt_a", alias_name="cnt_a"), Sum("cnt", alias_name="cnt"))
+    counts = group_sum(
+        ds.map_batches(tagged, batch_format="pyarrow"), [key_column, value_column], ["cnt_a"]
     )
 
     def finish(group: pa.Table) -> pa.Table:
         v = group.column(value_column).to_numpy(zero_copy_only=False)
         order = np.argsort(v, kind="stable")
-        cnt = np.asarray(group.column("cnt"), np.int64)[order]
+        cnt = np.asarray(group.column("n"), np.int64)[order]
         cnt_a = np.asarray(group.column("cnt_a"), np.int64)[order]
         le = np.cumsum(cnt)
         lt = le - cnt
@@ -1704,6 +1595,7 @@ def grouped_mannwhitney(
             }
         )
 
+    # native groupby: a per-key map_groups body, not yet on bucketed + segments
     return counts.groupby(key_column).map_groups(finish, batch_format="pyarrow")
 
 
@@ -1767,31 +1659,17 @@ def grouped_geo_harmonic_mean(ds, key_column: str, value_column: str):
     (ln/branch domain — not silently wrong). ROUND(·,6) protocol: both
     engines sum the identical ~|distinct| terms, disagreement is at the
     last ulp. Output ``(key, n, geomean6, harmonic6)``."""
-    from ray.data.aggregate import Sum
-
-    def partial(t: pa.Table) -> pa.Table:
-        t = t.select([key_column, value_column])
-        t = t.filter(pc.is_valid(t.column(value_column)))
-        g = pa.TableGroupBy(t, [key_column, value_column]).aggregate(
-            [([], "count_all")]
-        )
-        return pa.table(
-            {
-                key_column: g.column(key_column),
-                value_column: g.column(value_column),
-                "cnt": pc.cast(g.column("count_all"), pa.int64()),
-            }
-        )
-
-    counts = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby([key_column, value_column])
-        .aggregate(Sum("cnt", alias_name="cnt"))
+    counts = group_sum(
+        ds.map_batches(
+            lambda t: t.filter(pc.is_valid(t.column(value_column))), batch_format="pyarrow"
+        ),
+        [key_column, value_column],
+        [],
     )
 
     def finish(group: pa.Table) -> pa.Table:
         v = group.column(value_column).to_numpy(zero_copy_only=False).astype(np.float64)
-        cnt = np.asarray(group.column("cnt"), np.int64)
+        cnt = np.asarray(group.column("n"), np.int64)
         if np.any(v <= 0):
             raise ValueError(
                 f"grouped_geo_harmonic_mean: non-positive {value_column} value"
@@ -1810,6 +1688,7 @@ def grouped_geo_harmonic_mean(ds, key_column: str, value_column: str):
             }
         )
 
+    # native groupby: a per-key map_groups body, not yet on bucketed + segments
     return counts.groupby(key_column).map_groups(finish, batch_format="pyarrow")
 
 
@@ -2054,6 +1933,7 @@ def group_bitagg(ds, keys: list[str], col: str):
             }
         )
 
+    # native groupby: a per-key map_groups body, not yet on bucketed + segments
     return (
         ds.map_batches(partial, batch_format="pyarrow")
         .groupby(keys)
@@ -2091,3 +1971,147 @@ def scrub_empty_blocks(ds):
     if not keep:
         keep = [refs[0]]  # keep one (possibly empty) block: never zero blocks
     return ray.data.from_arrow_refs(keep)
+
+
+def schema_drift(ds_a, ds_b):
+    """Schema + null-profile drift between two dataset snapshots — the
+    table-level companion to the per-value drift gates
+    (``pipelines/stats.py``, KS/PSI) and the reference's declared-schema
+    check (a column that vanished or changed type is a schema violation
+    BEFORE any row rule runs).
+
+    Per column of either schema, one row: ``(column, status, dtype_a,
+    dtype_b, n_a, n_b, nulls_a, nulls_b)`` with status ∈ ``added``
+    (B only) / ``removed`` (A only) / ``type_changed`` / ``common``.
+    Schemas are driver metadata (no data pass); counts come from ONE
+    pre-aggregated pass per side: each block emits a tiny (column, n,
+    nulls) partial via Arrow's O(1) ``null_count``, summed by one
+    KB-size ``group_sum`` — never a full-column shuffle. The final join
+    runs on the driver over ≤|schema| rows."""
+    import ray.data
+
+    def side_counts(ds):
+        schema = ds.schema()
+        names = list(schema.names)
+        types = {n: str(t) for n, t in zip(schema.names, schema.types)}
+
+        def partial(t: pa.Table) -> pa.Table:
+            return pa.table(
+                {
+                    "column": pa.array(names, pa.string()),
+                    "n": pa.array([t.num_rows] * len(names), pa.int64()),
+                    "nulls": pa.array(
+                        [t.column(c).null_count for c in names], pa.int64()
+                    ),
+                }
+            )
+
+        summed = group_sum(
+            ds.map_batches(partial, batch_format="pyarrow"), ["column"], ["n", "nulls"]
+        )
+        out = {r["column"]: (r["n"], r["nulls"]) for r in summed.take_all()}
+        # empty dataset: no blocks → no partials; report 0s
+        return types, {n: out.get(n, (0, 0)) for n in names}
+
+    types_a, counts_a = side_counts(ds_a)
+    types_b, counts_b = side_counts(ds_b)
+
+    rows = []
+    for col in sorted(set(types_a) | set(types_b)):
+        in_a, in_b = col in types_a, col in types_b
+        if in_a and in_b:
+            status = "common" if types_a[col] == types_b[col] else "type_changed"
+        else:
+            status = "removed" if in_a else "added"
+        na, za = counts_a.get(col, (None, None))
+        nb, zb = counts_b.get(col, (None, None))
+        rows.append(
+            {
+                "column": col,
+                "status": status,
+                "dtype_a": types_a.get(col),
+                "dtype_b": types_b.get(col),
+                "n_a": na,
+                "n_b": nb,
+                "nulls_a": za,
+                "nulls_b": zb,
+            }
+        )
+    schema = pa.schema(
+        [
+            ("column", pa.string()),
+            ("status", pa.string()),
+            ("dtype_a", pa.string()),
+            ("dtype_b", pa.string()),
+            ("n_a", pa.int64()),
+            ("n_b", pa.int64()),
+            ("nulls_a", pa.int64()),
+            ("nulls_b", pa.int64()),
+        ]
+    )
+    return ray.data.from_arrow(pa.Table.from_pylist(rows, schema=schema))
+
+
+def psi_by_group(
+    ds,
+    group_column: str,
+    value_column: str,
+    width: int,
+    n_bins: int,
+    eps: float = 1e-6,
+):
+    """Population Stability Index of each group's value distribution vs
+    the GLOBAL distribution, over fixed-width integer bins
+    ``bin = min(value // width, n_bins - 1)`` — the oracle-checkable
+    closed form of the validation run's per-partition drift gate
+    (``pipelines/stats.py::drift_verdicts`` / ``state.sketches.psi``;
+    same ``eps`` floor on both ratios so empty bins contribute
+    finitely).
+
+    Plan: one ``group_sum`` to the tiny ``(group, bin)`` count grid, the
+    global n_bins distribution folded on the driver (KBs) and broadcast
+    in the closure, then per-group PSI vectorized inside one
+    ``map_groups`` over the grid. Output: ``group, psi6`` (ROUND(·,6)).
+    """
+
+    def binned(t: pa.Table) -> pa.Table:
+        b = pc.min_element_wise(
+            pc.divide(pc.cast(t.column(value_column), pa.int64()), width),
+            n_bins - 1,
+        )
+        return pa.table({group_column: t.column(group_column), "bin": b})
+
+    counts = group_sum(
+        ds.select_columns([group_column, value_column]).map_batches(
+            binned, batch_format="pyarrow"
+        ),
+        [group_column, "bin"],
+        [],
+    )
+
+    # fold the global per-bin distribution on the driver (n_bins ints)
+    g = np.zeros(n_bins, np.int64)
+    for b in counts.iter_batches(batch_format="pyarrow"):
+        np.add.at(
+            g,
+            np.asarray(b.column("bin"), dtype=np.int64),
+            np.asarray(b.column("n"), dtype=np.int64),
+        )
+    q = np.maximum(g / max(int(g.sum()), 1), eps)
+
+    def per_group(grp: pa.Table) -> pa.Table:
+        cnt = np.zeros(n_bins, np.int64)
+        cnt[np.asarray(grp.column("bin"), dtype=np.int64)] = np.asarray(
+            grp.column("n"), dtype=np.int64
+        )
+        p = np.maximum(cnt / max(int(cnt.sum()), 1), eps)
+        val = float(np.sum((p - q) * np.log(p / q)))
+        return pa.table(
+            {
+                group_column: grp.column(group_column).slice(0, 1),
+                "psi6": pa.array([round(val, 6)], pa.float64()),
+            }
+        )
+
+    # native groupby: a per-key map_groups body, not yet on bucketed + segments
+    return counts.groupby(group_column).map_groups(per_group, batch_format="pyarrow")

@@ -29,12 +29,12 @@ LM (``textindex.py:540``):
 * **distributed path** (forced or when the table is too large): the
   word table stays a Dataset of ``(syms: list<string>, cnt)`` rows;
   each iteration is one ``map_batches`` pair-count partial (per-block
-  pre-aggregation — the combiner) → small ``groupby(left,right).sum``
-  → per-block local argmax → tiny driver merge of block winners, then
-  a broadcast merge application ``map_batches`` and a ``materialize()``
-  of the (small) word table so iteration k+1 does not re-execute the
-  k rewrites. Shuffle payload per iteration = distinct pairs per
-  block, never raw occurrences.
+  pre-aggregation — the combiner) → one ``group_sum`` on
+  ``(left, right)`` → per-block local argmax → tiny driver merge of
+  block winners, then a broadcast merge application ``map_batches``
+  and a ``materialize()`` of the (small) word table so iteration k+1
+  does not re-execute the k rewrites. Shuffle payload per iteration =
+  distinct pairs per block, never raw occurrences.
 
 Parity between the two paths is pytest-gated (forced-switch test), and
 the whole trainer is gated against an independently written serial
@@ -133,9 +133,10 @@ def _word_table(ds, text_column: str, min_count: int):
 
 def _distributed_train(words_ds, n_merges: int) -> list[tuple[str, str]]:
     """Merge loop over a word-table Dataset that must not land on the
-    driver. Per iteration: per-block pre-aggregated pair counts → small
-    groupby sum → per-block argmax → driver merge of block winners →
+    driver. Per iteration: per-block pre-aggregated pair counts → one
+    ``group_sum`` → per-block argmax → driver merge of block winners →
     broadcast rewrite + materialize of the (small) word table."""
+    from fs_schema_validator_ray.stages.agg import group_sum
 
     def explode(batch: pa.Table) -> pa.Table:
         toks = batch.column("token").to_pylist()
@@ -182,19 +183,16 @@ def _distributed_train(words_ds, n_merges: int) -> list[tuple[str, str]]:
     )
 
     def local_best(batch: pa.Table) -> pa.Table:
-        # groupby can emit schema-less empty blocks for empty partitions
-        if batch.num_rows == 0 or batch.num_columns < 3:
+        if batch.num_rows == 0:
             return _empty_pairs
-        tb = batch.rename_columns(["left", "right", "cnt"]).sort_by(
+        tb = batch.select(["left", "right", "cnt"]).sort_by(
             [("cnt", "descending"), ("left", "ascending"), ("right", "ascending")]
         )
         return tb.slice(0, 1)
 
     while len(merges) < n_merges:
-        pair_ds = (
-            cur.map_batches(pair_partial, batch_format="pyarrow")
-            .groupby(["left", "right"])
-            .sum("cnt")
+        pair_ds = group_sum(
+            cur.map_batches(pair_partial, batch_format="pyarrow"), ["left", "right"], ["cnt"]
         )
         winners = [
             r

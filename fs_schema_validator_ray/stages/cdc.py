@@ -25,7 +25,7 @@ kernel ``stages/dedup.py::_window_hashes``):
 Scale notes (10¹² clips): chunking is a stateless ``map_batches`` pass
 (payload bytes never leave the task); the only exchange carries
 ``(chunk_hash, length)`` rows pre-aggregated per block
-(``group_sum_bucketed``), bounded by distinct chunks per block — never
+(``group_sum``), bounded by distinct chunks per block — never
 raw bytes. Dedup ratio is a two-scalar reduce over that table."""
 
 from __future__ import annotations
@@ -165,8 +165,8 @@ def cdc_dedup_stats(ds, payload_column="bytes", id_column="clip_id", **kw):
     """Corpus-level CDC dedup table: per distinct chunk hash, its chunk
     length, how many copies exist and the stored-vs-logical byte ratio
     inputs. Exchange payload = pre-aggregated ``(chunk_hash, length,
-    copies)`` rows (``group_sum_bucketed``), never chunk bytes."""
-    from fs_schema_validator_ray.stages.agg import group_sum_bucketed
+    copies)`` rows (``group_sum``), never chunk bytes."""
+    from fs_schema_validator_ray.stages.agg import group_sum
 
     chunks = cdc_chunks(ds, payload_column, id_column, **kw)
 
@@ -204,12 +204,12 @@ def cdc_dedup_stats(ds, payload_column="bytes", id_column="clip_id", **kw):
             }
         )
 
-    merged = group_sum_bucketed(
+    merged = group_sum(
         chunks.map_batches(partial2, batch_format="pyarrow"),
-        "chunk_hash",
+        ["chunk_hash"],
         ["copies", "logical_bytes"],
     )
-    # drop group_sum_bucketed's per-key partial-row count ("n" = blocks
+    # drop group_sum's per-key partial-row count ("n" = blocks
     # the hash appeared in) — not a dedup statistic
     return merged.map_batches(
         lambda t: t.drop_columns(["n"]), batch_format="pyarrow"

@@ -10,7 +10,7 @@ Shuffle discipline (same budget as the unigram LM, ``textindex.py``):
 
 * TRAIN is one token-count pass — per-batch Arrow ``value_counts`` of
   ``label\\x1ftoken`` packed keys, merged through the token-bucketed
-  group-sum (``agg.group_sum_bucketed``); the exchange moves one
+  group-sum (``agg.group_sum``); the exchange moves one
   ``(key, cnt)`` partial per distinct (label, token) per batch, never
   text. Label priors are an L-sized combiner count.
 * CLASSIFY (broadcast path) ships the fitted ``V×L`` log-probability
@@ -50,7 +50,7 @@ _LABEL_SEP = "\x1f"
 def nb_token_label_counts(ds, text_column: str = "text", label_column: str = "label"):
     """Per-(label, token) term frequencies ``(label, token, cnt)`` — the
     sufficient statistics of a multinomial NB fit, as a Dataset."""
-    from fs_schema_validator_ray.stages.agg import group_sum_bucketed
+    from fs_schema_validator_ray.stages.agg import group_sum
 
     def partial(batch: pa.Table) -> pa.Table:
         flat, rows = _flat_tokens(batch.column(text_column))
@@ -68,11 +68,11 @@ def nb_token_label_counts(ds, text_column: str = "text", label_column: str = "la
             {"key": vc.field("values"), "cnt": pc.cast(vc.field("counts"), pa.int64())}
         )
 
-    counts = group_sum_bucketed(
+    counts = group_sum(
         ds.select_columns([label_column, text_column]).map_batches(
             partial, batch_format="pyarrow"
         ),
-        "key",
+        ["key"],
         ["cnt"],
     )
 
@@ -267,7 +267,7 @@ def nb_classify_copartitioned(
        second exchange.
 
     Same verdicts as the broadcast path (pytest parity gate)."""
-    from fs_schema_validator_ray.stages.agg import group_sum_bucketed
+    from fs_schema_validator_ray.stages.agg import group_sum
     from fs_schema_validator_ray.stages.exchange import default_n_buckets, map_buckets, route
     from fs_schema_validator_ray.stages.joins import hash_join
 
@@ -291,8 +291,8 @@ def nb_classify_copartitioned(
             tot[lab_idx[l]] = c
     # V = distinct tokens across labels: one bucketed distinct pass over
     # the (vocab×L)-sized count table — never over the corpus
-    v = group_sum_bucketed(
-        counts_ds.select_columns(["token"]), "token", []
+    v = group_sum(
+        counts_ds.select_columns(["token"]), ["token"], []
     ).count()
     denom = np.log(tot + v) if v else np.zeros(len(labels))
 

@@ -2094,10 +2094,10 @@ def substring_dup_pairs(
         ) if t.num_rows else np.zeros(0, np.int64)
         return pa.table({"doc": pa.array(u)})
 
-    from fs_schema_validator_ray.stages.agg import group_sum_bucketed
+    from fs_schema_validator_ray.stages.agg import group_sum
 
     ids_ds = cands.map_batches(id_partial, batch_format="pyarrow")
-    n_cand = group_sum_bucketed(ids_ds, "doc", [], n_buckets=n_buckets).count()
+    n_cand = group_sum(ids_ds, ["doc"], [], n_buckets=n_buckets).count()
     if n_cand > max_broadcast_docs:
         return substring_verify_join(
             ds, cands, text_column, id_column, min_len, n_buckets

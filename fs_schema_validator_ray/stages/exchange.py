@@ -186,6 +186,7 @@ def map_buckets(ds, body, n_buckets: int | None = None):
 
     if n_buckets == 1:
         return ds.repartition(1).map_batches(per_bucket, batch_format="pyarrow", batch_size=None)
+    # native groupby: the exchange itself, Ray's sort shuffle on the bucket id
     return ds.groupby(BUCKET).map_groups(per_bucket, batch_format="pyarrow")
 
 

@@ -223,11 +223,11 @@ def _distinct_node_count(edges, endpoints_fn) -> int:
     """Distributed distinct-endpoint count (bucketed over the node hash)
     — O(1) driver memory, used only to pick broadcast vs co-partitioned
     node state before anything touches the driver."""
-    from fs_schema_validator_ray.stages.agg import group_sum_bucketed
+    from fs_schema_validator_ray.stages.agg import group_sum
 
     return int(
-        group_sum_bucketed(
-            edges.map_batches(endpoints_fn, batch_format="pyarrow"), "node", []
+        group_sum(
+            edges.map_batches(endpoints_fn, batch_format="pyarrow"), ["node"], []
         ).count()
     )
 
@@ -428,7 +428,7 @@ def triangle_counts(
     """
     import ray
 
-    from fs_schema_validator_ray.stages.agg import group_sum_bucketed
+    from fs_schema_validator_ray.stages.agg import group_sum
     from fs_schema_validator_ray.stages.dedup import dedup_pairs_distinct
     from fs_schema_validator_ray.stages.joins import hash_join, semi_anti_join
 
@@ -460,8 +460,8 @@ def triangle_counts(
             }
         )
 
-    deg = group_sum_bucketed(
-        und.map_batches(endpoints, batch_format="pyarrow"), "node", [], n_buckets
+    deg = group_sum(
+        und.map_batches(endpoints, batch_format="pyarrow"), ["node"], [], n_buckets
     )
 
     deg = scrub_empty_blocks(deg.materialize())  # consumed once or twice below
@@ -580,9 +580,9 @@ def triangle_counts(
             }
         )
 
-    counts = group_sum_bucketed(
+    counts = group_sum(
         closed.map_batches(triangle_nodes, batch_format="pyarrow"),
-        "node",
+        ["node"],
         [],
         n_buckets,
     )
@@ -903,6 +903,7 @@ def _code_edge_blocks(edge_rows, shard_refs, n_buckets):
             }
         )
 
+    # native groupby (both): per-key map_groups bodies, not yet on bucketed + segments
     coded = (
         edge_rows.groupby("db")
         .map_groups(code_dst, batch_format="pyarrow")

@@ -115,6 +115,7 @@ def topk_cosine(
     partials = ds.map_batches(
         TopKPartialStage(ref, fetch, vec_column, id_column), batch_format="pyarrow"
     )
+    # native groupby: a per-key map_groups body, not yet on bucketed + segments
     return partials.groupby("query_id").map_groups(
         _final_topk(k, exclude_self), batch_format="pyarrow"
     )
@@ -218,6 +219,7 @@ def topk_cosine_ivf(
     partials = pruned.map_batches(
         TopKPartialStage(ref, fetch, vec_column, id_column), batch_format="pyarrow"
     )
+    # native groupby: a per-key map_groups body, not yet on bucketed + segments
     return partials.groupby("query_id").map_groups(
         _final_topk(k, exclude_self), batch_format="pyarrow"
     )
@@ -456,7 +458,7 @@ def kmeans_centroids(
         if not len(partials):
             break
         new = cent.copy()
-        grouped = partials.groupby("cluster_id")
+        grouped = partials.groupby("cluster_id")  # pandas, on the driver's KB of partials
         for cid, g in grouped:
             total = int(g["n"].sum())
             if total:
@@ -808,6 +810,7 @@ def topk_cosine_pq(
         ),
         batch_format="pyarrow",
     )
+    # native groupby: a per-key map_groups body, not yet on bucketed + segments
     return partials.groupby("query_id").map_groups(
         _final_topk(k, exclude_self), batch_format="pyarrow"
     )
@@ -867,6 +870,7 @@ def topk_cosine_ivfpq(
         ),
         batch_format="pyarrow",
     )
+    # native groupby: a per-key map_groups body, not yet on bucketed + segments
     return partials.groupby("query_id").map_groups(
         _final_topk(k, exclude_self), batch_format="pyarrow"
     )
@@ -1023,6 +1027,7 @@ def semdedup(
         lambda t: t.rename_columns([id_column, vec_column, "cluster_id"]),
         batch_format="pyarrow",
     )
+    # native groupby: a per-key map_groups body, not yet on bucketed + segments
     return assigned.groupby("cluster_id").map_groups(
         lambda g: _semdedup_group(g, vec_column, id_column, eps),
         batch_format="pyarrow",

@@ -189,6 +189,7 @@ def global_sort_rank(
             out = out.append_column("tile", pa.array(_ntile(rnk, total, n_tiles)))
         return out
 
+    # native groupby: one map_groups body per range partition (per-key, not yet on bucketed)
     return (
         proj.map_batches(_assign_pid(splits, sort_column, descending), batch_format="pyarrow")
         .groupby("__pid")
@@ -255,6 +256,7 @@ def global_running_sum(
         running = offsets[pid] + np.cumsum(w)
         return out.append_column(run_col, pa.array(running, pa.int64()))
 
+    # native groupby: one map_groups body per range partition (per-key, not yet on bucketed)
     return (
         proj.map_batches(_assign_pid(splits, sort_column), batch_format="pyarrow")
         .groupby("__pid")

@@ -160,7 +160,7 @@ def token_document_frequencies(ds, text_column: str = "text", id_column: str = "
     """(token, df) Dataset — the vocab/df table. Same plan as
     ``inverted_index`` minus the posting strings (what you actually ship
     at corpus scale)."""
-    from fs_schema_validator_ray.stages.agg import group_sum_bucketed
+    from fs_schema_validator_ray.stages.agg import group_sum
 
     def flat(batch: pa.Table) -> pa.Table:
         tok, _ids = _distinct_doc_tokens(batch, text_column, id_column)
@@ -171,7 +171,7 @@ def token_document_frequencies(ds, text_column: str = "text", id_column: str = "
     )
     # distinct (token, doc) per batch (docs never split across batches)
     # → per-token row count IS the document frequency
-    out = group_sum_bucketed(flat_ds, "token", [])
+    out = group_sum(flat_ds, ["token"], [])
     return out.map_batches(
         lambda t: pa.table({"token": t.column("token"), "df": t.column("n")}),
         batch_format="pyarrow",
@@ -465,8 +465,8 @@ def bm25_contributions(
 def corpus_token_counts(ds, text_column: str = "text", id_column: str = "doc_id"):
     """Global term-frequency table ``(token, cnt)`` — per-batch Arrow
     ``value_counts`` partials, token-bucketed merge
-    (``group_sum_bucketed``). The unigram-LM fit pass."""
-    from fs_schema_validator_ray.stages.agg import group_sum_bucketed
+    (``group_sum``). The unigram-LM fit pass."""
+    from fs_schema_validator_ray.stages.agg import group_sum
 
     def partial(batch: pa.Table) -> pa.Table:
         flat, _ = _flat_tokens(batch.column(text_column))
@@ -479,9 +479,9 @@ def corpus_token_counts(ds, text_column: str = "text", id_column: str = "doc_id"
             {"token": vc.field("values"), "cnt": pc.cast(vc.field("counts"), pa.int64())}
         )
 
-    return group_sum_bucketed(
+    return group_sum(
         ds.select_columns([text_column]).map_batches(partial, batch_format="pyarrow"),
-        "token",
+        ["token"],
         ["cnt"],
     )
 
@@ -691,7 +691,7 @@ def corpus_bigram_counts(ds, text_column: str = "text"):
     tokens packed as ``w1\\x1fw2`` — per-batch ``value_counts`` partials
     over ADJACENT same-document token pairs, token-bucketed merge
     (the same combiner discipline as :func:`corpus_token_counts`)."""
-    from fs_schema_validator_ray.stages.agg import group_sum_bucketed
+    from fs_schema_validator_ray.stages.agg import group_sum
 
     def partial(batch: pa.Table) -> pa.Table:
         flat, rows = _flat_tokens(batch.column(text_column))
@@ -713,9 +713,9 @@ def corpus_bigram_counts(ds, text_column: str = "text"):
             {"bigram": vc.field("values"), "cnt": pc.cast(vc.field("counts"), pa.int64())}
         )
 
-    return group_sum_bucketed(
+    return group_sum(
         ds.select_columns([text_column]).map_batches(partial, batch_format="pyarrow"),
-        "bigram",
+        ["bigram"],
         ["cnt"],
     )
 
@@ -980,8 +980,7 @@ def tfidf_cosine_pairs(
     from ray.data.aggregate import Sum
 
     partials = map_buckets(postings, pair_partials)
-    # float sums (group_sum's combiner is int64-only); partials are
-    # already locally combined per token bucket so this exchange is small
+    # native groupby: float sums (group_sum sums int64); partials are combined per bucket
     summed = partials.groupby(["doc_a", "doc_b"]).aggregate(Sum("s", alias_name="s"))
 
     def finish(t: pa.Table) -> pa.Table:

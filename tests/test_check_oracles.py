@@ -104,3 +104,20 @@ def test_a_child_dead_before_its_first_query_stops_the_sweep():
     assert failures == 1 and len(started) == 1
     assert printed[-2:] == ["FAIL  sweep: process died before its first query (signal SIGKILL)",
                             "      stderr: raylet failed to start"]
+
+
+def test_only_result_lines_are_echoed(capsys):
+    raylet = "(raylet) WARNING: 16 PYTHON worker processes have been started"
+
+    class Chatty(FakeChild):
+        def __init__(self, names, outcomes, stderr):
+            super().__init__(names, outcomes, stderr)
+            self.lines.insert(2, raylet + "\n")
+
+    printed = []
+    failures = check_oracles.sweep(["a", "b"], lambda rest, err: Chatty(rest, {"b": "fail"}, err),
+                                   printed.append)
+    assert failures == 1
+    assert printed == ["ok   a: mine=(1 rows)", "FAIL  b: mine=(1 rows) oracle=(2 rows)",
+                       "      only-mine(1): [('x',)]"]
+    assert capsys.readouterr().err == raylet + "\nlog a\nlog b\n"

@@ -416,7 +416,7 @@ def test_schema_drift_synthetic(ray_session):
     import pyarrow as pa
     import ray.data
 
-    from fs_schema_validator_ray.pipelines.stats import schema_drift
+    from fs_schema_validator_ray.stages.agg import schema_drift
 
     a = pa.table(
         {

@@ -375,7 +375,7 @@ def test_psi_by_group_planted_drift(ray_session):
     import pyarrow as pa
     import ray.data
 
-    from fs_schema_validator_ray.pipelines.stats import psi_by_group
+    from fs_schema_validator_ray.stages.agg import psi_by_group
 
     rng = np.random.default_rng(5)
     # group "base" matches the global shape; group "hot" is shifted hard

@@ -290,12 +290,14 @@ def test_semi_join_empty_right(ray_session):
     assert sorted(r["tag"] for r in anti.take_all()) == ["r0", "r1"]
 
 
-def test_group_sum_bucketed_matches_group_sum(ray_session):
-    """High-cardinality bucketed aggregation agrees with the builtin
-    path on ~unique keys, null keys and null values."""
+def test_group_sum_matches_arrow_group_by(ray_session):
+    """``group_sum`` over the bucketed exchange equals one single-process
+    Arrow group-by of the same table, at one bucket and at eight: near-
+    unique string keys with null keys and null values, a composite key,
+    zero keys (the grand total) and an empty input."""
     import ray.data
 
-    from fs_schema_validator_ray.stages.agg import group_sum, group_sum_bucketed
+    from fs_schema_validator_ray.stages.agg import group_sum
 
     rng = np.random.default_rng(13)
     n = 3000
@@ -304,21 +306,28 @@ def test_group_sum_bucketed_matches_group_sum(ray_session):
         [None if rng.random() < 0.05 else int(v) for v in rng.integers(-50, 50, n)],
         pa.int64(),
     )
-    t = pa.table({"k": pa.array(keys), "v": vals})
-    ds = ray.data.from_arrow(t).repartition(9)
-    a = group_sum(ds, ["k"], ["v"]).to_pandas().sort_values("k", na_position="last")
-    b = (
-        group_sum_bucketed(ds, "k", ["v"])
-        .to_pandas()
-        .sort_values("k", na_position="last")
-    )
-    assert len(a) == len(b)
-    for col in ("k", "n", "v"):
-        av, bv = a[col].to_numpy(), b[col].to_numpy()
-        mask = ~(
-            (av != av) & (bv != bv)  # both NaN/null
-        ) if col == "v" else np.ones(len(av), bool)
-        assert np.array_equal(av[mask], bv[mask]), col
+    g = pa.array([None if rng.random() < 0.05 else int(v) for v in rng.integers(0, 4, n)],
+                 pa.int64())
+    t = pa.table({"k": pa.array(keys), "g": g, "v": vals})
+
+    def reference(tbl, ks):
+        out = pa.TableGroupBy(tbl, ks).aggregate([("v", "sum"), ([], "count_all")])
+        return pa.table({**{k: out.column(k) for k in ks}, "v": out.column("v_sum"),
+                         "n": out.column("count_all")})
+
+    def rows(tbl, ks):
+        cols = [*ks, "v", "n"]
+        return sorted((tuple(r[c] for c in cols) for r in tbl),
+                      key=lambda r: [(x is None, x or 0) for x in r])
+
+    cases = {"near-unique key": (t, ["k"]), "composite key": (t, ["g", "k"]),
+             "zero keys": (t, []), "empty input": (t.slice(0, 0), ["k"])}
+    for n_buckets in (1, 8):
+        for name, (tbl, ks) in cases.items():
+            ds = ray.data.from_arrow(tbl).repartition(9)
+            got = group_sum(ds, ks, ["v"], n_buckets=n_buckets).take_all()
+            want = reference(tbl, ks).to_pylist()
+            assert rows(got, ks) == rows(want, ks), (name, n_buckets)
 
 
 # --- grouped_quantile_disc --------------------------------------------------

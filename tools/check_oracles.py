@@ -13,7 +13,9 @@ the query it was running, and a new child goes on with the queries
 after it; no query is retried. A child's standard error goes to a
 temporary file: the last ``STDERR_TAIL`` lines of a dead child's are
 printed under its ``FAIL`` line, a finished child's is copied to this
-process's standard error.
+process's standard error. Standard output holds only result lines: any
+other line on a child's standard output (a Ray log line) also goes to
+standard error.
 
 Usage: python tools/check_oracles.py [sf_dir] [query ...]
 """
@@ -74,6 +76,10 @@ RUN = "RUN "
 
 #: lines of a dead child's standard error printed after its FAIL line
 STDERR_TAIL = 20
+
+#: how a result line starts: a query's outcome or its indented detail;
+#: anything else a child prints (Ray's own log lines) is not a result
+RESULT = ("ok   ", "FAIL ", "rows  ", "      ")
 
 
 def child(sf_dir: str, names: list[str]) -> int:
@@ -140,10 +146,12 @@ def sweep(names: list[str], start, echo=print) -> int:
     """Run ``names`` in child processes and return the failure count.
     ``start(names, stderr)`` starts a child over ``names`` that writes its
     standard error to the text file ``stderr``: an object with a
-    ``stdout`` of text lines and ``wait()`` for its exit code. A child
-    that dies before its ``failures:`` line fails the query it had
-    started, and the tail of its standard error is echoed; a new child
-    runs the queries after that one."""
+    ``stdout`` of text lines and ``wait()`` for its exit code. Only
+    result lines (:data:`RESULT`) are echoed; any other line a child
+    prints goes to standard error, so two sweeps differ only where a
+    query did. A child that dies before its ``failures:`` line fails
+    the query it had started, and the tail of its standard error is
+    echoed; a new child runs the queries after that one."""
     failures, rest = 0, list(names)
     while rest:
         with tempfile.TemporaryFile("w+") as err:
@@ -155,9 +163,11 @@ def sweep(names: list[str], start, echo=print) -> int:
                     running = line[len(RUN):]
                 elif line.startswith("failures:"):
                     finished = True
-                else:
+                elif line.startswith(RESULT):
                     echo(line)
                     failures += line.startswith("FAIL")
+                else:
+                    print(line, file=sys.stderr)
             code = proc.wait()
             err.seek(0)
             if finished:

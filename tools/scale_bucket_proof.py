@@ -6,7 +6,7 @@ only has a shrunk-target unit test. This script generates a multi-GiB synthetic
 high-cardinality grouped-sum input (64-char STRING keys — the wide-key
 shape where a raw-key shuffle hurts most; ~76 B/row in memory, so the
 exchange input is ~9 GiB at the default 120M rows regardless of on-disk
-compression), runs the REAL ``group_sum_bucketed`` exchange, and reports:
+compression), runs the REAL ``group_sum`` exchange, and reports:
 
 * the engaged bucket count vs the 2xCPU floor,
 * per-bucket input-row balance (max/mean),
@@ -75,7 +75,7 @@ def main() -> None:
              logging_level="ERROR")
     import ray.data
 
-    from fs_schema_validator_ray.stages.agg import group_sum_bucketed
+    from fs_schema_validator_ray.stages.agg import group_sum
     from fs_schema_validator_ray.stages.exchange import bucket_ids, default_n_buckets
     from fs_schema_validator_ray.state.sketches import hash64
 
@@ -103,7 +103,7 @@ def main() -> None:
     balance = float(sizes.max() / max(sizes.mean(), 1))
 
     t0 = time.time()
-    grouped = group_sum_bucketed(ds, "k", ["v"], n_buckets=n_buckets)
+    grouped = group_sum(ds, ["k"], ["v"], n_buckets=n_buckets)
 
     def check_partial(t: pa.Table) -> pa.Table:
         from fs_schema_validator_ray.state.sketches import stable_key_array
