@@ -10,11 +10,20 @@ Ray-Data-first rebuild of the reference's one-shot serial run
   partitions it needs, in contiguous runs of near-equal bytes of its
   pruned columns (from the footers), one task per run
   (:func:`plan_tasks`): one task per CPU, and more only where a task
-  would read over ``DataContext.target_max_block_size`` (128 MiB),
-  since each task costs ~15 ms of driver CPU; each task reads its
+  would read over :data:`TASK_MAX_BYTES` (128 MiB); each task reads its
   partitions' files itself (:func:`scan_partition`, the run's one
   reader),
-* the row pass is ONE Ray execution over every pending partition: a
+* the row pass and the resume keys-only scan run their plans as plain
+  Ray tasks (:func:`_run_tasks`): a task per plan table, at most two
+  per CPU submitted and not yet folded, each result folded on the driver
+  as it lands. Their input is a plan, not data, so a Ray Data execution
+  would fuse and stream nothing, and it costs far more to start: at one
+  Ray CPU on a 4-vCPU host, a one-block ``from_arrow → map_batches →
+  iter_batches`` took 39 ms wall and 29 ms driver CPU, a ``ray.remote``
+  task and its ``ray.wait`` 3.5 ms of each (medians of 30). Ray Data
+  still runs the filter path's candidate exchange (a real shuffle),
+  the queries and :meth:`RunResult.violations_dataset`,
+* the row pass covers every pending partition: a
   task packs consecutive partitions into groups of whole partitions
   whose footer rows add up to at most ``decode_batch_size`` and footer
   bytes to at most ``PACK_MAX_BYTES`` (:func:`pack_partitions`; a larger
@@ -40,10 +49,11 @@ Ray-Data-first rebuild of the reference's one-shot serial run
   there is no second read and no shuffle; otherwise ONE keys-only scan
   keeps just those rows of every rule and merges them in one exchange
   (``stages/unique.py::candidate_violations``) — never payloads. A
-  fresh run is thus one Ray execution when the keys fit, and at most two
-  otherwise. A finished partition keeps no partials: a resumed run that
-  still owes a global verdict scans the keys of the partitions it skips
-  (:class:`ScanPartitions`).
+  fresh run is thus one pass when the keys fit, and at most two
+  otherwise (``global_metrics["ray_executions"]`` counts passes, a
+  pass of Ray tasks as one). A finished partition keeps no partials: a
+  resumed run that still owes a global verdict scans the keys of the
+  partitions it skips (:class:`ScanPartitions`, :func:`scan_partial`).
 
 Every manifest doc (``part-N``, ``plan``, ``global``, ``drift-<id>``)
 records ``key``, a digest of the inputs it was computed from (:func:`_key`).
@@ -62,8 +72,10 @@ file.
 from __future__ import annotations
 
 import collections
+import functools
 import glob
 import hashlib
+import itertools
 import json
 import shutil
 import os
@@ -128,7 +140,7 @@ class RunResult:
     global_metrics: dict
     total_violations: int
     total_rows: int
-    #: row-pass executions: 1 if any partition was pending, else 0
+    #: row passes: 1 if any partition was pending, else 0
     waves_run: int
     partitions_skipped: int
 
@@ -267,9 +279,10 @@ def plan_tasks(sizes: list[tuple[int, int]], cpus: int, target_bytes: int) -> li
     ``min(P, max(cpus, ceil(bytes / target_bytes)))`` contiguous runs of
     near-equal bytes. Every CPU gets work, and a task reads about
     ``target_bytes`` or less; past that, a run is as long as the bytes
-    allow, because each task of a Ray execution has a fixed cost (1 vCPU:
-    ``from_arrow → map_batches → iter_batches`` took 47 ms of driver CPU
-    with one block and 104 ms with five, ~15 ms a task).
+    allow, because each task has a fixed cost: its submission, its
+    partitions' commit set-up and one :class:`GlobalPartial` to fold
+    (a ``ray.remote`` task and its ``ray.wait`` alone took 3.5 ms of
+    driver CPU at one Ray CPU).
 
     Tasks are balanced on bytes, not on work: a μ-law, A-law or u8 row
     carries twice the samples per byte of a ``pcm_s16le`` row, so under
@@ -295,44 +308,63 @@ def plan_tasks(sizes: list[tuple[int, int]], cpus: int, target_bytes: int) -> li
     return [[pid for pid, _ in sizes[a:b]] for a, b in zip(cuts, cuts[1:])]
 
 
-def _start_autoscaling_requester() -> None:
-    """Get or start Ray Data's detached autoscaling-requester actor before
-    a pass's execution starts. Ray Data starts it itself only when an
-    execution queues more tasks than there are CPUs, or else when an
-    execution ends. With one task per CPU no execution queues, so a
-    session's first run would return while that actor's process is still
-    starting (~0.9 s of CPU), and the start-up would fall into
-    whatever the caller does next. Started here, it overlaps the pass that
-    asks for it; once it exists this is a cached lookup (~0.06 ms)."""
-    try:
-        from ray.data._internal.execution.autoscaling_requester import (
-            get_or_create_autoscaling_requester_actor,
-        )
-    except ImportError:  # a Ray Data without it starts nothing late
-        return
-    get_or_create_autoscaling_requester_actor()
+#: the most footer bytes of its columns that one task of a pass reads,
+#: past one task per CPU (:func:`plan_tasks`); Ray Data's default block
+#: bound
+TASK_MAX_BYTES = 128 << 20
 
 
-def _task_items(groups, columns: list[str], footers: dict, item):
+def _task_items(groups, columns: list[str], footers: dict, item) -> list[pa.Table]:
     """The task plan every pass of a run shares: the partitions ``groups``
     (``[(pid, files)]``) cut by :func:`plan_tasks` on the footer bytes of
-    ``columns`` at ``DataContext.target_max_block_size``, as a Dataset of
-    one block (one ``map_batches(..., batch_size=None)`` call) per task; a
+    ``columns`` at :data:`TASK_MAX_BYTES`, as one table per task; a
     partition's row is ``item(pid, files, nbytes)``, ``nbytes`` its footer
     bytes of ``columns``."""
-    import ray.data
-
     files_of = dict(groups)
     sizes = [(pid, sum(footers[f][1].get(c, 0) for f in files for c in columns))
              for pid, files in groups]
-    target = ray.data.DataContext.get_current().target_max_block_size
-    runs = plan_tasks(sizes, _cluster_cpus(), target)
-    _start_autoscaling_requester()
     size_of = dict(sizes)
-    return ray.data.from_arrow(
-        [pa.Table.from_pylist([item(pid, files_of[pid], size_of[pid]) for pid in run])
-         for run in runs]
-    )
+    return [pa.Table.from_pylist([item(pid, files_of[pid], size_of[pid]) for pid in run])
+            for run in plan_tasks(sizes, _cluster_cpus(), TASK_MAX_BYTES)]
+
+
+def _call(udf, items: pa.Table) -> pa.Table:
+    return udf(items)
+
+
+@functools.cache
+def _remote_call():
+    import ray
+
+    # SPREAD is Ray Data's default placement for its tasks
+    return ray.remote(num_cpus=1, scheduling_strategy="SPREAD")(_call)
+
+
+def _run_tasks(udf, tables: list[pa.Table], fold) -> None:
+    """Run ``udf`` on each plan table (:func:`_task_items`) as one Ray
+    task, and ``fold`` each task's output table on the driver as it lands.
+    At most ``2 × _cluster_cpus()`` tasks are submitted and not yet
+    folded, so driver state is bounded by CPUs, not by the plan. The first
+    error of a task is raised here as its own type (Ray's ``RayTaskError``
+    subclasses it), no further task is submitted, and the running ones
+    are cancelled."""
+    import ray
+
+    remote, ref = _remote_call(), ray.put(udf)
+    limit = 2 * _cluster_cpus()
+    todo, running = iter(tables), []
+    try:
+        while True:
+            running += [remote.remote(ref, t)
+                        for t in itertools.islice(todo, limit - len(running))]
+            if not running:
+                return
+            done, running = ray.wait(running, num_returns=1)
+            fold(ray.get(done[0]))
+    except BaseException:
+        for r in running:
+            ray.cancel(r)
+        raise
 
 
 def scan_partition(files: list[str], columns: list[str], file_schema: Optional[pa.Schema],
@@ -587,6 +619,15 @@ def _tmp_file(doc: dict) -> str:
     return os.path.join(doc["violations_path"], "violations.tmp")
 
 
+def scan_partial(scan: ScanPartitions, global_rules: tuple, items: pa.Table) -> pa.Table:
+    """The resume keys-only scan task: ``scan``'s batches of the plan
+    items folded into one :class:`GlobalPartial` of ``global_rules``."""
+    partial = GlobalPartial(*global_rules)
+    for batch in scan(items):
+        partial.add(batch)
+    return partial.blobs()
+
+
 def merged_stats_sketches(output_dir: str) -> dict[str, Any]:
     """Merge every partition manifest's sketch blobs into one global
     sketch per column — corpus quantiles / distinct estimates WITHOUT
@@ -766,18 +807,25 @@ def run_validation(cfg: ValidationRunConfig) -> RunResult:
                      for _ in unique_rules]
     drift_states: list = [{} for _ in drift_rules]
     pending = [(pid, grp) for pid, grp in groups if f"part-{pid}" not in done]
-    executions = 0  # Ray executions this run started
+    executions = 0  # passes this run ran: of Ray tasks, or Ray Data executions
     row_pass_tasks = 0  # the receipt of the row pass's plan
 
-    def read_keys(columns, parts=groups):
+    def key_tasks(columns, parts):
         # keys only: pyarrow's default batch size
         columns = sorted(columns)
-        return _task_items(
-            parts, columns, footers,
-            lambda pid, files, _: {"partition_id": pid, "files": files},
-        ).map_batches(
-            ScanPartitions(columns, unified_schema), batch_format="pyarrow", batch_size=None
-        )
+        return ScanPartitions(columns, unified_schema), _task_items(
+            parts, columns, footers, lambda pid, files, _: {"partition_id": pid, "files": files})
+
+    def read_keys(columns):
+        # the candidate exchange's input: a Dataset over the same plan
+        import ray.data
+
+        scan, tables = key_tasks(columns, groups)
+        return ray.data.from_arrow(tables).map_batches(
+            scan, batch_format="pyarrow", batch_size=None)
+
+    def fold(blobs: pa.Table) -> None:
+        fold_partials(unique_states, drift_states, drift_rules, blobs)
 
     # --- referential membership (built once, broadcast via ray.put) ------
     membership_refs = {}
@@ -805,7 +853,7 @@ def run_validation(cfg: ValidationRunConfig) -> RunResult:
             membership_refs[rule.rule_id] = ray.put(membership)
 
     _mark("membership")
-    # --- row pass: ONE Ray execution over every pending partition --------
+    # --- row pass: ONE pass of Ray tasks over every pending partition -----
     # Every per-row rule (scalar + audio decode + JSON + assets +
     # referential probe) runs as one fused stage inside a task that owns
     # whole partitions and commits each as soon as its last row is checked.
@@ -825,7 +873,7 @@ def run_validation(cfg: ValidationRunConfig) -> RunResult:
         # checkpoint unit): a resumed run clears and rewrites exactly the
         # partitions it reprocesses, so `violations_dataset()` never sees
         # a stale or duplicated copy
-        items = _task_items(
+        tables = _task_items(
             pending, commit.columns, footers,
             lambda pid, files, nbytes: {"doc": json.dumps({
                 "id": f"part-{pid}",
@@ -839,15 +887,16 @@ def run_validation(cfg: ValidationRunConfig) -> RunResult:
             })},
         )
         executions += 1
-        row_pass_tasks = items.num_blocks()
-        for b in items.map_batches(commit, batch_format="pyarrow", batch_size=None).iter_batches(
-            batch_format="pyarrow", batch_size=None
-        ):
+        row_pass_tasks = len(tables)
+
+        def receive(b: pa.Table) -> None:
             for d in b.column("doc").to_pylist():
                 if d is not None:
                     doc = json.loads(d)
                     docs[doc["id"]] = doc
-            fold_partials(unique_states, drift_states, drift_rules, b)
+            fold(b)
+
+        _run_tasks(commit, tables, receive)
 
     _mark("waves")
     t0 = time.perf_counter()
@@ -855,10 +904,8 @@ def run_validation(cfg: ValidationRunConfig) -> RunResult:
     skipped = [(pid, grp) for pid, grp in groups if f"part-{pid}" in done]
     if global_columns and skipped:
         executions += 1
-        for b in read_keys(global_columns, skipped).map_batches(
-            GlobalPartial(*global_rules), batch_format="pyarrow", batch_size=None
-        ).iter_batches(batch_format="pyarrow", batch_size=None):
-            fold_partials(unique_states, drift_states, drift_rules, b)
+        scan, tables = key_tasks(global_columns, skipped)
+        _run_tasks(functools.partial(scan_partial, scan, global_rules), tables, fold)
         _mark("unique")
 
     # --- drift: verdicts over the folded partials -------------------------

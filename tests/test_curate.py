@@ -90,11 +90,9 @@ def test_failed_manifest_write_keeps_previous_manifest(ray_session, tmp_path, mo
     path = os.path.join(out, "curation_manifest.json")
     sinks.write_json_atomic(path, {"n_input": 1})
 
-    def dump_half_then_fail(doc, f, **kwargs):
-        f.write('{"n_input": ')
-        raise OSError("disk full")
+    from test_sinks import fail_writes_midway
 
-    monkeypatch.setattr(sinks.json, "dump", dump_half_then_fail)
+    fail_writes_midway(monkeypatch)
     with pytest.raises(OSError, match="disk full"):
         curate_documents(ray.data.from_arrow(_docs()), out, min_quality=0.2,
                          capacity_chars=600, n_shards=2)

@@ -127,7 +127,7 @@ def test_plan_balances_bytes():
 def test_plan_of_the_benchmark_shapes_at_one_cpu():
     """Each benchmark shape is one task at one CPU and one task per CPU
     at four; a large corpus still splits into tasks of about the target."""
-    target = 128 << 20  # Ray's default DataContext.target_max_block_size
+    target = validate.TASK_MAX_BYTES
     shapes = [
         [(i, 2_000) for i in range(32)],           # metadata-only rules, 32 small files
         [(i, 363_000) for i in range(16, 32)],     # a resumed half of 32 payload partitions
@@ -162,27 +162,6 @@ def test_pack_partitions_bounds():
     # without one schema for the corpus, nothing packs
     assert groups([doc(0, 0), doc(1, 1)], -1) == [[0], [1]]
     assert groups([]) == []
-
-
-def test_every_pass_starts_the_autoscaling_requester_first(ray_session, monkeypatch):
-    """Ray Data starts its autoscaling-requester actor when an execution
-    ends unless an execution queued more tasks than CPUs. A pass's plan
-    gets or starts it before the pass's dataset exists, so a one-task run
-    does not return while that actor's process is still starting."""
-    import ray.data
-    from ray.data._internal.execution import autoscaling_requester
-
-    calls = []
-    get_requester = autoscaling_requester.get_or_create_autoscaling_requester_actor
-    from_arrow = ray.data.from_arrow
-    monkeypatch.setattr(autoscaling_requester, "get_or_create_autoscaling_requester_actor",
-                        lambda: calls.append("requester") or get_requester())
-    monkeypatch.setattr(ray.data, "from_arrow",
-                        lambda tables: calls.append("plan") or from_arrow(tables))
-    footers = {"a": (1, {"v": 8}), "b": (1, {"v": 8})}
-    validate._task_items([(0, ["a"]), (1, ["b"])], ["v"], footers,
-                         lambda pid, files, nbytes: {"partition_id": pid})
-    assert calls == ["requester", "plan"]
 
 
 # --- committed output ----------------------------------------------------------
@@ -425,6 +404,120 @@ def test_outputs_do_not_depend_on_the_task_plan(ray_session, tmp_path, monkeypat
     res = run_validation(_cfg(src, out, stats_sketch_columns=["v"]))
     assert res.partitions_skipped == N_PARTS // 2
     assert res.global_metrics["row_pass_tasks"] == min(cpus, N_PARTS // 2)
+    assert res.global_metrics["ray_executions"] == 2
+    assert res.total_violations == want.total_violations
+    assert _run_outputs(str(out)) == _run_outputs(str(tmp_path / "want"))
+
+
+# --- the task launcher ----------------------------------------------------------
+
+
+def _task_log(monkeypatch):
+    """Log each task submission (``submit``) and each task result the
+    driver gets (``done``, or ``error`` when it raises)."""
+    import ray
+
+    log = []
+    remote, ray_get = validate._remote_call(), ray.get
+
+    class Logged:
+        def remote(self, *args):
+            log.append("submit")
+            return remote.remote(*args)
+
+    def get(*args, **kwargs):
+        try:
+            out = ray_get(*args, **kwargs)
+        except Exception:
+            log.append("error")
+            raise
+        log.append("done")
+        return out
+
+    monkeypatch.setattr(validate, "_remote_call", Logged)
+    monkeypatch.setattr(ray, "get", get)
+    return log
+
+
+def _most_in_flight(log):
+    in_flight, most = 0, 0
+    for event in log:
+        in_flight += 1 if event == "submit" else -1
+        most = max(most, in_flight)
+    return most
+
+
+def test_tasks_in_flight_are_bounded_by_cpus(ray_session, tmp_path, monkeypatch):
+    """At one CPU, a plan of a task per partition keeps at most two tasks
+    submitted and not yet folded, in the row pass and in the resume scan,
+    and commits what a one-task plan does."""
+    src = _corpus(str(tmp_path))
+    monkeypatch.setattr(validate, "_cluster_cpus", lambda: 1)
+    want = run_validation(_cfg(src, tmp_path / "want", stats_sketch_columns=["v"]))
+    assert want.global_metrics["row_pass_tasks"] == 1
+    monkeypatch.setattr(validate, "TASK_MAX_BYTES", 1)
+    log = _task_log(monkeypatch)
+    out = tmp_path / "out"
+    res = run_validation(_cfg(src, out, stats_sketch_columns=["v"]))
+    assert res.global_metrics["row_pass_tasks"] == N_PARTS
+    assert log.count("submit") == log.count("done") == N_PARTS
+    assert _most_in_flight(log) == 2
+    assert _run_outputs(str(out)) == _run_outputs(str(tmp_path / "want"))
+    for doc_id in ["global", "drift-v_drift"] + [f"part-{i}" for i in range(N_PARTS // 2)]:
+        os.remove(out / "manifest" / f"{doc_id}.json")
+    log.clear()
+    res = run_validation(_cfg(src, out, stats_sketch_columns=["v"]))
+    assert res.partitions_skipped == N_PARTS // 2
+    # a row-pass task and a scan task per partition
+    assert log.count("submit") == log.count("done") == N_PARTS
+    assert _most_in_flight(log) == 2
+    assert _run_outputs(str(out)) == _run_outputs(str(tmp_path / "want"))
+
+
+def test_a_task_error_reaches_the_caller_and_stops_the_pass(ray_session, tmp_path,
+                                                             monkeypatch):
+    """A file rewritten with fewer rows after its footer was read fails
+    its task's row check; the run raises that ``ValueError`` with its
+    message and submits no task after it."""
+    src = _corpus(str(tmp_path))
+    path = os.path.join(src, "part-00.parquet")
+    plan = validate.plan_tasks
+
+    def plan_then_truncate(*args):
+        pq.write_table(pq.read_table(path).slice(0, 30), path)
+        return plan(*args)
+
+    monkeypatch.setattr(validate, "plan_tasks", plan_then_truncate)
+    monkeypatch.setattr(validate, "_cluster_cpus", lambda: 1)
+    monkeypatch.setattr(validate, "TASK_MAX_BYTES", 1)
+    log = _task_log(monkeypatch)
+    with pytest.raises(ValueError, match=f"partition 0: read 30 rows, its footers say {ROWS}"):
+        run_validation(_cfg(src, tmp_path / "out"))
+    assert log[-1] == "error" and log.count("error") == 1
+    assert _most_in_flight(log) <= 2 and log.count("submit") < N_PARTS
+
+
+def test_the_exact_path_starts_no_ray_data_execution(ray_session, tmp_path, monkeypatch):
+    """A fresh run and a resumed run that scans the keys of its finished
+    partitions run their passes as Ray tasks: with Ray Data's
+    ``from_arrow`` and ``iter_batches`` failing, both still succeed."""
+    import ray.data
+
+    src = _corpus(str(tmp_path))
+    want = run_validation(_cfg(src, tmp_path / "want"))
+
+    def no_ray_data(*args, **kwargs):
+        raise AssertionError("a Ray Data execution started")
+
+    monkeypatch.setattr(ray.data, "from_arrow", no_ray_data)
+    monkeypatch.setattr(ray.data.Dataset, "iter_batches", no_ray_data)
+    out = tmp_path / "out"
+    res = run_validation(_cfg(src, out))
+    assert res.global_metrics["path"] == "exact"
+    for doc_id in ["global", "drift-v_drift"] + [f"part-{i}" for i in range(N_PARTS // 2)]:
+        os.remove(out / "manifest" / f"{doc_id}.json")
+    res = run_validation(_cfg(src, out))
+    assert res.partitions_skipped == N_PARTS // 2
     assert res.global_metrics["ray_executions"] == 2
     assert res.total_violations == want.total_violations
     assert _run_outputs(str(out)) == _run_outputs(str(tmp_path / "want"))

@@ -1,5 +1,6 @@
 """Atomic JSON state writes (``sinks.write_json_atomic``)."""
 
+import io
 import json
 import os
 
@@ -8,15 +9,34 @@ import pytest
 from fs_schema_validator_ray import sinks
 
 
+class HalfWrite:
+    """A text file whose ``write`` writes half its text, then fails."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, text):
+        self.f.write(text[: len(text) // 2])
+        raise OSError("disk full")
+
+
+def fail_writes_midway(monkeypatch):
+    """Every file ``sinks`` opens fails halfway through its first write."""
+    monkeypatch.setattr(sinks, "open", lambda path, mode="r": HalfWrite(open(path, mode)),
+                        raising=False)
+
+
 def test_write_json_atomic_keeps_previous_document_on_failed_write(tmp_path, monkeypatch):
     path = str(tmp_path / "index_manifest.json")
     sinks.write_json_atomic(path, {"n_vectors": 10})
 
-    def dump_half_then_fail(doc, f, **kwargs):
-        f.write('{"n_vectors": 2')
-        raise OSError("disk full")
-
-    monkeypatch.setattr(sinks.json, "dump", dump_half_then_fail)
+    fail_writes_midway(monkeypatch)
     with pytest.raises(OSError, match="disk full"):
         sinks.write_json_atomic(path, {"n_vectors": 20})
     monkeypatch.undo()
@@ -27,6 +47,34 @@ def test_write_json_atomic_keeps_previous_document_on_failed_write(tmp_path, mon
     with open(path) as f:
         assert json.load(f) == {"n_vectors": 20}
     assert os.listdir(tmp_path) == ["index_manifest.json"]
+
+
+@pytest.mark.parametrize("doc", [
+    # a part-N manifest
+    {"id": "part-3", "key": "0f3a9c2be1d47a56", "partition_id": 3, "status": "done",
+     "files": ["/data/in/f-03.parquet", "/data/in/ünïcødé 名前.parquet"], "rows": 64,
+     "read_bytes": 4711, "violations_path": "/out/violations/parts/partition_id=3",
+     "violations": 2, "violations_by_rule": {"dur_range": 1, "codec_enum": 1},
+     "stats_sketches_hex": {"dur_ms": {"kind": "tdigest", "blob": "00ff"}},
+     "wall_s": 0.0123456789},
+    # a drift doc: per-partition float metrics and histogram blobs
+    {"id": "drift-drift_dur", "status": "done", "violations": 1,
+     "metrics": {str(p): {"ks": p / 7, "psi": 1e-17 * p, "n": p * 100,
+                          "mean": -2.5e300, "flag": p % 2 == 0} for p in range(8)},
+     "violations_by_pid": {"3": 1}, "sketches_hex": {"0": "abcdef"}, "wall_s": 3.0},
+    # the global doc: nested metrics, NaN and infinities, escapes
+    {"id": "global", "status": "done", "violations": 5,
+     "metrics": {"wall_s": 0.1, "path": "exact", "key_bytes": 1 << 40,
+                 "candidate_cells": {"unique_clip": 3, "ключ \"q\"\n\t": 0},
+                 "odd": [float("nan"), float("inf"), -float("inf"), -0.0, None, True]}},
+])
+def test_write_json_atomic_writes_the_bytes_of_json_dump(tmp_path, doc):
+    path = str(tmp_path / "doc.json")
+    sinks.write_json_atomic(path, doc)
+    want = io.StringIO()
+    json.dump(doc, want, sort_keys=True)
+    with open(path, "rb") as f:
+        assert f.read() == want.getvalue().encode()
 
 
 def test_write_partitioned_parquet_roundtrip(ray_session, tmp_path):
