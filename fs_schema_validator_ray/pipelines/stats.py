@@ -278,8 +278,7 @@ class GlobalPartial:
     (``stages.unique._partial_counts``; null when the task read no rows)
     if ``bits`` is ``None``, else the sparse ``(cell, min(n, 255))`` pairs
     of its filter of ``2**bits`` cells (``stages.unique.key_cells``); a
-    drift rule's :func:`drift_partial` table. Called on a batch, it is a
-    ``map_batches`` UDF."""
+    drift rule's :func:`drift_partial` table."""
 
     def __init__(self, unique_rules: list, drift_rules: list, bits: Optional[int]) -> None:
         self.unique_rules, self.drift_rules, self.bits = unique_rules, drift_rules, bits
@@ -316,11 +315,6 @@ class GlobalPartial:
             {"rule": pa.array(range(len(blobs)), pa.int32()),
              "blob": pa.array(blobs, pa.binary())}
         )
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        partial = GlobalPartial(self.unique_rules, self.drift_rules, self.bits)
-        partial.add(batch)
-        return partial.blobs()
 
 
 def fold_partials(unique_states: list, drift_states: list, drift_rules: list,

@@ -30,9 +30,40 @@ def drift_state(ray_session):
 
     def fold(ds, rule):
         states = [{}]
-        partials = ds.map_batches(GlobalPartial([], [rule], 0), batch_format="pyarrow")
-        for b in partials.iter_batches(batch_format="pyarrow", batch_size=None):
-            fold_partials([], states, [rule], b)
+        for b in ds.iter_batches(batch_format="pyarrow", batch_size=None):
+            partial = GlobalPartial([], [rule], 0)
+            partial.add(b)
+            fold_partials([], states, [rule], partial.blobs())
         return states[0]
 
     return fold
+
+
+class HalfWrite:
+    """A text file whose ``write`` writes half its text, then fails."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, text):
+        self.f.write(text[: len(text) // 2])
+        raise OSError("disk full")
+
+
+@pytest.fixture
+def fail_sink_writes(monkeypatch):
+    """``fail()``: from then on, every file ``sinks`` opens fails halfway
+    through its first write with ``OSError("disk full")``."""
+    from fs_schema_validator_ray import sinks
+
+    def fail():
+        monkeypatch.setattr(sinks, "open", lambda path, mode="r": HalfWrite(open(path, mode)),
+                            raising=False)
+
+    return fail

@@ -77,7 +77,7 @@ def test_curate_end_to_end(ray_session, tmp_path):
     assert len(seen) == n_distinct and len(set(seen)) == n_distinct
 
 
-def test_failed_manifest_write_keeps_previous_manifest(ray_session, tmp_path, monkeypatch):
+def test_failed_manifest_write_keeps_previous_manifest(ray_session, tmp_path, fail_sink_writes):
     """The curation manifest is written atomically: a write that fails
     mid-document leaves the previous manifest whole."""
     import pytest
@@ -90,9 +90,7 @@ def test_failed_manifest_write_keeps_previous_manifest(ray_session, tmp_path, mo
     path = os.path.join(out, "curation_manifest.json")
     sinks.write_json_atomic(path, {"n_input": 1})
 
-    from test_sinks import fail_writes_midway
-
-    fail_writes_midway(monkeypatch)
+    fail_sink_writes()
     with pytest.raises(OSError, match="disk full"):
         curate_documents(ray.data.from_arrow(_docs()), out, min_quality=0.2,
                          capacity_chars=600, n_shards=2)

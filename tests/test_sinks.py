@@ -9,34 +9,12 @@ import pytest
 from fs_schema_validator_ray import sinks
 
 
-class HalfWrite:
-    """A text file whose ``write`` writes half its text, then fails."""
-
-    def __init__(self, f):
-        self.f = f
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.f.close()
-
-    def write(self, text):
-        self.f.write(text[: len(text) // 2])
-        raise OSError("disk full")
-
-
-def fail_writes_midway(monkeypatch):
-    """Every file ``sinks`` opens fails halfway through its first write."""
-    monkeypatch.setattr(sinks, "open", lambda path, mode="r": HalfWrite(open(path, mode)),
-                        raising=False)
-
-
-def test_write_json_atomic_keeps_previous_document_on_failed_write(tmp_path, monkeypatch):
+def test_write_json_atomic_keeps_previous_document_on_failed_write(tmp_path, monkeypatch,
+                                                                   fail_sink_writes):
     path = str(tmp_path / "index_manifest.json")
     sinks.write_json_atomic(path, {"n_vectors": 10})
 
-    fail_writes_midway(monkeypatch)
+    fail_sink_writes()
     with pytest.raises(OSError, match="disk full"):
         sinks.write_json_atomic(path, {"n_vectors": 20})
     monkeypatch.undo()
