@@ -23,6 +23,7 @@ second copy of the corpus.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 
 import numpy as np
@@ -532,6 +533,31 @@ def _splitmix_uniform(seed: int, n: int) -> np.ndarray:
     return out
 
 
+def _reference_length(sr_hz: int, dur_ms: int) -> int:
+    """Samples in the reference signal of ``dur_ms`` at ``sr_hz``."""
+    return max(0, round(dur_ms * sr_hz / 1000))
+
+
+def _tones(clip_id: str, sr_hz: int) -> tuple[float, float, float, float]:
+    """The reference's two tones ``(f1, f2, p1, p2)``: frequencies in Hz
+    and phases in radians, from ``clip_id``'s digest."""
+    d = hashlib.blake2s(clip_id.encode(), digest_size=32).digest()
+    u = [int.from_bytes(d[i : i + 8], "little") / 2**64 for i in (8, 16, 24)]
+    f1 = 80.0 + u[0] * (800.0 - 80.0)
+    f2 = 800.0 + u[1] * (min(3800.0, sr_hz / 2.2) - 800.0)
+    p1 = u[2] * 2 * np.pi
+    p2 = (u[2] * 7919.0) % 1.0 * 2 * np.pi
+    return f1, f2, p1, p2
+
+
+def _noise(clip_id: str, n: int) -> np.ndarray:
+    """The reference's first ``n`` noise samples: uniform in ±0.04."""
+    noise = _splitmix_uniform(_seed_for(clip_id), n)
+    noise -= 0.5
+    noise *= 0.08
+    return noise
+
+
 def reference_signal(clip_id: str, sr_hz: int, dur_ms: int) -> np.ndarray:
     """Deterministic sine+noise mixture parameterized by ``clip_id`` alone
     (FIXTURES.md §1) — the per-row invariant baseline for SNR ≥ 30 dB.
@@ -540,15 +566,10 @@ def reference_signal(clip_id: str, sr_hz: int, dur_ms: int) -> np.ndarray:
     decode path this function runs once per row, and allocator traffic +
     generator init were the scaling bottleneck at full-node parallelism.
     """
-    n = max(0, round(dur_ms * sr_hz / 1000))
+    n = _reference_length(sr_hz, dur_ms)
     if n == 0:
         return np.zeros(0)
-    d = hashlib.blake2s(clip_id.encode(), digest_size=32).digest()
-    u = [int.from_bytes(d[i : i + 8], "little") / 2**64 for i in (8, 16, 24)]
-    f1 = 80.0 + u[0] * (800.0 - 80.0)
-    f2 = 800.0 + u[1] * (min(3800.0, sr_hz / 2.2) - 800.0)
-    p1 = u[2] * 2 * np.pi
-    p2 = (u[2] * 7919.0) % 1.0 * 2 * np.pi
+    f1, f2, p1, p2 = _tones(clip_id, sr_hz)
     # in-place: 0.45*sin(2πf1·t+p1) + 0.25*sin(2πf2·t+p2) + 0.04*noise
     t = (_POSITIONS[:n] if n <= _PREFIX_SAMPLES else np.arange(n, dtype=np.float64)) / sr_hz
     x = t * (2 * np.pi * f1)
@@ -560,11 +581,74 @@ def reference_signal(clip_id: str, sr_hz: int, dur_ms: int) -> np.ndarray:
     np.sin(t, out=t)
     t *= 0.25
     x += t
-    noise = _splitmix_uniform(_seed_for(clip_id), n)
-    noise -= 0.5
-    noise *= 0.08  # uniform ±0.04
-    x += noise
+    x += _noise(clip_id, n)
     return np.core.umath.clip(x, -1.0, 1.0, out=x)
+
+
+#: the certificate synthesizes each tone in blocks of this many samples
+_BLOCK = 64
+_OFFSETS = np.arange(_BLOCK, dtype=np.float64)
+_OFFSETS.setflags(write=False)
+#: the tones' weights, one per row of the certificate's block product
+_WEIGHTS = np.array([[0.45], [0.25], [0.45], [0.25]])
+_WEIGHTS.setflags(write=False)
+#: per-sample bound on |certificate signal − reference_signal| is
+#: ``_SLACK · (1 + largest |angle|)``: argument rounding grows with the
+#: angle, libm and the block product add a few ulps; 64 ε is generous
+_SLACK = 64 * float(np.finfo(np.float64).eps)
+#: dB the certified bound must clear the threshold by: it covers the
+#: rounding of both sides' dot products, under 2e-7 dB for signals of up
+#: to ``_CERT_MAX_SAMPLES`` samples (worst case, ``m·u`` per dot product)
+_MARGIN_DB = 1e-6
+#: longer signals take the exact path, since the margin is sized up to here
+_CERT_MAX_SAMPLES = 1 << 26
+
+
+def snr_at_least(clip_id: str, sr_hz: int, decoded: np.ndarray, min_db: float) -> bool:
+    """True only when ``snr_db(ref[:m], decoded[:m]) >= min_db`` is certain
+    for ``ref = reference_signal(clip_id, sr_hz, round(n * 1000 / sr_hz))``,
+    ``n = len(decoded)`` and ``m = min(len(ref), n)``; never raises.
+
+    A filter with no false dismissals (the lower-bounding lemma of
+    Faloutsos et al., SIGMOD 1994): False means "not certain", and the
+    caller runs the exact check. Each tone is built by angle addition over
+    blocks of :data:`_BLOCK` samples, ``sin(a + b) = sin a·cos b + cos a·sin
+    b``, both tones in one ``(4 × blocks)ᵀ @ (4 × 64)`` product: about
+    ``4·(m/64 + 64)`` libm calls where the reference makes ``2·m``. The
+    noise is the reference's own. The reference's clip to ±1 never binds
+    (``|tones| ≤ 0.7``, ``|noise| ≤ 0.04``), here or there, so it is left
+    out. Each sample then lies within ``δ = _SLACK·(1 + largest angle)``
+    of the reference's, so ``‖ref − r‖ ≤ δ√m``, and by the triangle
+    inequality the exact SNR is at least
+    ``20·log10((‖r‖ − δ√m) / (‖r − decoded‖ + δ√m))``."""
+    if not isinstance(clip_id, str) or not 0 < sr_hz < math.inf:
+        return False
+    n = len(decoded)
+    m = min(n, _reference_length(sr_hz, round(n * 1000 / sr_hz)))
+    if not 0 < m <= _CERT_MAX_SAMPLES:
+        return False
+    f1, f2, p1, p2 = _tones(clip_id, sr_hz)
+    w1, w2 = 2 * np.pi * f1, 2 * np.pi * f2
+    blocks = -(-m // _BLOCK)
+    # the block starts' times, then the in-block offsets' times
+    t = np.concatenate((np.arange(0, m, _BLOCK, dtype=np.float64), _OFFSETS))
+    t /= sr_hz
+    angle = np.multiply.outer((w1, w2), t)
+    angle[0, :blocks] += p1
+    angle[1, :blocks] += p2
+    sin, cos = np.sin(angle), np.cos(angle)
+    starts = np.concatenate((sin[:, :blocks], cos[:, :blocks]))
+    offsets = np.concatenate((cos[:, blocks:], sin[:, blocks:]))
+    offsets *= _WEIGHTS
+    r = (starts.T @ offsets).ravel()[:m]
+    r += _noise(clip_id, m)
+    sig = math.sqrt(float(np.dot(r, r)))
+    r -= decoded[:m]
+    err = math.sqrt(float(np.dot(r, r)))
+    slack = _SLACK * (1.0 + m / sr_hz * max(abs(w1), abs(w2)) + 2 * np.pi) * math.sqrt(m)
+    if not (math.isfinite(sig) and math.isfinite(err)) or sig <= slack:
+        return False
+    return 20.0 * math.log10((sig - slack) / (err + slack)) >= min_db + _MARGIN_DB
 
 
 _VOCAB = (

@@ -13,10 +13,16 @@ Ray Data re-expression of the reference's byte-wise payload validators:
   ``schemas/zip.py:19-32``, generalized per the north_star invariant:
   decoded-PCM allclose SNR ≥ 30 dB + transcript equality).
 
-Runs inside the fused per-row stage (``stages/combined.py``) as
-stateless ``map_batches`` tasks. Batches should be kept small
-(payload-heavy rows): 256–1024 rows works well for ~3–13 KB clips;
-shrink for longer audio.
+Runs inside the fused per-row stage (``stages/combined.py``), which a
+validation run's row-pass tasks call on batches of at most
+``decode_batch_size`` rows (payload-heavy rows: 256–1024 rows works well
+for ~3–13 KB clips; shrink for longer audio).
+
+The SNR check first asks ``audio.snr_at_least`` for a certified lower
+bound, which never clears a row the exact check fails; only a row it
+cannot clear (below the threshold, or within its margin above it) pays
+for the exact reference signal (``audio.reference_signal``) and
+``audio.snr_db``, which also write the violation's text.
 """
 
 from __future__ import annotations
@@ -97,7 +103,7 @@ class AudioValidateStage:
                     f"declared dur_ms={dur_ms} at sr_hz={sr_hz}"
                 )
 
-        if r.check_snr:
+        if r.check_snr and not audio.snr_at_least(clip_id, header_sr, decoded, r.min_snr_db):
             n = len(decoded)
             ref = audio.reference_signal(clip_id, header_sr, round(n * 1000 / header_sr))
             m = min(len(ref), n)

@@ -239,12 +239,10 @@ def _duplicates(keys, n, parts, rule_id: str) -> pa.Table:
     )
     counts = np.asarray(g.column("n_sum"))
     dup = np.flatnonzero(counts > 1)
-    # to_pylist, not np.asarray: a null elsewhere in the bucket would
-    # promote the whole int column to float64 and render "5.0"
-    keys_np = np.empty(g.num_rows, dtype=object)
-    keys_np[:] = g.column("key").to_pylist()
+    # render only the duplicated keys; to_pylist, not np.asarray: a null
+    # would promote an int column to float64 and render "5.0"
     return violations_table(
-        [str(k) for k in keys_np[dup]],
+        [str(k) for k in g.column("key").take(dup).to_pylist()],
         rule_id,
         [f"duplicate key (appears {int(c)} times)" for c in counts[dup]],
         np.asarray(g.column("part_min"))[dup],

@@ -1,10 +1,16 @@
 """The oracle sweep's parent loop (``tools/check_oracles.py::sweep``),
 driven by fake children: a child that dies fails the query it was
 running, the tail of its standard error is echoed, and a new child goes
-on after it. No Ray, no query runs."""
+on after it. No Ray, no query runs. A real child (``Child``) is waited
+for until the processes it left behind have gone too."""
 
 import importlib.util
 import os
+import sys
+import tempfile
+import time
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _spec = importlib.util.spec_from_file_location(
@@ -121,3 +127,47 @@ def test_only_result_lines_are_echoed(capsys):
     assert printed == ["ok   a: mine=(1 rows)", "FAIL  b: mine=(1 rows) oracle=(2 rows)",
                        "      only-mine(1): [('x',)]"]
     assert capsys.readouterr().err == raylet + "\nlog a\nlog b\n"
+
+
+def _leaves_behind(seconds):
+    """A child that starts a grandchild sleeping ``seconds`` in its own
+    process group, prints its pid and exits at once."""
+    return [sys.executable, "-c",
+            "import subprocess, sys; p = subprocess.Popen([sys.executable, '-c', "
+            f"'import time; time.sleep({seconds})'], stdout=subprocess.DEVNULL); "
+            "print(p.pid, flush=True)"]
+
+
+@pytest.mark.parametrize("sleeps,bound,killed", [(60, 1.0, True), (0.5, 30.0, False)])
+def test_a_child_is_waited_for_with_what_it_left_behind(sleeps, bound, killed):
+    with tempfile.TemporaryFile("w+") as err:
+        child = check_oracles.Child(_leaves_behind(sleeps), err, bound=bound)
+        grandchild = int(next(iter(child.stdout)))
+        assert os.getpgid(grandchild) == child.proc.pid != os.getpgid(0)
+        started = time.monotonic()
+        assert child.wait() == 0
+        waited = time.monotonic() - started
+    assert child.killed is killed
+    with pytest.raises(ProcessLookupError):
+        os.killpg(child.proc.pid, 0)
+    with pytest.raises(ProcessLookupError):
+        os.kill(grandchild, 0)
+    assert waited >= (bound if killed else 0.2) and waited < 20
+
+
+def test_a_child_left_running_is_killed_with_its_group():
+    """A sweep that stops early (Ctrl-C reaches only the sweep) kills the
+    group of the child it was running; a group already seen empty is not
+    signalled again."""
+    with tempfile.TemporaryFile("w+") as err:
+        child = check_oracles.Child(_leaves_behind(60), err)
+        grandchild = int(next(iter(child.stdout)))
+        child.kill()
+        child.proc.wait()
+        assert check_oracles._group_gone(child.proc.pid, 10.0)
+    with pytest.raises(ProcessLookupError):
+        os.kill(grandchild, 0)
+    with tempfile.TemporaryFile("w+") as err:
+        done = check_oracles.Child([sys.executable, "-c", "pass"], err)
+        assert done.wait() == 0 and done.gone
+        done.kill()

@@ -21,6 +21,7 @@ from fs_schema_validator_ray.pipelines.validate import (
     plan_partitions,
     run_validation,
 )
+from fs_schema_validator_ray.report import PARTITION_COLUMN, partition_ids, violations_table
 from fs_schema_validator_ray.rules import RuleSet
 from fs_schema_validator_ray.stages import unique
 
@@ -215,6 +216,44 @@ def test_duplicate_free_corpus_is_one_read_and_no_shuffle(
         with open(tmp_path / "out" / "manifest" / f"drift-{rid}.json") as f:
             assert set(json.load(f)["sketches_hex"]) == {"0", "1", "2"}
     assert res.total_rows == 150
+
+
+def _duplicates_before_filter(keys, n, parts, rule_id):
+    """``unique._duplicates`` before it rendered only the duplicated
+    keys, frozen: it rendered every distinct key."""
+    g = pa.TableGroupBy(pa.table({"key": keys, "n": n, "part": parts}), "key").aggregate(
+        [("n", "sum"), ("part", "min")])
+    counts = np.asarray(g.column("n_sum"))
+    dup = np.flatnonzero(counts > 1)
+    keys_np = np.empty(g.num_rows, dtype=object)
+    keys_np[:] = g.column("key").to_pylist()
+    return violations_table(
+        [str(k) for k in keys_np[dup]], rule_id,
+        [f"duplicate key (appears {int(c)} times)" for c in counts[dup]],
+        np.asarray(g.column("part_min"))[dup])
+
+
+def test_duplicates_render_as_before(dup_corpus):
+    """Int, string, composite and null keys give the rows of the frozen
+    rendering, from the inputs of either path: the exact path's task key
+    counts, and the rows of a filter-path ``merge_bucket``."""
+    files = validate._input_files(dup_corpus)
+    batches = [pq.read_table(f).append_column(
+        PARTITION_COLUMN, pa.array([pid] * pq.read_metadata(f).num_rows, pa.int32()))
+        for pid, f in enumerate(files)]
+    rows = pa.concat_tables(batches)
+    rendered = set()
+    for rule in RuleSet.from_yaml(RULES_YAML).unique_rules():
+        counts = pa.concat_tables([unique._partial_counts(b, rule) for b in batches])
+        exact_path = (counts.column("key"), counts.column("n"), counts.column("part"))
+        filter_path = (unique._keys(rows, rule), np.ones(rows.num_rows, np.int64),
+                       partition_ids(rows))
+        for args in (exact_path, filter_path):
+            got = unique._duplicates(*args, rule.rule_id)
+            assert got.num_rows and got.equals(_duplicates_before_filter(*args, rule.rule_id))
+            rendered.update(got.column("key").to_pylist())
+    # a null id, an int, a string, and a composite key (id, name)
+    assert {"None", "2", "b", "2\x1fb"} <= rendered
 
 
 def test_planted_duplicates_match_the_exchange(

@@ -17,6 +17,15 @@ process's standard error. Standard output holds only result lines: any
 other line on a child's standard output (a Ray log line) also goes to
 standard error.
 
+Each child runs in a session of its own (:class:`Child`). Ray starts its
+raylet and GCS in the process group of the process that starts it, with
+only a parent-death signal to end them, so the sweep waits for that
+group to empty after each child exits (at most ``GROUP_EXIT_S``, then it
+kills the group): the sweep never exits while a Ray process it started
+is still alive. A child's own session does not see the terminal's
+Ctrl-C, so a sweep that stops early kills the group of the child it was
+running.
+
 Usage: python tools/check_oracles.py [sf_dir] [query ...]
 """
 
@@ -27,6 +36,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 
 import duckdb
 import pandas as pd
@@ -138,6 +148,59 @@ def child(sf_dir: str, names: list[str]) -> int:
     return 1 if failures else 0
 
 
+#: seconds a finished child's process group may take to empty before
+#: the sweep kills it
+GROUP_EXIT_S = 30.0
+
+
+def _group_gone(pgid: int, seconds: float) -> bool:
+    """Poll until no process of group ``pgid`` is left, for at most
+    ``seconds`` → whether it emptied."""
+    deadline = time.monotonic() + seconds
+    while True:
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            return True
+        if time.monotonic() >= deadline:
+            return False
+        time.sleep(0.05)
+
+
+class Child:
+    """A sweep child over ``args`` in a session of its own, standard error
+    to ``stderr``: ``wait()`` returns its exit code once every process of
+    its group has gone too. A group still alive ``bound`` seconds after
+    the child's exit is killed (``killed``); ``kill()`` kills a group
+    that ``wait()`` has not seen empty."""
+
+    def __init__(self, args: list[str], stderr, bound: float = GROUP_EXIT_S) -> None:
+        self.proc = subprocess.Popen(args, stdout=subprocess.PIPE, stderr=stderr,
+                                     text=True, start_new_session=True)
+        self.stdout = self.proc.stdout
+        self.bound = bound
+        self.killed = self.gone = False
+
+    def wait(self) -> int:
+        code = self.proc.wait()
+        pgid = self.proc.pid  # a session leader leads its own group
+        if not _group_gone(pgid, self.bound):
+            self.killed = True
+            print(f"sweep: killing the processes child {pgid} left after "
+                  f"{self.bound:g} s", file=sys.stderr)
+            self.kill()
+            _group_gone(pgid, 5.0)
+        self.gone = True
+        return code
+
+    def kill(self) -> None:
+        if not self.gone:
+            try:
+                os.killpg(self.proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+
+
 def _death(code: int) -> str:
     return f"signal {signal.Signals(-code).name}" if code < 0 else f"exit code {code}"
 
@@ -201,11 +264,18 @@ def main() -> int:
         failures += len(unknown)
     names = [name for name in e.queries() if not only or name in only]
 
-    def start(names, stderr):
-        return subprocess.Popen([sys.executable, "-u", __file__, "--child", sf_dir, *names],
-                                stdout=subprocess.PIPE, stderr=stderr, text=True)
+    children = []
 
-    failures += sweep(names, start)
+    def start(names, stderr):
+        children.append(Child([sys.executable, "-u", __file__, "--child", sf_dir, *names],
+                              stderr))
+        return children[-1]
+
+    try:
+        failures += sweep(names, start)
+    finally:
+        for c in children:
+            c.kill()
     print("failures:", failures)
     return 1 if failures else 0
 
