@@ -108,6 +108,7 @@ def _code_table(expand) -> np.ndarray:
 _ULAW_TABLE = _code_table(_ulaw_expand)
 _ALAW_TABLE = _code_table(_alaw_expand)
 _U8_TABLE = _code_table(_u8_expand)
+_CODE_TABLES = {"pcm_u8": _U8_TABLE, "ulaw": _ULAW_TABLE, "alaw": _ALAW_TABLE}
 
 
 # --- IMA ADPCM (4-bit adaptive differential PCM, sequential by nature) ------
@@ -257,7 +258,7 @@ def encode_adpcm_many(
 
 
 def _ima_decode(
-    data: bytes, block_align: int, n_samples: int | None
+    data: bytes, block_align: int, n_samples: int | None, dst: np.ndarray | None = None
 ) -> np.ndarray:
     if block_align < 5:
         raise AudioDecodeError(f"invalid adpcm block align {block_align}")
@@ -303,12 +304,12 @@ def _ima_decode(
         )
         index = np.clip(index + idx_tab[code & 7], 0, 88)
         out[:, t + 1] = pred
-    pcm = out.reshape(-1).astype(np.float64)
+    pcm = out.reshape(-1)
     if n_samples is not None:
         if n_samples > len(pcm):
             raise AudioDecodeError("fact chunk claims more samples than data")
         pcm = pcm[:n_samples]
-    return pcm / 32767.0
+    return np.divide(pcm, 32767.0, out=_samples(dst, len(pcm)))
 
 
 # --- RIFF/WAVE container ---------------------------------------------------
@@ -457,9 +458,17 @@ def wav_header_fields(payload: bytes) -> dict:
     raise AudioDecodeError("missing fmt chunk")
 
 
-def decode(payload: bytes) -> tuple[np.ndarray, int, str]:
+def _samples(out: np.ndarray | None, n: int) -> np.ndarray:
+    """Where ``n`` decoded samples go: ``out[:n]`` when they fit in
+    ``out``, else a new float64 array."""
+    return out[:n] if out is not None and n <= len(out) else np.empty(n)
+
+
+def decode(payload: bytes, out: np.ndarray | None = None) -> tuple[np.ndarray, int, str]:
     """Decode a WAVE (or native-FLAC) payload → (float64 samples in
-    [-1,1], sr_hz, codec)."""
+    [-1,1], sr_hz, codec). With ``out`` (float64), samples that fit in it
+    are written to ``out[:n]``, which is what is returned; the same
+    values either way."""
     if len(payload) >= 4 and struct.unpack_from("4s", payload)[0] == b"fLaC":
         from fs_schema_validator_ray.functions.flac import FlacError, decode_flac
 
@@ -469,21 +478,21 @@ def decode(payload: bytes) -> tuple[np.ndarray, int, str]:
             raise AudioDecodeError(f"bad flac payload: {exc}") from exc
         if pcm.ndim != 1:
             raise AudioDecodeError("only mono supported")
-        return pcm.astype(np.float64) / 32767.0, sr_hz, "flac"
+        return np.divide(pcm, 32767.0, out=_samples(out, len(pcm))), sr_hz, "flac"
     sr_hz, fmt, bits, _, data, block_align, fact_samples = _parse_header(payload)
     codec = _codec_name(fmt, bits)
     if codec == "pcm_s16le":
         if len(data) % 2:
             raise AudioDecodeError("pcm_s16le data length is odd")
-        x = np.divide(np.frombuffer(data, dtype="<i2"), 32767.0, dtype=np.float64)
-    elif codec == "pcm_u8":
-        x = _U8_TABLE[np.frombuffer(data, dtype=np.uint8)]
-    elif codec == "ulaw":
-        x = _ULAW_TABLE[np.frombuffer(data, dtype=np.uint8)]
+        x = np.divide(np.frombuffer(data, dtype="<i2"), 32767.0,
+                      out=_samples(out, len(data) // 2))
     elif codec == "adpcm_ima":
-        x = _ima_decode(data, block_align, fact_samples) if data else np.zeros(0)
+        x = _ima_decode(data, block_align, fact_samples, out) if data else np.zeros(0)
     else:
-        x = _ALAW_TABLE[np.frombuffer(data, dtype=np.uint8)]
+        # 8-bit codecs: one table lookup a sample ("clip" never clips a
+        # uint8 code, and unlike "raise" it writes ``out`` unbuffered)
+        x = np.take(_CODE_TABLES[codec], np.frombuffer(data, dtype=np.uint8),
+                    out=_samples(out, len(data)), mode="clip")
     return x, sr_hz, codec
 
 
@@ -511,15 +520,35 @@ _POSITIONS.setflags(write=False)
 _STEPS.setflags(write=False)
 
 
-def _splitmix_uniform(seed: int, n: int) -> np.ndarray:
-    """n deterministic uniforms in [0,1): counter-based splitmix64,
-    fully vectorized over positions (~ns/elem; no generator object to
-    initialize — RNG-object setup was ~40% of the per-row decode cost).
-    uint64 array arithmetic wraps without a warning."""
-    steps = (_STEPS[:n] if n <= _PREFIX_SAMPLES
-             else np.arange(1, n + 1, dtype=np.uint64) * _SM_GAMMA)
-    z = steps + np.uint64(seed)
-    tmp = np.empty_like(z)
+#: the exact uint64 → float64 cast: each word's high and low 32 bits go
+#: into the mantissas of 2**84 and 2**52
+_SH32 = np.uint64(32)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_EXP84 = np.uint64(0x4530000000000000)
+_EXP52 = np.uint64(0x4330000000000000)
+
+
+def _exact_float(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``z.astype(np.float64)`` bit for bit, in ``out``'s memory (``z`` is
+    clobbered): ``(2**84 + hi·2**32) − (2**84 + 2**52)`` is exact, and
+    adding ``2**52 + lo`` rounds ``hi·2**32 + lo`` once. Unlike numpy's
+    branchy unsigned-to-float cast, every step is a plain array pass (~2×
+    faster on random words)."""
+    np.right_shift(z, _SH32, out=out)
+    out |= _EXP84
+    z &= _LOW32
+    z |= _EXP52
+    x = out.view(np.float64)
+    x -= 2.0**84 + 2.0**52
+    x += z.view(np.float64)
+    return x
+
+
+def _uniforms(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """splitmix64's finalizer over the counters ``z`` → uniforms in
+    [0,1), returned in ``tmp``'s memory (``z`` is clobbered). The one
+    noise kernel: every reference signal and the certificate go through
+    it. uint64 array arithmetic wraps without a warning."""
     np.right_shift(z, _SH30, out=tmp)
     z ^= tmp
     z *= _SM_M1
@@ -528,9 +557,19 @@ def _splitmix_uniform(seed: int, n: int) -> np.ndarray:
     z *= _SM_M2
     np.right_shift(z, _SH31, out=tmp)
     z ^= tmp
-    out = z.astype(np.float64)
-    out *= 2.0**-64  # exact: a power of two
-    return out
+    u = _exact_float(z, tmp)
+    u *= 2.0**-64  # exact: a power of two
+    return u
+
+
+def _splitmix_uniform(seed: int, n: int) -> np.ndarray:
+    """n deterministic uniforms in [0,1): counter-based splitmix64,
+    fully vectorized over positions (~ns/elem; no generator object to
+    initialize — RNG-object setup was ~40% of the per-row decode cost)."""
+    steps = (_STEPS[:n] if n <= _PREFIX_SAMPLES
+             else np.arange(1, n + 1, dtype=np.uint64) * _SM_GAMMA)
+    z = steps + np.uint64(seed)
+    return _uniforms(z, np.empty_like(z))
 
 
 def _reference_length(sr_hz: int, dur_ms: int) -> int:
@@ -597,58 +636,214 @@ _WEIGHTS.setflags(write=False)
 #: angle, libm and the block product add a few ulps; 64 ε is generous
 _SLACK = 64 * float(np.finfo(np.float64).eps)
 #: dB the certified bound must clear the threshold by: it covers the
-#: rounding of both sides' dot products, under 2e-7 dB for signals of up
-#: to ``_CERT_MAX_SAMPLES`` samples (worst case, ``m·u`` per dot product)
+#: rounding of both sides' sums of squares, under 2e-7 dB for signals of
+#: up to ``_CERT_MAX_SAMPLES`` samples (worst case, ``m·u`` per sum)
 _MARGIN_DB = 1e-6
 #: longer signals take the exact path, since the margin is sized up to here
 _CERT_MAX_SAMPLES = 1 << 26
+#: samples in the certificate's reused buffers: ~20 clips-corpus rows a
+#: chunk, which stays in cache (bigger chunks measured slower)
+_CHUNK = 1 << 16
+#: splitmix64's counter step ``q · GAMMA`` at each buffer position ``q``
+_BUFFER_STEPS = np.arange(_CHUNK, dtype=np.uint64) * _SM_GAMMA
+_BUFFER_STEPS.setflags(write=False)
+#: the buffer position of every block start, as float64
+_BLOCK_STARTS = np.arange(0, _CHUNK, _BLOCK, dtype=np.float64)
+_BLOCK_STARTS.setflags(write=False)
+#: idle buffer sets: a certificate takes one and gives it back when done,
+#: so batches reuse warm pages and two live certificates never share one
+_IDLE_BUFFERS: list = []
+
+
+def _certifiable_length(clip_id, sr_hz, n: int) -> int:
+    """Samples the exact check compares for ``n`` decoded samples, or 0
+    when the certificate cannot speak for the row."""
+    if not isinstance(clip_id, str) or not 0 < sr_hz < math.inf:
+        return 0
+    m = min(n, _reference_length(sr_hz, round(n * 1000 / sr_hz)))
+    return m if m <= _CERT_MAX_SAMPLES else 0
+
+
+class SnrCertificate:
+    """The certified SNR check of many rows at once: a row it clears
+    certainly has ``snr_db(ref[:m], decoded[:m]) >= min_db`` for ``ref =
+    reference_signal(clip_id, sr_hz, round(n * 1000 / sr_hz))``, ``n =
+    len(decoded)`` and ``m = min(len(ref), n)``.
+
+    A filter with no false dismissals (the lower-bounding lemma of
+    Faloutsos et al., SIGMOD 1994): a row it does not clear is left to the
+    exact check. Rows are ``add``-ed one by one; their first ``m`` samples
+    stream through one reused buffer of :data:`_CHUNK` samples, and each
+    full buffer is checked in a few array passes. A caller that decodes
+    straight into :attr:`out` hands the samples over in place; any other
+    array is copied in. A row longer than the buffer is carried across
+    chunks with its sums accumulated.
+
+    Per chunk, each tone is built by angle addition over blocks of
+    :data:`_BLOCK` samples, ``sin(a + b) = sin a·cos b + cos a·sin b``,
+    both tones in one ``(blocks × 4) @ (4 × 64)`` product per row: about
+    ``4·(m/64 + 64)`` libm calls where the reference makes ``2·m``. The
+    noise is the reference's own, one :func:`_uniforms` pass over every
+    row's counters. The reference's clip to ±1 never binds (``|tones| ≤
+    0.7``, ``|noise| ≤ 0.04``), here or there, so it is left out. Each
+    sample then lies within ``δ = _SLACK·(1 + largest angle)`` of the
+    reference's, so ``‖ref − r‖ ≤ δ√m``, and by the triangle inequality
+    the exact SNR is at least ``20·log10((‖r‖ − δ√m) / (‖r − decoded‖ +
+    δ√m))``. ``‖r‖²`` and ``‖r − decoded‖²`` are segment sums
+    (``np.add.reduceat``, plus a carried row's chunks): any summation
+    order errs by at most ``m·u`` relative, the bound
+    :data:`_MARGIN_DB` covers, as does the exact side's ``np.dot``."""
+
+    def __init__(self, min_db: float) -> None:
+        try:
+            self._bufs = _IDLE_BUFFERS.pop()
+        except IndexError:
+            # decoded samples, signal, then two uint64 scratch arrays; one
+            # block of spare room lets a segment end at the last sample
+            self._bufs = tuple(np.zeros(_CHUNK + _BLOCK, dt) for dt in
+                               (np.float64, np.float64, np.uint64, np.uint64))
+        self._dec = self._bufs[0]
+        try:
+            self._floor = min_db + _MARGIN_DB
+        except TypeError:
+            self._floor = math.nan  # clears nothing
+        self._off = 0  # the chunk's first free sample, a block start
+        #: the buffer's free tail: ``audio.decode``'s ``out`` for the next row
+        self.out = self._dec[:_CHUNK]
+        #: the chunk's (row, first sample, samples, offset); a row is
+        #: (sr_hz, w1, w2, p1, p2, m, seed, n, its samples unless in place, index)
+        self._pieces: list = []
+        self._carry = None  # sums so far of a row carried into the next chunk
+        self._uncleared: list = []
+
+    def add(self, clip_id, sr_hz, decoded) -> None:
+        """Queue one row; never raises for a real ``sr_hz``."""
+        in_place = getattr(decoded, "base", None) is self._dec
+        n = len(decoded)
+        m = _certifiable_length(clip_id, sr_hz, n)
+        try:
+            tones = _tones(clip_id, sr_hz) if m else None
+            seed = _seed_for(clip_id) if m else 0
+        except UnicodeEncodeError:  # the exact path raises it for the row
+            m = 0
+        if not m:
+            self._uncleared.append(decoded.copy() if in_place else decoded)
+            return
+        f1, f2, p1, p2 = tones
+        row = (sr_hz, 2 * np.pi * f1, 2 * np.pi * f2, p1, p2, m, seed, n,
+               None if in_place else decoded, len(self._uncleared))
+        self._uncleared.append(None)
+        if in_place:  # decoded into ``out``: at the chunk's free offset
+            self._pieces.append((row, 0, m, self._off))
+            self._off += -(-n // _BLOCK) * _BLOCK
+        else:
+            start = 0
+            while start < m:
+                size = min(m - start, _CHUNK)
+                if size > _CHUNK - self._off:
+                    self._flush()
+                off = self._off
+                self._dec[off : off + size] = decoded[start : start + size]
+                self._pieces.append((row, start, size, off))
+                self._off += -(-size // _BLOCK) * _BLOCK
+                start += size
+        self.out = self._dec[self._off : _CHUNK]
+
+    def uncleared(self) -> list:
+        """Per added row, in order: None when cleared, else its decoded
+        samples, for the exact check. Ends the certificate."""
+        self._flush()
+        _IDLE_BUFFERS.append(self._bufs)
+        self._bufs = self._dec = self.out = None
+        return self._uncleared
+
+    def _flush(self) -> None:
+        """Check the rows in the buffer, then empty it."""
+        pieces = self._pieces
+        if not pieces:
+            return
+        dec, ref, counters, scratch = self._bufs
+        total = self._off
+        rows = [p[0] for p in pieces]
+        prm = np.array([r[:6] for r in rows])  # sr_hz, w1, w2, p1, p2, m
+        start, size, off = np.array([p[1:] for p in pieces], np.int64).T
+        blocks = -(-size // _BLOCK)
+        first = np.cumsum(blocks) - blocks
+        with np.errstate(all="ignore"):  # stale gap values may be anything
+            # the tones: each block start's time in its row, then its
+            # angles; each row's in-block offsets' angles; then the product
+            rep = np.repeat(prm, blocks, axis=0)
+            t = _BLOCK_STARTS[: len(rep)] + np.repeat(start - _BLOCK * first, blocks)
+            t /= rep[:, 0]
+            angle = t[:, None] * rep[:, 1:3]
+            angle += rep[:, 3:5]
+            starts = np.empty((len(rep), 4))
+            np.sin(angle, out=starts[:, :2])
+            np.cos(angle, out=starts[:, 2:])
+            angle = np.divide(_OFFSETS, prm[:, :1])[:, None, :] * prm[:, 1:3, None]
+            offsets = np.empty((len(prm), 4, _BLOCK))
+            np.cos(angle, out=offsets[:, :2])
+            np.sin(angle, out=offsets[:, 2:])
+            offsets *= _WEIGHTS
+            for o, b0, nb, offs in zip(off.tolist(), first.tolist(), blocks.tolist(), offsets):
+                np.matmul(starts[b0 : b0 + nb], offs,
+                          out=ref[o : o + nb * _BLOCK].reshape(nb, _BLOCK))
+            # the noise: position q of a row placed at ``off`` is its
+            # sample ``q - off + start``, splitmix counter ``(that + 1)·GAMMA
+            # + seed``; gaps between rows get noise nobody reads
+            z = counters[:total]
+            ends = off[1:].tolist() + [total]
+            for row, s, o, e in zip(rows, start.tolist(), off.tolist(), ends):
+                base = np.uint64((row[6] + (s - o + 1) * int(_SM_GAMMA)) % (1 << 64))
+                np.add(_BUFFER_STEPS[o:e], base, out=z[o:e])
+            noise = _uniforms(z, scratch[:total])
+            noise -= 0.5
+            noise *= 0.08
+            r = ref[:total]
+            r += noise
+            # the sums of squares over each row's segment (the counters
+            # are spent, so their memory is scratch)
+            sq = counters.view(np.float64)
+            sq[total] = 0.0
+            edges = np.empty(2 * len(pieces), np.int64)
+            edges[0::2] = off
+            edges[1::2] = off + size
+            np.multiply(r, r, out=sq[:total])
+            sig2 = np.add.reduceat(sq[: total + 1], edges)[0::2]
+            np.subtract(r, dec[:total], out=sq[:total])
+            np.multiply(sq[:total], sq[:total], out=sq[:total])
+            err2 = np.add.reduceat(sq[: total + 1], edges)[0::2]
+            if self._carry is not None:  # the first piece ends a carried row
+                sig2[0] += self._carry[0]
+                err2[0] += self._carry[1]
+                self._carry = None
+            done = len(pieces)
+            last_row, last_start, last_size, _ = pieces[-1]
+            if last_start + last_size < last_row[5]:  # carried on
+                done -= 1
+                self._carry = (sig2[done], err2[done])
+            m = prm[:done, 5]
+            sr_hz = prm[:done, 0]
+            slack = _SLACK * (1.0 + m / sr_hz * np.abs(prm[:done, 1:3]).max(axis=1)
+                              + 2 * np.pi) * np.sqrt(m)
+            sig, err = np.sqrt(sig2[:done]), np.sqrt(err2[:done])
+            cleared = (np.isfinite(sig) & np.isfinite(err) & (sig > slack)
+                       & (20.0 * np.log10((sig - slack) / (err + slack)) >= self._floor))
+        for (row, _, _, o), ok in zip(pieces, cleared.tolist()):
+            if not ok:
+                samples = row[8]
+                self._uncleared[row[9]] = dec[o : o + row[7]].copy() if samples is None else samples
+        self._pieces = []
+        self._off = 0
+        self.out = dec[:_CHUNK]
 
 
 def snr_at_least(clip_id: str, sr_hz: int, decoded: np.ndarray, min_db: float) -> bool:
-    """True only when ``snr_db(ref[:m], decoded[:m]) >= min_db`` is certain
-    for ``ref = reference_signal(clip_id, sr_hz, round(n * 1000 / sr_hz))``,
-    ``n = len(decoded)`` and ``m = min(len(ref), n)``; never raises.
-
-    A filter with no false dismissals (the lower-bounding lemma of
-    Faloutsos et al., SIGMOD 1994): False means "not certain", and the
-    caller runs the exact check. Each tone is built by angle addition over
-    blocks of :data:`_BLOCK` samples, ``sin(a + b) = sin a·cos b + cos a·sin
-    b``, both tones in one ``(4 × blocks)ᵀ @ (4 × 64)`` product: about
-    ``4·(m/64 + 64)`` libm calls where the reference makes ``2·m``. The
-    noise is the reference's own. The reference's clip to ±1 never binds
-    (``|tones| ≤ 0.7``, ``|noise| ≤ 0.04``), here or there, so it is left
-    out. Each sample then lies within ``δ = _SLACK·(1 + largest angle)``
-    of the reference's, so ``‖ref − r‖ ≤ δ√m``, and by the triangle
-    inequality the exact SNR is at least
-    ``20·log10((‖r‖ − δ√m) / (‖r − decoded‖ + δ√m))``."""
-    if not isinstance(clip_id, str) or not 0 < sr_hz < math.inf:
-        return False
-    n = len(decoded)
-    m = min(n, _reference_length(sr_hz, round(n * 1000 / sr_hz)))
-    if not 0 < m <= _CERT_MAX_SAMPLES:
-        return False
-    f1, f2, p1, p2 = _tones(clip_id, sr_hz)
-    w1, w2 = 2 * np.pi * f1, 2 * np.pi * f2
-    blocks = -(-m // _BLOCK)
-    # the block starts' times, then the in-block offsets' times
-    t = np.concatenate((np.arange(0, m, _BLOCK, dtype=np.float64), _OFFSETS))
-    t /= sr_hz
-    angle = np.multiply.outer((w1, w2), t)
-    angle[0, :blocks] += p1
-    angle[1, :blocks] += p2
-    sin, cos = np.sin(angle), np.cos(angle)
-    starts = np.concatenate((sin[:, :blocks], cos[:, :blocks]))
-    offsets = np.concatenate((cos[:, blocks:], sin[:, blocks:]))
-    offsets *= _WEIGHTS
-    r = (starts.T @ offsets).ravel()[:m]
-    r += _noise(clip_id, m)
-    sig = math.sqrt(float(np.dot(r, r)))
-    r -= decoded[:m]
-    err = math.sqrt(float(np.dot(r, r)))
-    slack = _SLACK * (1.0 + m / sr_hz * max(abs(w1), abs(w2)) + 2 * np.pi) * math.sqrt(m)
-    if not (math.isfinite(sig) and math.isfinite(err)) or sig <= slack:
-        return False
-    return 20.0 * math.log10((sig - slack) / (err + slack)) >= min_db + _MARGIN_DB
+    """:class:`SnrCertificate`'s verdict on one row: True only when the
+    exact SNR is certainly at least ``min_db``; never raises."""
+    cert = SnrCertificate(min_db)
+    cert.add(clip_id, sr_hz, decoded)
+    return cert.uncleared()[0] is None
 
 
 _VOCAB = (

@@ -75,31 +75,41 @@ def partition_ids(batch: pa.Table) -> np.ndarray:
     return np.asarray(col.fill_null(-1))
 
 
-def row_violations(batch: pa.Table, key_column: str, rule_id: str, check, rows) -> pa.Table:
-    """Run a per-row check over ``batch`` → violation rows.
+def unexpected_error(ex: Exception) -> str:
+    """The one reason of a row whose check raised: one poisoned row must
+    not kill a 100 TB run (anticipated decode errors are typed by the
+    checks themselves; this is the backstop for genuinely malformed
+    payloads)."""
+    return f"unexpected validation error: ({type(ex).__name__}) {ex}"
 
-    ``rows`` yields one argument tuple per batch row, in batch order;
-    ``check(*args)`` returns that row's reasons (empty when it passes).
-    Each reason becomes one row carrying the row's key (stringified;
-    null when the batch has no ``key_column``) and partition id. A check
-    that raises yields one ``unexpected validation error`` reason for its
-    row: one poisoned row must not kill a 100 TB run (anticipated decode
-    errors are typed by the checks themselves; this is the backstop for
-    genuinely malformed payloads)."""
-    idx: list[int] = []
-    reasons: list[str] = []
-    for i, args in enumerate(rows):
-        try:
-            found = check(*args)
-        except Exception as ex:  # noqa: BLE001 - see docstring
-            found = [f"unexpected validation error: ({type(ex).__name__}) {ex}"]
-        idx.extend([i] * len(found))
-        reasons.extend(found)
+
+def reasons_table(batch: pa.Table, key_column: str, rule_id: str, found: list) -> pa.Table:
+    """Violation rows from ``found``, one list of reasons per batch row in
+    batch order. Each reason becomes one row carrying the row's key
+    (stringified; null when the batch has no ``key_column``) and
+    partition id."""
+    idx = [i for i, reasons in enumerate(found) for _ in reasons]
+    reasons = [x for row in found for x in row]
     keys = [None] * len(idx)
     if key_column in batch.column_names:
         taken = batch.column(key_column).take(pa.array(idx, pa.int64()))
         keys = [None if k is None else str(k) for k in taken.to_pylist()]
     return violations_table(keys, rule_id, reasons, partition_ids(batch)[idx])
+
+
+def row_violations(batch: pa.Table, key_column: str, rule_id: str, check, rows) -> pa.Table:
+    """Run a per-row check over ``batch`` → violation rows.
+
+    ``rows`` yields one argument tuple per batch row, in batch order;
+    ``check(*args)`` returns that row's reasons (empty when it passes). A
+    check that raises yields its row's :func:`unexpected_error`."""
+    found = []
+    for args in rows:
+        try:
+            found.append(check(*args))
+        except Exception as ex:  # noqa: BLE001 - see unexpected_error
+            found.append([unexpected_error(ex)])
+    return reasons_table(batch, key_column, rule_id, found)
 
 
 @dataclass(frozen=True)

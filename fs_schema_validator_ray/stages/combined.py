@@ -1,14 +1,14 @@
 """Single-pass per-row validation: scalar + audio + referential fused.
 
-One ``map_batches`` callable evaluating every per-row rule of the plan
-against each Arrow batch. Fusing matters at scale: Ray Data branches
-re-execute their upstream read, so running scalar / decode / referential
-as three parallel streams over the same input reads the payload bytes
-three times; fused, each block is read once, validated once, and only
-(sparse) violation rows leave the task.
+One callable evaluating every per-row rule of the plan against each
+Arrow batch. Fusing matters at scale: running scalar / decode /
+referential as three streams over the same input would read the payload
+bytes three times; fused, each partition is read once, validated once,
+and only (sparse) violation rows leave the task.
 
-Shipped as a callable *instance* → stateless Ray tasks (instant full-
-cluster fan-out, no actor spin-up).
+A validation run's row-pass tasks (plain Ray tasks) call it on each
+batch of at most ``decode_batch_size`` rows
+(``pipelines/validate.py::CommitPartitions.validate``).
 """
 
 from __future__ import annotations

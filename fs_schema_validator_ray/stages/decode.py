@@ -18,20 +18,28 @@ validation run's row-pass tasks call on batches of at most
 ``decode_batch_size`` rows (payload-heavy rows: 256–1024 rows works well
 for ~3–13 KB clips; shrink for longer audio).
 
-The SNR check first asks ``audio.snr_at_least`` for a certified lower
-bound, which never clears a row the exact check fails; only a row it
-cannot clear (below the threshold, or within its margin above it) pays
-for the exact reference signal (``audio.reference_signal``) and
-``audio.snr_db``, which also write the violation's text.
+``AudioValidateStage`` checks a batch in three passes. Per row, it
+decodes the payload and runs the checks before the SNR. Then one
+``audio.SnrCertificate`` takes every row that reaches the SNR check: each
+row decodes straight into the certificate's reused buffer, and every
+~64k samples the buffer is checked in a few array passes (the tones'
+block products, one splitmix noise pass, segment sums). The certificate
+gives a certified lower bound on each row's SNR and never clears a row
+the exact check fails. Last, per row, only a row it cannot clear (below
+the threshold, or within its margin above it) pays for the exact
+reference signal (``audio.reference_signal``) and ``audio.snr_db``, which
+also write the violation's text; then the transcript check.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
 
 import numpy as np
 import pyarrow as pa
 
 from fs_schema_validator_ray import audio
-from fs_schema_validator_ray.report import row_violations
+from fs_schema_validator_ray.report import reasons_table, unexpected_error
 from fs_schema_validator_ray.rules import AudioRule
 
 
@@ -48,7 +56,9 @@ def binary_views(col: pa.Array) -> list:
         return [None if col[i].as_py() is None else memoryview(b"") for i in range(n)]
     off_dtype = np.int64 if pa.types.is_large_binary(col.type) else np.int32
     offs = np.frombuffer(bufs[1], dtype=off_dtype)[col.offset : col.offset + n + 1]
-    data = memoryview(bufs[2])
+    # an Arrow buffer's view indexes as signed bytes ("b"); payload
+    # parsers read unsigned ones, as from ``bytes``
+    data = memoryview(bufs[2]).cast("B")
     nulls = (
         np.asarray(col.is_null()) if col.null_count else np.zeros(n, dtype=bool)
     )
@@ -58,42 +68,50 @@ def binary_views(col: pa.Array) -> list:
 
 
 class AudioValidateStage:
+    """Checks a batch in three passes: per row, the checks that come
+    before the SNR (``_check_head``); one :class:`audio.SnrCertificate`
+    over every row that reaches it; per row again, the exact SNR for the
+    rows the certificate cannot clear and the transcript
+    (``_check_tail``). A row's reasons keep the checks' order, and a row
+    whose check raises gets only its ``unexpected validation error``."""
+
     def __init__(self, rule: AudioRule, key_column: str = "clip_id") -> None:
         self.rule = rule
         self.key_column = key_column
 
-    def _check_row(
+    def _check_head(
         self,
+        cert: audio.SnrCertificate | None,
         clip_id: str,
         payload: bytes | None,
         declared: str | None,
         sr_hz: int | None,
         dur_ms: int | None,
-        transcript: str | None,
-    ) -> list[str]:
+    ) -> tuple[list[str], int | None]:
+        """``(reasons, container sample rate)``: the rate is None when a
+        reason ended the row's checks; otherwise its samples went to
+        ``cert``, decoded straight into the certificate's buffer."""
         r = self.rule
-        reasons: list[str] = []
         if payload is None:
-            return ["payload is null"]
+            return ["payload is null"], None
         try:
-            decoded, header_sr, actual_codec = audio.decode(payload)
+            decoded, header_sr, actual_codec = audio.decode(
+                payload, out=None if cert is None else cert.out)
         except audio.AudioDecodeError as ex:
-            return [f"failed to deserialize: ({type(ex).__name__}) {ex}"]
+            return [f"failed to deserialize: ({type(ex).__name__}) {ex}"], None
 
         if r.check_codec and declared is not None and declared != actual_codec:
-            reasons.append(f"payload is not in {declared} format (got {actual_codec})")
-            return reasons
+            return [f"payload is not in {declared} format (got {actual_codec})"], None
 
         if len(decoded) == 0:
-            reasons.append("decoded audio contains no samples")
-            return reasons
+            return ["decoded audio contains no samples"], None
 
         if sr_hz is not None and header_sr != sr_hz:
-            reasons.append(
+            return [
                 f"container sample rate {header_sr} does not match declared sr_hz={sr_hz}"
-            )
-            return reasons
+            ], None
 
+        reasons: list[str] = []
         if r.check_duration and sr_hz is not None and dur_ms is not None:
             expected = round(dur_ms * sr_hz / 1000)
             tol = max(1, round(r.duration_tolerance_ms * sr_hz / 1000))
@@ -102,8 +120,22 @@ class AudioValidateStage:
                     f"decoded length {len(decoded)} samples does not match "
                     f"declared dur_ms={dur_ms} at sr_hz={sr_hz}"
                 )
+        if cert is not None:
+            cert.add(clip_id, header_sr, decoded)
+        return reasons, header_sr
 
-        if r.check_snr and not audio.snr_at_least(clip_id, header_sr, decoded, r.min_snr_db):
+    def _check_tail(
+        self,
+        reasons: list[str],
+        clip_id: str,
+        header_sr: int,
+        decoded: np.ndarray | None,
+        transcript: str | None,
+    ) -> None:
+        """Append the exact SNR check's reason, for ``decoded`` samples the
+        certificate did not clear, then the transcript's."""
+        r = self.rule
+        if decoded is not None:
             n = len(decoded)
             ref = audio.reference_signal(clip_id, header_sr, round(n * 1000 / header_sr))
             m = min(len(ref), n)
@@ -117,7 +149,6 @@ class AudioValidateStage:
         if r.check_transcript and transcript is not None:
             if transcript != audio.reference_transcript(clip_id):
                 reasons.append("transcript does not match reference")
-        return reasons
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         r = self.rule
@@ -134,12 +165,28 @@ class AudioValidateStage:
             if r.bytes_column in names
             else [None] * n
         )
+        clip_ids = col(self.key_column)
         transcripts = col(r.transcript_column) if r.check_transcript else [None] * n
-        rows = zip(
-            col(self.key_column), payloads, col(r.codec_column),
-            col(r.sr_column), col(r.dur_column), transcripts,
-        )
-        return row_violations(batch, self.key_column, r.rule_id, self._check_row, rows)
+        cert = audio.SnrCertificate(r.min_snr_db) if r.check_snr else None
+        found: list[list[str]] = []
+        tails: list[tuple[int, int]] = []  # (row, container sample rate)
+        for i, args in enumerate(zip(
+            clip_ids, payloads, col(r.codec_column), col(r.sr_column), col(r.dur_column),
+        )):
+            try:
+                reasons, header_sr = self._check_head(cert, *args)
+            except Exception as ex:  # noqa: BLE001 - see report.unexpected_error
+                reasons, header_sr = [unexpected_error(ex)], None
+            found.append(reasons)
+            if header_sr is not None:
+                tails.append((i, header_sr))
+        uncleared = cert.uncleared() if cert is not None else repeat(None)
+        for (i, header_sr), decoded in zip(tails, uncleared):
+            try:
+                self._check_tail(found[i], clip_ids[i], header_sr, decoded, transcripts[i])
+            except Exception as ex:  # noqa: BLE001 - see report.unexpected_error
+                found[i] = [unexpected_error(ex)]
+        return reasons_table(batch, self.key_column, r.rule_id, found)
 
 
 WAV_HEADER_SCHEMA = pa.schema(

@@ -25,9 +25,10 @@ from fs_schema_validator_ray.rules import ColumnRule
 
 
 class ScalarRuleStage:
-    """Callable suitable for ``Dataset.map_batches`` (plain function
-    semantics → stateless Ray tasks; no actor needed, there is no state
-    to amortize — regexes are compiled inside Arrow's RE2 kernels)."""
+    """Stateless batch callable: a validation run's row-pass tasks call it
+    through ``CombinedValidateStage``, and the scalar-rule query runs it
+    under ``Dataset.map_batches`` (no actor needed, there is no state to
+    amortize — regexes are compiled inside Arrow's RE2 kernels)."""
 
     def __init__(self, rules: list[ColumnRule], key_column: str = "clip_id") -> None:
         self.rules = list(rules)

@@ -388,11 +388,81 @@ def embedding_near_dup_lsh(
 # --- distributed Lloyd's k-means -------------------------------------------
 
 
+#: k-means partial sums are exact integers in units of ``2**-30``: unit
+#: vectors' components are at most 1, so ``2**33`` rows fit in an int64 sum,
+#: and a centroid does not depend on how the rows are blocked or on the
+#: order the partials arrive in
+_FIXED_ONE = 2.0**30
+
+
+def _row_keys(mat: np.ndarray) -> np.ndarray:
+    """A uint64 key per row from its float64 bytes alone (splitmix64's
+    finalizer folded over the columns): the same row gets the same key
+    however the rows are blocked. uint64 array arithmetic wraps without a
+    warning."""
+    bits = np.ascontiguousarray(mat, np.float64).view(np.uint64)
+    key = np.zeros(len(bits), np.uint64)
+    for j in range(bits.shape[1]):
+        key ^= bits[:, j]
+        key ^= key >> np.uint64(30)
+        key *= np.uint64(0xBF58476D1CE4E5B9)
+        key ^= key >> np.uint64(27)
+        key *= np.uint64(0x94D049BB133111EB)
+        key ^= key >> np.uint64(31)
+    return key
+
+
+def _smallest_keys(keys: np.ndarray, mat: np.ndarray, size: int) -> np.ndarray:
+    """Indices of the ``size`` rows first in (key, row bytes) order, in
+    that order: a total order, so ties between keys break the same way."""
+    bits = np.ascontiguousarray(mat, np.float64).view(np.uint64)
+    order = np.lexsort((*bits.T[::-1], keys))
+    return order[:size]
+
+
+class KmeansSampleStage:
+    """map_batches callable: a block's ``size`` rows of smallest
+    :func:`_row_keys` key, ``(key, vector)``. :func:`kmeans_sample` keeps
+    the ``size`` smallest of all blocks': a sample that depends on the
+    rows alone, not on their blocking or arrival order."""
+
+    def __init__(self, size: int, vec_column: str = "embedding") -> None:
+        self.size = size
+        self.vec_column = vec_column
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        mat = list_column_to_matrix(batch.column(self.vec_column)).astype(np.float64)
+        keys = _row_keys(mat)
+        keep = _smallest_keys(keys, mat, self.size)
+        vec = pa.FixedSizeListArray.from_arrays(pa.array(mat[keep].reshape(-1)), mat.shape[1])
+        return pa.table({"key": pa.array(keys[keep], pa.uint64()), "vec": vec})
+
+
+def kmeans_sample(ds, size: int, vec_column: str = "embedding") -> np.ndarray:
+    """The ``size`` rows of ``ds`` first in (key, row bytes) order, in
+    that order (``KmeansSampleStage``), holding the sample and one
+    incoming batch at a time."""
+    keys = np.zeros(0, np.uint64)
+    mat = None
+    sampled = ds.select_columns([vec_column]).map_batches(
+        KmeansSampleStage(size, vec_column), batch_format="pyarrow")
+    for b in sampled.iter_batches(batch_format="pyarrow"):
+        if not b.num_rows:
+            continue
+        more = list_column_to_matrix(b.column("vec"))
+        keys = np.concatenate((keys, np.asarray(b.column("key"))))
+        mat = more if mat is None else np.concatenate((mat, more))
+        keep = _smallest_keys(keys, mat, size)
+        keys, mat = keys[keep], mat[keep]
+    return np.empty((0, 0)) if mat is None else mat
+
+
 class KmeansPartialStage:
     """map_batches callable: per-cluster (count, vector-sum) partials for
-    one Lloyd iteration — k×dim floats per block (KBs), the corpus never
-    leaves the workers. Centroids resolve from the broadcast ref once per
-    actor/task instance."""
+    one Lloyd iteration — k×dim integers per block (KBs), the corpus never
+    leaves the workers. The sums are exact, in units of ``1/_FIXED_ONE``.
+    Centroids resolve from the broadcast ref once per actor/task
+    instance."""
 
     def __init__(self, cent_ref, vec_column: str = "embedding") -> None:
         self.cent_ref = cent_ref
@@ -416,19 +486,19 @@ class KmeansPartialStage:
                 {
                     "cluster_id": pa.array([], pa.int32()),
                     "n": pa.array([], pa.int64()),
-                    "vec_sum": pa.array([], pa.list_(pa.float64())),
+                    "vec_sum": pa.array([], pa.list_(pa.int64())),
                 }
             )
         assign = np.argmax(mat @ cent.T, axis=1)
         counts = np.bincount(assign, minlength=k).astype(np.int64)
-        sums = np.zeros((k, dim), np.float64)
-        np.add.at(sums, assign, mat)
+        sums = np.zeros((k, dim), np.int64)
+        np.add.at(sums, assign, np.round(mat * _FIXED_ONE).astype(np.int64))
         live = np.flatnonzero(counts)
         return pa.table(
             {
                 "cluster_id": pa.array(live.astype(np.int32)),
                 "n": pa.array(counts[live], pa.int64()),
-                "vec_sum": pa.array(list(sums[live])),
+                "vec_sum": pa.array(list(sums[live]), pa.list_(pa.int64())),
             }
         )
 
@@ -444,25 +514,32 @@ def kmeans_centroids(
     """The centroid-fit half of :func:`kmeans_cluster` (init from a
     bounded driver sample, then ``iters`` streaming partial-sum passes);
     returns the unit-normalized (k × dim) centroid matrix so callers can
-    run their own assignment pass (``kmeans_cluster``, ``semdedup``)."""
+    run their own assignment pass (``kmeans_cluster``, ``semdedup``).
+    The same vectors give the same centroids however they are blocked:
+    the sample is taken in key order (:func:`kmeans_sample`) and the
+    partial sums are exact integers, so their fold needs no order."""
     import ray
 
-    sample = ds.limit(sample_size)
-    cent = kmeans_fit(collect_matrix(sample, vec_column), n_clusters, seed=seed)
+    cent = kmeans_fit(kmeans_sample(ds, sample_size, vec_column), n_clusters, seed=seed)
     vecs = ds.select_columns([vec_column])  # iteration passes never need ids
     for _ in range(iters):
         cent_ref = ray.put(cent)
         partials = vecs.map_batches(
             KmeansPartialStage(cent_ref, vec_column), batch_format="pyarrow"
-        ).to_pandas()  # blocks × ≤k rows of (id, n, k-dim sum) — KBs
-        if not len(partials):
+        ).to_arrow_refs()
+        counts = np.zeros(len(cent), np.int64)
+        sums = np.zeros(cent.shape, np.int64)
+        for part in ray.get(partials):  # blocks × ≤k rows of (id, n, k-dim sum) — KBs
+            for cid, n, vec_sum in zip(part.column("cluster_id").to_pylist(),
+                                       part.column("n").to_pylist(),
+                                       part.column("vec_sum").to_pylist()):
+                counts[cid] += n
+                sums[cid] += vec_sum
+        if not counts.any():
             break
         new = cent.copy()
-        grouped = partials.groupby("cluster_id")  # pandas, on the driver's KB of partials
-        for cid, g in grouped:
-            total = int(g["n"].sum())
-            if total:
-                new[int(cid)] = np.sum(np.stack(g["vec_sum"].to_numpy()), axis=0) / total
+        live = np.flatnonzero(counts)
+        new[live] = sums[live] / (counts[live, None] * _FIXED_ONE)
         cent = _normalize(new)
     return cent
 

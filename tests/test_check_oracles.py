@@ -92,6 +92,24 @@ def test_a_dead_child_shows_the_tail_of_its_stderr(capsys):
     assert capsys.readouterr().err == "log c\n"
 
 
+def test_a_dead_child_names_its_ray_session():
+    """A child names its Ray session directory on standard error; when it
+    dies the sweep echoes it, where its raylet and worker logs are."""
+    class Named(FakeChild):
+        def __init__(self, names, outcomes, stderr):
+            stderr.write(check_oracles.SESSION + "/tmp/ray/session_2026\n")
+            super().__init__(names, outcomes, stderr)
+
+    printed = []
+    failures = check_oracles.sweep(
+        ["a", "b", "c"], lambda rest, stderr: Named(rest, {"b": -6}, stderr), printed.append)
+    died = printed.index("FAIL  b: sweep process died (signal SIGABRT)")
+    assert failures == 1
+    assert printed[died + 1] == "      session: /tmp/ray/session_2026"
+    assert printed[died + 2:died + 22] == [f"      stderr: trace {i}" for i in range(5, 25)]
+    assert not any(p.startswith("      session") for p in printed[died + 22:])
+
+
 def test_a_child_dead_before_its_first_query_stops_the_sweep():
     class Dead:
         stdout = iter(["a Ray startup error\n"])

@@ -5,8 +5,11 @@ tests (`/root/reference/tests/test_image.py:33-48`,
 `tests/test_gltf.py:25-47`) against the synthetic clips corpus.
 """
 
+import struct
+
 import numpy as np
 import pyarrow as pa
+import pytest
 
 from fs_schema_validator_ray import audio
 from fs_schema_validator_ray.rules import AudioRule
@@ -402,3 +405,267 @@ def test_code_tables_equal_their_formulas():
         for code in range(256):
             want = expand(np.array([code], np.uint8))
             assert table[code].view(np.uint64) == want.view(np.uint64)[0], code
+
+
+# --- IMA ADPCM codec ---------------------------------------------------------
+
+
+def test_ima_adpcm_roundtrip_snr_and_size():
+    """4-bit IMA ADPCM: ~4:1 compression with ≥20 dB round-trip SNR on
+    the corpus reference signal; exact length recovery via fact chunk."""
+    for sr, dur in [(8000, 240), (16000, 100), (48000, 60)]:
+        x = audio.reference_signal(f"clip-0000-{sr % 937:06d}", sr, dur)
+        payload = audio.encode(x, sr, "adpcm_ima")
+        y, sr2, codec = audio.decode(payload)
+        assert (codec, sr2, len(y)) == ("adpcm_ima", sr, len(x))
+        assert audio.snr_db(x, y) >= 20.0
+        pcm16 = audio.encode(x, sr, "pcm_s16le")
+        assert len(payload) < 0.4 * len(pcm16)
+
+
+def test_ima_adpcm_malformed():
+    x = audio.reference_signal("clip-0000-000009", 16000, 80)
+    payload = bytearray(audio.encode(x, 16000, "adpcm_ima"))
+    # corrupt the step index of the first block beyond 88
+    data_off = bytes(payload).index(b"data") + 8
+    payload[data_off + 2] = 200
+    with pytest.raises(audio.AudioDecodeError, match="step index"):
+        audio.decode(bytes(payload))
+    # fact chunk claiming more samples than blocks carry
+    bad = bytearray(audio.encode(x, 16000, "adpcm_ima"))
+    fact_off = bytes(bad).index(b"fact") + 8
+    struct.pack_into("<I", bad, fact_off, 10_000_000)
+    with pytest.raises(audio.AudioDecodeError, match="fact chunk"):
+        audio.decode(bytes(bad))
+
+
+# --- the noise kernel's cast and decode into a buffer ------------------------
+
+
+def test_the_noise_cast_equals_astype():
+    """``audio._exact_float`` is numpy's uint64 → float64 cast bit for bit,
+    on random words and on the words around every rounding edge."""
+    rng = np.random.default_rng(64)
+    edges = [0, 1, 2**32 - 1, 2**32, 2**52, 2**53 - 1, 2**53, 2**53 + 1, 2**53 + 3,
+             2**63 - 1, 2**63, 2**63 + 1, 2**63 + 2**10, 2**63 + 2**10 + 1,
+             2**64 - 2**11, 2**64 - 2**10 - 1, 2**64 - 2**10, 2**64 - 1]
+    batches = [np.array(edges, np.uint64)]
+    batches += [rng.integers(0, 2**64 - 1, 98_304, dtype=np.uint64, endpoint=True)
+                for _ in range(8)]
+    # ties: exactly half an ulp above a representable value, at every scale
+    scale = rng.integers(0, 11, 4096).astype(np.uint64)
+    batches.append(((rng.integers(2**52, 2**53, 4096, dtype=np.uint64) << scale)
+                    | (np.uint64(1) << scale) >> np.uint64(1)))
+    for z in batches:
+        want = z.astype(np.float64)
+        got = audio._exact_float(z.copy(), np.empty_like(z))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _codec_payloads():
+    x = audio.reference_signal("clip-0000-000123", 16000, 90)
+    return {codec: audio.encode(x, 16000, codec) for codec in audio.CODECS}
+
+
+def test_decoding_into_a_buffer_gives_the_same_samples():
+    """``out=``: samples that fit are written to ``out[:n]`` and returned;
+    samples that do not fit come back in a new array; the values are the
+    plain decode's, bit for bit, for every codec."""
+    for codec, payload in _codec_payloads().items():
+        want, sr, got_codec = audio.decode(payload)
+        out = np.full(len(want) + 5, 7.0)
+        got, sr2, codec2 = audio.decode(payload, out=out)
+        assert (sr2, codec2) == (sr, got_codec) == (16000, codec)
+        assert got.base is out and len(got) == len(want)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), codec
+        assert (out[len(want):] == 7.0).all()
+        small = np.zeros(len(want) - 1)
+        got, _, _ = audio.decode(payload, out=small)
+        assert got.base is not small and not small.any()
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), codec
+
+
+def test_binary_views_read_unsigned_bytes():
+    """A FLAC payload indexes its bytes as ints: a view of the Arrow
+    column must read them as ``bytes`` does, or STREAMINFO misparses."""
+    from fs_schema_validator_ray.stages.decode import binary_views
+
+    payload = _codec_payloads()["flac"]
+    (view,) = binary_views(pa.array([payload], pa.binary()))
+    assert list(view) == list(payload)
+    got, want = audio.decode(view)[0], audio.decode(payload)[0]
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+# --- the batched audio stage against its per-row form ------------------------
+
+
+def _check_row_before_batching(r, clip_id, payload, declared, sr_hz, dur_ms, transcript):
+    """``AudioValidateStage._check_row`` before the stage checked a batch
+    in array passes, frozen (``self.rule`` is ``r``)."""
+    reasons: list[str] = []
+    if payload is None:
+        return ["payload is null"]
+    try:
+        decoded, header_sr, actual_codec = audio.decode(payload)
+    except audio.AudioDecodeError as ex:
+        return [f"failed to deserialize: ({type(ex).__name__}) {ex}"]
+
+    if r.check_codec and declared is not None and declared != actual_codec:
+        reasons.append(f"payload is not in {declared} format (got {actual_codec})")
+        return reasons
+
+    if len(decoded) == 0:
+        reasons.append("decoded audio contains no samples")
+        return reasons
+
+    if sr_hz is not None and header_sr != sr_hz:
+        reasons.append(
+            f"container sample rate {header_sr} does not match declared sr_hz={sr_hz}"
+        )
+        return reasons
+
+    if r.check_duration and sr_hz is not None and dur_ms is not None:
+        expected = round(dur_ms * sr_hz / 1000)
+        tol = max(1, round(r.duration_tolerance_ms * sr_hz / 1000))
+        if abs(len(decoded) - expected) > tol:
+            reasons.append(
+                f"decoded length {len(decoded)} samples does not match "
+                f"declared dur_ms={dur_ms} at sr_hz={sr_hz}"
+            )
+
+    if r.check_snr and not audio.snr_at_least(clip_id, header_sr, decoded, r.min_snr_db):
+        n = len(decoded)
+        ref = audio.reference_signal(clip_id, header_sr, round(n * 1000 / header_sr))
+        m = min(len(ref), n)
+        if m:
+            snr = audio.snr_db(ref[:m], decoded[:m])
+            if snr < r.min_snr_db:
+                reasons.append(
+                    f"decoded audio snr {snr:.1f} dB below threshold {r.min_snr_db:.1f} dB"
+                )
+
+    if r.check_transcript and transcript is not None:
+        if transcript != audio.reference_transcript(clip_id):
+            reasons.append("transcript does not match reference")
+    return reasons
+
+
+def _violations_before_batching(rule, batch):
+    """The stage's ``__call__`` before batching, frozen, over the exact
+    check alone (the certificate never changes a verdict:
+    tests/test_snr_certificate.py)."""
+    from fs_schema_validator_ray.report import row_violations
+
+    def col(name):
+        if name in batch.column_names:
+            return batch.column(name).to_pylist()
+        return [None] * batch.num_rows
+
+    payloads = [None if p is None else memoryview(p) for p in col(rule.bytes_column)]
+    transcripts = col(rule.transcript_column) if rule.check_transcript else col("")
+    rows = zip(col("clip_id"), payloads, col(rule.codec_column), col(rule.sr_column),
+               col(rule.dur_column), transcripts)
+    return row_violations(batch, "clip_id", rule.rule_id,
+                          lambda *args: _check_row_before_batching(rule, *args), rows)
+
+
+def _edge_rows():
+    """Rows beyond the corpus's planted classes: ADPCM and FLAC, rows
+    longer than the certificate's buffer, a null clip id, ``sr_hz`` 0,
+    empty, odd-length and truncated payloads, and a row failing the
+    duration, SNR and transcript checks at once."""
+    ref = audio.reference_signal
+    s16 = audio.encode(ref("clip-e-0", 16000, 100), 16000, "pcm_s16le")
+    odd = bytearray(s16[:-1])
+    struct.pack_into("<I", odd, 40, len(odd) - 44)
+    bad_adpcm = bytearray(audio.encode(ref("clip-e-3", 8000, 200), 8000, "adpcm_ima"))
+    bad_adpcm[bytes(bad_adpcm).index(b"data") + 10] = 200
+    long_sr, long_ms = 48000, 3000  # 144,000 samples: three buffer chunks
+    rows = [
+        ("clip-e-1", audio.encode(ref("clip-e-1", 8000, 200), 8000, "adpcm_ima"),
+         "adpcm_ima", 8000, 200),
+        ("clip-e-2", audio.encode(ref("clip-e-2", 22050, 150), 22050, "flac"), "flac", 22050, 150),
+        ("clip-e-3", bytes(bad_adpcm), "adpcm_ima", 8000, 200),
+        ("clip-e-4", audio.encode(ref("clip-e-4", 16000, 100), 16000, "flac")[:-9],
+         "flac", 16000, 100),
+        ("clip-e-5", audio.encode(ref("clip-e-5", long_sr, long_ms), long_sr, "pcm_s16le"),
+         "pcm_s16le", long_sr, long_ms),
+        ("clip-e-6", audio.encode(ref("clip-e-0", long_sr, long_ms), long_sr, "pcm_s16le"),
+         "pcm_s16le", long_sr, long_ms),
+        ("clip-e-7", audio.encode(ref("clip-e-7", 44100, 1500), 44100, "ulaw"),
+         "ulaw", 44100, 1500),
+        (None, s16, "pcm_s16le", 16000, 100),
+        ("clip-e-8", audio.encode(ref("clip-e-8", 100, 500), 0, "pcm_u8"), "pcm_u8", 0, 500),
+        ("clip-e-9", audio.encode(ref("clip-e-9", 100, 500), 0, "pcm_u8"), "pcm_u8", None, None),
+        ("clip-e-10", b"", "pcm_s16le", 16000, 100),
+        ("clip-e-11", bytes(odd), "pcm_s16le", 16000, 100),
+        ("clip-e-12", s16[:200], "pcm_s16le", 16000, 100),
+        ("clip-e-13", None, "pcm_s16le", 16000, 100),
+        ("clip-e-14", audio.encode(ref("clip-e-0", 16000, 100), 16000, "alaw"),
+         "alaw", 16000, 140),
+        ("clip-e-15", audio.encode(ref("clip-e-15", 16000, 100) * 0.5, 16000, "pcm_s16le"),
+         "pcm_s16le", 16000, 100),
+    ]
+    return pa.table({
+        "clip_id": pa.array([r[0] for r in rows], pa.string()),
+        "bytes": pa.array([r[1] for r in rows], pa.binary()),
+        "sr_hz": pa.array([r[3] for r in rows], pa.int32()),
+        "dur_ms": pa.array([r[4] for r in rows], pa.int32()),
+        "codec": pa.array([r[2] for r in rows], pa.string()),
+        "transcript": pa.array(["a garbled transcript" if i % 3 == 0 else None
+                                for i in range(len(rows))], pa.string()),
+    })
+
+
+@pytest.fixture(scope="module")
+def parity_table():
+    from fs_schema_validator_ray.report import PARTITION_COLUMN
+
+    corpus = build_clips_table(ClipsConfig(n_rows=1100, rows_per_partition=300),
+                               np.arange(1100))
+    edge = _edge_rows()
+    edge = edge.append_column(PARTITION_COLUMN, pa.array([9] * edge.num_rows, pa.int32()))
+    return pa.concat_tables([corpus, edge.select(corpus.column_names).cast(corpus.schema)])
+
+
+PARITY_RULES = [
+    AudioRule(rule_id="audio_decode"),
+    AudioRule(rule_id="strict", min_snr_db=35.0, duration_tolerance_ms=0),
+    AudioRule(rule_id="no_snr", check_snr=False),
+    AudioRule(rule_id="loose", check_codec=False, check_transcript=False, min_snr_db=1.0),
+]
+
+
+@pytest.mark.parametrize("batch_size", [1, 7, 64, 512])
+@pytest.mark.parametrize("rule", PARITY_RULES, ids=lambda r: r.rule_id)
+def test_the_batched_stage_writes_what_the_per_row_check_wrote(
+        parity_table, rule, batch_size, monkeypatch):
+    """Every codec, every planted class and the edge rows, in batches of
+    1 to 512 rows: the violation tables are equal."""
+    assert {"pcm_s16le", "pcm_u8", "ulaw", "alaw", "adpcm_ima", "flac"} <= set(
+        parity_table.column("codec").to_pylist())
+    stage = AudioValidateStage(rule)
+    batches = [parity_table.slice(i, batch_size)
+               for i in range(0, parity_table.num_rows, batch_size)]
+    got = pa.concat_tables([stage(b) for b in batches])
+    monkeypatch.setattr(audio, "snr_at_least", lambda *a: False)
+    want = pa.concat_tables([_violations_before_batching(rule, b) for b in batches])
+    assert got.equals(want)
+    if rule.check_snr:
+        assert any("snr" in r for r in want.column("reason").to_pylist())
+
+
+@pytest.mark.parametrize("batch_size", [1, 7, 64])
+def test_non_string_clip_ids_are_checked_as_before(parity_table, batch_size, monkeypatch):
+    """An integer key column: the exact path raises for the row, which
+    reports one ``unexpected validation error``, as before."""
+    t = parity_table.slice(1000).set_column(
+        0, "clip_id", pa.array(range(parity_table.num_rows - 1000), pa.int64()))
+    rule = AudioRule(rule_id="audio_decode")
+    batches = [t.slice(i, batch_size) for i in range(0, t.num_rows, batch_size)]
+    got = pa.concat_tables([AudioValidateStage(rule)(b) for b in batches])
+    monkeypatch.setattr(audio, "snr_at_least", lambda *a: False)
+    want = pa.concat_tables([_violations_before_batching(rule, b) for b in batches])
+    assert got.equals(want)
+    assert any("unexpected validation error" in r for r in got.column("reason").to_pylist())

@@ -4,7 +4,6 @@ the regenerated reference, and the two new corpus-contract queries."""
 
 import numpy as np
 import pyarrow as pa
-import pytest
 import ray.data
 
 SF = "/root/testdata/sf0.001"
@@ -142,44 +141,6 @@ def test_grouped_skew_kurtosis_ground_truth(ray_session):
         assert abs(got[name]["skew6"] - skew) < 1e-5, name
         assert abs(got[name]["kurt6"] - kurt) < 1e-5, name
     assert abs(got["sym"]["skew6"]) < 1e-9  # symmetric → exactly 0 after round
-
-
-# --- IMA ADPCM codec (round 4) ----------------------------------------------
-
-
-def test_ima_adpcm_roundtrip_snr_and_size():
-    """4-bit IMA ADPCM: ~4:1 compression with ≥20 dB round-trip SNR on
-    the corpus reference signal; exact length recovery via fact chunk."""
-    from fs_schema_validator_ray import audio
-
-    for sr, dur in [(8000, 240), (16000, 100), (48000, 60)]:
-        x = audio.reference_signal(f"clip-0000-{sr % 937:06d}", sr, dur)
-        payload = audio.encode(x, sr, "adpcm_ima")
-        y, sr2, codec = audio.decode(payload)
-        assert (codec, sr2, len(y)) == ("adpcm_ima", sr, len(x))
-        assert audio.snr_db(x, y) >= 20.0
-        pcm16 = audio.encode(x, sr, "pcm_s16le")
-        assert len(payload) < 0.4 * len(pcm16)
-
-
-def test_ima_adpcm_malformed():
-    from fs_schema_validator_ray import audio
-
-    x = audio.reference_signal("clip-0000-000009", 16000, 80)
-    payload = bytearray(audio.encode(x, 16000, "adpcm_ima"))
-    # corrupt the step index of the first block beyond 88
-    data_off = bytes(payload).index(b"data") + 8
-    payload[data_off + 2] = 200
-    with pytest.raises(audio.AudioDecodeError, match="step index"):
-        audio.decode(bytes(payload))
-    # fact chunk claiming more samples than blocks carry
-    bad = bytearray(audio.encode(x, 16000, "adpcm_ima"))
-    fact_off = bytes(bad).index(b"fact") + 8
-    import struct
-
-    struct.pack_into("<I", bad, fact_off, 10_000_000)
-    with pytest.raises(audio.AudioDecodeError, match="fact chunk"):
-        audio.decode(bytes(bad))
 
 
 def test_transcode_stage_adpcm_target(ray_session):

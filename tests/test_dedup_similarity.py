@@ -287,6 +287,27 @@ def test_kmeans_cluster_separates_blobs(ray_session):
     assert len(first) == 1 and len(second) == 1 and first != second
 
 
+def test_kmeans_centroids_do_not_depend_on_the_blocking(ray_session):
+    """The same vectors in another order and another number of blocks:
+    the sample is the same rows in the same order and the partial sums
+    are exact, so the centroids are equal bit for bit."""
+    import ray.data
+
+    from fs_schema_validator_ray.stages.similarity import kmeans_centroids
+
+    rng = np.random.default_rng(21)
+    mat = rng.normal(size=(400, 12))
+
+    def blocked(order, blocks):
+        t = pa.table({"embedding": pa.array(list(mat[order]), pa.list_(pa.float64()))})
+        return ray.data.from_arrow(t).repartition(blocks)
+
+    a = kmeans_centroids(blocked(np.arange(400), 3), 6, iters=3, sample_size=64)
+    b = kmeans_centroids(blocked(rng.permutation(400), 7), 6, iters=3, sample_size=64)
+    assert a.shape == (6, 12)
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 # --- distributed PCA ---------------------------------------------------------
 
 

@@ -1,8 +1,10 @@
-"""``audio.snr_at_least``, the certified lower bound that clears the SNR
-check without synthesizing the exact reference: a row it clears always
-passes the exact check (``reference_signal`` + ``snr_db``, as
-``AudioValidateStage._check_row`` runs it), on any input, and it never
-raises. Clean corpus rows are cleared, so the exact path stays rare."""
+"""``audio.SnrCertificate`` (``audio.snr_at_least`` is its one-row call),
+the certified lower bound that clears the SNR check without
+synthesizing the exact reference: a row it clears always passes the
+exact check (``reference_signal`` + ``snr_db``, as
+``AudioValidateStage._check_tail`` runs it), on any input and beside any
+other rows, and it never raises. Clean corpus rows are cleared, so the
+exact path stays rare."""
 
 import math
 import os
@@ -67,6 +69,53 @@ def test_a_cleared_row_passes_the_exact_check(clip_id, sr_hz, dur_ms, target_db,
     if target_db <= 80 and keep == 1.0:
         # and it is not vacuous: it clears a threshold 0.01 dB under the SNR
         assert audio.snr_at_least(clip_id, sr_hz, decoded, snr - 0.01)
+
+
+#: a neighbour the certificate cannot speak for, or None for a plain row
+poisons = st.sampled_from([None, None, None, "nan", "inf", "huge", "int id", "empty"])
+
+
+def _poisoned(row, poison):
+    clip_id, sr_hz, decoded = row
+    if poison in ("nan", "inf", "huge"):
+        decoded = np.full(len(decoded), {"nan": math.nan, "inf": math.inf, "huge": 1e300}[poison])
+    elif poison == "int id":
+        clip_id = 7
+    elif poison == "empty":
+        decoded = decoded[:0]
+    return clip_id, sr_hz, decoded
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(st.tuples(clip_ids, rates, st.integers(1, 1600), st.floats(0, 100),
+                          st.integers(0, 2**32), st.sampled_from([1.0, 0.5, 0.97, 1.02]),
+                          poisons, st.booleans()),
+                min_size=2, max_size=10),
+       st.floats(0, 100))
+def test_a_cleared_row_passes_whatever_its_neighbours(rows, min_db):
+    """Rows checked in one certificate, in place (decoded into its
+    buffer) or copied in, some longer than the buffer and some it cannot
+    speak for: every cleared row passes the exact check, and every other
+    row gets its own samples back for it."""
+    cert = audio.SnrCertificate(min_db)
+    added = []
+    for clip_id, sr_hz, dur_ms, target_db, seed, keep, poison, in_place in rows:
+        assume(audio._reference_length(sr_hz, dur_ms) > 0)
+        row = _poisoned((clip_id, sr_hz, degraded(clip_id, sr_hz, dur_ms, target_db, seed, keep)),
+                       poison)
+        clip_id, sr_hz, decoded = row
+        if in_place and len(decoded) <= len(cert.out):
+            cert.out[: len(decoded)] = decoded
+            cert.add(clip_id, sr_hz, cert.out[: len(decoded)])
+        else:
+            cert.add(clip_id, sr_hz, decoded)
+        added.append(row)
+    for (clip_id, sr_hz, decoded), left in zip(added, cert.uncleared(), strict=True):
+        if left is None:
+            snr = exact_snr(clip_id, sr_hz, decoded)
+            assert snr is not None and snr >= min_db, (clip_id, sr_hz, len(decoded), snr)
+        else:
+            assert np.array_equal(left, decoded, equal_nan=True)
 
 
 @pytest.mark.parametrize("sr_hz,target_db", [(48000, 30.0), (8000, 0.5), (44100, 100.0)])
@@ -187,7 +236,7 @@ def test_violation_files_are_the_same_without_the_certificate(
         ray_session, snr_corpus, tmp_path, monkeypatch):
     """The row pass runs in this process, so ``audio`` can be patched: the
     run with the certificate writes the violation files of the run
-    without it, byte for byte, and synthesizes the exact reference only
+    whose certificate clears no row, byte for byte, and synthesizes the exact reference only
     for the three rows below the threshold and the one it cannot clear."""
     monkeypatch.setattr(validate, "_run_tasks", lambda udf, tables, fold: [
         fold(validate._call(udf, t)) for t in tables])
@@ -208,7 +257,8 @@ def test_violation_files_are_the_same_without_the_certificate(
         return out, len(calls)
 
     certified, certified_calls = run("certified")
-    monkeypatch.setattr(audio, "snr_at_least", lambda *a: False)
+    # the kernel's gate: the certificate speaks for no row
+    monkeypatch.setattr(audio, "_certifiable_length", lambda *a: 0)
     exact_only, exact_calls = run("exact")
 
     assert (certified_calls, exact_calls) == (4, 12)

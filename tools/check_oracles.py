@@ -87,6 +87,11 @@ RUN = "RUN "
 #: lines of a dead child's standard error printed after its FAIL line
 STDERR_TAIL = 20
 
+#: how a child names its Ray session directory on standard error; a
+#: sweep echoes it for a child that died, whose raylet and worker logs
+#: are under its ``logs/``
+SESSION = "ray session: "
+
 #: how a result line starts: a query's outcome or its indented detail;
 #: anything else a child prints (Ray's own log lines) is not a result
 RESULT = ("ok   ", "FAIL ", "rows  ", "      ")
@@ -98,8 +103,9 @@ def child(sf_dir: str, names: list[str]) -> int:
     import ray
 
     if not ray.is_initialized():
-        ray.init(address="local", num_cpus=8, include_dashboard=False,
-                 ignore_reinit_error=True, logging_level="ERROR")
+        ctx = ray.init(address="local", num_cpus=8, include_dashboard=False,
+                       ignore_reinit_error=True, logging_level="ERROR")
+        print(SESSION + ctx.address_info["session_dir"], file=sys.stderr, flush=True)
 
     import __ray_entry__ as e
 
@@ -213,8 +219,9 @@ def sweep(names: list[str], start, echo=print) -> int:
     result lines (:data:`RESULT`) are echoed; any other line a child
     prints goes to standard error, so two sweeps differ only where a
     query did. A child that dies before its ``failures:`` line fails
-    the query it had started, and the tail of its standard error is
-    echoed; a new child runs the queries after that one."""
+    the query it had started, and its Ray session directory
+    (:data:`SESSION`) and the tail of its standard error are echoed; a
+    new child runs the queries after that one."""
     failures, rest = 0, list(names)
     while rest:
         with tempfile.TemporaryFile("w+") as err:
@@ -241,7 +248,11 @@ def sweep(names: list[str], start, echo=print) -> int:
                 echo(f"FAIL  sweep: process died before its first query ({_death(code)})")
             else:
                 echo(f"FAIL  {running}: sweep process died ({_death(code)})")
-            for line in err.read().splitlines()[-STDERR_TAIL:]:
+            lines = err.read().splitlines()
+            for line in lines:
+                if line.startswith(SESSION):
+                    echo(f"      session: {line[len(SESSION):]}")
+            for line in lines[-STDERR_TAIL:]:
                 echo(f"      stderr: {line}")
             if running is None:
                 break
